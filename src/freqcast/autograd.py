@@ -181,11 +181,43 @@ def getitem(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing only."""
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[idx] = g
-        _accum(a, buf)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[idx] += g
 
     return Tensor(a.data[idx], (a,), backward)
+
+
+def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors along an existing axis."""
+    bounds = np.cumsum([t.data.shape[axis] for t in parts])[:-1]
+
+    def backward(g):
+        for t, piece in zip(parts, np.split(g, bounds, axis=axis)):
+            _accum(t, piece)
+
+    return Tensor(np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward)
+
+
+def block_matrix(entries: list[tuple[Tensor, int, int, float]], grid: int) -> Tensor:
+    """Square matrix of grid x grid equal-sized square blocks.
+
+    Each entry (t, row, col, coef) adds coef * t into block (row, col);
+    blocks no entry names are zero.  A tensor may appear in many entries.
+    """
+    size = entries[0][0].data.shape[0]
+    blocks = np.zeros((grid, grid, size, size))
+    for t, row, col, coef in entries:
+        blocks[row, col] += coef * t.data
+    parents = tuple({id(t): t for t, _, _, _ in entries}.values())
+
+    def backward(g):
+        g = g.reshape(grid, size, grid, size)
+        for t, row, col, coef in entries:
+            _accum(t, coef * g[row, :, col, :])
+
+    out = blocks.transpose(0, 2, 1, 3).reshape(grid * size, grid * size)
+    return Tensor(out, parents, backward)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
@@ -295,15 +327,6 @@ class CTensor:
     def value(self) -> np.ndarray:
         return self.re.data + 1j * self.im.data
 
-    def __add__(self, other: "CTensor") -> "CTensor":
-        return CTensor(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CTensor") -> "CTensor":
-        return CTensor(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CTensor":
-        return CTensor(-self.re, -self.im)
-
     def conj(self) -> "CTensor":
         return CTensor(self.re, -self.im)
 
@@ -312,9 +335,3 @@ class CTensor:
         re = matmul(self.re, w.re) - matmul(self.im, w.im)
         im = matmul(self.re, w.im) + matmul(self.im, w.re)
         return CTensor(re, im)
-
-    def relu(self) -> "CTensor":
-        return CTensor(relu(self.re), relu(self.im))
-
-    def scale(self, s: float) -> "CTensor":
-        return CTensor(self.re * s, self.im * s)

@@ -12,8 +12,14 @@ embedding axis:
   needing only p complex weight matrices.
 * ``basic`` - all-to-all mixing with a full p x p grid of weight matrices.
 
-The activation acts independently on the real and imaginary planes.
-Weights are one E x E complex matrix per window pair, shared over bins and
+The backbones differ only in their block table: the entry
+``(src, dst, weight, sign, conj_x, conj_w)`` adds
+``sign * cx(x_src) @ cw(W_weight)`` to window ``dst``, where ``cx`` and
+``cw`` conjugate when their flag is set.  A layer assembles its table into
+one real (2pE x 2pE) matrix acting on the windows stacked as
+``[re_0 .. re_{p-1}, im_0 .. im_{p-1}]``, so it is one matmul, one bias add
+and one activation, which acts on the real and imaginary planes
+independently.  Weights are E x E complex matrices shared over bins and
 channels.
 """
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, Tensor
+from .autograd import CTensor, Tensor, block_matrix, concat, matmul, relu
 from .compress import CompressedWindows
 from .errors import ConfigError, ContractError
 from .hypercomplex import component_product_table
@@ -31,14 +37,20 @@ from .hypercomplex import component_product_table
 BACKBONE_KINDS = ("fd", "wm", "hc", "basic")
 HC_WINDOW_COUNTS = (2, 4, 8)
 ACTIVATIONS = ("relu", "identity")
+WEIGHT_MASKS = (None, "real", "imag")
+
+# checkpoint name of window i's bias, after the "backbone.<kind>." prefix
+_BIAS_NAMES = {"fd": "{}.b", "wm": "bias.{}", "hc": "b.{}", "basic": "bias.{}"}
 
 
-def get_activation(name: str):
-    if name == "relu":
-        return lambda c: c.relu()
-    if name == "identity":
-        return lambda c: c
-    raise ConfigError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
+@dataclass
+class BackboneParams:
+    """Complex E x E weights, indexed as the block table indexes them, and
+    one complex length-E bias per window."""
+
+    weights: list[CTensor]
+    biases: list[CTensor]
+    radius: int = 1
 
 
 def _uniform_ct(rng: np.random.Generator, shape, scale: float) -> CTensor:
@@ -48,62 +60,9 @@ def _uniform_ct(rng: np.random.Generator, shape, scale: float) -> CTensor:
     )
 
 
-def _zero_ct(shape) -> CTensor:
-    return CTensor(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
-
-
-def mask_weight(w: CTensor, mask: str | None) -> CTensor:
-    """Zero one plane of a weight; gradients to that plane vanish too."""
-    if mask is None:
-        return w
-    if mask == "real":
-        return CTensor(w.re * 0.0, w.im)
-    if mask == "imag":
-        return CTensor(w.re, w.im * 0.0)
-    raise ConfigError(f"unknown weight mask {mask!r}")
-
-
-@dataclass
-class ComplexLinear:
-    """Complex affine layer: E x E weight and length-E bias."""
-
-    w: CTensor
-    b: CTensor
-
-
-def init_complex_linear(rng: np.random.Generator, embed: int) -> ComplexLinear:
-    scale = 1.0 / np.sqrt(embed)
-    return ComplexLinear(_uniform_ct(rng, (embed, embed), scale), _zero_ct((embed,)))
-
-
-def fd_mlp_forward(c: CTensor, layer: ComplexLinear, act="relu",
-                   weight_mask: str | None = None) -> CTensor:
-    """Complex affine map plus per-plane activation on one window."""
-    if c.shape[-1] != layer.w.shape[0]:
-        raise ContractError(
-            f"embedding axis {c.shape[-1]} != weight size {layer.w.shape[0]}"
-        )
-    act_fn = get_activation(act) if isinstance(act, str) else act
-    return act_fn(c.matmul(mask_weight(layer.w, weight_mask)) + layer.b)
-
-
-@dataclass
-class FdMlpParams:
-    layers: list[ComplexLinear]
-
-
-def init_fd_mlp(rng, window_count: int, embed: int) -> FdMlpParams:
-    return FdMlpParams([init_complex_linear(rng, embed) for _ in range(window_count)])
-
-
-@dataclass
-class WmMlpParams:
-    """Self weights per window, neighbour weights keyed (source, target)."""
-
-    self_weights: list[CTensor]
-    neighbor_weights: dict[tuple[int, int], CTensor]
-    biases: list[CTensor]
-    radius: int
+def _check_kind(kind: str) -> None:
+    if kind not in BACKBONE_KINDS:
+        raise ConfigError(f"unknown backbone kind {kind!r}; choose from {BACKBONE_KINDS}")
 
 
 def _check_wm_radius(window_count: int, radius: int) -> None:
@@ -117,232 +76,136 @@ def _check_wm_radius(window_count: int, radius: int) -> None:
         )
 
 
-def init_wm_mlp(rng, window_count: int, embed: int, radius: int = 1) -> WmMlpParams:
-    _check_wm_radius(window_count, radius)
-    scale = 1.0 / np.sqrt(embed)
-    self_w = [_uniform_ct(rng, (embed, embed), scale) for _ in range(window_count)]
-    nbr = {}
-    for dst in range(window_count):
-        for off in range(1, radius + 1):
-            for src in (dst - off, dst + off):
-                if 0 <= src < window_count:
-                    nbr[(src, dst)] = _uniform_ct(rng, (embed, embed), scale)
-    biases = [_zero_ct((embed,)) for _ in range(window_count)]
-    return WmMlpParams(self_w, nbr, biases, radius)
+def block_table(kind: str, window_count: int, radius: int = 1,
+                conjugate_neighbors: bool = True):
+    """Weight names and blocks ``(src, dst, weight, sign, conj_x, conj_w)``.
 
-
-def wm_mlp_forward(c: CompressedWindows, params: WmMlpParams, radius: int,
-                   act="relu", conjugate_neighbors: bool = True,
-                   weight_mask: str | None = None) -> CompressedWindows:
-    """Mix each window with its in-range neighbours; out-of-range terms vanish."""
-    p = len(c.windows)
-    if radius != params.radius:
-        raise ContractError(f"radius {radius} != parameter radius {params.radius}")
-    _check_wm_radius(p, radius)
-    if len(params.self_weights) != p:
-        raise ContractError(
-            f"parameters sized for {len(params.self_weights)} windows, got {p}"
-        )
-    act_fn = get_activation(act) if isinstance(act, str) else act
-    out = []
-    for dst in range(p):
-        acc = c.windows[dst].matmul(mask_weight(params.self_weights[dst], weight_mask))
-        for off in range(1, radius + 1):
-            for src in (dst - off, dst + off):
-                if 0 <= src < p:
-                    w = params.neighbor_weights[(src, dst)]
-                    if conjugate_neighbors:
-                        w = w.conj()
-                    acc = acc + c.windows[src].matmul(mask_weight(w, weight_mask))
-        out.append(act_fn(acc + params.biases[dst]))
-    return CompressedWindows(out, c.indices, c.bins_total, c.plan)
-
-
-@dataclass
-class HcMlpParams:
-    """One hyper-complex weight (p complex matrices) and bias (p vectors)."""
-
-    weights: list[CTensor]
-    biases: list[CTensor]
-
-
-def init_hc_mlp(rng, window_count: int, embed: int) -> HcMlpParams:
-    if window_count not in HC_WINDOW_COUNTS:
-        raise ConfigError(
-            f"the hyper-complex backbone needs a window count in "
-            f"{HC_WINDOW_COUNTS}, got {window_count}; use the window-mixing or "
-            f"basic backbone instead"
-        )
-    scale = 1.0 / np.sqrt(embed)
-    return HcMlpParams(
-        [_uniform_ct(rng, (embed, embed), scale) for _ in range(window_count)],
-        [_zero_ct((embed,)) for _ in range(window_count)],
-    )
-
-
-def hc_mlp_forward(c: CompressedWindows, params: HcMlpParams, act="relu",
-                   weight_mask: str | None = None) -> CompressedWindows:
-    """Single hyper-complex affine map over all windows at once.
-
-    The windows form one base-2p tensor; the product follows the
-    Cayley-Dickson structure table, so this is the recursion's product lifted
-    to (B, M, D, E) x (E, E) complex matrix products.
+    Weight indices follow the checkpoint name order; the first block that
+    uses a weight fixes its place in the initialisation draw order.
     """
-    p = len(c.windows)
-    if p not in HC_WINDOW_COUNTS:
-        raise ConfigError(
-            f"the hyper-complex backbone needs a window count in "
-            f"{HC_WINDOW_COUNTS}, got {p}; use the window-mixing or basic "
-            f"backbone instead"
-        )
-    if len(params.weights) != p:
-        raise ContractError(
-            f"parameters sized for {len(params.weights)} windows, got {p}"
-        )
-    act_fn = get_activation(act) if isinstance(act, str) else act
-    weights = [mask_weight(w, weight_mask) for w in params.weights]
-    acc: list[CTensor | None] = [None] * p
-    for k, i, j, sign, conj_x, conj_w in component_product_table(2 * p):
-        x = c.windows[i].conj() if conj_x else c.windows[i]
-        w = weights[j].conj() if conj_w else weights[j]
-        term = x.matmul(w)
-        if sign < 0:
-            term = -term
-        acc[k] = term if acc[k] is None else acc[k] + term
-    out = [act_fn(acc[k] + params.biases[k]) for k in range(p)]
-    return CompressedWindows(out, c.indices, c.bins_total, c.plan)
-
-
-@dataclass
-class BasicMlpParams:
-    """Full p x p grid of complex weights, indexed [source][target]."""
-
-    grid: list[list[CTensor]]
-    biases: list[CTensor]
-
-
-def init_basic_mlp(rng, window_count: int, embed: int) -> BasicMlpParams:
-    scale = 1.0 / np.sqrt(embed)
-    grid = [
-        [_uniform_ct(rng, (embed, embed), scale) for _ in range(window_count)]
-        for _ in range(window_count)
+    p = window_count
+    _check_kind(kind)
+    if kind == "fd":
+        return [f"{i}.w" for i in range(p)], [(i, i, i, 1, False, False) for i in range(p)]
+    if kind == "basic":
+        pairs = [(src, dst) for src in range(p) for dst in range(p)]
+        return ([f"{src}->{dst}" for src, dst in pairs],
+                [(src, dst, n, 1, False, False) for n, (src, dst) in enumerate(pairs)])
+    if kind == "hc":
+        if p not in HC_WINDOW_COUNTS:
+            raise ConfigError(
+                f"the hyper-complex backbone needs a window count in "
+                f"{HC_WINDOW_COUNTS}, got {p}; use the window-mixing or basic "
+                f"backbone instead"
+            )
+        # output component k += sign * ca(x_i) * cb(w_j)
+        return [f"w.{j}" for j in range(p)], [
+            (i, k, j, sign, conj_x, conj_w)
+            for k, i, j, sign, conj_x, conj_w in component_product_table(2 * p)
+        ]
+    _check_wm_radius(p, radius)
+    pairs = [
+        (src, dst)
+        for dst in range(p)
+        for off in range(1, radius + 1)
+        for src in (dst - off, dst + off)
+        if 0 <= src < p
     ]
-    return BasicMlpParams(grid, [_zero_ct((embed,)) for _ in range(window_count)])
-
-
-def basic_mlp_forward(c: CompressedWindows, params: BasicMlpParams, act="relu",
-                      weight_mask: str | None = None) -> CompressedWindows:
-    """All-to-all window mixing with p^2 weight matrices."""
-    p = len(c.windows)
-    if len(params.grid) != p or any(len(row) != p for row in params.grid):
-        raise ContractError(f"weight grid is not {p} x {p}")
-    act_fn = get_activation(act) if isinstance(act, str) else act
-    out = []
-    for dst in range(p):
-        acc = None
-        for src in range(p):
-            term = c.windows[src].matmul(mask_weight(params.grid[src][dst], weight_mask))
-            acc = term if acc is None else acc + term
-        out.append(act_fn(acc + params.biases[dst]))
-    return CompressedWindows(out, c.indices, c.bins_total, c.plan)
+    neighbors = sorted(pairs)
+    names = [f"self.{i}" for i in range(p)] + [f"nbr.{s}->{d}" for s, d in neighbors]
+    blocks = [(i, i, i, 1, False, False) for i in range(p)] + [
+        (src, dst, p + neighbors.index((src, dst)), 1, False, conjugate_neighbors)
+        for src, dst in pairs
+    ]
+    return names, blocks
 
 
 def count_weight_matrices(kind: str, window_count: int, radius: int = 1) -> int:
     """Exact number of complex weight matrices a backbone instantiates."""
-    p = window_count
-    if kind == "hc":
-        return p
-    if kind == "fd":
-        return p
-    if kind == "basic":
-        return p * p
-    if kind == "wm":
-        nbr = sum(
-            1
-            for dst in range(p)
-            for off in range(1, radius + 1)
-            for src in (dst - off, dst + off)
-            if 0 <= src < p
-        )
-        return p + nbr
-    raise ConfigError(f"unknown backbone kind {kind!r}; choose from {BACKBONE_KINDS}")
+    return len(block_table(kind, window_count, radius)[0])
 
 
-def init_backbone(kind: str, rng, window_count: int, embed: int, radius: int = 1):
-    if kind == "fd":
-        return init_fd_mlp(rng, window_count, embed)
-    if kind == "wm":
-        return init_wm_mlp(rng, window_count, embed, radius)
-    if kind == "hc":
-        return init_hc_mlp(rng, window_count, embed)
-    if kind == "basic":
-        return init_basic_mlp(rng, window_count, embed)
-    raise ConfigError(f"unknown backbone kind {kind!r}; choose from {BACKBONE_KINDS}")
+def init_backbone(kind: str, rng, window_count: int, embed: int,
+                  radius: int = 1) -> BackboneParams:
+    """Weights uniform in +-1/sqrt(E), real plane drawn first; zero biases."""
+    names, blocks = block_table(kind, window_count, radius)
+    scale = 1.0 / np.sqrt(embed)
+    weights: list[CTensor | None] = [None] * len(names)
+    for _, _, w, _, _, _ in blocks:
+        if weights[w] is None:
+            weights[w] = _uniform_ct(rng, (embed, embed), scale)
+    biases = [CTensor.zeros((embed,)) for _ in range(window_count)]
+    return BackboneParams(weights, biases, radius)
 
 
-def backbone_forward(kind: str, c: CompressedWindows, params, act="relu",
-                     radius: int = 1, conjugate_neighbors: bool = True,
+def _assemble(weights: list[CTensor], blocks, p: int, weight_mask: str | None) -> Tensor:
+    """The real (2pE x 2pE) matrix of a block table.
+
+    A masked plane places no entries, so it contributes nothing and gets no
+    gradient.
+    """
+    entries = []
+    for src, dst, w, sign, conj_x, conj_w in blocks:
+        sx = -1 if conj_x else 1
+        sw = -1 if conj_w else 1
+        if weight_mask != "real":
+            entries += [(weights[w].re, src, dst, sign),
+                        (weights[w].re, p + src, p + dst, sign * sx)]
+        if weight_mask != "imag":
+            entries += [(weights[w].im, src, p + dst, sign * sw),
+                        (weights[w].im, p + src, dst, -sign * sx * sw)]
+    return block_matrix(entries, 2 * p)
+
+
+def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
+                     act: str = "relu", radius: int = 1,
+                     conjugate_neighbors: bool = True,
                      weight_mask: str | None = None) -> CompressedWindows:
-    if kind == "fd":
-        out = [
-            fd_mlp_forward(w, layer, act, weight_mask)
-            for w, layer in zip(c.windows, params.layers)
-        ]
-        return CompressedWindows(out, c.indices, c.bins_total, c.plan)
-    if kind == "wm":
-        return wm_mlp_forward(c, params, radius, act, conjugate_neighbors, weight_mask)
-    if kind == "hc":
-        return hc_mlp_forward(c, params, act, weight_mask)
-    if kind == "basic":
-        return basic_mlp_forward(c, params, act, weight_mask)
-    raise ConfigError(f"unknown backbone kind {kind!r}; choose from {BACKBONE_KINDS}")
+    """One mixing layer: act(windows @ assembled matrix + bias)."""
+    if act not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {act!r}; choose from {ACTIVATIONS}")
+    if weight_mask not in WEIGHT_MASKS:
+        raise ConfigError(f"unknown weight mask {weight_mask!r}")
+    if kind == "wm" and radius != params.radius:
+        raise ContractError(f"radius {radius} != parameter radius {params.radius}")
+    p = len(c.windows)
+    names, blocks = block_table(kind, p, radius, conjugate_neighbors)
+    if len(params.biases) != p or len(params.weights) != len(names):
+        raise ContractError(
+            f"parameters sized for {len(params.biases)} windows, got {p}"
+        )
+    e = params.weights[0].shape[0]
+    if c.windows[0].shape[-1] != e:
+        raise ContractError(
+            f"embedding axis {c.windows[0].shape[-1]} != weight size {e}"
+        )
+    x = concat([w.re for w in c.windows] + [w.im for w in c.windows])
+    bias = concat([b.re for b in params.biases] + [b.im for b in params.biases])
+    y = matmul(x, _assemble(params.weights, blocks, p, weight_mask)) + bias
+    if act == "relu":
+        y = relu(y)
+    out = [
+        CTensor(y[..., i * e:(i + 1) * e], y[..., (p + i) * e:(p + i + 1) * e])
+        for i in range(p)
+    ]
+    return CompressedWindows(out, c.indices, c.bins_total, c.plan)
 
 
-def backbone_named_tensors(kind: str, params) -> list[tuple[str, Tensor]]:
+def backbone_named_tensors(kind: str, params: BackboneParams) -> list[tuple[str, Tensor]]:
     """Stable (name, tensor) listing for optimisers and checkpoints."""
+    names, _ = block_table(kind, len(params.biases), params.radius)
+    weights = list(zip(names, params.weights))
+    biases = [(_BIAS_NAMES[kind].format(i), b) for i, b in enumerate(params.biases)]
+    # fd lists each window's weight and bias together
+    order = [t for pair in zip(weights, biases) for t in pair] if kind == "fd" else weights + biases
     named: list[tuple[str, Tensor]] = []
-
-    def _ct(prefix: str, ct: CTensor):
-        named.append((f"{prefix}.re", ct.re))
-        named.append((f"{prefix}.im", ct.im))
-
-    if kind == "fd":
-        for i, layer in enumerate(params.layers):
-            _ct(f"backbone.fd.{i}.w", layer.w)
-            _ct(f"backbone.fd.{i}.b", layer.b)
-    elif kind == "wm":
-        for i, w in enumerate(params.self_weights):
-            _ct(f"backbone.wm.self.{i}", w)
-        for (src, dst), w in sorted(params.neighbor_weights.items()):
-            _ct(f"backbone.wm.nbr.{src}->{dst}", w)
-        for i, b in enumerate(params.biases):
-            _ct(f"backbone.wm.bias.{i}", b)
-    elif kind == "hc":
-        for i, w in enumerate(params.weights):
-            _ct(f"backbone.hc.w.{i}", w)
-        for i, b in enumerate(params.biases):
-            _ct(f"backbone.hc.b.{i}", b)
-    elif kind == "basic":
-        for src, row in enumerate(params.grid):
-            for dst, w in enumerate(row):
-                _ct(f"backbone.basic.{src}->{dst}", w)
-        for i, b in enumerate(params.biases):
-            _ct(f"backbone.basic.bias.{i}", b)
-    else:
-        raise ConfigError(f"unknown backbone kind {kind!r}")
+    for name, ct in order:
+        named.append((f"backbone.{kind}.{name}.re", ct.re))
+        named.append((f"backbone.{kind}.{name}.im", ct.im))
     return named
 
 
-def backbone_weight_ctensors(kind: str, params) -> list[CTensor]:
+def backbone_weight_ctensors(kind: str, params: BackboneParams) -> list[CTensor]:
     """The weight matrices only (biases excluded), for masking checks."""
-    if kind == "fd":
-        return [layer.w for layer in params.layers]
-    if kind == "wm":
-        return list(params.self_weights) + [
-            w for _, w in sorted(params.neighbor_weights.items())
-        ]
-    if kind == "hc":
-        return list(params.weights)
-    if kind == "basic":
-        return [w for row in params.grid for w in row]
-    raise ConfigError(f"unknown backbone kind {kind!r}")
+    _check_kind(kind)
+    return list(params.weights)

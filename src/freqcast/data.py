@@ -1,9 +1,9 @@
 """Dataset ingestion, splitting, normalisation, windowing, metrics, synthesis.
 
 CSV files are header-plus-rows with an optional leading timestamp column
-(detected once, from the first data row, and skipped).  Any non-numeric or
-ragged row is an ingestion error naming the file line and column; nothing is
-dropped silently.
+(detected once, from the first data row, and skipped).  Any non-numeric,
+non-finite or ragged row is an ingestion error naming the file line and
+column; nothing is dropped silently.
 
 Normalisation is per-channel min-max fitted on the training split only.
 Evaluation metrics are computed on the normalised scale.
@@ -72,11 +72,16 @@ def load_csv(path: str, name: str | None = None, frequency: str = "unknown") -> 
             )
         for c, cell in enumerate(row[start_col:], start=start_col):
             try:
-                values[r, c - start_col] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: line {line}, column {c + 1}: non-numeric cell {cell!r}"
                 )
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{path}: line {line}, column {c + 1}: non-finite cell {cell!r}"
+                )
+            values[r, c - start_col] = value
     return Dataset(name or path, values, frequency, channel_names)
 
 

@@ -76,21 +76,22 @@ def _fft_naive(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, n
     return out_re, out_im
 
 
+def _fft(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised DFT along the last axis with kernel e^(sign j 2 pi k t / n)."""
+    n = re.shape[-1]
+    if n == 1:
+        return re.copy(), im.copy()
+    if _is_pow2(n):
+        return _fft_pow2(re, im, sign)
+    return _fft_naive(re, im, sign)
+
+
 def fft_complex(re, im, axis: int = -1, inverse: bool = False):
     """Unnormalised complex DFT along ``axis`` (e^{+j...} when inverse)."""
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    re = np.moveaxis(re, axis, -1)
-    im = np.moveaxis(im, axis, -1)
-    n = re.shape[-1]
-    sign = 1 if inverse else -1
-    if n == 1:
-        out = re.copy(), im.copy()
-    elif _is_pow2(n):
-        out = _fft_pow2(re, im, sign)
-    else:
-        out = _fft_naive(re, im, sign)
-    return np.moveaxis(out[0], -1, axis), np.moveaxis(out[1], -1, axis)
+    re = np.moveaxis(np.asarray(re, dtype=np.float64), axis, -1)
+    im = np.moveaxis(np.asarray(im, dtype=np.float64), axis, -1)
+    out_re, out_im = _fft(re, im, 1 if inverse else -1)
+    return np.moveaxis(out_re, -1, axis), np.moveaxis(out_im, -1, axis)
 
 
 def onesided_bins(n: int) -> int:
@@ -117,18 +118,8 @@ def irfft_onesided(re, im, n: int, axis: int = -1):
     mirror = slice(n - onesided_bins(n), 0, -1)
     full_re = np.concatenate([re, re[..., mirror]], axis=-1)
     full_im = np.concatenate([im, -im[..., mirror]], axis=-1)
-    out_re, _ = _moved_fft(full_re, full_im, inverse=True)
+    out_re, _ = _fft(full_re, full_im, 1)
     return np.moveaxis(out_re / n, -1, axis)
-
-
-def _moved_fft(re, im, inverse):
-    n = re.shape[-1]
-    sign = 1 if inverse else -1
-    if n == 1:
-        return re.copy(), im.copy()
-    if _is_pow2(n):
-        return _fft_pow2(re, im, sign)
-    return _fft_naive(re, im, sign)
 
 
 def rfft_transpose(gre, gim, n: int, axis: int = -1):
@@ -139,14 +130,14 @@ def rfft_transpose(gre, gim, n: int, axis: int = -1):
     ext = gre.shape[:-1] + (n - bins,)
     full_re = np.concatenate([gre, np.zeros(ext)], axis=-1)
     full_im = np.concatenate([gim, np.zeros(ext)], axis=-1)
-    out_re, _ = _moved_fft(full_re, full_im, inverse=True)
+    out_re, _ = _fft(full_re, full_im, 1)
     return np.moveaxis(out_re, -1, axis)
 
 
 def irfft_transpose(g, n: int, axis: int = -1):
     """Transpose of the irfft_onesided linear map, applied to a cotangent."""
     g = np.moveaxis(np.asarray(g, dtype=np.float64), axis, -1)
-    fre, fim = _moved_fft(g, np.zeros_like(g), inverse=False)
+    fre, fim = _fft(g, np.zeros_like(g), -1)
     bins = onesided_bins(n)
     scale = np.full(bins, 2.0 / n)
     scale[0] = 1.0 / n

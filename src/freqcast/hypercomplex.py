@@ -286,72 +286,6 @@ def component_product_table(base: int):
     return tuple(entries)
 
 
-# --- tensors of hyper-complex scalars ----------------------------------------
-
-@dataclass(frozen=True)
-class HCTensor:
-    """Tensor whose scalar entries are base-``2p`` hyper-complex numbers."""
-
-    base: int
-    components: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.base not in VALID_BASES:
-            raise ContractError(f"unsupported hyper-complex base {self.base}")
-        if len(self.components) != self.base // 2:
-            raise ContractError(
-                f"base {self.base} needs {self.base // 2} component tensors"
-            )
-        shapes = {c.shape for c in self.components}
-        if len(shapes) != 1:
-            raise ContractError(f"component shapes differ: {sorted(shapes)}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.components[0].shape
-
-    @classmethod
-    def from_components(cls, base: int, components) -> "HCTensor":
-        return cls(base, tuple(np.asarray(c, dtype=np.complex128) for c in components))
-
-    @classmethod
-    def identity_matrix(cls, base: int, n: int) -> "HCTensor":
-        comps = [np.zeros((n, n), dtype=np.complex128) for _ in range(base // 2)]
-        comps[0] = np.eye(n, dtype=np.complex128)
-        return cls(base, tuple(comps))
-
-    def __add__(self, other: "HCTensor") -> "HCTensor":
-        if self.base != other.base:
-            raise ContractError(f"base mismatch: {self.base} vs {other.base}")
-        return HCTensor(self.base, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def scalar_at(self, index) -> HCNumber:
-        return HCNumber(self.base, tuple(complex(c[index]) for c in self.components))
-
-
-def hc_matmul(x: HCTensor, w: HCTensor) -> HCTensor:
-    """Matrix product contracting x's last axis with w's first axis.
-
-    Scalar multiplication is the Cayley-Dickson product; addition is
-    componentwise.  Realised as a flat sum of complex matrix products using
-    the structure table, so it is exactly the recursion lifted to tensors.
-    """
-    if x.base != w.base:
-        raise ContractError(f"base mismatch: {x.base} vs {w.base}")
-    if x.shape[-1] != w.shape[0]:
-        raise ContractError(
-            f"shape mismatch: x last axis {x.shape[-1]} vs w first axis {w.shape[0]}"
-        )
-    p = x.base // 2
-    out_shape = x.shape[:-1] + w.shape[1:]
-    out = [np.zeros(out_shape, dtype=np.complex128) for _ in range(p)]
-    for k, i, j, sign, ca, cb in component_product_table(x.base):
-        xv = np.conj(x.components[i]) if ca else x.components[i]
-        wv = np.conj(w.components[j]) if cb else w.components[j]
-        out[k] += sign * np.matmul(xv, wv)
-    return HCTensor(x.base, tuple(out))
-
-
 # --- sedenion zero divisors ---------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -223,10 +223,18 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
         cfg = RunConfig.from_dict(header["config"])
         params = init_params(cfg)
         named = dict(params.named_tensors())
+        listed = [entry["name"] for entry in header["tensors"]]
+        missing = [name for name in named if name not in listed]
+        unknown = [name for name in listed if name not in named]
+        if missing or unknown:
+            raise ContractError(
+                f"checkpoint tensors do not match this model: missing {missing}, "
+                f"unknown {unknown}"
+            )
+        if len(listed) != len(named):
+            raise ContractError("checkpoint lists a model tensor more than once")
         for entry in header["tensors"]:
             name, shape = entry["name"], tuple(entry["shape"])
-            if name not in named:
-                raise ContractError(f"checkpoint tensor {name!r} unknown to this model")
             if named[name].data.shape != shape:
                 raise ContractError(
                     f"checkpoint tensor {name!r} has shape {shape}, "
@@ -237,4 +245,6 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
             if len(buf) != 8 * count:
                 raise ContractError(f"checkpoint truncated while reading {name!r}")
             named[name].data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ContractError(f"checkpoint has trailing bytes after {listed[-1]!r}")
     return params, cfg, header.get("norm_stats")

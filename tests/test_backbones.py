@@ -2,23 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast.autograd import CTensor, Tensor
 from freqcast.backbones import (
-    BasicMlpParams,
-    ComplexLinear,
-    FdMlpParams,
-    HcMlpParams,
+    BackboneParams,
     backbone_forward,
-    basic_mlp_forward,
+    backbone_named_tensors,
+    block_table,
     count_weight_matrices,
-    fd_mlp_forward,
-    hc_mlp_forward,
-    init_basic_mlp,
-    init_fd_mlp,
-    init_hc_mlp,
-    init_wm_mlp,
-    wm_mlp_forward,
+    init_backbone,
 )
 from freqcast.compress import CompressedWindows, top_m_select
 from freqcast.errors import ConfigError, ContractError
@@ -31,7 +25,13 @@ def ct(rng, shape):
 
 
 def ct_from(arr):
-    return CTensor(Tensor(arr.real), Tensor(arr.imag))
+    arr = np.asarray(arr, dtype=complex)
+    return CTensor(Tensor(arr.real.copy()), Tensor(arr.imag.copy()))
+
+
+def wrap(*windows):
+    """Bare windows as a layer input; the layer never reads indices or plan."""
+    return CompressedWindows(list(windows), [None] * len(windows), 0, None)
 
 
 def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
@@ -42,132 +42,148 @@ def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
     return top_m_select(rstft(Tensor(x), plan), m)
 
 
-def identity_linear(embed):
-    return ComplexLinear(
-        CTensor(Tensor(np.eye(embed)), Tensor(np.zeros((embed, embed)))),
-        CTensor(Tensor(np.zeros(embed)), Tensor(np.zeros(embed))),
-    )
+def one_layer(weight):
+    """A single-window fd layer with the given complex weight and zero bias."""
+    return BackboneParams([ct_from(weight)], [CTensor.zeros(weight.shape[0])])
+
+
+def weight(kind, params, name):
+    """A weight by its checkpoint name, without going through the table."""
+    named = dict(backbone_named_tensors(kind, params))
+    prefix = f"backbone.{kind}.{name}"
+    return named[prefix + ".re"].data + 1j * named[prefix + ".im"].data
+
+
+def values(c):
+    return [w.value() for w in c.windows]
 
 
 class TestFdMlp:
     def test_identity_layer_identity_activation(self, rng):
         c = ct(rng, (2, 4, 2, 3))
-        out = fd_mlp_forward(c, identity_linear(3), act="identity")
-        np.testing.assert_allclose(out.value(), c.value(), atol=1e-14)
+        out = backbone_forward("fd", wrap(c), one_layer(np.eye(3)), act="identity")
+        np.testing.assert_allclose(out.windows[0].value(), c.value(), atol=1e-14)
 
     def test_pure_imaginary_weight_rotates(self, rng):
-        e = 3
-        layer = ComplexLinear(
-            CTensor(Tensor(np.zeros((e, e))), Tensor(np.eye(e))),
-            CTensor(Tensor(np.zeros(e)), Tensor(np.zeros(e))),
-        )
-        x = rng.normal(size=(2, 5, 1, e))
+        x = rng.normal(size=(2, 5, 1, 3))
         c = CTensor(Tensor(x), Tensor(np.zeros_like(x)))
-        out = fd_mlp_forward(c, layer, act="identity")
-        np.testing.assert_allclose(out.value(), 1j * x, atol=1e-14)
+        out = backbone_forward("fd", wrap(c), one_layer(1j * np.eye(3)), act="identity")
+        np.testing.assert_allclose(out.windows[0].value(), 1j * x, atol=1e-14)
 
     def test_matches_complex_arithmetic(self, rng):
-        c = ct(rng, (2, 3, 2, 4))
-        layer = ComplexLinear(ct(rng, (4, 4)), ct(rng, (4,)))
-        out = fd_mlp_forward(c, layer, act="identity")
-        want = c.value() @ layer.w.value() + layer.b.value()
-        np.testing.assert_allclose(out.value(), want, atol=1e-12)
+        cs = [ct(rng, (2, 3, 2, 4)) for _ in range(2)]
+        ws = [ct(rng, (4, 4)) for _ in range(2)]
+        bs = [ct(rng, (4,)) for _ in range(2)]
+        out = backbone_forward("fd", wrap(*cs), BackboneParams(ws, bs), act="identity")
+        for c, w, b, got in zip(cs, ws, bs, out.windows):
+            want = c.value() @ w.value() + b.value()
+            np.testing.assert_allclose(got.value(), want, atol=1e-12)
 
     def test_relu_acts_per_plane(self, rng):
         c = ct(rng, (1, 2, 1, 2))
-        out = fd_mlp_forward(c, identity_linear(2), act="relu")
-        np.testing.assert_allclose(out.re.data, np.maximum(c.re.data, 0))
-        np.testing.assert_allclose(out.im.data, np.maximum(c.im.data, 0))
+        out = backbone_forward("fd", wrap(c), one_layer(np.eye(2)), act="relu")
+        np.testing.assert_allclose(out.windows[0].re.data, np.maximum(c.re.data, 0))
+        np.testing.assert_allclose(out.windows[0].im.data, np.maximum(c.im.data, 0))
 
     def test_embedding_axis_mismatch(self, rng):
-        with pytest.raises(ContractError):
-            fd_mlp_forward(ct(rng, (1, 2, 1, 3)), identity_linear(4))
+        with pytest.raises(ContractError, match="embedding axis"):
+            backbone_forward("fd", wrap(ct(rng, (1, 2, 1, 3))), one_layer(np.eye(4)))
 
 
 class TestWmMlp:
     def test_single_window_reduces_to_fd(self, rng):
         c = compressed(rng, p=1, m=3, nfft=8, lookback=8)
-        params = init_wm_mlp(rng, 1, 3, radius=1)
-        assert params.neighbor_weights == {}
-        out = wm_mlp_forward(c, params, 1, act="identity")
-        layer = ComplexLinear(params.self_weights[0], params.biases[0])
-        want = fd_mlp_forward(c.windows[0], layer, act="identity")
-        np.testing.assert_allclose(out.windows[0].value(), want.value(), atol=1e-13)
+        params = init_backbone("wm", rng, 1, 3, radius=1)
+        assert len(params.weights) == 1  # no neighbours
+        out = backbone_forward("wm", c, params, act="identity", radius=1)
+        want = values(c)[0] @ weight("wm", params, "self.0") + params.biases[0].value()
+        np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
 
     def test_zero_neighbors_decouple_windows(self, rng):
         c = compressed(rng, p=3, m=2)
-        params = init_wm_mlp(rng, 3, 3, radius=1)
-        for w in params.neighbor_weights.values():
-            w.re.data[...] = 0.0
-            w.im.data[...] = 0.0
-        out = wm_mlp_forward(c, params, 1, act="identity")
+        params = init_backbone("wm", rng, 3, 3, radius=1)
+        names, _ = block_table("wm", 3, 1)
+        for name, w in zip(names, params.weights):
+            if name.startswith("nbr."):
+                w.re.data[...] = 0.0
+                w.im.data[...] = 0.0
+        out = backbone_forward("wm", c, params, act="identity", radius=1)
+        cv = values(c)
         for i in range(3):
-            layer = ComplexLinear(params.self_weights[i], params.biases[i])
-            want = fd_mlp_forward(c.windows[i], layer, act="identity")
-            np.testing.assert_allclose(out.windows[i].value(), want.value(), atol=1e-13)
+            want = cv[i] @ weight("wm", params, f"self.{i}") + params.biases[i].value()
+            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
 
     def test_literal_three_window_expansion(self, rng):
         """Independent per-window transcription: out_i = act(C_i W_{i->i}
         + C_{i-1} conj(W) + C_{i+1} conj(W) + B_i), missing windows zero."""
         c = compressed(rng, p=3, m=2)
-        params = init_wm_mlp(rng, 3, 3, radius=1)
+        params = init_backbone("wm", rng, 3, 3, radius=1)
         for b in params.biases:
             b.re.data[:] = rng.normal(size=3)
             b.im.data[:] = rng.normal(size=3)
-        out = wm_mlp_forward(c, params, 1, act="identity")
-        cv = [w.value() for w in c.windows]
-        zero = np.zeros_like(cv[0])
+        out = backbone_forward("wm", c, params, act="identity", radius=1)
+        cv = values(c)
         for i in range(3):
-            left = cv[i - 1] if i - 1 >= 0 else zero
-            right = cv[i + 1] if i + 1 < 3 else zero
-            want = cv[i] @ params.self_weights[i].value()
+            want = cv[i] @ weight("wm", params, f"self.{i}")
             if i - 1 >= 0:
-                want = want + left @ np.conj(params.neighbor_weights[(i - 1, i)].value())
+                want = want + cv[i - 1] @ np.conj(weight("wm", params, f"nbr.{i - 1}->{i}"))
             if i + 1 < 3:
-                want = want + right @ np.conj(params.neighbor_weights[(i + 1, i)].value())
+                want = want + cv[i + 1] @ np.conj(weight("wm", params, f"nbr.{i + 1}->{i}"))
             want = want + params.biases[i].value()
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
 
     def test_conjugation_flag_off_uses_plain_weights(self, rng):
         c = compressed(rng, p=2, m=2)
-        params = init_wm_mlp(rng, 2, 3, radius=1)
-        out = wm_mlp_forward(c, params, 1, act="identity", conjugate_neighbors=False)
-        cv = [w.value() for w in c.windows]
-        want0 = (cv[0] @ params.self_weights[0].value()
-                 + cv[1] @ params.neighbor_weights[(1, 0)].value()
+        params = init_backbone("wm", rng, 2, 3, radius=1)
+        out = backbone_forward("wm", c, params, act="identity", radius=1,
+                               conjugate_neighbors=False)
+        cv = values(c)
+        want0 = (cv[0] @ weight("wm", params, "self.0")
+                 + cv[1] @ weight("wm", params, "nbr.1->0")
                  + params.biases[0].value())
         np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
 
     def test_radius_two_uses_second_neighbors(self, rng):
         c = compressed(rng, p=4, m=2)
-        params = init_wm_mlp(rng, 4, 3, radius=2)
-        assert set(params.neighbor_weights) == {
-            (1, 0), (2, 0), (0, 1), (2, 1), (3, 1),
-            (1, 2), (3, 2), (0, 2), (2, 3), (1, 3),
+        params = init_backbone("wm", rng, 4, 3, radius=2)
+        names, _ = block_table("wm", 4, 2)
+        assert {n for n in names if n.startswith("nbr.")} == {
+            f"nbr.{s}->{d}" for s, d in [
+                (1, 0), (2, 0), (0, 1), (2, 1), (3, 1),
+                (1, 2), (3, 2), (0, 2), (2, 3), (1, 3),
+            ]
         }
-        out = wm_mlp_forward(c, params, 2, act="identity")
-        cv = [w.value() for w in c.windows]
-        want0 = (cv[0] @ params.self_weights[0].value()
-                 + cv[1] @ np.conj(params.neighbor_weights[(1, 0)].value())
-                 + cv[2] @ np.conj(params.neighbor_weights[(2, 0)].value())
+        out = backbone_forward("wm", c, params, act="identity", radius=2)
+        cv = values(c)
+        want0 = (cv[0] @ weight("wm", params, "self.0")
+                 + cv[1] @ np.conj(weight("wm", params, "nbr.1->0"))
+                 + cv[2] @ np.conj(weight("wm", params, "nbr.2->0"))
                  + params.biases[0].value())
         np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
 
     def test_radius_must_fit_window_count(self, rng):
-        with pytest.raises(ConfigError):
-            init_wm_mlp(rng, 3, 2, radius=3)
+        with pytest.raises(ConfigError, match="radius"):
+            init_backbone("wm", rng, 3, 2, radius=3)
+        with pytest.raises(ConfigError, match="radius"):
+            init_backbone("wm", rng, 3, 2, radius=0)
         # a single window is the allowed degenerate case
-        init_wm_mlp(rng, 1, 2, radius=1)
+        init_backbone("wm", rng, 1, 2, radius=1)
+
+    def test_radius_must_match_parameters(self, rng):
+        c = compressed(rng, p=4, m=2)
+        params = init_backbone("wm", rng, 4, 3, radius=1)
+        with pytest.raises(ContractError, match="radius 2 != parameter radius 1"):
+            backbone_forward("wm", c, params, radius=2)
 
 
 class TestHcMlp:
     def test_identity_weight(self, rng):
         c = compressed(rng, p=4, m=2)
-        params = init_hc_mlp(rng, 4, 3)
+        params = init_backbone("hc", rng, 4, 3)
         for i, w in enumerate(params.weights):
             w.re.data[...] = np.eye(3) if i == 0 else 0.0
             w.im.data[...] = 0.0
-        out = hc_mlp_forward(c, params, act="identity")
+        out = backbone_forward("hc", c, params, act="identity")
         for got, orig in zip(out.windows, c.windows):
             np.testing.assert_allclose(got.value(), orig.value(), atol=1e-13)
 
@@ -181,84 +197,68 @@ class TestHcMlp:
                        Tensor(np.zeros_like(comp.windows[1].im.data)))
         comp = CompressedWindows([comp.windows[0], zero], comp.indices,
                                  comp.bins_total, comp.plan)
-        params = init_hc_mlp(rng, 2, 3)
+        params = init_backbone("hc", rng, 2, 3)
         params.weights[1].re.data[...] = 0.0
         params.weights[1].im.data[...] = 0.0
-        out = hc_mlp_forward(comp, params, act="identity")
-        layer = ComplexLinear(params.weights[0], params.biases[0])
-        want = fd_mlp_forward(comp.windows[0], layer, act="identity")
-        np.testing.assert_allclose(out.windows[0].value(), want.value(), atol=1e-13)
+        out = backbone_forward("hc", comp, params, act="identity")
+        want = comp.windows[0].value() @ weight("hc", params, "w.0") + params.biases[0].value()
+        np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_matches_scalar_brute_force(self, rng, p):
-        base = 2 * p
         e = 2
         c = compressed(rng, p=p, m=2, batch=1, channels=1, embed=e, nfft=4)
-        params = init_hc_mlp(rng, p, e)
-        out = hc_mlp_forward(c, params, act="identity")
-        wv = [w.value() for w in params.weights]
-        bv = [b.value() for b in params.biases]
-        cv = [w.value() for w in c.windows]
-        for m in range(cv[0].shape[1]):
-            for eo in range(e):
-                acc = HCNumber.zero(base)
-                for ei in range(e):
-                    x = HCNumber(base, tuple(cv[k][0, m, 0, ei] for k in range(p)))
-                    w = HCNumber(base, tuple(wv[k][ei, eo] for k in range(p)))
-                    acc = acc + cd_multiply(x, w)
-                acc = acc + HCNumber(base, tuple(bv[k][eo] for k in range(p)))
-                got = tuple(out.windows[k].value()[0, m, 0, eo] for k in range(p))
-                np.testing.assert_allclose(
-                    np.array(got), np.array(acc.components), atol=1e-12
-                )
+        params = init_backbone("hc", rng, p, e)
+        out = backbone_forward("hc", c, params, act="identity")
+        assert_hc_brute_force(values(c), params, values(out))
 
     def test_unsupported_window_count_names_alternatives(self, rng):
         with pytest.raises(ConfigError) as err:
-            init_hc_mlp(rng, 3, 2)
-        assert "window-mixing" in str(err.value) or "basic" in str(err.value)
+            init_backbone("hc", rng, 3, 2)
+        assert "window-mixing" in str(err.value) and "basic" in str(err.value)
         c = compressed(rng, p=3, m=2)
-        good = init_hc_mlp(rng, 2, 3)
-        with pytest.raises(ConfigError):
-            hc_mlp_forward(c, good, act="identity")
+        good = init_backbone("hc", rng, 2, 3)
+        with pytest.raises(ConfigError, match="window count"):
+            backbone_forward("hc", c, good, act="identity")
 
 
 class TestBasicMlp:
     def test_diagonal_grid_is_per_window_fd(self, rng):
         c = compressed(rng, p=3, m=2)
-        params = init_basic_mlp(rng, 3, 3)
-        for s in range(3):
-            for d in range(3):
-                if s != d:
-                    params.grid[s][d].re.data[...] = 0.0
-                    params.grid[s][d].im.data[...] = 0.0
-        out = basic_mlp_forward(c, params, act="identity")
+        params = init_backbone("basic", rng, 3, 3)
+        names, _ = block_table("basic", 3)
+        for name, w in zip(names, params.weights):
+            src, dst = name.split("->")
+            if src != dst:
+                w.re.data[...] = 0.0
+                w.im.data[...] = 0.0
+        out = backbone_forward("basic", c, params, act="identity")
+        cv = values(c)
         for i in range(3):
-            layer = ComplexLinear(params.grid[i][i], params.biases[i])
-            want = fd_mlp_forward(c.windows[i], layer, act="identity")
-            np.testing.assert_allclose(out.windows[i].value(), want.value(), atol=1e-13)
+            want = cv[i] @ weight("basic", params, f"{i}->{i}") + params.biases[i].value()
+            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
 
     def test_two_window_hand_expansion(self, rng):
         c = compressed(rng, p=2, m=2)
-        params = init_basic_mlp(rng, 2, 3)
-        out = basic_mlp_forward(c, params, act="identity")
-        cv = [w.value() for w in c.windows]
+        params = init_backbone("basic", rng, 2, 3)
+        out = backbone_forward("basic", c, params, act="identity")
+        cv = values(c)
         for i in range(2):
-            want = (cv[0] @ params.grid[0][i].value()
-                    + cv[1] @ params.grid[1][i].value()
+            want = (cv[0] @ weight("basic", params, f"0->{i}")
+                    + cv[1] @ weight("basic", params, f"1->{i}")
                     + params.biases[i].value())
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
 
     def test_zero_grid_bias_only(self, rng):
         c = compressed(rng, p=2, m=2)
-        params = init_basic_mlp(rng, 2, 3)
-        for row in params.grid:
-            for w in row:
-                w.re.data[...] = 0.0
-                w.im.data[...] = 0.0
+        params = init_backbone("basic", rng, 2, 3)
+        for w in params.weights:
+            w.re.data[...] = 0.0
+            w.im.data[...] = 0.0
         for b in params.biases:
             b.re.data[:] = rng.normal(size=3)
             b.im.data[:] = rng.normal(size=3)
-        out = basic_mlp_forward(c, params, act="relu")
+        out = backbone_forward("basic", c, params, act="relu")
         for i in range(2):
             want = np.maximum(params.biases[i].re.data, 0)[None, None, None, :]
             np.testing.assert_allclose(
@@ -267,9 +267,9 @@ class TestBasicMlp:
 
     def test_grid_shape_checked(self, rng):
         c = compressed(rng, p=3, m=2)
-        params = init_basic_mlp(rng, 2, 3)
-        with pytest.raises(ContractError):
-            basic_mlp_forward(c, params, act="identity")
+        params = init_backbone("basic", rng, 2, 3)
+        with pytest.raises(ContractError, match="sized for 2 windows, got 3"):
+            backbone_forward("basic", c, params, act="identity")
 
 
 class TestParameterCounts:
@@ -293,23 +293,27 @@ class TestParameterCounts:
 
     def test_counts_match_constructed_parameters(self, rng):
         p, e = 4, 2
-        assert len(init_hc_mlp(rng, p, e).weights) == count_weight_matrices("hc", p)
-        wm = init_wm_mlp(rng, p, e, radius=1)
-        assert len(wm.self_weights) + len(wm.neighbor_weights) == count_weight_matrices("wm", p, 1)
-        basic = init_basic_mlp(rng, p, e)
-        assert sum(len(r) for r in basic.grid) == count_weight_matrices("basic", p)
+        for kind in ("fd", "wm", "hc", "basic"):
+            params = init_backbone(kind, rng, p, e, radius=1)
+            assert len(params.weights) == count_weight_matrices(kind, p, 1)
+            named = backbone_named_tensors(kind, params)
+            assert len(named) == 2 * (len(params.weights) + p)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+    def test_unknown_kind(self, rng):
+        with pytest.raises(ConfigError, match="unknown backbone kind"):
             count_weight_matrices("attention", 4)
+        with pytest.raises(ConfigError, match="unknown backbone kind"):
+            init_backbone("attention", rng, 4, 2)
+        params = init_backbone("fd", rng, 2, 3)
+        with pytest.raises(ConfigError, match="unknown backbone kind"):
+            backbone_forward("attention", compressed(rng, p=2), params)
 
 
 class TestLinearity:
     @pytest.mark.parametrize("kind", ["fd", "wm", "hc", "basic"])
     def test_linear_with_identity_act_and_zero_bias(self, rng, kind):
         p, e = 4, 3
-        init = {"fd": init_fd_mlp, "hc": init_hc_mlp, "basic": init_basic_mlp}
-        params = (init_wm_mlp(rng, p, e, 1) if kind == "wm" else init[kind](rng, p, e))
+        params = init_backbone(kind, rng, p, e, radius=1)
         ca = compressed(rng, p=p, m=2, embed=e)
         cb = compressed(rng, p=p, m=2, embed=e)
         cb = CompressedWindows(cb.windows, ca.indices, cb.bins_total, cb.plan)
@@ -330,3 +334,91 @@ class TestLinearity:
             np.testing.assert_allclose(
                 g.value(), a * x.value() + b * y.value(), atol=1e-10
             )
+
+
+def masked(w, mask):
+    """A complex weight with the masked plane removed."""
+    if mask == "real":
+        return 1j * w.imag
+    if mask == "imag":
+        return w.real + 0j
+    return w
+
+
+def assert_hc_brute_force(cv, params, got, mask=None):
+    """Every output entry against the scalar Cayley-Dickson product."""
+    p = len(cv)
+    base = 2 * p
+    wv = [masked(w.value(), mask) for w in params.weights]
+    bv = [b.value() for b in params.biases]
+    e = wv[0].shape[0]
+    for idx in np.ndindex(cv[0].shape[:-1]):
+        for eo in range(e):
+            acc = HCNumber(base, tuple(complex(bv[k][eo]) for k in range(p)))
+            for ei in range(e):
+                x = HCNumber(base, tuple(complex(cv[k][idx + (ei,)]) for k in range(p)))
+                w = HCNumber(base, tuple(complex(wv[k][ei, eo]) for k in range(p)))
+                acc = acc + cd_multiply(x, w)
+            want = np.array(acc.components)
+            np.testing.assert_allclose(
+                np.array([got[k][idx + (eo,)] for k in range(p)]), want, atol=1e-12
+            )
+
+
+def pair_sum_oracle(kind, cv, params, radius, conjugate_neighbors, mask):
+    """out_d = sum over the kind's (src, dst) pairs of x_src @ W, in complex128."""
+    p = len(cv)
+    out = []
+    for dst in range(p):
+        acc = params.biases[dst].value() + np.zeros_like(cv[0])
+        for src in range(p):
+            if kind == "fd" and src == dst:
+                w = weight("fd", params, f"{dst}.w")
+            elif kind == "basic":
+                w = weight("basic", params, f"{src}->{dst}")
+            elif kind == "wm" and src == dst:
+                w = weight("wm", params, f"self.{dst}")
+            elif kind == "wm" and abs(src - dst) <= radius:
+                w = weight("wm", params, f"nbr.{src}->{dst}")
+                w = np.conj(w) if conjugate_neighbors else w
+            else:
+                continue
+            acc = acc + cv[src] @ masked(w, mask)
+        out.append(acc)
+    return out
+
+
+class TestBlockAssemblyProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from([2, 4, 8]), e=st.integers(1, 4),
+           mask=st.sampled_from([None, "real", "imag"]), seed=st.integers(0, 2**32 - 1))
+    def test_hc_matches_cayley_dickson_brute_force(self, p, e, mask, seed):
+        rng = np.random.default_rng(seed)
+        cv = [rng.normal(size=(2, 1, 1, e)) + 1j * rng.normal(size=(2, 1, 1, e))
+              for _ in range(p)]
+        params = init_backbone("hc", rng, p, e)
+        for b in params.biases:
+            b.re.data[:] = rng.normal(size=e)
+            b.im.data[:] = rng.normal(size=e)
+        out = backbone_forward("hc", wrap(*map(ct_from, cv)), params,
+                               act="identity", weight_mask=mask)
+        assert_hc_brute_force(cv, params, values(out), mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["fd", "wm", "basic"]), p=st.integers(1, 6),
+           e=st.integers(1, 4), radius=st.integers(1, 5), conj=st.booleans(),
+           mask=st.sampled_from([None, "real", "imag"]), seed=st.integers(0, 2**32 - 1))
+    def test_fd_wm_basic_match_pair_sums(self, kind, p, e, radius, conj, mask, seed):
+        radius = min(radius, max(p - 1, 1))
+        rng = np.random.default_rng(seed)
+        cv = [rng.normal(size=(2, 3, 1, e)) + 1j * rng.normal(size=(2, 3, 1, e))
+              for _ in range(p)]
+        params = init_backbone(kind, rng, p, e, radius)
+        for b in params.biases:
+            b.re.data[:] = rng.normal(size=e)
+            b.im.data[:] = rng.normal(size=e)
+        out = backbone_forward(kind, wrap(*map(ct_from, cv)), params, act="identity",
+                               radius=radius, conjugate_neighbors=conj, weight_mask=mask)
+        want = pair_sum_oracle(kind, cv, params, radius, conj, mask)
+        for got, w in zip(values(out), want):
+            np.testing.assert_allclose(got, w, atol=1e-12)

@@ -50,6 +50,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"line 3, column 2"):
             data_io.load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_coordinates(self, tmp_path, cell):
+        path = write_csv(tmp_path / "nonfinite.csv", f"date,a,b\nd1,1,2\nd2,3,{cell}\n")
+        with pytest.raises(DataError, match=r"line 3, column 3: non-finite"):
+            data_io.load_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", "")
         with pytest.raises(DataError):

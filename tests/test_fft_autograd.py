@@ -8,6 +8,8 @@ from freqcast.autograd import (
     CTensor,
     Tensor,
     add,
+    block_matrix,
+    concat,
     gather_bins,
     getitem,
     irfft_real,
@@ -157,6 +159,41 @@ class TestAutogradPrimitives:
             return mean_all(mul(add(y, re[:, :1]), y))
 
         check_grads(build, [x])
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_concat_and_overlapping_slices_grads(self, rng, axis):
+        widths = (3, 1, 4)
+        parts = [Tensor(rng.normal(size=(w, 3) if axis == 0 else (3, w))) for w in widths]
+
+        def cut(y, lo, hi):
+            return getitem(y, (slice(lo, hi),) if axis == 0 else (Ellipsis, slice(lo, hi)))
+
+        def build():
+            y = concat(parts, axis=axis)
+            return mean_all(mul(cut(y, 0, 5), cut(y, 2, 7))) + mean_all(mul(y, y))
+
+        np.testing.assert_array_equal(
+            concat(parts, axis=axis).data, np.concatenate([t.data for t in parts], axis=axis)
+        )
+        check_grads(build, parts)
+
+    def test_block_matrix_layout_and_grads(self, rng):
+        a = Tensor(rng.normal(size=(2, 2)))
+        b = Tensor(rng.normal(size=(2, 2)))
+        # a tensor in several blocks, and two entries summed into one block
+        entries = [(a, 0, 0, 1.0), (b, 0, 2, -1.0), (a, 2, 1, 2.0), (b, 2, 1, 0.5)]
+        want = np.zeros((6, 6))
+        want[0:2, 0:2] = a.data
+        want[0:2, 4:6] = -b.data
+        want[4:6, 2:4] = 2.0 * a.data + 0.5 * b.data
+        np.testing.assert_array_equal(block_matrix(entries, 3).data, want)
+        x = Tensor(rng.normal(size=(4, 6)))
+
+        def build():
+            y = matmul(x, block_matrix(entries, 3))
+            return mean_all(mul(y, y))
+
+        check_grads(build, [a, b, x])
 
     def test_backward_needs_scalar(self, rng):
         t = Tensor(rng.normal(size=(2, 2)))

@@ -1,4 +1,4 @@
-"""Scalar and tensor hyper-complex algebra."""
+"""Scalar hyper-complex algebra: products, oracles, norms, zero divisors."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from freqcast.errors import ContractError
 from freqcast.hypercomplex import (
     EXPLICIT_PRODUCTS,
     HCNumber,
-    HCTensor,
     cd_multiply,
     component_product_table,
     count_signed_basis_zero_divisors,
     explicit_product_oct,
     explicit_product_sed,
     find_sedenion_zero_divisor,
-    hc_matmul,
     hc_norm,
 )
 
@@ -211,51 +209,3 @@ class TestZeroDivisors:
 
     def test_exhaustive_scan_finds_at_least_one(self):
         assert count_signed_basis_zero_divisors() >= 1
-
-
-class TestHCTensor:
-    def test_identity_matmul(self, rng):
-        x = HCTensor.from_components(
-            4, [rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)) for _ in range(2)]
-        )
-        out = hc_matmul(x, HCTensor.identity_matrix(4, 5))
-        for got, want in zip(out.components, x.components):
-            np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_1x1_reduces_to_scalar_product(self, rng):
-        for base in BASES:
-            a, b = rand_hc(rng, base), rand_hc(rng, base)
-            x = HCTensor.from_components(base, [np.array([[c]]) for c in a.components])
-            w = HCTensor.from_components(base, [np.array([[c]]) for c in b.components])
-            out = hc_matmul(x, w)
-            want = cd_multiply(a, b).components
-            got = tuple(complex(c[0, 0]) for c in out.components)
-            np.testing.assert_allclose(np.array(got), np.array(want), atol=1e-12)
-
-    def test_matches_scalar_triple_loop(self, rng):
-        base = 4
-        x = HCTensor.from_components(
-            base, [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2)]
-        )
-        w = HCTensor.from_components(
-            base, [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(2)]
-        )
-        out = hc_matmul(x, w)
-        for r in range(2):
-            for c in range(2):
-                acc = HCNumber.zero(base)
-                for k in range(3):
-                    acc = acc + cd_multiply(x.scalar_at((r, k)), w.scalar_at((k, c)))
-                got = out.scalar_at((r, c))
-                np.testing.assert_allclose(
-                    np.array(got.components), np.array(acc.components), atol=1e-12
-                )
-
-    def test_shape_and_base_mismatch(self, rng):
-        x = HCTensor.from_components(4, [np.ones((2, 3)), np.ones((2, 3))])
-        w4 = HCTensor.from_components(4, [np.ones((4, 2)), np.ones((4, 2))])
-        with pytest.raises(ContractError):
-            hc_matmul(x, w4)
-        w8 = HCTensor.from_components(8, [np.ones((3, 2))] * 4)
-        with pytest.raises(ContractError):
-            hc_matmul(x, w8)

@@ -1,11 +1,14 @@
 """Whole-model contracts: embedding, shapes, skip path, masking, checkpoints."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from freqcast.autograd import Tensor
+from freqcast.backbones import block_table
 from freqcast.config import MASK_MODES, RunConfig
 from freqcast.errors import ConfigError, ContractError
 from freqcast.model import (
@@ -29,26 +32,12 @@ def tiny_cfg(**overrides):
 
 
 def make_identity_backbone(params, kind, embed_dim):
-    if kind == "fd":
-        for layer in params.backbone.layers:
-            layer.w.re.data[...] = np.eye(embed_dim)
-            layer.w.im.data[...] = 0.0
-    elif kind == "wm":
-        for w in params.backbone.self_weights:
-            w.re.data[...] = np.eye(embed_dim)
-            w.im.data[...] = 0.0
-        for w in params.backbone.neighbor_weights.values():
-            w.re.data[...] = 0.0
-            w.im.data[...] = 0.0
-    elif kind == "hc":
-        for i, w in enumerate(params.backbone.weights):
-            w.re.data[...] = np.eye(embed_dim) if i == 0 else 0.0
-            w.im.data[...] = 0.0
-    elif kind == "basic":
-        for s, row in enumerate(params.backbone.grid):
-            for d, w in enumerate(row):
-                w.re.data[...] = np.eye(embed_dim) if s == d else 0.0
-                w.im.data[...] = 0.0
+    """Identity on weights whose blocks all lie on the diagonal, zero elsewhere."""
+    _, blocks = block_table(kind, len(params.backbone.biases), params.backbone.radius)
+    off_diagonal = {w for src, dst, w, *_ in blocks if src != dst}
+    for i, w in enumerate(params.backbone.weights):
+        w.re.data[...] = 0.0 if i in off_diagonal else np.eye(embed_dim)
+        w.im.data[...] = 0.0
 
 
 class TestEmbed:
@@ -175,9 +164,8 @@ class TestMasking:
     def test_real_masked_real_weights_leave_bias_only(self, rng):
         cfg = dataclasses.replace(tiny_cfg(backbone="basic"), mask_mode="w_real")
         params = init_params(cfg)
-        for row in params.backbone.grid:
-            for w in row:
-                w.im.data[...] = 0.0  # purely real weights
+        for w in params.backbone.weights:
+            w.im.data[...] = 0.0  # purely real weights
         for b in params.backbone.biases:
             b.re.data[:] = rng.normal(size=cfg.embed)
         debug = {}
@@ -232,4 +220,52 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 64])
         with pytest.raises(ContractError):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def _edit_header(path, edit):
+        """Rewrite a checkpoint's JSON header in place; edit returns payload bytes to drop."""
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        drop = edit(header)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = blob[16 + hlen:len(blob) - drop]
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + payload)
+
+    def test_missing_tensor_named(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+
+        def drop_last(header):
+            entry = header["tensors"].pop()
+            assert entry["name"] == "head.b2"
+            return 8 * cfg.horizon
+
+        self._edit_header(path, drop_last)
+        with pytest.raises(ContractError, match="head.b2"):
+            load_checkpoint(str(path))
+
+    def test_renamed_backbone_tensor_rejected(self, tmp_path):
+        cfg = tiny_cfg(backbone="hc")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+
+        def rename(header):
+            for entry in header["tensors"]:
+                if entry["name"] == "backbone.hc.w.1.im":
+                    entry["name"] = "backbone.hc.w1.im"
+            return 0
+
+        self._edit_header(path, rename)
+        with pytest.raises(ContractError, match=r"backbone\.hc\.w\.1\.im"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ContractError, match="trailing"):
             load_checkpoint(str(path))
