@@ -326,12 +326,3 @@ class CTensor:
 
     def value(self) -> np.ndarray:
         return self.re.data + 1j * self.im.data
-
-    def conj(self) -> "CTensor":
-        return CTensor(self.re, -self.im)
-
-    def matmul(self, w: "CTensor") -> "CTensor":
-        """(..., E) x (E, F) complex product via four real products."""
-        re = matmul(self.re, w.re) - matmul(self.im, w.im)
-        im = matmul(self.re, w.im) + matmul(self.im, w.re)
-        return CTensor(re, im)

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from . import data as data_io
@@ -37,18 +36,32 @@ from .config import (
     parse_config_file,
 )
 from .conformance import format_report, full_report
-from .errors import ConfigError, FreqcastError
+from .errors import ConfigError, FreqcastError, open_input
 from .model import load_checkpoint, save_checkpoint
 from .train import fit, predict, write_metrics_csv
 
 OUT_ROOT_ENV = "FREQCAST_OUT_ROOT"
 
 
+def _flag_int(flag: str, item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ConfigError(f"{flag}: {item!r} is not an integer") from None
+
+
 def _build_config(args) -> RunConfig:
     merged: dict = {}
-    if getattr(args, "manifest", None):
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            merged.update(json.load(fh)["config"])
+    path = getattr(args, "manifest", None)
+    if path:
+        with open_input(path, "manifest", ConfigError, encoding="utf-8") as fh:
+            try:
+                manifest = json.load(fh)
+            except ValueError as e:  # not UTF-8 or not JSON
+                raise ConfigError(f"manifest {path} is not JSON: {e}") from e
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ConfigError(f"manifest {path} has no 'config' object")
+        merged.update(manifest["config"])
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
     if getattr(args, "set", None):
@@ -157,8 +170,8 @@ def cmd_eval(args) -> int:
     test_n = data_io.normalize(test_raw, stats)
     x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride)
 
-    horizons = ([int(h) for h in args.horizons.split(",")] if args.horizons
-                else [cfg.horizon])
+    horizons = ([_flag_int("--horizons", h) for h in args.horizons.split(",")]
+                if args.horizons else [cfg.horizon])
     bad = [h for h in horizons if not 1 <= h <= cfg.horizon]
     if bad:
         raise ConfigError(
@@ -213,7 +226,7 @@ def _sweep_values(args, cfg: RunConfig) -> list:
         if args.sweep == "top_m" and v.strip() == "max":
             out.append(cfg.plan().bins)
         else:
-            out.append(int(v))
+            out.append(_flag_int("--values", v))
     return out
 
 
@@ -241,11 +254,7 @@ def cmd_ablate(args) -> int:
             return {"sweep": args.sweep, "value": value, "status": "failed",
                     "mae": "", "rmse": "", "weight_matrices": "", "error": str(e)}
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_one, values))
-    else:
-        rows = [run_one(v) for v in values]
+    rows = [run_one(v) for v in values]
 
     report_path = os.path.join(sweep_dir, "report.csv")
     fields = ["sweep", "value", "status", "mae", "rmse", "weight_matrices", "error"]
@@ -288,7 +297,6 @@ def cmd_synth(args) -> int:
 def _add_common(p: argparse.ArgumentParser, config_opts: bool = True) -> None:
     p.add_argument("--out", help="output root (default: $FREQCAST_OUT_ROOT or ./runs)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel sub-runs")
     if config_opts:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--manifest", help="reproduce the config of a past run")

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .backbones import ACTIVATIONS, BACKBONE_KINDS, HC_WINDOW_COUNTS
-from .errors import ConfigError
+from .data import SYNTH_KINDS
+from .errors import ConfigError, open_input
 from .spectral import WINDOW_FNS, StftPlan, plan_stft
 
 MASK_MODES = (
@@ -27,8 +28,6 @@ MASK_MODES = (
     "w_imag+x_imag",
     "w_real+x_real",
 )
-
-SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 
 
 @dataclass
@@ -133,6 +132,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a configuration must be a mapping, got {type(d).__name__}")
         known = set(cls.field_names())
         unknown = sorted(set(d) - known)
         if unknown:
@@ -143,6 +144,8 @@ class RunConfig:
             v = merged[f.name]
             try:
                 if f.type in ("int", int):
+                    if isinstance(v, float) and not v.is_integer():
+                        raise ValueError(v)  # int() would silently drop the fraction
                     coerced[f.name] = int(v)
                 elif f.type in ("float", float):
                     coerced[f.name] = float(v)
@@ -178,7 +181,7 @@ def _parse_value(text: str):
 def parse_config_file(path: str) -> dict:
     """Read flat ``key = value`` lines; '#' starts a comment."""
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "config file", ConfigError, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the opener for user-named files."""
 
 
 class FreqcastError(Exception):
@@ -19,3 +19,11 @@ class DataError(FreqcastError):
 
 class TrainingError(FreqcastError):
     """Training aborted (non-finite loss or gradient, empty batch)."""
+
+
+def open_input(path: str, what: str, error: type[FreqcastError], mode: str = "r", **kwargs):
+    """open() a file the user named; failure raises ``error`` naming the file and cause."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise error(f"cannot open {what} {path}: {e.strerror}") from e

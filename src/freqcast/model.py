@@ -17,6 +17,7 @@ little-endian float64 buffers.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Any
@@ -32,7 +33,7 @@ from .backbones import (
 )
 from .compress import position_aware_pad, top_m_select
 from .config import MASK_MODES, RunConfig
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, open_input
 from .spectral import SpectralWindows, istft, rstft
 
 CHECKPOINT_MAGIC = b"FQCKPT01"
@@ -212,14 +213,24 @@ def save_checkpoint(path: str, params: ForecastParams, cfg: RunConfig,
 
 
 def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
-    with open(path, "rb") as fh:
+    with open_input(path, "checkpoint", ContractError, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"{path} is not a freqcast checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ContractError(f"unsupported checkpoint version {header.get('version')}")
+        raw = fh.read(8)
+        hlen = int.from_bytes(raw, "little")
+        if len(raw) != 8 or hlen > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ContractError(f"checkpoint {path} is truncated inside its header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as e:  # not UTF-8 or not JSON
+            raise ContractError(f"checkpoint {path} header is not JSON: {e}") from e
+        missing = [key for key in ("version", "config", "tensors")
+                   if not isinstance(header, dict) or key not in header]
+        if missing:
+            raise ContractError(f"checkpoint {path} header lacks {missing}")
+        if header["version"] != 1:
+            raise ContractError(f"unsupported checkpoint version {header['version']}")
         cfg = RunConfig.from_dict(header["config"])
         params = init_params(cfg)
         named = dict(params.named_tensors())

@@ -80,6 +80,15 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="nearest valid window count is 31"):
             cfg33.validate()
 
+    def test_fractional_int_rejected(self):
+        with pytest.raises(ConfigError, match="bad value for lookback: 1.5"):
+            RunConfig.from_dict({"lookback": 1.5})
+        assert RunConfig.from_dict({"lookback": 32.0}).lookback == 32
+
+    def test_non_mapping_config_rejected(self):
+        with pytest.raises(ConfigError, match="must be a mapping, got list"):
+            RunConfig.from_dict([["lookback", 16]])
+
     def test_hash_is_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
         assert config_hash(a) == config_hash(b)
@@ -136,6 +145,29 @@ class TestTrainCommand:
         (dir_b,) = run_dirs(root_b)
         assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--config", "--manifest"])
+    def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys, flag):
+        missing = tmp_path / "absent.file"
+        assert main(["train", flag, str(missing), "--out", str(tmp_path)]) == 2
+        assert f"cannot open {flag[2:]}" in capsys.readouterr().err
+
+    def test_missing_data_csv_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["train"] + fast_args(f"data={missing}", out=tmp_path)) == 2
+        assert "cannot open CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ('{"seed": 1}', "no 'config' object"),
+        ('{"config": [1]}', "no 'config' object"),
+        ("[]", "no 'config' object"),
+        ("not json", "is not JSON"),
+    ])
+    def test_manifest_without_config_object_exits_2(self, tmp_path, capsys, body, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(body)
+        assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_out_root_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FREQCAST_OUT_ROOT", str(tmp_path / "envroot"))
         assert main(["train"] + [a for a in fast_args(out=tmp_path)[:-2]]) == 0
@@ -170,6 +202,16 @@ class TestEvalCommand:
         _, _, test = data_io.split_chronological(ds)
         windows = test.shape[0] - 16 - 4 + 1
         assert len(body) == windows * 4
+
+    def test_non_integer_horizon_named(self, tmp_path, checkpoint, capsys):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--horizons", "2,abc",
+                     "--out", str(tmp_path / "e2")]) == 2
+        assert "--horizons: 'abc' is not an integer" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ckpt"
+        assert main(["eval", "--checkpoint", str(missing), "--out", str(tmp_path)]) == 2
+        assert "cannot open checkpoint" in capsys.readouterr().err
 
     def test_horizon_beyond_training_rejected(self, tmp_path, checkpoint, capsys):
         assert main(["eval", "--checkpoint", str(checkpoint), "--horizons", "8",
@@ -224,6 +266,11 @@ class TestAblateCommand:
         rows = self.read_report(root)
         counts = {r["value"]: r["weight_matrices"] for r in rows}
         assert counts == {"wm": "10", "hc": "4", "basic": "16"}
+
+    def test_non_integer_value_named(self, tmp_path, capsys):
+        assert main(["ablate", "--sweep", "lookback", "--values", "16,x"]
+                    + fast_args(out=tmp_path)) == 2
+        assert "--values: 'x' is not an integer" in capsys.readouterr().err
 
     def test_failed_subruns_recorded_and_exit_nonzero(self, tmp_path):
         root = tmp_path / "sweep"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import fftkit
 from freqcast.autograd import (
@@ -29,23 +31,58 @@ from freqcast.errors import ContractError
 from conftest import max_rel_err, naive_dft, numeric_gradient
 
 
-class TestFftKernels:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64])
-    def test_matches_naive_dft(self, rng, n):
-        x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        re, im = fftkit.fft_complex(x.real, x.imag)
-        want = naive_dft(x)
-        scale = max(1.0, np.abs(want).max())
-        assert np.abs((re + 1j * im) - want).max() / scale < 1e-10
+# every length class: 1, odd, even non-power-of-2, powers of 2 up to 256
+LENGTHS = [1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 26, 32, 48, 64, 128, 256]
 
-    @pytest.mark.parametrize("n", [2, 5, 6, 8, 16, 48])
+
+def hermitian_synthesis(re, im, n):
+    """Textbook inverse DFT of the Hermitian extension of a one-sided spectrum,
+    built on the ``naive_dft`` oracle; DC and Nyquist imag carry no signal."""
+    half = re + 1j * im
+    half[..., 0] = half[..., 0].real
+    if n % 2 == 0:
+        half[..., -1] = half[..., -1].real
+    mirror = np.conj(half[..., 1:n - half.shape[-1] + 1][..., ::-1])
+    full = np.concatenate([half, mirror], axis=-1)
+    return (np.conj(naive_dft(np.conj(full))) / n).real
+
+
+def assert_real_dc_and_nyquist(im, n, axis=-1):
+    assert np.all(np.take(im, 0, axis=axis) == 0.0)
+    if n % 2 == 0:
+        assert np.all(np.take(im, -1, axis=axis) == 0.0)
+
+
+def adjoint_gaps(x, gre, gim, re, im, g, n, axis=-1):
+    """|<Ax, y> - <x, A^T y>| for A = rfft_onesided and A = irfft_onesided."""
+    fr, fi = fftkit.rfft_onesided(x, axis=axis)
+    lhs = (fr * gre).sum() + (fi * gim).sum()
+    rfft_gap = abs(lhs - (x * fftkit.rfft_transpose(gre, gim, n, axis=axis)).sum())
+
+    tre, tim = fftkit.irfft_transpose(g, n, axis=axis)
+    lhs = (fftkit.irfft_onesided(re, im, n, axis=axis) * g).sum()
+    irfft_gap = abs(lhs - (re * tre).sum() - (im * tim).sum())
+    return rfft_gap, irfft_gap
+
+
+class TestFftKernels:
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_naive_dft(self, rng, n):
+        """irfft_onesided against the textbook inverse DFT (rfft: the next test)."""
+        bins = fftkit.onesided_bins(n)
+        re, im = rng.normal(size=(2, bins)), rng.normal(size=(2, bins))
+        want = hermitian_synthesis(re, im, n)
+        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n), want, atol=1e-10)
+
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_rfft_is_truncated_dft(self, rng, n):
         x = rng.normal(size=(3, n))
         re, im = fftkit.rfft_onesided(x)
         want = naive_dft(x)[..., : n // 2 + 1]
         np.testing.assert_allclose(re + 1j * im, want, atol=1e-10)
+        assert_real_dc_and_nyquist(im, n)
 
-    @pytest.mark.parametrize("n", [2, 5, 6, 8, 16, 48])
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_irfft_inverts_rfft(self, rng, n):
         x = rng.normal(size=(4, n))
         re, im = fftkit.rfft_onesided(x)
@@ -60,32 +97,52 @@ class TestFftKernels:
         np.testing.assert_allclose(r1, a * rx + b * ry, atol=1e-10)
         np.testing.assert_allclose(i1, a * ix + b * iy, atol=1e-10)
 
-    @pytest.mark.parametrize("n", [6, 8, 48])
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_transposes_are_exact_adjoints(self, rng, n):
         bins = fftkit.onesided_bins(n)
-        x = rng.normal(size=(3, n))
-        gre, gim = rng.normal(size=(3, bins)), rng.normal(size=(3, bins))
-        fr, fi = fftkit.rfft_onesided(x)
-        lhs = (fr * gre).sum() + (fi * gim).sum()
-        rhs = (x * fftkit.rfft_transpose(gre, gim, n)).sum()
-        assert abs(lhs - rhs) < 1e-9
-
-        re, im = rng.normal(size=(3, bins)), rng.normal(size=(3, bins))
-        g = rng.normal(size=(3, n))
-        lhs = (fftkit.irfft_onesided(re, im, n) * g).sum()
-        tre, tim = fftkit.irfft_transpose(g, n)
-        rhs = (re * tre).sum() + (im * tim).sum()
-        assert abs(lhs - rhs) < 1e-9
+        x, g = rng.normal(size=(3, n)), rng.normal(size=(3, n))
+        gre, gim, re, im = rng.normal(size=(4, 3, bins))
+        rfft_gap, irfft_gap = adjoint_gaps(x, gre, gim, re, im, g, n)
+        assert rfft_gap < 1e-9 and irfft_gap < 1e-9
 
     def test_dc_and_nyquist_imag_have_no_effect(self, rng):
-        n = 8
-        re = rng.normal(size=(n // 2 + 1,))
-        im = rng.normal(size=(n // 2 + 1,))
-        base = fftkit.irfft_onesided(re, im, n)
-        im2 = im.copy()
-        im2[0] += 3.0
-        im2[-1] -= 2.0
-        np.testing.assert_allclose(fftkit.irfft_onesided(re, im2, n), base, atol=1e-12)
+        for n in LENGTHS:
+            bins = fftkit.onesided_bins(n)
+            re, im = rng.normal(size=(2, bins))
+            base = fftkit.irfft_onesided(re, im, n)
+            im2 = im.copy()
+            im2[0] += 3.0
+            if n % 2 == 0:
+                im2[-1] -= 2.0
+            np.testing.assert_array_equal(fftkit.irfft_onesided(re, im2, n), base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300),
+           lead=st.lists(st.integers(1, 3), max_size=3),
+           data=st.data())
+    def test_kernels_on_random_length_shape_and_axis(self, n, lead, data):
+        axis = data.draw(st.integers(-len(lead) - 1, len(lead)), label="axis")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        shape = list(lead)
+        shape.insert(axis % (len(lead) + 1), n)
+        bins = fftkit.onesided_bins(n)
+        spec_shape = list(shape)
+        spec_shape[axis] = bins
+
+        x = rng.normal(size=shape)
+        re, im = fftkit.rfft_onesided(x, axis=axis)
+        # numpy's own FFT is the oracle here: naive_dft is too slow at n=300
+        want = np.fft.rfft(x, axis=axis)
+        np.testing.assert_allclose(re + 1j * im, want, atol=1e-9)
+        assert_real_dc_and_nyquist(im, n, axis=axis)
+        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n, axis=axis), x,
+                                   atol=1e-10)
+
+        gre, gim, sre, sim = rng.normal(size=(4, *spec_shape))
+        g = rng.normal(size=shape)
+        rfft_gap, irfft_gap = adjoint_gaps(x, gre, gim, sre, sim, g, n, axis=axis)
+        assert rfft_gap < 1e-9 and irfft_gap < 1e-9
 
 
 def check_grads(build_loss, tensors, tol=1e-6):
@@ -208,16 +265,6 @@ class TestAutogradPrimitives:
 
 
 class TestCTensor:
-    def test_complex_matmul_value(self, rng):
-        xr, xi = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        wr, wi = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        got = CTensor(Tensor(xr), Tensor(xi)).matmul(CTensor(Tensor(wr), Tensor(wi)))
-        np.testing.assert_allclose(got.value(), (xr + 1j * xi) @ (wr + 1j * wi), atol=1e-12)
-
-    def test_conj_negates_imag_plane(self, rng):
-        c = CTensor(Tensor(rng.normal(size=(2,))), Tensor(rng.normal(size=(2,))))
-        np.testing.assert_allclose(c.conj().value(), np.conj(c.value()))
-
     def test_plane_shape_mismatch(self):
         with pytest.raises(ContractError):
             CTensor(Tensor(np.zeros(2)), Tensor(np.zeros(3)))

@@ -262,6 +262,49 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match=r"backbone\.hc\.w\.1\.im"):
             load_checkpoint(str(path))
 
+    def test_cut_inside_header_length_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(ContractError, match="truncated inside its header"):
+            load_checkpoint(str(path))
+
+    def test_header_length_beyond_file_rejected(self, tmp_path):
+        # a corrupt length must not become a read of that many bytes
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<Q", 2**62) + blob[16:])
+        with pytest.raises(ContractError, match="truncated inside its header"):
+            load_checkpoint(str(path))
+
+    def test_header_not_json_rejected(self, tmp_path):
+        blob = b"{not json"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"FQCKPT01" + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(ContractError, match="not JSON"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["config", "tensors", "version"])
+    def test_header_key_missing_named(self, tmp_path, key):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+        def drop_key(header):
+            del header[key]
+            return 0
+
+        self._edit_header(path, drop_key)
+        with pytest.raises(ContractError, match=f"lacks \\['{key}'\\]"):
+            load_checkpoint(str(path))
+
+    def test_missing_file_named(self, tmp_path):
+        path = tmp_path / "absent.ckpt"
+        with pytest.raises(ContractError, match="cannot open checkpoint .*absent.ckpt"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
