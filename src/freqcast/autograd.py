@@ -78,9 +78,8 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # g may be shared (add hands one array to both parents): keep, never write
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -143,21 +142,27 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, w) -> Tensor:
-    """a: (..., k) times w: (k, m).  The weight may be a constant array."""
+    """a: (..., k) times w: (k, m).  The weight may be a constant array.
+
+    The leading axes are flattened so each product is one GEMM; numpy's
+    stacked matmul would run one small GEMM per leading index.
+    """
     wd = _raw(w)
     if wd.ndim != 2 or a.data.shape[-1] != wd.shape[0]:
         raise ContractError(
             f"matmul shapes incompatible: {a.data.shape} x {wd.shape}"
         )
     parents = (a, w) if isinstance(w, Tensor) else (a,)
+    k, m = wd.shape
+    a2 = a.data.reshape(-1, k)
 
     def backward(g):
-        _accum(a, g @ wd.T)
+        g2 = g.reshape(-1, m)
+        _accum(a, (g2 @ wd.T).reshape(a.data.shape))
         if isinstance(w, Tensor):
-            k, m = wd.shape
-            _accum(w, a.data.reshape(-1, k).T @ g.reshape(-1, m))
+            _accum(w, a2.T @ g2)
 
-    return Tensor(a.data @ wd, parents, backward)
+    return Tensor((a2 @ wd).reshape(a.data.shape[:-1] + (m,)), parents, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -181,11 +186,39 @@ def getitem(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing only."""
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[idx] += g
+        buf = np.zeros_like(a.data)
+        buf[idx] = g
+        _accum(a, buf)
 
     return Tensor(a.data[idx], (a,), backward)
+
+
+def split(a: Tensor, idxs) -> list[Tensor]:
+    """Disjoint basic-index parts ``a[idx]``, one per entry of ``idxs``.  Their
+    gradients fill one buffer, which a hub node hands to ``a`` after all of
+    them ran; p ``getitem`` nodes would allocate p buffers."""
+    buf: list[np.ndarray] = []
+    hub = Tensor(a.data, (a,), lambda g: _accum(a, buf.pop()) if buf else None)
+
+    def part(idx):
+        def backward(g):
+            if not buf:
+                buf.append(np.zeros_like(a.data))
+            buf[0][idx] = g
+
+        return Tensor(a.data[idx], (hub,), backward)
+
+    return [part(idx) for idx in idxs]
+
+
+def stack(parts: list[Tensor], axis: int) -> Tensor:
+    """Join equal-shaped tensors along a new axis."""
+
+    def backward(g):
+        for t, piece in zip(parts, np.moveaxis(g, axis, 0)):
+            _accum(t, piece)
+
+    return Tensor(np.stack([t.data for t in parts], axis=axis), tuple(parts), backward)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -220,16 +253,31 @@ def block_matrix(entries: list[tuple[Tensor, int, int, float]], grid: int) -> Te
     return Tensor(out, parents, backward)
 
 
-def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (before, after)
+def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
+    out = np.zeros((f.shape[0], length) + f.shape[3:])
+    for i, s in enumerate(starts):
+        out[:, s:s + f.shape[2]] += f[:, i]
+    return out
+
+
+def frames(x: Tensor, starts, n: int) -> Tensor:
+    """The windows x[:, s:s+n] for s in starts, stacked: (B, L, ...) -> (B, p, n, ...)."""
+    length = x.data.shape[1]
 
     def backward(g):
-        take = [slice(None)] * a.data.ndim
-        take[axis] = slice(before, before + a.data.shape[axis])
-        _accum(a, g[tuple(take)])
+        _accum(x, _overlap_add(g, starts, length))
 
-    return Tensor(np.pad(a.data, widths), (a,), backward)
+    return Tensor(x.data[:, np.add.outer(starts, np.arange(n))], (x,), backward)
+
+
+def overlap_add(f: Tensor, starts, length: int) -> Tensor:
+    """Adjoint of ``frames``: sum window i back in at starts[i], (B, p, n, ...) -> (B, L, ...)."""
+    idx = np.add.outer(starts, np.arange(f.data.shape[2]))
+
+    def backward(g):
+        _accum(f, g[:, idx])
+
+    return Tensor(_overlap_add(f.data, starts, length), (f,), backward)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, block_matrix, concat, matmul, relu
+from .autograd import CTensor, Tensor, block_matrix, concat, matmul, relu, split
 from .compress import CompressedWindows
 from .errors import ConfigError, ContractError
 from .hypercomplex import component_product_table
@@ -184,10 +184,8 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
     y = matmul(x, _assemble(params.weights, blocks, p, weight_mask)) + bias
     if act == "relu":
         y = relu(y)
-    out = [
-        CTensor(y[..., i * e:(i + 1) * e], y[..., (p + i) * e:(p + i + 1) * e])
-        for i in range(p)
-    ]
+    planes = split(y, [(Ellipsis, slice(i * e, (i + 1) * e)) for i in range(2 * p)])
+    out = [CTensor(planes[i], planes[p + i]) for i in range(p)]
     return CompressedWindows(out, c.indices, c.bins_total, c.plan)
 
 

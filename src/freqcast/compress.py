@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, gather_bins, scatter_bins
+from .autograd import CTensor, gather_bins, scatter_bins, split, stack
 from .errors import ConfigError, ContractError
 from .spectral import SpectralWindows, StftPlan
 
@@ -41,32 +41,24 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     bins = s.bins
     if not 1 <= m <= bins:
         raise ConfigError(f"top-M must satisfy 1 <= M <= {bins}, got {m}")
-    kept_windows = []
-    kept_indices = []
-    for c in s.windows:
-        score = (c.re.data ** 2 + c.im.data ** 2).sum(axis=3)  # (B, bins, D)
-        order = np.argsort(-score, axis=1, kind="stable")  # ties -> lower bin
-        idx = np.sort(order[:, :m, :], axis=1)
-        idx_e = np.broadcast_to(idx[..., None], idx.shape + (c.shape[3],))
-        kept_windows.append(CTensor(
-            gather_bins(c.re, idx_e, axis=1),
-            gather_bins(c.im, idx_e, axis=1),
-        ))
-        kept_indices.append(idx)
-    return CompressedWindows(kept_windows, kept_indices, bins, s.plan)
+    score = (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)  # (B, p, bins, D)
+    order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
+    idx = np.sort(order[:, :, :m], axis=2)
+    per_window = [(slice(None), i) for i in range(idx.shape[1])]
+    re = split(gather_bins(s.re, idx[..., None], axis=2), per_window)
+    im = split(gather_bins(s.im, idx[..., None], axis=2), per_window)
+    return CompressedWindows([CTensor(r, i) for r, i in zip(re, im)],
+                             [idx[w] for w in per_window], bins, s.plan)
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
     """Restore kept coefficients to their original bins, zeros elsewhere."""
-    out = []
-    for w, idx in zip(c.windows, c.indices):
-        if idx.shape[1] != w.shape[1]:
-            raise ContractError(
-                f"index set size {idx.shape[1]} != kept coefficients {w.shape[1]}"
-            )
-        idx_e = np.broadcast_to(idx[..., None], idx.shape + (w.shape[3],))
-        out.append(CTensor(
-            scatter_bins(w.re, idx_e, axis=1, size=c.bins_total),
-            scatter_bins(w.im, idx_e, axis=1, size=c.bins_total),
-        ))
-    return SpectralWindows(out, c.plan)
+    idx = np.stack(c.indices, axis=1)  # (B, p, M, D)
+    if idx.shape[2] != c.kept:
+        raise ContractError(
+            f"index set size {idx.shape[2]} != kept coefficients {c.kept}"
+        )
+    re = stack([w.re for w in c.windows], axis=1)
+    im = stack([w.im for w in c.windows], axis=1)
+    return SpectralWindows(scatter_bins(re, idx[..., None], axis=2, size=c.bins_total),
+                           scatter_bins(im, idx[..., None], axis=2, size=c.bins_total), c.plan)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .backbones import ACTIVATIONS, BACKBONE_KINDS, HC_WINDOW_COUNTS
 from .data import SYNTH_KINDS
-from .errors import ConfigError, open_input
+from .errors import ConfigError, open_text
 from .spectral import WINDOW_FNS, StftPlan, plan_stft
 
 MASK_MODES = (
@@ -181,7 +181,7 @@ def _parse_value(text: str):
 def parse_config_file(path: str) -> dict:
     """Read flat ``key = value`` lines; '#' starts a comment."""
     out: dict = {}
-    with open_input(path, "config file", ConfigError, encoding="utf-8") as fh:
+    with open_text(path, "config file", ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, open_input
+from .errors import ConfigError, ContractError, DataError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ class Dataset:
 
 def load_csv(path: str, name: str | None = None, frequency: str = "unknown") -> Dataset:
     """Parse a header+rows CSV; a non-numeric first column is a timestamp."""
-    with open_input(path, "CSV", DataError, encoding="utf-8", newline="") as fh:
+    with open_text(path, "CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the opener for user-named files."""
+"""Exception types shared across the package, and the openers for user-named files."""
+
+import io
 
 
 class FreqcastError(Exception):
@@ -27,3 +29,14 @@ def open_input(path: str, what: str, error: type[FreqcastError], mode: str = "r"
         return open(path, mode, **kwargs)
     except OSError as e:
         raise error(f"cannot open {what} {path}: {e.strerror}") from e
+
+
+def open_text(path: str, what: str, error: type[FreqcastError], newline: str | None = None):
+    """A user-named UTF-8 file as a text stream; a bad byte raises ``error`` with its offset."""
+    with open_input(path, what, error, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as e:
+        bad = f"byte {raw[e.start]:#04x} at offset {e.start}"
+        raise error(f"{what} {path}: {bad} is not UTF-8") from e

@@ -119,17 +119,11 @@ def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
 
 
 def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
-    if plane is None:
-        return s
-    from .autograd import CTensor
-
-    masked = []
-    for c in s.windows:
-        if plane == "real":
-            masked.append(CTensor(c.re * 0.0, c.im))
-        else:
-            masked.append(CTensor(c.re, c.im * 0.0))
-    return SpectralWindows(masked, s.plan)
+    if plane == "real":
+        return SpectralWindows(s.re * 0.0, s.im, s.plan)
+    if plane == "imag":
+        return SpectralWindows(s.re, s.im * 0.0, s.plan)
+    return s
 
 
 def embed(x, params: ForecastParams) -> Tensor:
@@ -234,6 +228,10 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
         cfg = RunConfig.from_dict(header["config"])
         params = init_params(cfg)
         named = dict(params.named_tensors())
+        for i, e in enumerate(header["tensors"]):
+            lacking = [k for k in ("name", "shape") if not isinstance(e, dict) or k not in e]
+            if lacking:
+                raise ContractError(f"checkpoint {path} tensor entry {i} lacks {lacking}")
         listed = [entry["name"] for entry in header["tensors"]]
         missing = [name for name in named if name not in listed]
         unknown = [name for name in listed if name not in named]

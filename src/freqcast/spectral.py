@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, irfft_real, mul, pad_axis, rfft_pair
+from .autograd import CTensor, Tensor, frames, irfft_real, mul, overlap_add, rfft_pair
 from .errors import ConfigError, ContractError
 from .fftkit import onesided_bins
 
@@ -139,58 +139,47 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
 
 @dataclass
 class SpectralWindows:
-    """One-sided spectra per window, each of shape (B, bins, D, E)."""
+    """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E)."""
 
-    windows: list[CTensor]
+    re: Tensor
+    im: Tensor
     plan: StftPlan
 
     @property
     def bins(self) -> int:
         return self.plan.bins
 
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    @property
+    def windows(self) -> list[CTensor]:
+        """Per-window (B, bins, D, E) read-only views, off the tape."""
+        re, im = self.re.data.view(), self.im.data.view()
+        re.flags.writeable = im.flags.writeable = False
+        return [CTensor(Tensor(re[:, i]), Tensor(im[:, i])) for i in range(re.shape[1])]
 
 
 def rstft(x, plan: StftPlan) -> SpectralWindows:
     """One-sided DFT of each windowed segment of a real (B, L, D, E) tensor."""
-    x = _as_tensor(x)
+    x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 4:
         raise ContractError(f"rstft expects (B, L, D, E), got shape {x.shape}")
     if x.shape[1] != plan.lookback:
         raise ContractError(
             f"rstft: time axis {x.shape[1]} != plan lookback {plan.lookback}"
         )
-    w = plan.window_values()
-    out = []
-    for s in plan.starts:
-        seg = x[:, s:s + plan.nfft, :, :]
-        if plan.window_fn != "rectangular":
-            seg = mul(seg, w[None, :, None, None])
-        re, im = rfft_pair(seg, axis=1)
-        out.append(CTensor(re, im))
-    return SpectralWindows(out, plan)
+    seg = frames(x, plan.starts, plan.nfft)
+    if plan.window_fn != "rectangular":
+        seg = mul(seg, plan.window_values()[:, None, None])
+    return SpectralWindows(*rfft_pair(seg, axis=2), plan)
 
 
 def istft(s: SpectralWindows) -> Tensor:
     """Window-weighted overlap-add synthesis, energy-normalised per sample."""
     plan = s.plan
-    if len(s.windows) != plan.window_count:
-        raise ContractError(
-            f"istft: got {len(s.windows)} windows, plan has {plan.window_count}"
-        )
-    w = plan.window_values()
-    acc = None
-    for start, c in zip(plan.starts, s.windows):
-        if c.shape[1] != plan.bins:
-            raise ContractError(
-                f"istft: window has {c.shape[1]} bins, plan expects {plan.bins}"
-            )
-        seg = irfft_real(c.re, c.im, plan.nfft, axis=1)
-        if plan.window_fn != "rectangular":
-            seg = mul(seg, w[None, :, None, None])
-        padded = pad_axis(seg, 1, start, plan.lookback - start - plan.nfft)
-        acc = padded if acc is None else acc + padded
-    inv_cov = 1.0 / plan.coverage()
-    return mul(acc, inv_cov[None, :, None, None])
+    if s.re.shape[1:3] != (plan.window_count, plan.bins):
+        raise ContractError(f"istft: got {s.re.shape[1]} windows of {s.re.shape[2]} bins, "
+                            f"plan has {plan.window_count} windows of {plan.bins} bins")
+    seg = irfft_real(s.re, s.im, plan.nfft, axis=2)
+    if plan.window_fn != "rectangular":
+        seg = mul(seg, plan.window_values()[:, None, None])
+    acc = overlap_add(seg, plan.starts, plan.lookback)
+    return mul(acc, (1.0 / plan.coverage())[:, None, None])

@@ -156,6 +156,19 @@ class TestTrainCommand:
         assert main(["train"] + fast_args(f"data={missing}", out=tmp_path)) == 2
         assert "cannot open CSV" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2_naming_offset(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# pad\n" * 2000 + b"epochs = \xff\n")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "byte 0xff at offset 12009 is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_naming_offset(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n")
+        assert main(["train"] + fast_args(f"data={table}", out=tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "CSV" in err and "byte 0xff at offset 12006 is not UTF-8" in err
+
     @pytest.mark.parametrize("body, message", [
         ('{"seed": 1}', "no 'config' object"),
         ('{"config": [1]}', "no 'config' object"),

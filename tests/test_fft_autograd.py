@@ -12,13 +12,14 @@ from freqcast.autograd import (
     add,
     block_matrix,
     concat,
+    frames,
     gather_bins,
     getitem,
     irfft_real,
     matmul,
     mean_all,
     mul,
-    pad_axis,
+    overlap_add,
     relu,
     reshape,
     rfft_pair,
@@ -27,6 +28,7 @@ from freqcast.autograd import (
     transpose,
 )
 from freqcast.errors import ContractError
+from freqcast.spectral import plan_stft
 
 from conftest import max_rel_err, naive_dft, numeric_gradient
 
@@ -166,9 +168,11 @@ class TestAutogradPrimitives:
         check_grads(lambda: mean_all(mul(sub(a, const), sub(a, const))), [a])
 
     def test_matmul_batched(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)))
-        w = Tensor(rng.normal(size=(4, 5)))
-        check_grads(lambda: mean_all(mul(matmul(a, w), matmul(a, w))), [a, w])
+        for shape in ((2, 3, 4), (2, 3, 2, 4)):
+            a = Tensor(rng.normal(size=shape))
+            w = Tensor(rng.normal(size=(4, 5)))
+            np.testing.assert_allclose(matmul(a, w).data, a.data @ w.data, atol=1e-13)
+            check_grads(lambda: mean_all(mul(matmul(a, w), matmul(a, w))), [a, w])
 
     def test_matmul_shape_error(self, rng):
         with pytest.raises(ContractError):
@@ -181,10 +185,22 @@ class TestAutogradPrimitives:
             x = reshape(a, (3, 4))
             x = transpose(x, (1, 0))
             x = getitem(x, (slice(1, 3), slice(None)))
-            x = pad_axis(x, 1, 1, 2)
             return mean_all(mul(x, x))
 
         check_grads(build, [a])
+
+    def test_shared_gradient_is_never_written_in_place(self, rng):
+        """add hands one gradient array to both parents; slicing one of them
+        afterwards must not change the gradient the other one holds."""
+        a = Tensor(rng.normal(size=(4, 3)))
+        b = Tensor(rng.normal(size=(4, 3)))
+        w = rng.normal(size=(4, 3))
+
+        def build():
+            cut = getitem(a, (slice(1, 3),))
+            return mean_all(mul(add(a, b), w)) + mean_all(mul(cut, cut))
+
+        check_grads(build, [a, b])
 
     def test_relu_and_mean(self, rng):
         a = Tensor(rng.normal(size=(5, 5)) + 0.05)
@@ -233,6 +249,30 @@ class TestAutogradPrimitives:
             concat(parts, axis=axis).data, np.concatenate([t.data for t in parts], axis=axis)
         )
         check_grads(build, parts)
+
+    @pytest.mark.parametrize("geometry", [(6, 1, 6), (10, 3, 6), (12, 3, 4)])
+    def test_frames_and_overlap_add_grads(self, rng, geometry):
+        plan = plan_stft(*geometry)  # one window, overlapping, hop == nfft
+        x = Tensor(rng.normal(size=(2, plan.lookback, 2)))
+        f = Tensor(rng.normal(size=(2, plan.window_count, plan.nfft, 2)))
+        framed = frames(x, plan.starts, plan.nfft).data
+        for i, s in enumerate(plan.starts):
+            np.testing.assert_array_equal(framed[:, i], x.data[:, s:s + plan.nfft])
+        check_grads(lambda: mean_all(mul(frames(x, plan.starts, plan.nfft), f.data)), [x])
+        check_grads(lambda: mean_all(mul(overlap_add(f, plan.starts, plan.lookback),
+                                         x.data)), [f])
+
+    @settings(max_examples=60, deadline=None)
+    @given(nfft=st.integers(1, 12), p=st.integers(1, 5), data=st.data())
+    def test_frames_and_overlap_add_are_adjoint(self, nfft, p, data):
+        hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+        plan = plan_stft(nfft + (p - 1) * hop, p, nfft)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.normal(size=(2, plan.lookback, 3))
+        y = rng.normal(size=(2, p, nfft, 3))
+        lhs = (frames(Tensor(x), plan.starts, nfft).data * y).sum()
+        rhs = (x * overlap_add(Tensor(y), plan.starts, plan.lookback).data).sum()
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
 
     def test_block_matrix_layout_and_grads(self, rng):
         a = Tensor(rng.normal(size=(2, 2)))

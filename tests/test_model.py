@@ -300,6 +300,20 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match=f"lacks \\['{key}'\\]"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("key", ["name", "shape"])
+    def test_tensor_entry_key_missing_named(self, tmp_path, key):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+
+        def drop_key(header):
+            del header["tensors"][1][key]
+            return 0
+
+        self._edit_header(path, drop_key)
+        with pytest.raises(ContractError, match=f"tensor entry 1 lacks \\['{key}'\\]"):
+            load_checkpoint(str(path))
+
     def test_missing_file_named(self, tmp_path):
         path = tmp_path / "absent.ckpt"
         with pytest.raises(ContractError, match="cannot open checkpoint .*absent.ckpt"):

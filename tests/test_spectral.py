@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from freqcast import fftkit
 from freqcast.autograd import Tensor
 from freqcast.errors import ConfigError, ContractError
 from freqcast.spectral import (
+    SpectralWindows,
     istft,
     nearest_valid_window_count,
     plan_stft,
@@ -177,6 +179,42 @@ class TestRoundTrip:
     def test_window_count_mismatch_rejected(self, rng):
         plan = plan_stft(32, 3, 16)
         s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
-        s.windows = s.windows[:-1]
-        with pytest.raises(ContractError):
+        s = SpectralWindows(s.re[:, :-1], s.im[:, :-1], plan)
+        with pytest.raises(ContractError, match="2 windows"):
             istft(s)
+
+    def test_bins_mismatch_rejected(self, rng):
+        plan = plan_stft(32, 3, 16)
+        s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
+        s = SpectralWindows(s.re[:, :, :-1], s.im[:, :, :-1], plan)
+        with pytest.raises(ContractError, match="8 bins"):
+            istft(s)
+
+
+def test_window_views_are_read_only_and_off_the_tape(rng):
+    plan = plan_stft(32, 3, 16)
+    s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
+    for i, c in enumerate(s.windows):
+        for view, plane in ((c.re, s.re), (c.im, s.im)):
+            assert view._backward is None and not view._parents
+            assert not view.data.flags.writeable
+            np.testing.assert_array_equal(view.data, plane.data[:, i])
+
+
+@pytest.mark.parametrize("geometry", [(24, 1, 24), (24, 4, 12), (96, 8, 26)])  # p = 1, 4, 8
+def test_one_kernel_call_per_transform(monkeypatch, rng, geometry):
+    """Every window goes through one stacked kernel call, whatever p is."""
+    calls = {"rfft_onesided": 0, "irfft_onesided": 0}
+    for name in calls:
+        kernel = getattr(fftkit, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fftkit, name, counted)
+    plan = plan_stft(*geometry)
+    x = rng.normal(size=(2, plan.lookback, 2, 3))
+    out = istft(rstft(Tensor(x), plan))
+    assert calls == {"rfft_onesided": 1, "irfft_onesided": 1}
+    assert np.abs(out.data - x).max() < 1e-10
