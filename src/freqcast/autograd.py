@@ -141,28 +141,42 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor(a.data * bd, parents, backward)
 
 
-def matmul(a: Tensor, w) -> Tensor:
-    """a: (..., k) times w: (k, m).  The weight may be a constant array.
+def matmul(a, w) -> Tensor:
+    """a: (..., k) times w: (k, m).  Either operand may be a constant array.
 
     The leading axes are flattened so each product is one GEMM; numpy's
     stacked matmul would run one small GEMM per leading index.
     """
-    wd = _raw(w)
-    if wd.ndim != 2 or a.data.shape[-1] != wd.shape[0]:
+    ad, wd = _raw(a), _raw(w)
+    if wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
         raise ContractError(
-            f"matmul shapes incompatible: {a.data.shape} x {wd.shape}"
+            f"matmul shapes incompatible: {ad.shape} x {wd.shape}"
         )
-    parents = (a, w) if isinstance(w, Tensor) else (a,)
+    parents = tuple(t for t in (a, w) if isinstance(t, Tensor))
     k, m = wd.shape
-    a2 = a.data.reshape(-1, k)
+    a2 = ad.reshape(-1, k)
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        _accum(a, (g2 @ wd.T).reshape(a.data.shape))
+        if isinstance(a, Tensor):
+            _accum(a, (g2 @ wd.T).reshape(ad.shape))
         if isinstance(w, Tensor):
             _accum(w, a2.T @ g2)
 
-    return Tensor((a2 @ wd).reshape(a.data.shape[:-1] + (m,)), parents, backward)
+    return Tensor((a2 @ wd).reshape(ad.shape[:-1] + (m,)), parents, backward)
+
+
+def lift(x: np.ndarray, u, scale: Tensor, bias: Tensor) -> Tensor:
+    """x * scale + u * bias for constant (..., 1) arrays x and u (u broadcasts
+    to x) and (E,) Tensors: one (N, 2) @ (2, E) GEMM onto a last axis of E.
+
+    Broadcasting (..., 1) against (E,) would run numpy's inner loop once per
+    E entries; the GEMM writes the (..., E) result in one pass.
+    """
+    cols = np.empty(x.shape[:-1] + (2,))
+    cols[..., :1] = x
+    cols[..., 1:] = u
+    return matmul(cols, stack([scale, bias], axis=0))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -326,17 +340,29 @@ def scatter_bins(a: Tensor, idx: np.ndarray, axis: int, size: int) -> Tensor:
 
 
 def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
-    """One-sided DFT of a real tensor; returns (real, imag) plane Tensors."""
+    """One-sided DFT of a real tensor; returns (real, imag) plane Tensors.
+
+    Both planes hand their cotangents to one hub node, which runs a single
+    transpose after both ran; a plane that got no gradient counts as zeros."""
     n = x.data.shape[axis]
     re, im = fftkit.rfft_onesided(x.data, axis=axis)
+    got = [None, None]
 
-    def backward_re(g):
-        _accum(x, fftkit.rfft_transpose(g, np.zeros_like(g), n, axis=axis))
+    def backward(g):
+        gre, gim = got
+        got[:] = None, None
+        if gre is None and gim is None:
+            return
+        gre = np.zeros_like(gim) if gre is None else gre
+        gim = np.zeros_like(gre) if gim is None else gim
+        _accum(x, fftkit.rfft_transpose(gre, gim, n, axis=axis))
 
-    def backward_im(g):
-        _accum(x, fftkit.rfft_transpose(np.zeros_like(g), g, n, axis=axis))
+    hub = Tensor(x.data, (x,), backward)
 
-    return Tensor(re, (x,), backward_re), Tensor(im, (x,), backward_im)
+    def plane(data, i):
+        return Tensor(data, (hub,), lambda g: got.__setitem__(i, g))
+
+    return plane(re, 0), plane(im, 1)
 
 
 def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1) -> Tensor:

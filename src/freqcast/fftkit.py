@@ -2,9 +2,12 @@
 
 Each length n has one cached, read-only operator pair: ``fwd`` (n x 2*bins)
 maps a real signal to its stacked [re | im] one-sided spectrum, and ``inv``
-(2*bins x n) maps such a spectrum back to a real signal.  Each kernel is one
-matrix product on the last axis with one of them or its transpose; the
-transposes are what reverse-mode differentiation needs.
+(2*bins x n) maps such a spectrum back to a real signal.  Each kernel applies
+one of them, or its transpose, to one axis of its input as a left-multiply
+over the flattened leading axes: the input is viewed as (lead, n, trail) and
+``op.T @ x`` is one stacked product with the output already in place, so no
+axis is moved.  When the axis is last (trail == 1) the leading axes flatten
+into one GEMM.  The transposes are what reverse-mode differentiation needs.
 
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
@@ -43,8 +46,15 @@ def _operators(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _on_axis(op: np.ndarray, axis: int, *planes) -> np.ndarray:
     """Concatenate ``planes`` along ``axis``, then multiply that axis by ``op``."""
-    x = np.concatenate([np.asarray(p, dtype=np.float64) for p in planes], axis=axis)
-    return np.moveaxis(np.moveaxis(x, axis, -1) @ op, -1, axis)
+    planes = [np.asarray(p, dtype=np.float64) for p in planes]
+    x = planes[0] if len(planes) == 1 else np.concatenate(planes, axis=axis)
+    axis %= x.ndim
+    n, m = op.shape
+    out_shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
+    trail = int(np.prod(x.shape[axis + 1:]))
+    if trail == 1:
+        return (x.reshape(-1, n) @ op).reshape(out_shape)
+    return (op.T @ x.reshape(-1, n, trail)).reshape(out_shape)
 
 
 def rfft_onesided(x, axis: int = -1):

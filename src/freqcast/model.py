@@ -7,6 +7,11 @@ forward() maps a real (B, L, D) batch to (B, T, D):
       -> skip connection with the embedded input
       -> per-channel flatten (L*E) -> hidden -> horizon read-out head
 
+The lift x * scale + bias is affine and the analysis linear, so the spectra
+are computed from the raw input, analysed once per channel rather than once
+per embedding dimension, and lifted in the spectral domain; the embedded
+input itself is built only for the skip connection.
+
 Masking modes zero the real or imaginary plane of the spectra and/or of all
 backbone weight matrices, in training and inference alike; biases are left
 alone.  The checkpoint format is documented in the README: a magic string,
@@ -25,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, matmul, mul, relu, reshape, transpose
+from .autograd import Tensor, lift, matmul, relu, reshape, transpose
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -127,19 +132,23 @@ def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
 
 
 def embed(x, params: ForecastParams) -> Tensor:
-    """Scalar-to-vector lift: out[b,t,d,e] = x[b,t,d] * scale[e] + bias[e]."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    """Scalar-to-vector lift: out[b,t,d,e] = x[b,t,d] * scale[e] + bias[e].
+
+    x is data: gradients reach scale and bias only.
+    """
+    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ContractError(f"embed expects (B, L, D), got shape {x.shape}")
-    b, l, d = x.shape
-    lifted = mul(reshape(x, (b, l, d, 1)), params.embed_scale)
-    return lifted + params.embed_bias
+    return lift(x[..., None], 1.0, params.embed_scale, params.embed_bias)
 
 
 def forward(x, params: ForecastParams, cfg: RunConfig,
             debug: dict | None = None) -> Tensor:
-    """Run the whole pipeline on a (B, L, D) batch; returns (B, T, D)."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    """Run the whole pipeline on a (B, L, D) batch; returns (B, T, D).
+
+    The batch is data: no gradient flows back to it.
+    """
+    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ContractError(f"forward expects (B, L, D), got shape {x.shape}")
     if x.shape[1] != cfg.lookback:
@@ -150,7 +159,8 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
 
     x_e = embed(x, params)
     plan = cfg.plan()
-    spectra = _mask_spectra(rstft(x_e, plan), spectral_mask_plane(cfg.mask_mode))
+    spectra = _mask_spectra(rstft(x[..., None], plan, params.embed_scale, params.embed_bias),
+                            spectral_mask_plane(cfg.mask_mode))
     compressed = top_m_select(spectra, cfg.top_m)
     mixed = backbone_forward(
         cfg.backbone,

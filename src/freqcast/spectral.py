@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, frames, irfft_real, mul, overlap_add, rfft_pair
+from . import fftkit
+from .autograd import CTensor, Tensor, frames, irfft_real, lift, mul, overlap_add, rfft_pair
 from .errors import ConfigError, ContractError
-from .fftkit import onesided_bins
 
 WINDOW_FNS = ("rectangular", "hann")
 
@@ -35,7 +35,7 @@ class StftPlan:
 
     @property
     def bins(self) -> int:
-        return onesided_bins(self.nfft)
+        return fftkit.onesided_bins(self.nfft)
 
     @property
     def starts(self) -> list[int]:
@@ -145,6 +145,11 @@ class SpectralWindows:
     im: Tensor
     plan: StftPlan
 
+    def __post_init__(self):
+        if self.re.shape != self.im.shape:
+            raise ContractError(f"spectral planes disagree: re {self.re.shape} "
+                                f"vs im {self.im.shape}")
+
     @property
     def bins(self) -> int:
         return self.plan.bins
@@ -157,8 +162,16 @@ class SpectralWindows:
         return [CTensor(Tensor(re[:, i]), Tensor(im[:, i])) for i in range(re.shape[1])]
 
 
-def rstft(x, plan: StftPlan) -> SpectralWindows:
-    """One-sided DFT of each windowed segment of a real (B, L, D, E) tensor."""
+def rstft(x, plan: StftPlan, scale: Tensor | None = None,
+          bias: Tensor | None = None) -> SpectralWindows:
+    """One-sided DFT of each windowed segment of a real (B, L, D, E) tensor.
+
+    Given the embedding lift's (E,) ``scale`` and ``bias``, x must be the
+    un-lifted (B, L, D, 1) input and the result is the analysis of
+    x * scale + bias, formed in the spectral domain by linearity as
+    X * scale + U * bias, where X analyses x and U a constant-one lookback.
+    x is then data: gradients reach scale and bias only.
+    """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 4:
         raise ContractError(f"rstft expects (B, L, D, E), got shape {x.shape}")
@@ -166,10 +179,31 @@ def rstft(x, plan: StftPlan) -> SpectralWindows:
         raise ContractError(
             f"rstft: time axis {x.shape[1]} != plan lookback {plan.lookback}"
         )
-    seg = frames(x, plan.starts, plan.nfft)
+    if scale is None and bias is None:
+        seg = frames(x, plan.starts, plan.nfft)
+        if plan.window_fn != "rectangular":
+            seg = mul(seg, plan.window_values()[:, None, None])
+        return SpectralWindows(*rfft_pair(seg, axis=2), plan)
+    if scale is None or bias is None or x.shape[3] != 1:
+        raise ContractError("rstft lifts a (B, L, D, 1) input by both scale and bias, "
+                            f"got shape {x.shape}")
+    seg = x.data[:, np.add.outer(plan.starts, np.arange(plan.nfft))]
     if plan.window_fn != "rectangular":
-        seg = mul(seg, plan.window_values()[:, None, None])
-    return SpectralWindows(*rfft_pair(seg, axis=2), plan)
+        seg = seg * plan.window_values()[:, None, None]
+    x_re, x_im = fftkit.rfft_onesided(seg, axis=2)
+    u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
+    return SpectralWindows(lift(x_re, u_re, scale, bias), lift(x_im, u_im, scale, bias), plan)
+
+
+@lru_cache(maxsize=None)
+def _constant_spectrum(window_fn: str, nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) spectrum of one windowed all-ones segment, shaped (bins, 1, 1)
+    to broadcast over (B, p, bins, D, 1); every window of a plan shares it."""
+    planes = fftkit.rfft_onesided(_window_values(window_fn, nfft))
+    planes = tuple(plane.reshape(-1, 1, 1) for plane in planes)
+    for plane in planes:
+        plane.setflags(write=False)
+    return planes
 
 
 def istft(s: SpectralWindows) -> Tensor:

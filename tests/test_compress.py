@@ -5,8 +5,8 @@ import pytest
 
 from freqcast.autograd import Tensor
 from freqcast.compress import position_aware_pad, top_m_select
-from freqcast.errors import ConfigError
-from freqcast.spectral import plan_stft, rstft
+from freqcast.errors import ConfigError, ContractError
+from freqcast.spectral import SpectralWindows, plan_stft, rstft
 
 
 def make_spectra(rng, lookback=32, p=3, nfft=16, channels=2, embed=2, batch=2):
@@ -98,6 +98,13 @@ def test_m_out_of_range(rng):
         top_m_select(s, 0)
     with pytest.raises(ConfigError):
         top_m_select(s, s.bins + 1)
+
+
+def test_plane_shape_mismatch_rejected(rng):
+    """Mismatched planes would broadcast into the score; they are refused."""
+    s = make_spectra(rng)
+    with pytest.raises(ContractError, match=r"re \(2, 3, 9, 2, 2\) vs im \(2, 3, 9, 2, 1\)"):
+        top_m_select(SpectralWindows(s.re, s.im[..., :1], s.plan), 2)
 
 
 def test_ties_break_toward_lower_bin(rng):

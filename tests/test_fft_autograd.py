@@ -118,6 +118,27 @@ class TestFftKernels:
                 im2[-1] -= 2.0
             np.testing.assert_array_equal(fftkit.irfft_onesided(re, im2, n), base)
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((9,), 0), ((9, 3), 0), ((8, 1), 0),  # axis 0, with and without trailing axes
+        ((2, 9, 3), 1), ((2, 8, 1), 1), ((2, 9, 1, 1), -3),  # a middle axis
+        ((2, 3, 8), -1), ((2, 3, 9), 2), ((1, 9), 1),  # the last axis
+        ((2, 3, 8, 2, 1), 2),  # the lifted analysis: (B, p, n, D, 1)
+    ])
+    def test_kernels_on_every_axis_layout(self, rng, shape, axis):
+        """Each (lead, n, trail) layout, trailing size 1 included, against numpy's FFT."""
+        n = shape[axis]
+        spec_shape = list(shape)
+        spec_shape[axis] = fftkit.onesided_bins(n)
+        x = rng.normal(size=shape)
+        re, im = fftkit.rfft_onesided(x, axis=axis)
+        assert re.shape == im.shape == tuple(spec_shape)
+        np.testing.assert_allclose(re + 1j * im, np.fft.rfft(x, axis=axis), atol=1e-10)
+        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n, axis=axis), x, atol=1e-11)
+        gre, gim, sre, sim = rng.normal(size=(4, *spec_shape))
+        g = rng.normal(size=shape)
+        rfft_gap, irfft_gap = adjoint_gaps(x, gre, gim, sre, sim, g, n, axis=axis)
+        assert rfft_gap < 1e-9 and irfft_gap < 1e-9
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 300),
            lead=st.lists(st.integers(1, 3), max_size=3),

@@ -6,9 +6,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqcast.autograd import Tensor
+from freqcast import fftkit
+from freqcast.autograd import Tensor, mean_all, mul
 from freqcast.backbones import block_table
+from freqcast.compress import top_m_select
 from freqcast.config import MASK_MODES, RunConfig
 from freqcast.errors import ConfigError, ContractError
 from freqcast.model import (
@@ -21,6 +25,7 @@ from freqcast.model import (
     spectral_mask_plane,
     weight_mask_plane,
 )
+from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
 TINY = dict(lookback=8, horizon=4, embed=4, windows=2, nfft=4, top_m=3, hidden=8,
             batch=2, epochs=2)
@@ -119,6 +124,59 @@ class TestForward:
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(forward(x, p1, cfg).data, forward(x, p2, cfg).data)
+
+    def test_forward_analyses_the_raw_input_once(self, monkeypatch, rng):
+        """One analysis per forward, of the un-lifted input: trailing axis 1, not E."""
+        cfg = tiny_cfg(embed=4)
+        params, x = init_params(cfg), rng.normal(size=(2, 8, 3))
+        forward(x, params, cfg)  # warm-up: caches the plan's constant-one spectrum
+        shapes = []
+        kernel = fftkit.rfft_onesided
+        monkeypatch.setattr(fftkit, "rfft_onesided",
+                            lambda a, axis=-1: shapes.append(np.shape(a)) or kernel(a, axis))
+        forward(x, params, cfg)
+        assert shapes == [(2, cfg.windows, cfg.nfft, 3, 1)]
+
+
+class TestSpectralLift:
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([1, 2, 4, 8]), window_fn=st.sampled_from(WINDOW_FNS),
+           data=st.data())
+    def test_lift_of_spectra_is_spectra_of_lift(self, p, window_fn, data):
+        """rstft(x, plan, scale, bias) == rstft(x * scale + bias): values, top-M, gradients."""
+        nfft = data.draw(st.integers(1, 16), label="nfft")
+        hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+        e = data.draw(st.integers(1, 5), label="embed")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        plan = plan_stft(nfft + (p - 1) * hop, p, nfft, window_fn)
+        x = rng.normal(size=(2, plan.lookback, 3))
+        scale = Tensor(rng.normal(size=e))
+        # bias bounded away from zero, so U (the constant-one spectrum) matters
+        bias = Tensor(rng.uniform(0.2, 1.0, size=e) * rng.choice([-1.0, 1.0], size=e))
+        weight = rng.normal(size=(2, p, plan.bins, 3, e))
+
+        def spectra_and_grads(build):
+            scale.grad = bias.grad = None
+            s = build()
+            (mean_all(mul(s.re, weight)) + mean_all(mul(s.im, weight))).backward()
+            return s, [s.re.data, s.im.data, scale.grad, bias.grad]
+
+        lifted, got = spectra_and_grads(lambda: rstft(x[..., None], plan, scale, bias))
+        # the oracle lifts in the time domain, by broadcasting, as the definition reads
+        direct, want = spectra_and_grads(
+            lambda: rstft(mul(Tensor(x[..., None]), scale) + bias, plan))
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        m = data.draw(st.integers(1, plan.bins), label="top_m")
+        assert np.array_equal(top_m_select(lifted, m).indices, top_m_select(direct, m).indices)
+
+    def test_lift_needs_both_parameters_and_a_unit_axis(self, rng):
+        plan = plan_stft(8, 2, 4)
+        scale, bias = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        with pytest.raises(ContractError, match="both scale and bias"):
+            rstft(rng.normal(size=(1, 8, 2, 1)), plan, scale=scale)
+        with pytest.raises(ContractError, match=r"\(1, 8, 2, 3\)"):
+            rstft(rng.normal(size=(1, 8, 2, 3)), plan, scale, bias)
 
 
 class TestMasking:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freqcast import fftkit
-from freqcast.autograd import Tensor
+from freqcast.autograd import Tensor, mean_all, mul
 from freqcast.errors import ConfigError, ContractError
 from freqcast.spectral import (
     SpectralWindows,
@@ -15,7 +15,7 @@ from freqcast.spectral import (
     valid_window_counts,
 )
 
-from conftest import naive_dft
+from conftest import max_rel_err, naive_dft, numeric_gradient
 
 
 def spectra_values(x, plan):
@@ -183,6 +183,12 @@ class TestRoundTrip:
         with pytest.raises(ContractError, match="2 windows"):
             istft(s)
 
+    def test_plane_shape_mismatch_rejected(self, rng):
+        plan = plan_stft(32, 3, 16)
+        s = rstft(Tensor(rng.normal(size=(1, 32, 1, 2))), plan)
+        with pytest.raises(ContractError, match=r"\(1, 3, 9, 1, 2\) vs im \(1, 3, 9, 1, 1\)"):
+            istft(SpectralWindows(s.re, s.im[..., :1], plan))
+
     def test_bins_mismatch_rejected(self, rng):
         plan = plan_stft(32, 3, 16)
         s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
@@ -218,3 +224,26 @@ def test_one_kernel_call_per_transform(monkeypatch, rng, geometry):
     out = istft(rstft(Tensor(x), plan))
     assert calls == {"rfft_onesided": 1, "irfft_onesided": 1}
     assert np.abs(out.data - x).max() < 1e-10
+
+
+@pytest.mark.parametrize("planes", ["both", "re", "im"])
+def test_rstft_backward_runs_one_transpose(monkeypatch, rng, planes):
+    """Both spectral planes share one transpose; an unused plane counts as zeros."""
+    calls = []
+    kernel = fftkit.rfft_transpose
+    monkeypatch.setattr(fftkit, "rfft_transpose",
+                        lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs))
+    plan = plan_stft(12, 3, 6, "hann")
+    x = Tensor(rng.normal(size=(2, 12, 1, 2)))
+    weight = rng.normal(size=(2, 3, 4, 1, 2))
+
+    def build():
+        s = rstft(x, plan)
+        used = {"both": [s.re, s.im], "re": [s.re], "im": [s.im]}[planes]
+        terms = [mean_all(mul(mul(t, t), weight)) for t in used]
+        return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+
+    build().backward()
+    assert len(calls) == 1
+    numeric = numeric_gradient(lambda: float(build().data), x)
+    assert max_rel_err(x.grad, numeric) < 1e-6
