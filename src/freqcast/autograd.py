@@ -98,6 +98,18 @@ def _raw(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def as_data(x, who: str) -> np.ndarray:
+    """x's values, for an op that takes its input as data and sends it no gradient.
+
+    A Tensor computed by earlier ops is refused: its history would be cut
+    without a word, and no gradient would reach what it was computed from.
+    """
+    if isinstance(x, Tensor) and x._parents:
+        raise ContractError(f"{who} takes its input as data and sends it no gradient; "
+                            "got a Tensor computed by earlier ops")
+    return _raw(x)
+
+
 def add(a: Tensor, b) -> Tensor:
     bd = _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
@@ -274,14 +286,23 @@ def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
     return out
 
 
-def frames(x: Tensor, starts, n: int) -> Tensor:
-    """The windows x[:, s:s+n] for s in starts, stacked: (B, L, ...) -> (B, p, n, ...)."""
+def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
+    """The windows xd[:, s:s+n] for s in starts, stacked, (B, L, ...) -> (B, p, n, ...),
+    each multiplied along its n axis by ``window`` (n,) when one is given."""
+    seg = xd[:, np.add.outer(starts, np.arange(n))]
+    return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
+
+
+def frames(x: Tensor, starts, n: int, window=None) -> Tensor:
+    """``windowed_frames`` of a Tensor; its adjoint is the windowed overlap-add."""
     length = x.data.shape[1]
 
     def backward(g):
+        if window is not None:
+            g = g * np.reshape(window, (n,) + (1,) * (g.ndim - 3))
         _accum(x, _overlap_add(g, starts, length))
 
-    return Tensor(x.data[:, np.add.outer(starts, np.arange(n))], (x,), backward)
+    return Tensor(windowed_frames(x.data, starts, n, window), (x,), backward)
 
 
 def overlap_add(f: Tensor, starts, length: int) -> Tensor:
@@ -340,29 +361,17 @@ def scatter_bins(a: Tensor, idx: np.ndarray, axis: int, size: int) -> Tensor:
 
 
 def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
-    """One-sided DFT of a real tensor; returns (real, imag) plane Tensors.
-
-    Both planes hand their cotangents to one hub node, which runs a single
-    transpose after both ran; a plane that got no gradient counts as zeros."""
+    """One-sided DFT of a real tensor; returns (real, imag) plane Tensors."""
     n = x.data.shape[axis]
     re, im = fftkit.rfft_onesided(x.data, axis=axis)
-    got = [None, None]
 
-    def backward(g):
-        gre, gim = got
-        got[:] = None, None
-        if gre is None and gim is None:
-            return
-        gre = np.zeros_like(gim) if gre is None else gre
-        gim = np.zeros_like(gre) if gim is None else gim
-        _accum(x, fftkit.rfft_transpose(gre, gim, n, axis=axis))
+    def backward_re(g):
+        _accum(x, fftkit.rfft_transpose(g, np.zeros_like(g), n, axis=axis))
 
-    hub = Tensor(x.data, (x,), backward)
+    def backward_im(g):
+        _accum(x, fftkit.rfft_transpose(np.zeros_like(g), g, n, axis=axis))
 
-    def plane(data, i):
-        return Tensor(data, (hub,), lambda g: got.__setitem__(i, g))
-
-    return plane(re, 0), plane(im, 1)
+    return Tensor(re, (x,), backward_re), Tensor(im, (x,), backward_im)
 
 
 def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1) -> Tensor:

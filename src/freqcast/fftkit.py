@@ -6,8 +6,7 @@ maps a real signal to its stacked [re | im] one-sided spectrum, and ``inv``
 one of them, or its transpose, to one axis of its input as a left-multiply
 over the flattened leading axes: the input is viewed as (lead, n, trail) and
 ``op.T @ x`` is one stacked product with the output already in place, so no
-axis is moved.  When the axis is last (trail == 1) the leading axes flatten
-into one GEMM.  The transposes are what reverse-mode differentiation needs.
+axis is moved.  The transposes are what reverse-mode differentiation needs.
 
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
@@ -52,8 +51,6 @@ def _on_axis(op: np.ndarray, axis: int, *planes) -> np.ndarray:
     n, m = op.shape
     out_shape = x.shape[:axis] + (m,) + x.shape[axis + 1:]
     trail = int(np.prod(x.shape[axis + 1:]))
-    if trail == 1:
-        return (x.reshape(-1, n) @ op).reshape(out_shape)
     return (op.T @ x.reshape(-1, n, trail)).reshape(out_shape)
 
 

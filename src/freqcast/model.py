@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, lift, matmul, relu, reshape, transpose
+from .autograd import Tensor, as_data, lift, matmul, relu, reshape, transpose
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -134,9 +134,10 @@ def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
 def embed(x, params: ForecastParams) -> Tensor:
     """Scalar-to-vector lift: out[b,t,d,e] = x[b,t,d] * scale[e] + bias[e].
 
-    x is data: gradients reach scale and bias only.
+    x is data: gradients reach scale and bias only, and a Tensor computed by
+    earlier ops is refused rather than silently cut from its history.
     """
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    x = as_data(x, "embed")
     if x.ndim != 3:
         raise ContractError(f"embed expects (B, L, D), got shape {x.shape}")
     return lift(x[..., None], 1.0, params.embed_scale, params.embed_bias)
@@ -146,9 +147,9 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
             debug: dict | None = None) -> Tensor:
     """Run the whole pipeline on a (B, L, D) batch; returns (B, T, D).
 
-    The batch is data: no gradient flows back to it.
+    The batch is data, as in ``embed``: no gradient flows back to it.
     """
-    x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    x = as_data(x, "forward")
     if x.ndim != 3:
         raise ContractError(f"forward expects (B, L, D), got shape {x.shape}")
     if x.shape[1] != cfg.lookback:

@@ -19,7 +19,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import fftkit
-from .autograd import CTensor, Tensor, frames, irfft_real, lift, mul, overlap_add, rfft_pair
+from .autograd import (
+    CTensor,
+    Tensor,
+    as_data,
+    frames,
+    irfft_real,
+    lift,
+    mul,
+    overlap_add,
+    rfft_pair,
+    windowed_frames,
+)
 from .errors import ConfigError, ContractError
 
 WINDOW_FNS = ("rectangular", "hann")
@@ -170,26 +181,27 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     un-lifted (B, L, D, 1) input and the result is the analysis of
     x * scale + bias, formed in the spectral domain by linearity as
     X * scale + U * bias, where X analyses x and U a constant-one lookback.
-    x is then data: gradients reach scale and bias only.
+    x is then data, as in ``model.embed``: gradients reach scale and bias only.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    lifted = scale is not None or bias is not None
+    if lifted:
+        x = as_data(x, "rstft with scale and bias")
+    elif not isinstance(x, Tensor):
+        x = Tensor(x)
     if x.ndim != 4:
         raise ContractError(f"rstft expects (B, L, D, E), got shape {x.shape}")
     if x.shape[1] != plan.lookback:
         raise ContractError(
             f"rstft: time axis {x.shape[1]} != plan lookback {plan.lookback}"
         )
-    if scale is None and bias is None:
-        seg = frames(x, plan.starts, plan.nfft)
-        if plan.window_fn != "rectangular":
-            seg = mul(seg, plan.window_values()[:, None, None])
-        return SpectralWindows(*rfft_pair(seg, axis=2), plan)
+    window = None if plan.window_fn == "rectangular" else plan.window_values()
+    if not lifted:
+        return SpectralWindows(*rfft_pair(frames(x, plan.starts, plan.nfft, window), axis=2),
+                               plan)
     if scale is None or bias is None or x.shape[3] != 1:
         raise ContractError("rstft lifts a (B, L, D, 1) input by both scale and bias, "
                             f"got shape {x.shape}")
-    seg = x.data[:, np.add.outer(plan.starts, np.arange(plan.nfft))]
-    if plan.window_fn != "rectangular":
-        seg = seg * plan.window_values()[:, None, None]
+    seg = windowed_frames(x, plan.starts, plan.nfft, window)
     x_re, x_im = fftkit.rfft_onesided(seg, axis=2)
     u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
     return SpectralWindows(lift(x_re, u_re, scale, bias), lift(x_im, u_im, scale, bias), plan)

@@ -280,6 +280,12 @@ class TestAutogradPrimitives:
         for i, s in enumerate(plan.starts):
             np.testing.assert_array_equal(framed[:, i], x.data[:, s:s + plan.nfft])
         check_grads(lambda: mean_all(mul(frames(x, plan.starts, plan.nfft), f.data)), [x])
+        window = rng.uniform(0.5, 1.5, size=plan.nfft)
+        np.testing.assert_array_equal(frames(x, plan.starts, plan.nfft, window).data,
+                                      framed * window[:, None])
+        x.grad = None
+        check_grads(lambda: mean_all(mul(frames(x, plan.starts, plan.nfft, window), f.data)),
+                    [x])
         check_grads(lambda: mean_all(mul(overlap_add(f, plan.starts, plan.lookback),
                                          x.data)), [f])
 

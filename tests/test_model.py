@@ -75,6 +75,21 @@ class TestEmbed:
         with pytest.raises(ContractError):
             embed(Tensor(np.zeros((8, 2))), init_params(cfg))
 
+    def test_input_is_data(self, rng):
+        """A leaf input gets no gradient; one computed by earlier ops is refused."""
+        cfg = tiny_cfg()
+        params = init_params(cfg)
+        x = Tensor(rng.normal(size=(2, 8, 3)))
+        mean_all(embed(x, params)).backward()
+        assert x.grad is None and params.embed_scale.grad is not None
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            embed(mul(x, 2.0), params)
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            forward(mul(x, 2.0), params, cfg)
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            rstft(mul(Tensor(x.data[..., None]), 2.0), cfg.plan(),
+                  params.embed_scale, params.embed_bias)
+
 
 class TestForward:
     def test_shape_contract_tiny_instance(self, rng):
