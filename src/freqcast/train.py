@@ -9,6 +9,10 @@ epoch.  The parameters returned are those of the best validation-MAE epoch.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import platform
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +41,43 @@ def backward(loss: Tensor) -> None:
     loss.backward()
 
 
+# glibc's mallopt options (malloc.h), and its ceiling for the mmap threshold,
+# DEFAULT_MMAP_THRESHOLD_MAX = 4 MiB * sizeof(long): 32 MiB on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+@functools.cache
+def _keep_freed_buffers() -> None:
+    """Have glibc keep freed numpy buffers on the heap; once per process.
+
+    By default glibc maps each multi-MB buffer on its own and unmaps it on
+    free, so every batch page-faults its temporaries in again.  Raising the
+    mmap threshold to its ceiling, with the trim threshold at twice that
+    (the ratio of glibc's own dynamic rule), lets the next batch reuse them.
+    The setting is process-wide; elsewhere than glibc nothing is changed.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) != 1
+            or mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) != 1):
+        warnings.warn("mallopt failed; freed buffers go back to the OS",
+                      RuntimeWarning, stacklevel=3)
+
+
 class Adam:
-    """Bias-corrected Adam over named tensors, with per-epoch lr decay."""
+    """Bias-corrected Adam over named tensors, with per-epoch lr decay.
+
+    The parameters (``flat``) and the moments ``m`` and ``v`` each live in
+    one contiguous float64 vector.  Every tensor's ``data`` and every entry
+    of the ``m`` and ``v`` dicts is a view into them, and ``step`` updates
+    all three in place with whole-vector ufuncs.  While the optimiser holds
+    a tensor, write its ``data`` in place: assigning a new array detaches
+    the tensor from the optimiser.
+    """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -48,26 +87,57 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in named_params}
-        self.v = {name: np.zeros_like(t.data) for name, t in named_params}
+        sizes = [t.data.size for _, t in named_params]
+        self._ends = np.cumsum(sizes, dtype=np.intp)
+        n = sum(sizes)
+        self.flat = np.empty(n)
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._grad, self._scratch = np.empty(n), np.empty(n)
+        self._finite = np.empty(n, dtype=bool)
+        self.m, self.v, self._grads = {}, {}, []
+        for (name, t), end, size in zip(named_params, self._ends, sizes):
+            part, shape = slice(end - size, end), t.data.shape
+            self.flat[part] = t.data.ravel()
+            t.data = self.flat[part].reshape(shape)
+            self.m[name] = self._m[part].reshape(shape)
+            self.v[name] = self._v[part].reshape(shape)
+            self._grads.append(self._grad[part].reshape(shape))
 
     def zero_grads(self) -> None:
         for _, t in self.params:
             t.grad = None
 
+    def nonfinite(self, vec: np.ndarray) -> str | None:
+        """Name of the first parameter whose part of a flat vector is not finite."""
+        if np.isfinite(vec, out=self._finite).all():
+            return None
+        first = int(np.argmin(self._finite))
+        return self.params[int(np.searchsorted(self._ends, first, side="right"))][0]
+
     def step(self) -> None:
+        g, tmp, m, v = self._grad, self._scratch, self._m, self._v
+        for (_, t), part in zip(self.params, self._grads):
+            if t.grad is None:
+                part.fill(0.0)
+            else:
+                np.copyto(part, t.grad)
+        bad = self.nonfinite(g)
+        if bad is not None:
+            raise TrainingError(f"non-finite gradient in parameter {bad!r}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, t in self.params:
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient in parameter {name!r}")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, self.beta1, out=m)
+        np.add(m, np.multiply(g, 1 - self.beta1, out=tmp), out=m)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(g, g, out=tmp)
+        np.add(v, np.multiply(tmp, 1 - self.beta2, out=tmp), out=v)
+        # data = data - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(m, bc1, out=g), self.lr, out=g)
+        np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.eps, out=tmp)
+        np.subtract(self.flat, np.divide(g, tmp, out=g), out=self.flat)
 
     def decay_lr(self, factor: float) -> None:
         self.lr *= factor
@@ -104,8 +174,16 @@ def write_metrics_csv(records: list[EpochRecord], path: str) -> None:
 
 def predict(params: ForecastParams, cfg: RunConfig, x: np.ndarray,
             chunk: int | None = None) -> np.ndarray:
-    """Forward in chunks without keeping graphs; returns (N, T, D)."""
-    chunk = chunk or cfg.batch
+    """Forward in chunks without keeping graphs; returns (N, T, D).
+
+    ``chunk`` windows go through each forward; ``None`` means ``cfg.batch``.
+    """
+    _keep_freed_buffers()
+    chunk = cfg.batch if chunk is None else chunk
+    if chunk < 1:
+        raise ContractError(f"predict chunk must be at least 1 window, got {chunk}")
+    if x.shape[0] == 0:
+        raise ContractError(f"predict got no windows: input shape {x.shape}")
     outs = []
     for i in range(0, x.shape[0], chunk):
         outs.append(forward(x[i:i + chunk], params, cfg).data)
@@ -121,6 +199,7 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig,
         params: ForecastParams | None = None,
         rng: np.random.Generator | None = None) -> FitResult:
     """Mini-batch Adam over sliding windows; returns best-validation params."""
+    _keep_freed_buffers()
     if train_split.size == 0 or val_split.size == 0:
         raise TrainingError("empty training or validation split")
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
@@ -131,10 +210,10 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig,
     n = x_train.shape[0]
     batch_bounds = [(i, min(i + cfg.batch, n)) for i in range(0, n, cfg.batch)]
 
-    named = params.named_tensors()
-    optim = Adam(named, lr=cfg.lr)
+    optim = Adam(params.named_tensors(), lr=cfg.lr)
     log: list[EpochRecord] = []
-    best: tuple[float, int, dict[str, np.ndarray]] | None = None
+    best: tuple[float, int] | None = None
+    best_flat = np.empty_like(optim.flat)
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(batch_bounds))
@@ -152,17 +231,17 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig,
             optim.step()
             total += value * (hi - lo)
             seen += hi - lo
-        for name, t in named:
-            if not np.isfinite(t.data).all():
-                raise TrainingError(f"parameter {name!r} became non-finite at epoch {epoch}")
+        bad = optim.nonfinite(optim.flat)
+        if bad is not None:
+            raise TrainingError(f"parameter {bad!r} became non-finite at epoch {epoch}")
 
         val = evaluate(params, cfg, x_val, y_val)
         log.append(EpochRecord(epoch, optim.lr, total / seen, val["mae"], val["rmse"]))
         if best is None or val["mae"] < best[0]:
-            best = (val["mae"], epoch, {name: t.data.copy() for name, t in named})
+            best = (val["mae"], epoch)
+            np.copyto(best_flat, optim.flat)
         optim.decay_lr(cfg.lr_decay)
 
     assert best is not None
-    for name, t in named:
-        t.data = best[2][name]
+    np.copyto(optim.flat, best_flat)
     return FitResult(params, log, best[1], best[0])

@@ -1,11 +1,18 @@
 """Loss, optimiser behaviour, and the training loop's contracts."""
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freqcast
 from freqcast import data as data_io
+from freqcast import train as train_mod
 from freqcast.autograd import Tensor
 from freqcast.config import RunConfig
 from freqcast.errors import ContractError, TrainingError
@@ -75,7 +82,101 @@ class TestBackward:
             assert w.re.grad is not None and np.abs(w.re.grad).max() > 0.0
 
 
+class ReferenceAdam:
+    """The per-tensor Adam that the flat one replaced, kept as an oracle."""
+
+    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = named_params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in named_params}
+        self.v = {name: np.zeros_like(t.data) for name, t in named_params}
+
+    def step(self):
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        for name, t in self.params:
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            t.data = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def mixed_params(rng):
+    """Mixed shapes, a scalar, a tensor that never gets a gradient, a zero plane."""
+    return [("w", Tensor(rng.normal(size=(3, 4)))), ("b", Tensor(rng.normal(size=4))),
+            ("s", Tensor(rng.normal())), ("frozen", Tensor(rng.normal(size=(2, 3, 2)))),
+            ("w.im", Tensor(np.zeros((4, 3))))]
+
+
+def set_grads(named, rng, scale):
+    for name, t in named:
+        if name == "frozen":
+            t.grad = None
+        elif name == "w.im":  # a masked plane: exactly zero gradient
+            t.grad = np.zeros_like(t.data)
+        else:
+            t.grad = scale * rng.normal(size=t.data.shape)
+
+
 class TestAdam:
+    def test_matches_per_tensor_reference_bit_for_bit(self):
+        flat_named = mixed_params(np.random.default_rng(7))
+        ref_named = mixed_params(np.random.default_rng(7))
+        flat, ref = Adam(flat_named, lr=3e-2), ReferenceAdam(ref_named, lr=3e-2)
+        for step in range(6):
+            scale = 10.0 ** (step - 3)
+            set_grads(flat_named, np.random.default_rng(step), scale)
+            set_grads(ref_named, np.random.default_rng(step), scale)
+            flat.step()
+            ref.step()
+            if step == 3:
+                flat.decay_lr(0.5)
+                ref.lr *= 0.5
+        for (name, t), (_, r) in zip(flat_named, ref_named):
+            assert t.data.shape == r.data.shape
+            assert np.array_equal(t.data, r.data), name
+            assert np.array_equal(flat.m[name], ref.m[name]), name
+            assert np.array_equal(flat.v[name], ref.v[name]), name
+        assert np.array_equal(dict(flat_named)["w.im"].data, np.zeros((4, 3)))
+        assert flat.step_count == ref.step_count == 6
+
+    def test_step_writes_each_parameter_in_place(self, rng):
+        named = mixed_params(rng)
+        opt = Adam(named, lr=1e-2)
+        buffers = [t.data for _, t in named]
+        moments = [(opt.m[name], opt.v[name]) for name, _ in named]
+        start = dict(named)["w"].data.copy()
+        for _ in range(3):
+            set_grads(named, rng, 1.0)
+            opt.step()
+        for (name, t), buf, (m, v) in zip(named, buffers, moments):
+            assert t.data is buf
+            assert opt.m[name] is m and opt.v[name] is v
+            assert np.shares_memory(t.data, opt.flat)
+        assert not np.array_equal(dict(named)["w"].data, start)
+
+    def test_non_finite_gradient_changes_nothing(self, rng):
+        first, second = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(2, 2)))
+        opt = Adam([("first", first), ("second", second)], lr=1e-2)
+        first.grad, second.grad = np.ones(3), np.ones((2, 2))
+        opt.step()
+
+        def state():
+            return [first.data, second.data, *opt.m.values(), *opt.v.values()]
+
+        before = [a.copy() for a in state()]
+        first.grad = rng.normal(size=3)
+        second.grad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(TrainingError, match="'second'"):
+            opt.step()
+        assert all(np.array_equal(a, b) for a, b in zip(before, state()))
+        assert opt.step_count == 1
+
     def test_zero_gradient_leaves_params(self):
         t = Tensor(np.array([1.5, -2.0]))
         opt = Adam([("t", t)], lr=0.1)
@@ -114,6 +215,14 @@ class TestAdam:
         t.grad = np.array([np.nan])
         with pytest.raises(TrainingError, match="embed.scale"):
             opt.step()
+
+    @pytest.mark.parametrize("index, name", [(0, "w"), (11, "w"), (12, "b"), (16, "s"),
+                                             (17, "frozen"), (40, "w.im")])
+    def test_nonfinite_names_the_parameter_holding_the_index(self, rng, index, name):
+        opt = Adam(mixed_params(rng), lr=1e-2)
+        assert opt.nonfinite(opt.flat) is None
+        opt.flat[index] = np.inf
+        assert opt.nonfinite(opt.flat) == name
 
     def test_lr_decay(self):
         opt = Adam([("t", Tensor(np.array([0.0])))], lr=1e-3)
@@ -159,6 +268,30 @@ class TestFit:
         m = data_io.metrics(predict(result.params, cfg, x_val), y_val)
         assert m["mae"] == pytest.approx(result.best_val_mae, rel=1e-12)
 
+    def test_best_epoch_is_restored_into_the_optimiser_buffer(self, monkeypatch):
+        train, val = normalized_synth()
+        cfg = small_cfg(epochs=3)
+        made, seen = [], []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def scripted_evaluate(params, cfg, x, y):
+            seen.append([t.data.copy() for _, t in params.named_tensors()])
+            return {"mae": [0.5, 0.2, 0.9][len(seen) - 1], "rmse": 1.0}
+
+        monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
+        monkeypatch.setattr(train_mod, "evaluate", scripted_evaluate)
+        result = fit(train, val, cfg)
+        assert result.best_epoch == 2
+        (opt,) = made
+        for (name, t), best, last in zip(result.params.named_tensors(), seen[1], seen[2]):
+            assert np.shares_memory(t.data, opt.flat), name
+            assert np.array_equal(t.data, best), name
+        assert any(not np.array_equal(b, c) for b, c in zip(seen[1], seen[2]))
+
     def test_empty_split_rejected(self):
         cfg = small_cfg()
         with pytest.raises(TrainingError):
@@ -181,3 +314,62 @@ class TestFit:
         result = fit(train, val, cfg)
         assert all(np.isfinite([r.train_loss, r.val_mae, r.val_rmse]).all()
                    for r in result.log)
+
+
+class TestPredict:
+    def setup_method(self):
+        self.cfg = small_cfg(batch=4)
+        self.params = init_params(self.cfg)
+        self.x = np.random.default_rng(2).normal(size=(10, self.cfg.lookback, 2))
+
+    def test_chunk_none_means_the_config_batch(self):
+        out = predict(self.params, self.cfg, self.x)
+        assert np.array_equal(out, predict(self.params, self.cfg, self.x, chunk=4))
+        assert out.shape == (10, self.cfg.horizon, 2)
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_chunk_below_one_rejected(self, chunk):
+        with pytest.raises(ContractError, match=f"chunk must be at least 1 window, got {chunk}"):
+            predict(self.params, self.cfg, self.x, chunk=chunk)
+
+    def test_input_without_windows_rejected(self):
+        with pytest.raises(ContractError, match="no windows"):
+            predict(self.params, self.cfg, self.x[:0])
+
+
+FAULTS_PER_CHUNK = """
+import resource, statistics
+import numpy as np
+from freqcast import train
+from freqcast.config import RunConfig
+from freqcast.model import init_params
+
+assert train._keep_freed_buffers.cache_info().currsize == 0, "mallopt ran at import"
+cfg = RunConfig(backbone="wm", lookback=512, horizon=96, windows=4, nfft=128,
+                embed=8, top_m=8, hidden=64).validate()
+params = init_params(cfg)
+x = np.random.default_rng(0).normal(size=(12 * 32, 512, 4))
+faults = []
+for i in range(0, x.shape[0], 32):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train.predict(params, cfg, x[i:i + 32], chunk=32)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap is kept through glibc's mallopt; other C "
+                           "libraries keep their own policy for freed buffers")
+def test_predict_chunks_reuse_freed_buffers_without_page_faults():
+    """After one warm-up chunk, a predict-long-sized chunk maps no new pages.
+
+    Without the mallopt setting glibc unmaps each freed multi-MB buffer, and
+    every chunk faults in about 6,450 pages again.
+    """
+    src = str(Path(freqcast.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_CHUNK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 64
