@@ -321,7 +321,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g * mask)
 
-    return Tensor(np.where(mask, a.data, 0.0), (a,), backward)
+    return Tensor(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -333,31 +333,46 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(a.data.mean(), (a,), backward)
 
 
-def gather_bins(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
-    """take_along_axis with indices that are distinct within each row."""
-    idx = np.broadcast_to(idx, idx.shape)
+def _check_rows(rows: np.ndarray, count: int) -> None:
+    # numpy raises a bare IndexError past the end and wraps negative rows silently
+    if rows.size and (rows.min() < 0 or rows.max() >= count):
+        raise ContractError(f"row index out of range [0, {count})")
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The last-axis rows of ``a`` at flat row numbers ``rows``, which must be
+    distinct: (..., E) viewed as (N, E), out[j] = a[rows[j]], shape rows.shape + (E,).
+
+    Each row is one contiguous copy; ``take_along_axis`` with an index
+    broadcast over E would build a fancy-index grid over every axis.
+    """
+    e = a.data.shape[-1]
+    flat = a.data.reshape(-1, e)
+    _check_rows(rows, flat.shape[0])
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, idx, g, axis)
-        _accum(a, buf)
+        buf = np.zeros_like(flat)
+        buf[rows.ravel()] = g.reshape(-1, e)
+        _accum(a, buf.reshape(a.data.shape))
 
-    return Tensor(np.take_along_axis(a.data, idx, axis), (a,), backward)
+    return Tensor(np.take(flat, rows, axis=0), (a,), backward)
 
 
-def scatter_bins(a: Tensor, idx: np.ndarray, axis: int, size: int) -> Tensor:
-    """Place values at ``idx`` along ``axis`` of a zero tensor of width ``size``."""
-    if idx.min() < 0 or idx.max() >= size:
-        raise ContractError(f"scatter index out of range [0, {size})")
-    shape = list(a.data.shape)
-    shape[axis] = size
+def put_rows(a: Tensor, rows: np.ndarray, shape) -> Tensor:
+    """Mirror of ``take_rows``: a zero tensor of ``shape`` with row rows[j] set to
+    a[j], for a of shape rows.shape + (E,) and distinct rows."""
+    e = a.data.shape[-1]
+    if a.data.shape[:-1] != rows.shape or shape[-1] != e:
+        raise ContractError(f"put_rows: {a.data.shape} values for {rows.shape} rows "
+                            f"into shape {tuple(shape)}")
+    out = np.zeros((int(np.prod(shape[:-1])), e))
+    _check_rows(rows, out.shape[0])
 
     def backward(g):
-        _accum(a, np.take_along_axis(g, idx, axis))
+        _accum(a, np.take(g.reshape(-1, e), rows, axis=0))
 
-    out = np.zeros(shape)
-    np.put_along_axis(out, idx, a.data, axis)
-    return Tensor(out, (a,), backward)
+    out[rows.ravel()] = a.data.reshape(-1, e)
+    return Tensor(out.reshape(shape), (a,), backward)
 
 
 def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:

@@ -165,8 +165,9 @@ def cmd_eval(args) -> int:
         cfg = dataclasses.replace(cfg, data=args.data)
     ds = _resolve_dataset(cfg)
     train_raw, val_raw, test_raw = data_io.split_chronological(ds)
-    stats = (data_io.NormStats.from_dict(stats_dict) if stats_dict
-             else data_io.fit_norm_stats(train_raw))
+    stats = (data_io.fit_norm_stats(train_raw) if stats_dict is None else
+             data_io.NormStats.from_dict(stats_dict, ds.channels,
+                                         f"checkpoint {args.checkpoint}"))
     test_n = data_io.normalize(test_raw, stats)
     x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride)
 

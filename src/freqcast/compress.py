@@ -9,6 +9,8 @@ deterministic across platforms.
 
 Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
+Both directions move whole E-length rows: a (B, p, bins, D, E) plane is
+viewed as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, gather_bins, scatter_bins, split, stack
+from .autograd import CTensor, put_rows, split, stack, take_rows
 from .errors import ConfigError, ContractError
 from .spectral import SpectralWindows, StftPlan
 
@@ -36,6 +38,15 @@ class CompressedWindows:
         return self.windows[0].shape[1]
 
 
+def _rows(idx: np.ndarray, bins: int) -> np.ndarray:
+    """Row numbers ((b*p + i)*bins + idx[b, i, m, d])*D + d of the kept bins
+    (B, p, M, D) in a (B, p, bins, D, E) plane viewed as rows of E."""
+    if idx.min() < 0 or idx.max() >= bins:
+        raise ContractError(f"kept bin index out of range [0, {bins})")
+    b, p, _, d = idx.shape
+    return (np.arange(b * p).reshape(b, p, 1, 1) * bins + idx) * d + np.arange(d)
+
+
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """Keep the m highest-energy bins per (sample, window, channel)."""
     bins = s.bins
@@ -45,8 +56,9 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
     idx = np.sort(order[:, :, :m], axis=2)
     per_window = [(slice(None), i) for i in range(idx.shape[1])]
-    re = split(gather_bins(s.re, idx[..., None], axis=2), per_window)
-    im = split(gather_bins(s.im, idx[..., None], axis=2), per_window)
+    rows = _rows(idx, score.shape[2])
+    re = split(take_rows(s.re, rows), per_window)
+    im = split(take_rows(s.im, rows), per_window)
     return CompressedWindows([CTensor(r, i) for r, i in zip(re, im)],
                              [idx[w] for w in per_window], bins, s.plan)
 
@@ -60,5 +72,6 @@ def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
         )
     re = stack([w.re for w in c.windows], axis=1)
     im = stack([w.im for w in c.windows], axis=1)
-    return SpectralWindows(scatter_bins(re, idx[..., None], axis=2, size=c.bins_total),
-                           scatter_bins(im, idx[..., None], axis=2, size=c.bins_total), c.plan)
+    rows = _rows(idx, c.bins_total)
+    shape = re.shape[:2] + (c.bins_total,) + re.shape[3:]
+    return SpectralWindows(put_rows(re, rows, shape), put_rows(im, rows, shape), c.plan)

@@ -110,8 +110,29 @@ class NormStats:
         return {"min": self.minima.tolist(), "max": self.maxima.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(np.asarray(d["min"], float), np.asarray(d["max"], float))
+    def from_dict(cls, d, channels: int, source: str) -> "NormStats":
+        """Stats as ``as_dict`` wrote them, for data of ``channels`` channels: equal-length
+        lists of finite numbers, one per channel; ``source`` names where they came from."""
+        if not isinstance(d, dict):
+            raise ContractError(f"{source}: norm_stats must be a mapping, got {type(d).__name__}")
+        columns = []
+        for key in ("min", "max"):
+            if key not in d:
+                raise ContractError(f"{source}: norm_stats lacks {key!r}")
+            v = d[key]
+            if not isinstance(v, list) or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+                raise ContractError(f"{source}: norm_stats {key!r} must be a list of "
+                                    f"numbers, got {v!r}")
+            col = np.asarray(v, float)
+            if not np.isfinite(col).all():
+                raise ContractError(f"{source}: norm_stats {key!r} holds a non-finite value")
+            columns.append(col)
+        lo, hi = columns
+        if lo.size != channels or hi.size != channels:
+            raise ContractError(f"{source}: norm_stats has {lo.size} minima and {hi.size} "
+                                f"maxima for data of {channels} channels")
+        return cls(lo, hi)
 
 
 def fit_norm_stats(train_split: np.ndarray) -> NormStats:

@@ -16,6 +16,7 @@ from freqcast.config import (
     parse_config_file,
 )
 from freqcast.errors import ConfigError
+from freqcast.model import load_checkpoint, save_checkpoint
 
 FAST = [
     "data=synth:sinusoid_mix",
@@ -229,6 +230,35 @@ class TestEvalCommand:
     def test_horizon_beyond_training_rejected(self, tmp_path, checkpoint, capsys):
         assert main(["eval", "--checkpoint", str(checkpoint), "--horizons", "8",
                      "--out", str(tmp_path / "e2")]) == 2
+
+    @staticmethod
+    def with_stats(checkpoint, path, stats):
+        """A copy of ``checkpoint`` at ``path`` whose norm_stats are ``stats``."""
+        params, cfg, _ = load_checkpoint(str(checkpoint))
+        save_checkpoint(str(path), params, cfg, stats)
+        return path
+
+    @pytest.mark.parametrize("stats,message", [
+        ({"max": [1, 1]}, "norm_stats lacks 'min'"),
+        ({"min": [0], "max": [1]}, "norm_stats has 1 minima and 1 maxima for data of 2 channels"),
+        ({"min": [0, float("nan")], "max": [1, 1]}, "norm_stats 'min' holds a non-finite value"),
+        ({"min": [0, "1"], "max": [1, 1]}, "norm_stats 'min' must be a list of numbers"),
+        ([[0, 0], [1, 1]], "norm_stats must be a mapping, got list"),
+    ], ids=["no-min", "one-channel", "nan", "string", "not-a-mapping"])
+    def test_malformed_norm_stats_named(self, tmp_path, checkpoint, capsys, stats, message):
+        bad = self.with_stats(checkpoint, tmp_path / "bad.ckpt", stats)
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e2")]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: {message}" in err
+
+    def test_data_with_other_channel_count_rejected(self, tmp_path, checkpoint, capsys):
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text("a,b,c\n" + "\n".join(f"{i % 7}.0,{i % 5}.0,{i % 3}.0"
+                                                  for i in range(300)) + "\n")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(csv_path),
+                     "--out", str(tmp_path / "e2")]) == 2
+        assert (f"checkpoint {checkpoint}: norm_stats has 2 minima and 2 maxima "
+                "for data of 3 channels") in capsys.readouterr().err
 
     def test_trivially_learnable_target_scores_near_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "const.csv"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast.autograd import Tensor
 from freqcast.compress import position_aware_pad, top_m_select
@@ -107,8 +109,69 @@ def test_plane_shape_mismatch_rejected(rng):
         top_m_select(SpectralWindows(s.re, s.im[..., :1], s.plan), 2)
 
 
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_pad_refuses_bin_index_outside_plane(rng, bad):
+    """Bin 9 of 9 would be a valid row of the next plane, and -1 of the previous
+    one; the bin range is checked before they become rows."""
+    comp = top_m_select(make_spectra(rng), 2)
+    comp.indices[1][0, 0, 0] = bad
+    with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 9\)"):
+        position_aware_pad(comp)
+
+
 def test_ties_break_toward_lower_bin(rng):
     plan = plan_stft(8, 1, 8)
     s = rstft(Tensor(np.zeros((1, 8, 1, 1))), plan)
     comp = top_m_select(s, 2)  # all scores zero: expect bins 0 and 1
     assert comp.indices[0].ravel().tolist() == [0, 1]
+
+
+@st.composite
+def random_plan_spectra(draw):
+    """Random planes on a random valid plan, and a random M; p = 1, E = 1, D = 1
+    and M = bins are all reachable.  Half the draws fill the planes with small
+    integers, so that equal scores are common."""
+    p = draw(st.integers(1, 4))
+    nfft = draw(st.integers(1, 16))
+    hop = draw(st.integers(1, nfft)) if p > 1 else 0
+    plan = plan_stft(nfft + (p - 1) * hop, p, nfft)
+    shape = (draw(st.integers(1, 3)), p, plan.bins, draw(st.integers(1, 3)),
+             draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        re, im = (rng.integers(-1, 2, size=shape).astype(float) for _ in range(2))
+    else:
+        re, im = rng.normal(size=shape), rng.normal(size=shape)
+    m = draw(st.integers(1, plan.bins))
+    return SpectralWindows(Tensor(re), Tensor(im), plan), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=random_plan_spectra())
+def test_routing_matches_exhaustive_sort(case):
+    """Kept indices are the exhaustive sort's first M (ties to the lower bin),
+    ascending; kept values are those bins' rows; padding restores them in
+    place, with every other bin zero, bit for bit."""
+    s, m = case
+    re, im = s.re.data, s.im.data
+    score = (re ** 2 + im ** 2).sum(axis=4)
+    b, p, bins, d = score.shape
+    oracle = np.empty((b, p, m, d), dtype=int)
+    for ix in np.ndindex(b, p):
+        for k in range(d):
+            ranked = sorted(range(bins), key=lambda j: (-score[ix][j, k], j))
+            oracle[ix][:, k] = sorted(ranked[:m])
+
+    comp = top_m_select(s, m)
+    assert np.array_equal(np.stack(comp.indices, axis=1), oracle)
+    for full, kept in ((re, [w.re.data for w in comp.windows]),
+                       (im, [w.im.data for w in comp.windows])):
+        expected = np.take_along_axis(full, oracle[..., None], axis=2)
+        assert np.stack(kept, axis=1).tobytes() == expected.tobytes()
+
+    kept = np.zeros(score.shape, dtype=bool)
+    np.put_along_axis(kept, oracle, True, axis=2)
+    padded = position_aware_pad(comp)
+    for full, back in ((re, padded.re.data), (im, padded.im.data)):
+        expected = np.where(kept[..., None], full, 0.0)
+        assert back.tobytes() == expected.tobytes()

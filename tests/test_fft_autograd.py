@@ -13,18 +13,18 @@ from freqcast.autograd import (
     block_matrix,
     concat,
     frames,
-    gather_bins,
     getitem,
     irfft_real,
     matmul,
     mean_all,
     mul,
     overlap_add,
+    put_rows,
     relu,
     reshape,
     rfft_pair,
-    scatter_bins,
     sub,
+    take_rows,
     transpose,
 )
 from freqcast.errors import ContractError
@@ -227,21 +227,43 @@ class TestAutogradPrimitives:
         a = Tensor(rng.normal(size=(5, 5)) + 0.05)
         check_grads(lambda: mean_all(relu(a)), [a])
 
+    def test_relu_keeps_nan_and_gives_positive_zero(self):
+        a = Tensor(np.array([np.nan, -0.0, -1.0, 2.0]))
+        out = relu(a)
+        assert np.isnan(out.data[0])
+        assert out.data[1:].tolist() == [0.0, 0.0, 2.0]
+        assert not np.signbit(out.data[1:]).any()  # -0.0 comes out as +0.0
+        mean_all(out).backward()
+        assert a.grad.tolist() == [0.0, 0.0, 0.0, 0.25]
+
     def test_gather_scatter_roundtrip_grads(self, rng):
-        a = Tensor(rng.normal(size=(3, 8, 2)))
-        idx = np.argsort(-np.abs(a.data), axis=1)[:, :3, :]
+        """take_rows then put_rows of the 3 largest rows per (sample, channel)
+        of a (3, 8, 2, E) tensor viewed as rows of E."""
+        a = Tensor(rng.normal(size=(3, 8, 2, 2)))
+        idx = np.argsort(-np.abs(a.data).sum(axis=3), axis=1)[:, :3, :]  # (3, 3, 2)
+        rows = (np.arange(3)[:, None, None] * 8 + idx) * 2 + np.arange(2)
 
         def build():
-            g = gather_bins(a, idx, 1)
-            s = scatter_bins(g, idx, 1, 8)
+            g = take_rows(a, rows)
+            s = put_rows(g, rows, a.shape)
             return mean_all(mul(s, s))
 
         check_grads(build, [a])
+        kept = take_rows(a, rows).data
+        assert np.array_equal(kept, np.take_along_axis(a.data, idx[..., None], axis=1))
+        back = put_rows(Tensor(kept), rows, a.shape).data
+        assert np.array_equal(back.reshape(-1, 2)[rows.ravel()], kept.reshape(-1, 2))
+        assert np.count_nonzero(np.abs(back).sum(axis=3)) == rows.size
 
-    def test_scatter_index_bounds(self, rng):
-        a = Tensor(np.ones((1, 2)))
-        with pytest.raises(ContractError):
-            scatter_bins(a, np.array([[0, 5]]), 1, 4)
+    def test_scatter_index_bounds(self):
+        """Rows outside [0, N) are refused both ways; numpy would raise a bare
+        IndexError past the end and wrap a negative row silently."""
+        for bad in ([0, 5], [0, -1]):
+            rows = np.array(bad)
+            with pytest.raises(ContractError, match=r"row index out of range \[0, 4\)"):
+                put_rows(Tensor(np.ones((2, 3))), rows, (4, 3))
+            with pytest.raises(ContractError, match=r"row index out of range \[0, 4\)"):
+                take_rows(Tensor(np.ones((4, 3))), rows)
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_fft_pair_grads(self, rng, n):

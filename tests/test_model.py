@@ -2,16 +2,18 @@
 
 import dataclasses
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freqcast import fftkit
 from freqcast.autograd import Tensor, mean_all, mul
-from freqcast.backbones import block_table
+from freqcast.backbones import BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
 from freqcast.config import MASK_MODES, RunConfig
 from freqcast.errors import ConfigError, ContractError
@@ -279,6 +281,35 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in zip(params.named_tensors(), loaded.named_tensors()):
             assert n1 == n2
             assert np.array_equal(t1.data, t2.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(BACKBONE_KINDS), p=st.integers(1, 8), e=st.integers(1, 5),
+           radius=st.integers(1, 4), mask=st.sampled_from(MASK_MODES),
+           stats=st.none() | st.integers(1, 4).flatmap(lambda c: st.fixed_dictionaries(
+               {key: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=c, max_size=c) for key in ("min", "max")})),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_property(self, kind, p, e, radius, mask, stats, seed):
+        """save then load is the identity: tensors bit for bit, config and stats equal."""
+        cfg = RunConfig(backbone=kind, windows=p, lookback=4 + 2 * (p - 1), nfft=4,
+                        embed=e, radius=radius, mask_mode=mask, top_m=2, horizon=3,
+                        hidden=5)
+        assume(not cfg.problems())
+        params = init_params(cfg)
+        rng = np.random.default_rng(seed)
+        for _, t in params.named_tensors():
+            t.data = rng.normal(size=t.data.shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(path, params, cfg, stats)
+            loaded, cfg2, stats2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert stats2 == stats
+        pairs = list(zip(params.named_tensors(), loaded.named_tensors(), strict=True))
+        for (n1, t1), (n2, t2) in pairs:
+            assert n1 == n2
+            assert t1.data.shape == t2.data.shape
+            assert t1.data.tobytes() == t2.data.tobytes()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
