@@ -358,23 +358,6 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return Tensor(np.take(flat, rows, axis=0), (a,), backward)
 
 
-def put_rows(a: Tensor, rows: np.ndarray, shape) -> Tensor:
-    """Mirror of ``take_rows``: a zero tensor of ``shape`` with row rows[j] set to
-    a[j], for a of shape rows.shape + (E,) and distinct rows."""
-    e = a.data.shape[-1]
-    if a.data.shape[:-1] != rows.shape or shape[-1] != e:
-        raise ContractError(f"put_rows: {a.data.shape} values for {rows.shape} rows "
-                            f"into shape {tuple(shape)}")
-    out = np.zeros((int(np.prod(shape[:-1])), e))
-    _check_rows(rows, out.shape[0])
-
-    def backward(g):
-        _accum(a, np.take(g.reshape(-1, e), rows, axis=0))
-
-    out[rows.ravel()] = a.data.reshape(-1, e)
-    return Tensor(out.reshape(shape), (a,), backward)
-
-
 def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
     """One-sided DFT of a real tensor; returns (real, imag) plane Tensors."""
     n = x.data.shape[axis]
@@ -389,12 +372,13 @@ def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
     return Tensor(re, (x,), backward_re), Tensor(im, (x,), backward_im)
 
 
-def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1) -> Tensor:
-    """Real synthesis from one-sided planes (1/n normalised)."""
-    out = fftkit.irfft_onesided(re.data, im.data, n, axis=axis)
+def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1, index=None) -> Tensor:
+    """Real synthesis from one-sided planes (1/n normalised); with ``index``,
+    from the kept bins it names (``fftkit.irfft_onesided``)."""
+    out = fftkit.irfft_onesided(re.data, im.data, n, axis=axis, index=index)
 
     def backward(g):
-        gre, gim = fftkit.irfft_transpose(g, n, axis=axis)
+        gre, gim = fftkit.irfft_transpose(g, n, axis=axis, index=index)
         _accum(re, gre)
         _accum(im, gim)
 

@@ -2,15 +2,16 @@
 
 Selection keeps, independently for every (batch sample, window, channel),
 the M frequency bins with the largest magnitude-squared summed over the
-embedding axis.  Kept indices are remembered so the padding step can put
-coefficients back at their original bins, with zeros elsewhere.  Ties go to
-the lower bin index, and kept indices are stored ascending, so runs are
-deterministic across platforms.
+embedding axis.  Kept indices are remembered so the padding step can hand
+coefficients back with their original bins: it stacks the kept windows and
+carries the indices, and synthesis reads the kept bins where they are, so
+the zero bins are never built.  Ties go to the lower bin index, and kept
+indices are stored ascending, so runs are deterministic across platforms.
 
 Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
-Both directions move whole E-length rows: a (B, p, bins, D, E) plane is
-viewed as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.
+The gather moves whole E-length rows: a (B, p, bins, D, E) plane is viewed
+as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, put_rows, split, stack, take_rows
+from .autograd import CTensor, split, stack, take_rows
 from .errors import ConfigError, ContractError
 from .spectral import SpectralWindows, StftPlan
 
@@ -41,14 +42,15 @@ class CompressedWindows:
 def _rows(idx: np.ndarray, bins: int) -> np.ndarray:
     """Row numbers ((b*p + i)*bins + idx[b, i, m, d])*D + d of the kept bins
     (B, p, M, D) in a (B, p, bins, D, E) plane viewed as rows of E."""
-    if idx.min() < 0 or idx.max() >= bins:
-        raise ContractError(f"kept bin index out of range [0, {bins})")
     b, p, _, d = idx.shape
     return (np.arange(b * p).reshape(b, p, 1, 1) * bins + idx) * d + np.arange(d)
 
 
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """Keep the m highest-energy bins per (sample, window, channel)."""
+    if s.index is not None:
+        raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
+                            f"spectrum of {s.re.shape[2]} bins per window")
     bins = s.bins
     if not 1 <= m <= bins:
         raise ConfigError(f"top-M must satisfy 1 <= M <= {bins}, got {m}")
@@ -64,7 +66,8 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
-    """Restore kept coefficients to their original bins, zeros elsewhere."""
+    """Restore kept coefficients to their original bins: the stacked kept windows,
+    carrying their (B, p, M, D) bin indices for synthesis to read them by."""
     idx = np.stack(c.indices, axis=1)  # (B, p, M, D)
     if idx.shape[2] != c.kept:
         raise ContractError(
@@ -72,6 +75,4 @@ def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
         )
     re = stack([w.re for w in c.windows], axis=1)
     im = stack([w.im for w in c.windows], axis=1)
-    rows = _rows(idx, c.bins_total)
-    shape = re.shape[:2] + (c.bins_total,) + re.shape[3:]
-    return SpectralWindows(put_rows(re, rows, shape), put_rows(im, rows, shape), c.plan)
+    return SpectralWindows(re, im, c.plan, idx)

@@ -78,16 +78,16 @@ class RunConfig:
             out.append(f"unknown backbone {self.backbone!r}; choose from {BACKBONE_KINDS}")
         elif self.backbone == "hc" and self.windows not in HC_WINDOW_COUNTS:
             out.append(
-                f"the hyper-complex backbone needs a window count in "
+                f"the hyper-complex backbone needs a window count (windows) in "
                 f"{HC_WINDOW_COUNTS}, got {self.windows}; use backbone 'wm' or 'basic'"
             )
         if self.backbone == "wm" and self.windows > 1 and self.radius >= self.windows:
             out.append(
-                f"neighbor radius {self.radius} must be smaller than the window "
-                f"count {self.windows}"
+                f"neighbor radius (radius) {self.radius} must be smaller than the "
+                f"window count (windows) {self.windows}"
             )
         if self.radius < 1:
-            out.append(f"neighbor radius must be >= 1, got {self.radius}")
+            out.append(f"neighbor radius (radius) must be >= 1, got {self.radius}")
         if plan is not None and not 1 <= self.top_m <= plan.bins:
             out.append(
                 f"top_m must be in [1, {plan.bins}] for nfft={self.nfft}, got {self.top_m}"
@@ -101,7 +101,8 @@ class RunConfig:
         if self.data.startswith("synth:"):
             kind = self.data.split(":", 1)[1]
             if kind not in SYNTH_KINDS:
-                out.append(f"unknown synthetic corpus {kind!r}; choose from {SYNTH_KINDS}")
+                out.append(f"unknown synthetic corpus {kind!r} in data={self.data!r}; "
+                           f"choose from {SYNTH_KINDS}")
             if self.synth_length < 256:
                 out.append(f"synth_length must be >= 256, got {self.synth_length}")
             if self.synth_channels < 1:
@@ -113,7 +114,8 @@ class RunConfig:
             out.append(f"lr must be positive, got {self.lr}")
         if not 0 < self.lr_decay <= 1:
             out.append(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        return out
+        # an unknown window_fn fails the plan and its own check alike
+        return list(dict.fromkeys(out))
 
     def validate(self) -> "RunConfig":
         problems = self.problems()

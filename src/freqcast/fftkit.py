@@ -8,6 +8,13 @@ over the flattened leading axes: the input is viewed as (lead, n, trail) and
 ``op.T @ x`` is one stacked product with the output already in place, so no
 axis is moved.  The transposes are what reverse-mode differentiation needs.
 
+The synthesis pair also takes spectra in kept form: M of the bins per
+(lead, mid) position, named by an ``index`` shaped like the planes without
+their last axis.  For each position they gather the 2M ``inv`` rows those
+bins select, one contiguous row each, and run one batched product over the
+positions, so only kept bins cost flops.  The product writes straight into
+the (lead, n, mid, E) output, whose (n, E) blocks BLAS addresses in place.
+
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
 inverts ``rfft_onesided`` on Hermitian-consistent inputs.
@@ -18,6 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ContractError
 
 
 def onesided_bins(n: int) -> int:
@@ -60,13 +69,49 @@ def rfft_onesided(x, axis: int = -1):
     return tuple(np.split(_on_axis(fwd, axis, x), 2, axis=axis))
 
 
-def irfft_onesided(re, im, n: int, axis: int = -1):
+def check_kept_index(index, shape, n: int, axis: int) -> None:
+    """Refuse a kept-bin ``index`` that does not name axis-``axis`` bins of
+    length-n spectra in planes of ``shape``: numpy would raise a bare
+    IndexError past the last bin and wrap a negative one silently."""
+    axis %= len(shape)
+    if np.shape(index) != tuple(shape[:-1]) or axis == len(shape) - 1:
+        raise ContractError(f"kept bin index of shape {np.shape(index)} does not name the "
+                            f"axis-{axis} bins of planes shaped {tuple(shape)}")
+    bins = onesided_bins(n)
+    if np.size(index) and (np.min(index) < 0 or np.max(index) >= bins):
+        raise ContractError(f"kept bin index out of range [0, {bins})")
+
+
+def _kept_rows(index, shape, n: int, axis: int):
+    """The 2M ``inv`` rows each (lead, mid) position keeps, (lead, mid, 2M, n),
+    and the planes' (lead, M, mid, E) view shape."""
+    check_kept_index(index, shape, n, axis)
+    axis %= len(shape)
+    view = (int(np.prod(shape[:axis])), shape[axis],
+            int(np.prod(shape[axis + 1:-1])), shape[-1])
+    rows = np.reshape(index, view[:3]).transpose(0, 2, 1)
+    rows = np.concatenate([rows, rows + onesided_bins(n)], axis=2)
+    return np.take(_operators(n)[1], rows, axis=0), view
+
+
+def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
     """Real synthesis from one-sided coefficients, including the 1/n factor.
 
     Imaginary parts supplied at DC (and Nyquist for even n) cannot influence
-    a real output; the map simply has zero response to them.
+    a real output; the map simply has zero response to them.  With ``index``
+    the planes hold only the bins it names along ``axis`` (see the module
+    docstring); ``None`` means every bin, in order.
     """
-    return _on_axis(_operators(n)[1], axis, re, im)
+    if index is None:
+        return _on_axis(_operators(n)[1], axis, re, im)
+    rows, (lead, m, mid, e) = _kept_rows(index, np.shape(re), n, axis)
+    x = np.concatenate([np.reshape(re, (lead, m, mid, e)),
+                        np.reshape(im, (lead, m, mid, e))], axis=1)
+    out = np.empty((lead, n, mid, e))
+    np.matmul(rows.transpose(0, 1, 3, 2), x.transpose(0, 2, 1, 3),
+              out=out.transpose(0, 2, 1, 3))
+    axis %= np.ndim(re)
+    return out.reshape(np.shape(re)[:axis] + (n,) + np.shape(re)[axis + 1:])
 
 
 def rfft_transpose(gre, gim, n: int, axis: int = -1):
@@ -74,6 +119,18 @@ def rfft_transpose(gre, gim, n: int, axis: int = -1):
     return _on_axis(_operators(n)[0].T, axis, gre, gim)
 
 
-def irfft_transpose(g, n: int, axis: int = -1):
-    """Transpose of the irfft_onesided linear map, applied to a cotangent."""
-    return tuple(np.split(_on_axis(_operators(n)[1].T, axis, g), 2, axis=axis))
+def irfft_transpose(g, n: int, axis: int = -1, index=None):
+    """Transpose of the irfft_onesided linear map, applied to a cotangent.
+
+    With ``index`` it returns cotangents for the kept bins only, re-gathering
+    the operator rows rather than keeping them from the forward.
+    """
+    if index is None:
+        return tuple(np.split(_on_axis(_operators(n)[1].T, axis, g), 2, axis=axis))
+    axis %= np.ndim(g)
+    shape = np.shape(g)[:axis] + np.shape(index)[axis:axis + 1] + np.shape(g)[axis + 1:]
+    rows, (lead, m, mid, e) = _kept_rows(index, shape, n, axis)
+    out = np.empty((lead, 2 * m, mid, e))
+    np.matmul(rows, np.reshape(g, (lead, n, mid, e)).transpose(0, 2, 1, 3),
+              out=out.transpose(0, 2, 1, 3))
+    return out[:, :m].reshape(shape), out[:, m:].reshape(shape)

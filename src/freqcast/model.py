@@ -131,15 +131,22 @@ def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
     return s
 
 
+def _batch(x, who: str) -> np.ndarray:
+    """x as a (B, L, D) data array with at least one sample and one channel."""
+    x = as_data(x, who)
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[2] == 0:
+        raise ContractError(f"{who} expects (B, L, D) with B >= 1 and D >= 1, "
+                            f"got shape {x.shape}")
+    return x
+
+
 def embed(x, params: ForecastParams) -> Tensor:
     """Scalar-to-vector lift: out[b,t,d,e] = x[b,t,d] * scale[e] + bias[e].
 
     x is data: gradients reach scale and bias only, and a Tensor computed by
     earlier ops is refused rather than silently cut from its history.
     """
-    x = as_data(x, "embed")
-    if x.ndim != 3:
-        raise ContractError(f"embed expects (B, L, D), got shape {x.shape}")
+    x = _batch(x, "embed")
     return lift(x[..., None], 1.0, params.embed_scale, params.embed_bias)
 
 
@@ -149,9 +156,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
 
     The batch is data, as in ``embed``: no gradient flows back to it.
     """
-    x = as_data(x, "forward")
-    if x.ndim != 3:
-        raise ContractError(f"forward expects (B, L, D), got shape {x.shape}")
+    x = _batch(x, "forward")
     if x.shape[1] != cfg.lookback:
         raise ContractError(
             f"forward: input length {x.shape[1]} != configured lookback {cfg.lookback}"

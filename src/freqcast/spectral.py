@@ -78,7 +78,7 @@ def _window_values(window_fn: str, nfft: int) -> np.ndarray:
         t = np.arange(nfft) + 0.5
         w = 0.5 * (1.0 - np.cos(2.0 * np.pi * t / nfft))
     else:
-        raise ConfigError(f"unknown window function {window_fn!r}; choose from {WINDOW_FNS}")
+        raise ConfigError(f"unknown window_fn {window_fn!r}; choose from {WINDOW_FNS}")
     w.setflags(write=False)
     return w
 
@@ -106,7 +106,7 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
               window_fn: str = "rectangular") -> StftPlan:
     """Validate the window layout and return an immutable plan."""
     if window_count < 1:
-        raise ConfigError(f"window count must be >= 1, got {window_count}")
+        raise ConfigError(f"windows (the window count) must be >= 1, got {window_count}")
     if nfft < 1 or nfft > lookback:
         raise ConfigError(
             f"nfft must be in [1, lookback]: nfft={nfft}, lookback={lookback}"
@@ -115,8 +115,8 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
     if window_count == 1:
         if nfft != lookback:
             raise ConfigError(
-                f"a single window requires nfft == lookback, got nfft={nfft}, "
-                f"lookback={lookback}"
+                f"a single window (windows=1) requires nfft == lookback, got "
+                f"nfft={nfft}, lookback={lookback}"
             )
         return StftPlan(lookback, 1, nfft, 0, window_fn)
 
@@ -126,8 +126,8 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
         hint_msg = f"; nearest valid window count is {hint}" if hint else ""
         raise ConfigError(
             f"window layout does not tile the lookback (lookback={lookback}, "
-            f"window_count={window_count}, nfft={nfft}): span {span} is not "
-            f"divisible by window_count - 1 = {window_count - 1}{hint_msg}"
+            f"windows={window_count}, nfft={nfft}): span {span} is not "
+            f"divisible by windows - 1 = {window_count - 1}{hint_msg}"
         )
     hop = span // (window_count - 1)
     if hop > nfft:
@@ -136,30 +136,42 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
         raise ConfigError(
             f"hop {hop} exceeds nfft {nfft}: samples between windows would "
             f"carry zero window energy and synthesis could not divide by the "
-            f"per-sample energy (lookback={lookback}, window_count={window_count}, "
+            f"per-sample energy (lookback={lookback}, windows={window_count}, "
             f"nfft={nfft}){hint_msg}"
         )
     plan = StftPlan(lookback, window_count, nfft, hop, window_fn)
     if plan.coverage().min() <= 0.0:
         raise ConfigError(
             f"plan leaves zero-energy samples: lookback={lookback}, "
-            f"window_count={window_count}, nfft={nfft}, window_fn={window_fn}"
+            f"windows={window_count}, nfft={nfft}, window_fn={window_fn}"
         )
     return plan
 
 
 @dataclass
 class SpectralWindows:
-    """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E)."""
+    """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E).
+
+    In kept form ``index`` (B, p, M, D) names the bin of each of the M
+    entries the planes (B, p, M, D, E) hold per window and channel; every
+    other bin is zero.  ``None`` means every bin, in order.
+    """
 
     re: Tensor
     im: Tensor
     plan: StftPlan
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         if self.re.shape != self.im.shape:
             raise ContractError(f"spectral planes disagree: re {self.re.shape} "
                                 f"vs im {self.im.shape}")
+        if self.index is not None:
+            fftkit.check_kept_index(self.index, self.re.shape, self.plan.nfft, axis=2)
+            # a repeated bin would be summed by synthesis but overwritten by .windows
+            if (np.diff(self.index, axis=2) <= 0).any():
+                raise ContractError("kept bin indices must be strictly ascending per "
+                                    "(sample, window, channel)")
 
     @property
     def bins(self) -> int:
@@ -167,10 +179,18 @@ class SpectralWindows:
 
     @property
     def windows(self) -> list[CTensor]:
-        """Per-window (B, bins, D, E) read-only views, off the tape."""
+        """Per-window (B, bins, D, E) read-only planes, off the tape; a kept-form
+        spectrum is scattered into zero planes first."""
         re, im = self.re.data.view(), self.im.data.view()
+        if self.index is not None:
+            re, im = (self._scatter(plane) for plane in (re, im))
         re.flags.writeable = im.flags.writeable = False
         return [CTensor(Tensor(re[:, i]), Tensor(im[:, i])) for i in range(re.shape[1])]
+
+    def _scatter(self, kept: np.ndarray) -> np.ndarray:
+        full = np.zeros(kept.shape[:2] + (self.bins,) + kept.shape[3:])
+        np.put_along_axis(full, self.index[..., None], kept, axis=2)
+        return full
 
 
 def rstft(x, plan: StftPlan, scale: Tensor | None = None,
@@ -219,13 +239,30 @@ def _constant_spectrum(window_fn: str, nfft: int) -> tuple[np.ndarray, np.ndarra
 
 
 def istft(s: SpectralWindows) -> Tensor:
-    """Window-weighted overlap-add synthesis, energy-normalised per sample."""
+    """Window-weighted overlap-add synthesis, energy-normalised per sample.
+
+    A kept-form spectrum is synthesised from its kept bins alone.
+    """
     plan = s.plan
-    if s.re.shape[1:3] != (plan.window_count, plan.bins):
+    bins = plan.bins if s.index is None else s.re.shape[2]
+    if s.re.shape[1:3] != (plan.window_count, bins):
         raise ContractError(f"istft: got {s.re.shape[1]} windows of {s.re.shape[2]} bins, "
                             f"plan has {plan.window_count} windows of {plan.bins} bins")
-    seg = irfft_real(s.re, s.im, plan.nfft, axis=2)
+    seg = irfft_real(s.re, s.im, plan.nfft, axis=2, index=s.index)
     if plan.window_fn != "rectangular":
         seg = mul(seg, plan.window_values()[:, None, None])
     acc = overlap_add(seg, plan.starts, plan.lookback)
-    return mul(acc, (1.0 / plan.coverage())[:, None, None])
+    inverse = _inverse_coverage(plan)
+    return acc if inverse is None else mul(acc, inverse)
+
+
+@lru_cache(maxsize=None)
+def _inverse_coverage(plan: StftPlan) -> np.ndarray | None:
+    """1 / coverage shaped (L, 1, 1), or None where the coverage is 1 at every
+    sample (a rectangular window with hop == nfft): multiplying by 1.0 is exact."""
+    cov = plan.coverage()
+    if (cov == 1.0).all():
+        return None
+    inverse = (1.0 / cov)[:, None, None]
+    inverse.setflags(write=False)
+    return inverse

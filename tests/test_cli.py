@@ -2,21 +2,29 @@
 
 import csv
 import json
+import math
 import os
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import data as data_io
+from freqcast.backbones import ACTIVATIONS, BACKBONE_KINDS
 from freqcast.cli import main
 from freqcast.config import (
+    MASK_MODES,
     RunConfig,
     apply_overrides,
     config_hash,
     parse_config_file,
 )
+from freqcast.data import SYNTH_KINDS
 from freqcast.errors import ConfigError
 from freqcast.model import load_checkpoint, save_checkpoint
+from freqcast.spectral import WINDOW_FNS
 
 FAST = [
     "data=synth:sinusoid_mix",
@@ -31,6 +39,34 @@ FAST = [
     "hidden=8",
     "epochs=2",
     "batch=16",
+]
+
+
+def _names_outside(valid):
+    return st.text(min_size=1, max_size=8).filter(lambda t: t not in valid)
+
+
+# (field, other fields, invalid values): every other field is valid, so each
+# reported problem must be about the broken one
+BREAKERS = [
+    ("windows", {}, st.integers(-3, 12).filter(lambda w: w != 4)),
+    ("nfft", {}, st.integers(-5, 0) | st.integers(97, 200)),
+    ("lookback", {}, st.integers(-5, 23)),
+    ("top_m", {}, st.integers(-3, 0) | st.integers(14, 40)),
+    ("radius", {}, st.integers(-3, 0)),
+    ("radius", {"backbone": "wm"}, st.integers(4, 9)),
+    ("backbone", {}, _names_outside(BACKBONE_KINDS)),
+    ("window_fn", {}, _names_outside(WINDOW_FNS)),
+    ("mask_mode", {}, _names_outside(MASK_MODES)),
+    ("activation", {}, _names_outside(ACTIVATIONS)),
+    ("data", {}, _names_outside(SYNTH_KINDS).map(lambda kind: "synth:" + kind)),
+    ("synth_length", {}, st.integers(-10, 255)),
+    ("synth_channels", {}, st.integers(-3, 0)),
+    *((name, {}, st.integers(-3, 0))
+      for name in ("horizon", "embed", "hidden", "epochs", "batch", "stride")),
+    ("lr", {}, st.floats(max_value=0.0) | st.just(math.nan)),
+    ("lr_decay", {}, st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
+        | st.just(math.nan)),
 ]
 
 
@@ -89,6 +125,18 @@ class TestConfigHandling:
     def test_non_mapping_config_rejected(self):
         with pytest.raises(ConfigError, match="must be a mapping, got list"):
             RunConfig.from_dict([["lookback", 16]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.data())
+    def test_every_problem_names_the_broken_field(self, case):
+        """A config with one field broken reports problems, and each of them
+        names that field the way a config file or --set spells it."""
+        field, base, bad = case.draw(st.sampled_from(BREAKERS), label="field")
+        value = case.draw(bad, label="value")
+        problems = RunConfig(**{**base, field: value}).problems()
+        assert problems
+        for problem in problems:
+            assert re.search(rf"(?<![\w.]){field}(?!\w)", problem), problem
 
     def test_hash_is_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()

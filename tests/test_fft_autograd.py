@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from freqcast import fftkit
@@ -19,7 +19,6 @@ from freqcast.autograd import (
     mean_all,
     mul,
     overlap_add,
-    put_rows,
     relu,
     reshape,
     rfft_pair,
@@ -28,7 +27,7 @@ from freqcast.autograd import (
     transpose,
 )
 from freqcast.errors import ContractError
-from freqcast.spectral import plan_stft
+from freqcast.spectral import WINDOW_FNS, SpectralWindows, istft, plan_stft
 
 from conftest import max_rel_err, naive_dft, numeric_gradient
 
@@ -168,6 +167,80 @@ class TestFftKernels:
         assert rfft_gap < 1e-9 and irfft_gap < 1e-9
 
 
+@st.composite
+def kept_spectra(draw):
+    """Kept-form planes (B, p, M, D, E) on a random valid plan, hann or
+    rectangular, with M from 1 to bins and distinct ascending bins per
+    (sample, window, channel), plus a cotangent (B, p, nfft, D, E)."""
+    p = draw(st.integers(1, 4))
+    nfft = draw(st.integers(1, 32))
+    hop = draw(st.integers(1, nfft)) if p > 1 else 0
+    plan = plan_stft(nfft + (p - 1) * hop, p, nfft, draw(st.sampled_from(WINDOW_FNS)))
+    b, d, e = (draw(st.integers(1, 3)) for _ in range(3))
+    m = draw(st.integers(1, plan.bins))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
+    re, im = rng.normal(size=(2, b, p, m, d, e))
+    return plan, index, re, im, rng.normal(size=(b, p, nfft, d, e))
+
+
+def scatter_bins(kept, index, bins):
+    full = np.zeros(kept.shape[:2] + (bins,) + kept.shape[3:])
+    np.put_along_axis(full, index[..., None], kept, axis=2)
+    return full
+
+
+class TestKeptBinKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(case=kept_spectra())
+    def test_kept_kernels_match_dense_kernels_on_scattered_planes(self, case):
+        """With an index, synthesis and its transpose equal the dense kernels on
+        the zero-padded planes to 1e-13 of the largest magnitude, the kept pair
+        is an exact adjoint, and istft agrees on either form."""
+        plan, index, re, im, g = case
+        n, bins = plan.nfft, plan.bins
+        full_re, full_im = scatter_bins(re, index, bins), scatter_bins(im, index, bins)
+
+        kept = fftkit.irfft_onesided(re, im, n, axis=2, index=index)
+        dense = fftkit.irfft_onesided(full_re, full_im, n, axis=2)
+        assert np.abs(kept - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1e-300)
+        tre, tim = fftkit.irfft_transpose(g, n, axis=2, index=index)
+        dense_t = [np.take_along_axis(t, index[..., None], axis=2)
+                   for t in fftkit.irfft_transpose(g, n, axis=2)]
+        for got, want in zip((tre, tim), dense_t):
+            assert got.shape == re.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+        same = (kept.tobytes() == dense.tobytes()
+                and all(a.tobytes() == b.tobytes() for a, b in zip((tre, tim), dense_t)))
+        event(f"kept kernels bit-identical to dense: {same}")
+
+        terms = np.concatenate([(kept * g).ravel(), (re * tre).ravel(), (im * tim).ravel()])
+        gap = abs((kept * g).sum() - (re * tre).sum() - (im * tim).sum())
+        assert gap <= 1e-12 * np.abs(terms).sum()
+
+        got = istft(SpectralWindows(Tensor(re), Tensor(im), plan, index)).data
+        want = istft(SpectralWindows(Tensor(full_re), Tensor(full_im), plan)).data
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_kept_kernels_refuse_bins_outside_the_spectrum(self, rng, bad):
+        """n = 8 has 5 bins: bin 5 would read the first imaginary row and -1
+        the last one; both are refused before any row is gathered."""
+        re = rng.normal(size=(2, 3, 2))
+        index = np.array([[0, 1, 2], [1, 3, bad]])
+        with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 5\)"):
+            fftkit.irfft_onesided(re, re, 8, axis=1, index=index)
+        with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 5\)"):
+            fftkit.irfft_transpose(rng.normal(size=(2, 8, 2)), 8, axis=1, index=index)
+
+    def test_kept_kernels_refuse_an_index_of_the_wrong_shape(self, rng):
+        re = rng.normal(size=(2, 3, 2))
+        with pytest.raises(ContractError, match=r"index of shape \(2, 2\)"):
+            fftkit.irfft_onesided(re, re, 8, axis=1, index=np.zeros((2, 2), dtype=int))
+        with pytest.raises(ContractError, match="does not name the axis-2 bins"):
+            fftkit.irfft_onesided(re, re, 8, axis=2, index=np.zeros((2, 3), dtype=int))
+
+
 def check_grads(build_loss, tensors, tol=1e-6):
     loss = build_loss()
     loss.backward()
@@ -237,33 +310,27 @@ class TestAutogradPrimitives:
         assert a.grad.tolist() == [0.0, 0.0, 0.0, 0.25]
 
     def test_gather_scatter_roundtrip_grads(self, rng):
-        """take_rows then put_rows of the 3 largest rows per (sample, channel)
-        of a (3, 8, 2, E) tensor viewed as rows of E."""
+        """take_rows of the 3 largest rows per (sample, channel) of a (3, 8, 2, E)
+        tensor viewed as rows of E; its backward scatters them back."""
         a = Tensor(rng.normal(size=(3, 8, 2, 2)))
         idx = np.argsort(-np.abs(a.data).sum(axis=3), axis=1)[:, :3, :]  # (3, 3, 2)
         rows = (np.arange(3)[:, None, None] * 8 + idx) * 2 + np.arange(2)
 
         def build():
             g = take_rows(a, rows)
-            s = put_rows(g, rows, a.shape)
-            return mean_all(mul(s, s))
+            return mean_all(mul(g, g))
 
         check_grads(build, [a])
         kept = take_rows(a, rows).data
         assert np.array_equal(kept, np.take_along_axis(a.data, idx[..., None], axis=1))
-        back = put_rows(Tensor(kept), rows, a.shape).data
-        assert np.array_equal(back.reshape(-1, 2)[rows.ravel()], kept.reshape(-1, 2))
-        assert np.count_nonzero(np.abs(back).sum(axis=3)) == rows.size
+        assert np.count_nonzero(np.abs(a.grad).sum(axis=3)) == rows.size
 
     def test_scatter_index_bounds(self):
-        """Rows outside [0, N) are refused both ways; numpy would raise a bare
-        IndexError past the end and wrap a negative row silently."""
+        """Rows outside [0, N) are refused; numpy would raise a bare IndexError
+        past the end and wrap a negative row silently."""
         for bad in ([0, 5], [0, -1]):
-            rows = np.array(bad)
             with pytest.raises(ContractError, match=r"row index out of range \[0, 4\)"):
-                put_rows(Tensor(np.ones((2, 3))), rows, (4, 3))
-            with pytest.raises(ContractError, match=r"row index out of range \[0, 4\)"):
-                take_rows(Tensor(np.ones((4, 3))), rows)
+                take_rows(Tensor(np.ones((4, 3))), np.array(bad))
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_fft_pair_grads(self, rng, n):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -128,6 +129,17 @@ class TestForward:
         with pytest.raises(ContractError):
             forward(np.zeros((1, 9, 1)), init_params(cfg), cfg)
 
+    @pytest.mark.parametrize("shape", [(0, 8, 2), (4, 8, 0)])
+    def test_empty_batch_or_channels_rejected(self, shape):
+        """No sample or no channel is refused with the shape named, not a bare
+        numpy error from a reduction or reshape deep inside the pipeline."""
+        cfg = tiny_cfg()
+        params = init_params(cfg)
+        for run in (lambda x: forward(x, params, cfg), lambda x: embed(x, params)):
+            with pytest.raises(ContractError,
+                               match=re.escape(f"B >= 1 and D >= 1, got shape {shape}")):
+                run(np.zeros(shape))
+
     def test_horizon_may_exceed_flattened_width(self, rng):
         cfg = tiny_cfg(horizon=40)  # > lookback * embed = 32
         out = forward(rng.normal(size=(2, 8, 1)), init_params(cfg), cfg)
@@ -153,6 +165,29 @@ class TestForward:
                             lambda a, axis=-1: shapes.append(np.shape(a)) or kernel(a, axis))
         forward(x, params, cfg)
         assert shapes == [(2, cfg.windows, cfg.nfft, 3, 1)]
+
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_synthesis_reads_only_the_kept_bins(self, monkeypatch, rng, kind):
+        """Forward and backward hand the synthesis kernels top_m rows per window
+        and channel on axis 2, never the plan's full bin count."""
+        cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=2, backbone=kind)
+        params = init_params(cfg)
+        seen = []
+        for name in ("irfft_onesided", "irfft_transpose"):
+            kernel = getattr(fftkit, name)
+
+            def spy(*args, _name=name, _kernel=kernel, **kwargs):
+                out = _kernel(*args, **kwargs)
+                planes = args[0] if _name == "irfft_onesided" else out[0]
+                seen.append((_name, np.shape(planes)[2], np.shape(kwargs["index"])))
+                return out
+
+            monkeypatch.setattr(fftkit, name, spy)
+        out = forward(rng.normal(size=(3, 16, 2)), params, cfg)
+        mean_all(mul(out, out)).backward()
+        assert cfg.top_m < cfg.plan().bins
+        assert seen == [(name, cfg.top_m, (3, 2, cfg.top_m, 2))
+                        for name in ("irfft_onesided", "irfft_transpose")]
 
 
 class TestSpectralLift:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import fftkit
 from freqcast.autograd import Tensor, mean_all, mul
+from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
 from freqcast.spectral import (
+    WINDOW_FNS,
     SpectralWindows,
     istft,
     nearest_valid_window_count,
@@ -242,3 +246,38 @@ def test_rstft_gradient_with_either_plane_unused(rng, planes):
     build().backward()
     numeric = numeric_gradient(lambda: float(build().data), x)
     assert max_rel_err(x.grad, numeric) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(1, 6), nfft=st.integers(1, 40), window_fn=st.sampled_from(WINDOW_FNS),
+       data=st.data())
+def test_synthesis_round_trips_on_random_valid_plans(p, nfft, window_fn, data):
+    """istft inverts rstft on every valid plan, and so it does after keeping
+    every bin through top-M and the padding's kept form."""
+    hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+    plan = plan_stft(nfft + (p - 1) * hop, p, nfft, window_fn)
+    shape = (data.draw(st.integers(1, 3), label="B"), plan.lookback,
+             data.draw(st.integers(1, 3), label="D"), data.draw(st.integers(1, 3), label="E"))
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(
+        size=shape)
+    s = rstft(Tensor(x), plan)
+    assert np.abs(istft(s).data - x).max() < 1e-10
+    padded = position_aware_pad(top_m_select(s, plan.bins))
+    assert padded.index is not None
+    assert np.abs(istft(padded).data - x).max() < 1e-10
+
+
+def test_top_m_refuses_a_kept_form_spectrum(rng):
+    s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan_stft(32, 3, 16))
+    padded = position_aware_pad(top_m_select(s, 2))
+    with pytest.raises(ContractError, match="kept-form spectrum of 2 bins"):
+        top_m_select(padded, 2)
+
+
+@pytest.mark.parametrize("bins", [[1, 1], [2, 1]])
+def test_kept_form_refuses_repeated_or_unordered_bins(bins):
+    """Synthesis would sum a repeated bin where ``.windows`` keeps one copy."""
+    plan = plan_stft(8, 1, 8)
+    re = Tensor(np.ones((1, 1, 2, 1, 1)))
+    with pytest.raises(ContractError, match="strictly ascending"):
+        SpectralWindows(re, re, plan, np.array(bins).reshape(1, 1, 2, 1))
