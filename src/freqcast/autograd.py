@@ -11,6 +11,8 @@ Non-Tensor operands are treated as constants and receive no gradient.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import fftkit
@@ -178,16 +180,55 @@ def matmul(a, w) -> Tensor:
     return Tensor((a2 @ wd).reshape(ad.shape[:-1] + (m,)), parents, backward)
 
 
-def lift(x: np.ndarray, u, scale: Tensor, bias: Tensor) -> Tensor:
-    """x * scale + u * bias for constant (..., 1) arrays x and u (u broadcasts
-    to x) and (E,) Tensors: one (N, 2) @ (2, E) GEMM onto a last axis of E.
+def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
+    """x @ w for an x: (..., n*E) whose every E-block is a combination of
+    the K rows of ``basis`` (K, E): block i of x == coef block i (..., K) @ basis.
+
+    The forward is coef @ V and the weight gradient basis^T (coef^T g), per
+    E-block, with V the basis times each E-row block of w: K/E of the flops
+    of x @ w and x^T g.  The gradient to x stays g @ w^T.  coef and basis are
+    data, so whatever x was computed from gets its gradient through x alone.
+    With coef = x and basis = eye(E) this is ``matmul``, bit for bit.
+    """
+    xd, wd = _raw(x), _raw(w)
+    k, e = basis.shape
+    blocks = xd.shape[-1] // e
+    if (wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or blocks * e != xd.shape[-1]
+            or coef.shape != xd.shape[:-1] + (blocks * k,)):
+        raise ContractError(f"factored_matmul shapes incompatible: x {xd.shape} = coef "
+                            f"{coef.shape} over basis {basis.shape}, times w {wd.shape}")
+    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
+    m = wd.shape[1]
+    c2 = coef.reshape(-1, blocks * k)
+
+    def backward(g):
+        g2 = g.reshape(-1, m)
+        if isinstance(x, Tensor):
+            _accum(x, (g2 @ wd.T).reshape(xd.shape))
+        if isinstance(w, Tensor):
+            cg = (c2.T @ g2).reshape(blocks, k, m)
+            _accum(w, np.matmul(basis.T, cg).reshape(blocks * e, m))
+
+    v = np.matmul(basis, wd.reshape(blocks, e, m)).reshape(blocks * k, m)
+    return Tensor((c2 @ v).reshape(xd.shape[:-1] + (m,)), parents, backward)
+
+
+def lift_columns(x: np.ndarray, u) -> np.ndarray:
+    """The (..., 2) columns [x, u] of constant (..., 1) arrays x and u (u
+    broadcasts to x): what ``lift`` multiplies by [scale; bias]."""
+    cols = np.empty(x.shape[:-1] + (2,))
+    cols[..., :1] = x
+    cols[..., 1:] = u
+    return cols
+
+
+def lift(cols: np.ndarray, scale: Tensor, bias: Tensor) -> Tensor:
+    """x * scale + u * bias for ``lift_columns(x, u)`` and (E,) Tensors: one
+    (N, 2) @ (2, E) GEMM onto a last axis of E.
 
     Broadcasting (..., 1) against (E,) would run numpy's inner loop once per
     E entries; the GEMM writes the (..., E) result in one pass.
     """
-    cols = np.empty(x.shape[:-1] + (2,))
-    cols[..., :1] = x
-    cols[..., 1:] = u
     return matmul(cols, stack([scale, bias], axis=0))
 
 
@@ -258,25 +299,90 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor(np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward)
 
 
-def block_matrix(entries: list[tuple[Tensor, int, int, float]], grid: int) -> Tensor:
-    """Square matrix of grid x grid equal-sized square blocks.
+def _rounds(keys: list[int]) -> np.ndarray:
+    """For each entry, how many entries before it have its key."""
+    seen: dict[int, int] = {}
+    rounds = np.empty(len(keys), dtype=np.intp)
+    for j, key in enumerate(keys):
+        rounds[j] = seen.get(key, 0)
+        seen[key] = rounds[j] + 1
+    return rounds
 
-    Each entry (t, row, col, coef) adds coef * t into block (row, col);
-    blocks no entry names are zero.  A tensor may appear in many entries.
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where ``block_matrix`` puts its parts: entry j adds coefs[j] * part
+    planes[j] into block (rows[j], cols[j]) of a grid x grid block matrix.
+
+    ``fwd`` and ``bwd`` hold the (rows, cols, planes, coefs) arrays ordered
+    in rounds, which ``fwd_bounds`` and ``bwd_bounds`` delimit: the k-th
+    entry of each block, or of each part, is in round k, so rounds add in
+    table order.  The first backward round names each used part once, in
+    order of first use; ``slots`` holds, for each later round, where its
+    entries' parts are in that first round (a slice when it names them all).
     """
-    size = entries[0][0].data.shape[0]
-    blocks = np.zeros((grid, grid, size, size))
-    for t, row, col, coef in entries:
-        blocks[row, col] += coef * t.data
-    parents = tuple({id(t): t for t, _, _, _ in entries}.values())
+
+    grid: int
+    fwd: tuple[np.ndarray, ...]
+    fwd_bounds: list[int]
+    bwd: tuple[np.ndarray, ...]
+    bwd_bounds: list[int]
+    slots: list[slice | np.ndarray]
+
+    @classmethod
+    def of(cls, entries, grid: int) -> "BlockLayout":
+        """From (plane, row, col, coef) tuples, summed into their blocks in this order."""
+        planes, rows, cols, coefs = (np.array(col) for col in zip(*entries))
+        arrays = (rows, cols, planes, coefs.astype(np.float64).reshape(-1, 1, 1))
+        first: dict[int, int] = {}
+        slot = np.array([first.setdefault(part, len(first)) for part in planes.tolist()])
+        fwd_rounds = _rounds((rows * grid + cols).tolist())
+        bwd_rounds = _rounds(planes.tolist())
+        fwd = np.argsort(fwd_rounds, kind="stable")
+        bwd = np.lexsort((slot, bwd_rounds))
+        fwd_bounds, bwd_bounds = (
+            np.searchsorted(r[order], np.arange(r.max() + 2)).tolist()
+            for r, order in ((fwd_rounds, fwd), (bwd_rounds, bwd)))
+        slots = [slot[bwd[lo:hi]] for lo, hi in zip(bwd_bounds[1:-1], bwd_bounds[2:])]
+        slots = [slice(None) if len(s) == len(first) else s for s in slots]
+        return cls(grid, tuple(a[fwd] for a in arrays), fwd_bounds,
+                   tuple(a[bwd] for a in arrays), bwd_bounds, slots)
+
+
+def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
+    """Square matrix of grid x grid equal-sized square blocks from ``parts``,
+    placed as ``layout`` says; blocks no entry names are zero.
+
+    Each direction is one gather and one scatter per round, in table order:
+    the result, and the gradient of a part that had none, are those of adding
+    the entries one by one.
+    """
+    size, grid = parts[0].data.shape[0], layout.grid
+    rows, cols, planes, coefs = layout.fwd
+    pieces = np.take(np.stack([t.data for t in parts]), planes, axis=0)
+    pieces *= coefs
+    out = np.zeros((grid, size, grid, size))
+    bounds = layout.fwd_bounds
+    out[rows[:bounds[1]], :, cols[:bounds[1]], :] = pieces[:bounds[1]]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        out[rows[lo:hi], :, cols[lo:hi], :] += pieces[lo:hi]
+    rows, cols, planes, coefs = layout.bwd
+    bounds = layout.bwd_bounds
+    used = [parts[i] for i in planes[:bounds[1]]]
 
     def backward(g):
         g = g.reshape(grid, size, grid, size)
-        for t, row, col, coef in entries:
-            _accum(t, coef * g[row, :, col, :])
+        # the parts' gradients are views of one array: it holds the first round
+        grads = g[rows[:bounds[1]], :, cols[:bounds[1]], :]
+        grads *= coefs[:bounds[1]]
+        for (lo, hi), slot in zip(zip(bounds[1:-1], bounds[2:]), layout.slots):
+            piece = g[rows[lo:hi], :, cols[lo:hi], :]
+            piece *= coefs[lo:hi]
+            grads[slot] += piece
+        for t, piece in zip(used, grads):
+            _accum(t, piece)
 
-    out = blocks.transpose(0, 2, 1, 3).reshape(grid * size, grid * size)
-    return Tensor(out, parents, backward)
+    return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)
 
 
 def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:

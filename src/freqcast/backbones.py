@@ -21,15 +21,31 @@ one real (2pE x 2pE) matrix acting on the windows stacked as
 and one activation, which acts on the real and imaginary planes
 independently.  Weights are E x E complex matrices shared over bins and
 channels.
+
+The matmul runs through the input's factors when it carries them: a lifted
+spectrum is K = 2 coefficients per row times the basis [scale; bias], so the
+forward and the weight gradient cost K/E of the dense products.  The
+gradient to the windows stays dense, and reaches scale and bias through
+top-M and the analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, block_matrix, concat, matmul, relu, split
+from .autograd import (
+    BlockLayout,
+    CTensor,
+    Tensor,
+    block_matrix,
+    concat,
+    factored_matmul,
+    relu,
+    split,
+)
 from .compress import CompressedWindows
 from .errors import ConfigError, ContractError
 from .hypercomplex import component_product_table
@@ -138,23 +154,37 @@ def init_backbone(kind: str, rng, window_count: int, embed: int,
     return BackboneParams(weights, biases, radius)
 
 
-def _assemble(weights: list[CTensor], blocks, p: int, weight_mask: str | None) -> Tensor:
-    """The real (2pE x 2pE) matrix of a block table.
+@lru_cache(maxsize=None)
+def _layout(kind: str, p: int, radius: int, conjugate_neighbors: bool,
+            weight_mask: str | None) -> BlockLayout:
+    """Where a block table puts the weights in the real (2pE x 2pE) matrix,
+    as parts [w.re for w in weights] + [w.im for w in weights].
 
     A masked plane places no entries, so it contributes nothing and gets no
     gradient.
     """
+    names, blocks = block_table(kind, p, radius, conjugate_neighbors)
+    im = len(names)
     entries = []
     for src, dst, w, sign, conj_x, conj_w in blocks:
         sx = -1 if conj_x else 1
         sw = -1 if conj_w else 1
         if weight_mask != "real":
-            entries += [(weights[w].re, src, dst, sign),
-                        (weights[w].re, p + src, p + dst, sign * sx)]
+            entries += [(w, src, dst, sign), (w, p + src, p + dst, sign * sx)]
         if weight_mask != "imag":
-            entries += [(weights[w].im, src, p + dst, sign * sw),
-                        (weights[w].im, p + src, dst, -sign * sx * sw)]
-    return block_matrix(entries, 2 * p)
+            entries += [(im + w, src, p + dst, sign * sw),
+                        (im + w, p + src, dst, -sign * sx * sw)]
+    return BlockLayout.of(entries, 2 * p)
+
+
+def _coefficients(c: CompressedWindows, x: Tensor, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """x's E-blocks as coefficients times a basis: the kept factors of the
+    lift, laid out as x is, or x itself over the identity."""
+    if c.factors is None:
+        return x.data, np.eye(e)
+    f = c.factors
+    coef = np.moveaxis(np.concatenate([f.re, f.im], axis=1), 1, -2)  # (B, M, D, 2p, K)
+    return coef.reshape(x.shape[:-1] + (-1,)), f.basis
 
 
 def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
@@ -169,7 +199,7 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
     if kind == "wm" and radius != params.radius:
         raise ContractError(f"radius {radius} != parameter radius {params.radius}")
     p = len(c.windows)
-    names, blocks = block_table(kind, p, radius, conjugate_neighbors)
+    names, _ = block_table(kind, p, radius, conjugate_neighbors)
     if len(params.biases) != p or len(params.weights) != len(names):
         raise ContractError(
             f"parameters sized for {len(params.biases)} windows, got {p}"
@@ -181,7 +211,9 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
         )
     x = concat([w.re for w in c.windows] + [w.im for w in c.windows])
     bias = concat([b.re for b in params.biases] + [b.im for b in params.biases])
-    y = matmul(x, _assemble(params.weights, blocks, p, weight_mask)) + bias
+    mix = block_matrix([w.re for w in params.weights] + [w.im for w in params.weights],
+                       _layout(kind, p, radius, conjugate_neighbors, weight_mask))
+    y = factored_matmul(x, *_coefficients(c, x, e), mix) + bias
     if act == "relu":
         y = relu(y)
     planes = split(y, [(Ellipsis, slice(i * e, (i + 1) * e)) for i in range(2 * p)])

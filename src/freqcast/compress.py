@@ -11,7 +11,9 @@ indices are stored ascending, so runs are deterministic across platforms.
 Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
 The gather moves whole E-length rows: a (B, p, bins, D, E) plane is viewed
-as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.
+as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.  The same
+rows of the lift's (..., K) coefficient planes, when the spectra carry
+them, are the factors of the kept entries.
 """
 
 from __future__ import annotations
@@ -22,17 +24,23 @@ import numpy as np
 
 from .autograd import CTensor, split, stack, take_rows
 from .errors import ConfigError, ContractError
-from .spectral import SpectralWindows, StftPlan
+from .spectral import LiftFactors, SpectralWindows, StftPlan
 
 
 @dataclass
 class CompressedWindows:
-    """Per-window compressed spectra (B, M, D, E) plus kept bin indices (B, M, D)."""
+    """Per-window compressed spectra (B, M, D, E) plus kept bin indices (B, M, D).
+
+    ``factors``, when given, writes the p windows stacked on axis 1 as
+    (B, p, M, D, K) coefficients times a (K, E) basis: the kept rows of the
+    analysis's own factors.
+    """
 
     windows: list[CTensor]
     indices: list[np.ndarray]
     bins_total: int
     plan: StftPlan
+    factors: LiftFactors | None = None
 
     @property
     def kept(self) -> int:
@@ -61,8 +69,13 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     rows = _rows(idx, score.shape[2])
     re = split(take_rows(s.re, rows), per_window)
     im = split(take_rows(s.im, rows), per_window)
+    f = s.factors
+    if f is not None:
+        k = f.basis.shape[0]
+        f = LiftFactors(np.take(f.re.reshape(-1, k), rows, axis=0),
+                        np.take(f.im.reshape(-1, k), rows, axis=0), f.basis)
     return CompressedWindows([CTensor(r, i) for r, i in zip(re, im)],
-                             [idx[w] for w in per_window], bins, s.plan)
+                             [idx[w] for w in per_window], bins, s.plan, f)
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .backbones import ACTIVATIONS, BACKBONE_KINDS, HC_WINDOW_COUNTS
@@ -107,11 +108,13 @@ class RunConfig:
                 out.append(f"synth_length must be >= 256, got {self.synth_length}")
             if self.synth_channels < 1:
                 out.append(f"synth_channels must be >= 1, got {self.synth_channels}")
+            if not 0 <= self.synth_noise < math.inf:
+                out.append(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
         for name in ("lookback", "horizon", "embed", "hidden", "epochs", "batch", "stride"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr > 0:
-            out.append(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            out.append(f"lr must be positive and finite, got {self.lr}")
         if not 0 < self.lr_decay <= 1:
             out.append(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         # an unknown window_fn fails the plan and its own check alike
@@ -163,7 +166,7 @@ class RunConfig:
 def _as_bool(v) -> bool:
     if isinstance(v, bool):
         return v
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and v in (0, 1):
         return bool(v)
     if isinstance(v, str):
         if v.lower() in ("true", "1", "yes", "on"):

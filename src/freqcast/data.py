@@ -212,6 +212,8 @@ def synth_corpus(kind: str, seed: int, length: int, channels: int,
         raise ConfigError(f"unknown synthetic corpus {kind!r}; choose from {SYNTH_KINDS}")
     if length < 256:
         raise ConfigError(f"synthetic corpora need length >= 256, got {length}")
+    if not 0 <= noise < np.inf:
+        raise ConfigError(f"synthetic corpus noise must be finite and >= 0, got {noise}")
     # crc32, not hash(): the stream must not depend on PYTHONHASHSEED
     rng = np.random.default_rng([seed, zlib.crc32(kind.encode()) & 0xFFFF])
     t = np.arange(length)

@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, as_data, lift, matmul, relu, reshape, transpose
+from .autograd import Tensor, as_data, lift, lift_columns, matmul, relu, reshape, transpose
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -124,10 +124,14 @@ def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
 
 
 def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
+    """Zero one plane of the spectra, and the same plane of their factors."""
+    f = s.factors
     if plane == "real":
-        return SpectralWindows(s.re * 0.0, s.im, s.plan)
+        return SpectralWindows(s.re * 0.0, s.im, s.plan,
+                               factors=None if f is None else replace(f, re=f.re * 0.0))
     if plane == "imag":
-        return SpectralWindows(s.re, s.im * 0.0, s.plan)
+        return SpectralWindows(s.re, s.im * 0.0, s.plan,
+                               factors=None if f is None else replace(f, im=f.im * 0.0))
     return s
 
 
@@ -147,7 +151,7 @@ def embed(x, params: ForecastParams) -> Tensor:
     earlier ops is refused rather than silently cut from its history.
     """
     x = _batch(x, "embed")
-    return lift(x[..., None], 1.0, params.embed_scale, params.embed_bias)
+    return lift(lift_columns(x[..., None], 1.0), params.embed_scale, params.embed_bias)
 
 
 def forward(x, params: ForecastParams, cfg: RunConfig,

@@ -26,6 +26,7 @@ from .autograd import (
     frames,
     irfft_real,
     lift,
+    lift_columns,
     mul,
     overlap_add,
     rfft_pair,
@@ -148,24 +149,47 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
     return plan
 
 
+@dataclass(frozen=True)
+class LiftFactors:
+    """Spectral planes (..., E) written as coefficient planes (..., K) times a
+    (K, E) basis: re == self.re @ basis and im == self.im @ basis.
+
+    The lifted analysis has K = 2, the basis [scale; bias] and the columns
+    [X, U] of ``rstft``.  Every array is data: the basis holds the values of
+    scale and bias, not the Tensors, which get their gradient through the planes.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    basis: np.ndarray
+
+
 @dataclass
 class SpectralWindows:
     """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E).
 
     In kept form ``index`` (B, p, M, D) names the bin of each of the M
     entries the planes (B, p, M, D, E) hold per window and channel; every
-    other bin is zero.  ``None`` means every bin, in order.
+    other bin is zero.  ``None`` means every bin, in order.  ``factors``,
+    when given, writes the planes as (B, p, bins, D, K) coefficients times a
+    (K, E) basis.
     """
 
     re: Tensor
     im: Tensor
     plan: StftPlan
     index: np.ndarray | None = None
+    factors: LiftFactors | None = None
 
     def __post_init__(self):
         if self.re.shape != self.im.shape:
             raise ContractError(f"spectral planes disagree: re {self.re.shape} "
                                 f"vs im {self.im.shape}")
+        f = self.factors
+        if f is not None and (f.basis.shape[1:] != self.re.shape[-1:] or f.im.shape != f.re.shape
+                              or f.re.shape != self.re.shape[:-1] + f.basis.shape[:1]):
+            raise ContractError(f"factors re {f.re.shape}, im {f.im.shape} over basis "
+                                f"{f.basis.shape} do not make planes of shape {self.re.shape}")
         if self.index is not None:
             fftkit.check_kept_index(self.index, self.re.shape, self.plan.nfft, axis=2)
             # a repeated bin would be summed by synthesis but overwritten by .windows
@@ -202,6 +226,8 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     x * scale + bias, formed in the spectral domain by linearity as
     X * scale + U * bias, where X analyses x and U a constant-one lookback.
     x is then data, as in ``model.embed``: gradients reach scale and bias only.
+    The result carries the columns [X, U] and the basis [scale; bias] as its
+    ``factors``.
     """
     lifted = scale is not None or bias is not None
     if lifted:
@@ -224,7 +250,9 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     seg = windowed_frames(x, plan.starts, plan.nfft, window)
     x_re, x_im = fftkit.rfft_onesided(seg, axis=2)
     u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
-    return SpectralWindows(lift(x_re, u_re, scale, bias), lift(x_im, u_im, scale, bias), plan)
+    f = LiftFactors(lift_columns(x_re, u_re), lift_columns(x_im, u_im),
+                    np.stack([scale.data, bias.data]))
+    return SpectralWindows(lift(f.re, scale, bias), lift(f.im, scale, bias), plan, factors=f)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,17 @@
 """Mixing layers: identity cases, independent oracles, parameter counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcast.autograd import CTensor, Tensor
+from freqcast import backbones, model
+from freqcast.autograd import CTensor, Tensor, block_matrix, mean_all, mul
 from freqcast.backbones import (
+    BACKBONE_KINDS,
+    WEIGHT_MASKS,
     BackboneParams,
     backbone_forward,
     backbone_named_tensors,
@@ -15,9 +20,10 @@ from freqcast.backbones import (
     init_backbone,
 )
 from freqcast.compress import CompressedWindows, top_m_select
+from freqcast.config import MASK_MODES, RunConfig
 from freqcast.errors import ConfigError, ContractError
 from freqcast.hypercomplex import HCNumber, cd_multiply
-from freqcast.spectral import plan_stft, rstft
+from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
 
 def ct(rng, shape):
@@ -422,3 +428,117 @@ class TestBlockAssemblyProperties:
         want = pair_sum_oracle(kind, cv, params, radius, conj, mask)
         for got, w in zip(values(out), want):
             np.testing.assert_allclose(got, w, atol=1e-12)
+
+
+def entry_loop_matrix(weights, blocks, p, weight_mask):
+    """The block matrix assembled one table entry at a time, forward and
+    backward: the reference the array layout must reproduce bit for bit."""
+    entries = []
+    for src, dst, w, sign, conj_x, conj_w in blocks:
+        sx = -1 if conj_x else 1
+        sw = -1 if conj_w else 1
+        if weight_mask != "real":
+            entries += [(weights[w].re, src, dst, sign),
+                        (weights[w].re, p + src, p + dst, sign * sx)]
+        if weight_mask != "imag":
+            entries += [(weights[w].im, src, p + dst, sign * sw),
+                        (weights[w].im, p + src, dst, -sign * sx * sw)]
+    grid, size = 2 * p, weights[0].shape[0]
+    blocks_out = np.zeros((grid, grid, size, size))
+    for t, row, col, coef in entries:
+        blocks_out[row, col] += coef * t.data
+
+    def backward(g):
+        g = g.reshape(grid, size, grid, size)
+        for t, row, col, coef in entries:
+            piece = coef * g[row, :, col, :]
+            t.grad = piece if t.grad is None else t.grad + piece
+
+    parents = tuple({id(t): t for t, _, _, _ in entries}.values())
+    out = blocks_out.transpose(0, 2, 1, 3).reshape(grid * size, grid * size)
+    return Tensor(out, parents, backward)
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("kind, p, radius", [("fd", 3, 1), ("wm", 5, 2), ("hc", 4, 1),
+                                                 ("hc", 8, 1), ("basic", 3, 1)])
+    @pytest.mark.parametrize("conj", [True, False])
+    @pytest.mark.parametrize("mask", WEIGHT_MASKS)
+    def test_matches_the_per_entry_loop_bit_for_bit(self, kind, p, radius, conj, mask):
+        rng = np.random.default_rng(7)
+        params = init_backbone(kind, rng, p, 3, radius)
+        parts = [w.re for w in params.weights] + [w.im for w in params.weights]
+        g = rng.normal(size=(6 * p, 6 * p))
+
+        def run(build):
+            for t in parts:
+                t.grad = None
+            mix = build()
+            mean_all(mul(mix, g)).backward()
+            return mix.data, [t.grad for t in parts]
+
+        want, want_grads = run(lambda: entry_loop_matrix(
+            params.weights, block_table(kind, p, radius, conj)[1], p, mask))
+        got, got_grads = run(lambda: block_matrix(
+            parts, backbones._layout(kind, p, radius, conj, mask)))
+        np.testing.assert_array_equal(got, want)
+        for a, b in zip(got_grads, want_grads):
+            assert (a is None) == (b is None)
+            if b is not None:
+                np.testing.assert_array_equal(a, b)
+
+
+def factored_cfg(kind, mask_mode, window_fn):
+    return RunConfig(backbone=kind, mask_mode=mask_mode, window_fn=window_fn, lookback=16,
+                     horizon=4, windows=4, nfft=7, embed=3, top_m=2, hidden=5).validate()
+
+
+class TestFactoredBackbone:
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    @pytest.mark.parametrize("mask_mode", MASK_MODES)
+    @pytest.mark.parametrize("window_fn", WINDOW_FNS)
+    def test_factors_change_nothing_but_rounding(self, kind, mask_mode, window_fn,
+                                                 monkeypatch):
+        """forward through the lift's factors == forward on the materialised
+        spectra over the identity basis: outputs and every parameter gradient."""
+        cfg = factored_cfg(kind, mask_mode, window_fn)
+        rng = np.random.default_rng(3)
+        params = model.init_params(cfg)
+        params.embed_bias.data[:] = rng.normal(size=cfg.embed)
+        x = rng.normal(size=(3, cfg.lookback, 2))
+        named = params.named_tensors()
+
+        def run():
+            for _, t in named:
+                t.grad = None
+            out = model.forward(x, params, cfg)
+            mean_all(mul(out, out)).backward()
+            return out.data, [t.grad for _, t in named]
+
+        want, want_grads = run()
+        select = model.top_m_select
+        monkeypatch.setattr(model, "top_m_select",
+                            lambda s, m: dataclasses.replace(select(s, m), factors=None))
+        got, got_grads = run()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for (name, _), a, b in zip(named, got_grads, want_grads):
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+    def test_lifted_path_hands_the_backbone_the_two_row_basis(self, monkeypatch):
+        cfg = factored_cfg("basic", "none", "rectangular")
+        params = model.init_params(cfg)
+        seen = []
+        product = backbones.factored_matmul
+
+        def spy(x, coef, basis, w):
+            seen.append((coef.shape, basis))
+            return product(x, coef, basis, w)
+
+        monkeypatch.setattr(backbones, "factored_matmul", spy)
+        model.forward(np.ones((2, cfg.lookback, 1)), params, cfg)
+        [(coef_shape, basis)] = seen
+        np.testing.assert_array_equal(
+            basis, np.stack([params.embed_scale.data, params.embed_bias.data]))
+        assert coef_shape[-1] == 2 * cfg.windows * 2

@@ -62,9 +62,11 @@ BREAKERS = [
     ("data", {}, _names_outside(SYNTH_KINDS).map(lambda kind: "synth:" + kind)),
     ("synth_length", {}, st.integers(-10, 255)),
     ("synth_channels", {}, st.integers(-3, 0)),
+    ("synth_noise", {}, st.floats(max_value=0.0, exclude_max=True)
+        | st.sampled_from([math.nan, math.inf, -math.inf])),
     *((name, {}, st.integers(-3, 0))
       for name in ("horizon", "embed", "hidden", "epochs", "batch", "stride")),
-    ("lr", {}, st.floats(max_value=0.0) | st.just(math.nan)),
+    ("lr", {}, st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])),
     ("lr_decay", {}, st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
         | st.just(math.nan)),
 ]
@@ -121,6 +123,22 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="bad value for lookback: 1.5"):
             RunConfig.from_dict({"lookback": 1.5})
         assert RunConfig.from_dict({"lookback": 32.0}).lookback == 32
+
+    @pytest.mark.parametrize("field, value", [("synth_noise", -1.0), ("synth_noise", math.nan),
+                                              ("synth_noise", math.inf), ("lr", math.inf)])
+    def test_negative_or_non_finite_value_named(self, field, value):
+        problems = RunConfig(**{field: value}).problems()
+        assert problems and all(re.search(rf"(?<!\w){field}(?!\w)", p) for p in problems)
+
+    @pytest.mark.parametrize("value", [0.5, 2, -1, math.nan])
+    def test_bool_field_refuses_numbers_other_than_zero_and_one(self, value):
+        with pytest.raises(ConfigError, match="bad value for conjugate_neighbors"):
+            RunConfig.from_dict({"conjugate_neighbors": value})
+
+    @pytest.mark.parametrize("value, want", [(0, False), (1, True), (0.0, False),
+                                             (1.0, True), ("off", False)])
+    def test_bool_field_accepts_zero_and_one(self, value, want):
+        assert RunConfig.from_dict({"conjugate_neighbors": value}).conjugate_neighbors is want
 
     def test_non_mapping_config_rejected(self):
         with pytest.raises(ConfigError, match="must be a mapping, got list"):
@@ -401,3 +419,9 @@ class TestSynthCommand:
         import numpy as np
 
         np.testing.assert_allclose(ds.values, want.values, atol=1e-15)
+
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert main(["synth", "--noise", "-1", "--out", str(out)]) == 2
+        assert "noise" in capsys.readouterr().err
+        assert not out.exists()

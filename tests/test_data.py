@@ -191,6 +191,11 @@ class TestSynthCorpus:
         with pytest.raises(ConfigError):
             data_io.synth_corpus("brownian", 0, 400, 1)
 
+    @pytest.mark.parametrize("noise", [-1.0, -1e-300, np.nan, np.inf])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ConfigError, match="noise"):
+            data_io.synth_corpus("sinusoid_mix", 0, 400, 1, noise=noise)
+
     def test_noiseless_mix_has_dominant_periodicity(self):
         ds = data_io.synth_corpus("sinusoid_mix", 11, 2048, 1, noise=0.0)
         x = ds.values[:, 0] - ds.values[:, 0].mean()

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from freqcast import fftkit
 from freqcast.autograd import (
+    BlockLayout,
     CTensor,
     Tensor,
     add,
     block_matrix,
     concat,
+    factored_matmul,
     frames,
     getitem,
     irfft_real,
@@ -394,19 +396,73 @@ class TestAutogradPrimitives:
         a = Tensor(rng.normal(size=(2, 2)))
         b = Tensor(rng.normal(size=(2, 2)))
         # a tensor in several blocks, and two entries summed into one block
-        entries = [(a, 0, 0, 1.0), (b, 0, 2, -1.0), (a, 2, 1, 2.0), (b, 2, 1, 0.5)]
+        layout = BlockLayout.of([(0, 0, 0, 1.0), (1, 0, 2, -1.0), (0, 2, 1, 2.0),
+                                 (1, 2, 1, 0.5)], 3)
         want = np.zeros((6, 6))
         want[0:2, 0:2] = a.data
         want[0:2, 4:6] = -b.data
         want[4:6, 2:4] = 2.0 * a.data + 0.5 * b.data
-        np.testing.assert_array_equal(block_matrix(entries, 3).data, want)
+        np.testing.assert_array_equal(block_matrix([a, b], layout).data, want)
         x = Tensor(rng.normal(size=(4, 6)))
 
         def build():
-            y = matmul(x, block_matrix(entries, 3))
+            y = matmul(x, block_matrix([a, b], layout))
             return mean_all(mul(y, y))
 
         check_grads(build, [a, b, x])
+
+    def test_block_matrix_with_parts_used_unequally_often(self, rng):
+        """A part in three blocks, one in a single block: the backward's later
+        rounds name only some parts."""
+        a, b, c = (Tensor(rng.normal(size=(2, 2))) for _ in range(3))
+        layout = BlockLayout.of([(0, 0, 0, 1.0), (2, 1, 1, 3.0), (0, 1, 0, -2.0),
+                                 (1, 0, 1, 1.0), (0, 1, 1, 0.5), (1, 1, 0, -1.0)], 2)
+        g = rng.normal(size=(4, 4))
+        mix = block_matrix([a, b, c], layout)
+        want = np.zeros((4, 4))
+        want[:2, :2] = a.data
+        want[2:, 2:] = 3.0 * c.data + 0.5 * a.data
+        want[2:, :2] = -2.0 * a.data - b.data
+        want[:2, 2:] = b.data
+        np.testing.assert_array_equal(mix.data, want)
+        mix._backward(g)
+        gb = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        np.testing.assert_array_equal(a.grad, gb[0, 0] + -2.0 * gb[1, 0] + 0.5 * gb[1, 1])
+        np.testing.assert_array_equal(b.grad, gb[0, 1] + -1.0 * gb[1, 0])
+        np.testing.assert_array_equal(c.grad, 3.0 * gb[1, 1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(blocks=st.integers(1, 6), k=st.integers(1, 4), e=st.integers(1, 6),
+           m=st.integers(1, 9), lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factored_matmul_is_matmul_of_the_product(self, blocks, k, e, m, lead, seed):
+        """Forward, dx and dW of coef-over-basis against plain matmul on the
+        materialised x; over the identity basis, bit for bit."""
+        rng = np.random.default_rng(seed)
+        coef = rng.normal(size=tuple(lead) + (blocks * k,))
+        basis = rng.normal(size=(k, e))
+        x = np.matmul(coef.reshape(-1, blocks, k), basis).reshape(tuple(lead) + (blocks * e,))
+        w = rng.normal(size=(blocks * e, m))
+        g = rng.normal(size=tuple(lead) + (m,))
+
+        def run(op, *args):
+            xt, wt = Tensor(x), Tensor(w)
+            y = op(xt, *args, wt) if args else op(xt, wt)
+            mean_all(mul(y, g)).backward()
+            return y.data, xt.grad, wt.grad
+
+        want = run(matmul)
+        for got, ref in zip(run(factored_matmul, coef, basis), want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for got, ref in zip(run(factored_matmul, x, np.eye(e)), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_factored_matmul_refuses_mismatched_factors(self, rng):
+        x, w = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(8, 2)))
+        with pytest.raises(ContractError, match="factored_matmul"):
+            factored_matmul(x, rng.normal(size=(3, 3)), np.eye(4), w)
+        with pytest.raises(ContractError, match="factored_matmul"):
+            factored_matmul(x, rng.normal(size=(3, 4)), rng.normal(size=(2, 3)), w)
 
     def test_backward_needs_scalar(self, rng):
         t = Tensor(rng.normal(size=(2, 2)))

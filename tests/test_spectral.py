@@ -11,6 +11,7 @@ from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
 from freqcast.spectral import (
     WINDOW_FNS,
+    LiftFactors,
     SpectralWindows,
     istft,
     nearest_valid_window_count,
@@ -281,3 +282,19 @@ def test_kept_form_refuses_repeated_or_unordered_bins(bins):
     re = Tensor(np.ones((1, 1, 2, 1, 1)))
     with pytest.raises(ContractError, match="strictly ascending"):
         SpectralWindows(re, re, plan, np.array(bins).reshape(1, 1, 2, 1))
+
+
+def test_lifted_spectra_carry_their_factors(rng):
+    """rstft's factors multiply out to its planes, and mismatched ones are refused."""
+    plan = plan_stft(16, 3, 8)
+    scale, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, scale, bias)
+    f = s.factors
+    np.testing.assert_array_equal(f.basis, np.stack([scale.data, bias.data]))
+    for plane, coef in ((s.re, f.re), (s.im, f.im)):
+        np.testing.assert_allclose(coef @ f.basis, plane.data, rtol=0, atol=1e-14)
+    for bad in (LiftFactors(f.re, f.im, f.basis[:, :3]),
+                LiftFactors(f.re[..., :1], f.im[..., :1], f.basis),
+                LiftFactors(f.re, f.im[:1], f.basis)):
+        with pytest.raises(ContractError, match="factors"):
+            SpectralWindows(s.re, s.im, plan, factors=bad)
