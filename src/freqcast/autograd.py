@@ -7,10 +7,15 @@ appear on the tape: ``CTensor`` is just a (real, imag) pair of Tensors, so
 complex and hyper-complex layers differentiate through their real planes.
 
 Non-Tensor operands are treated as constants and receive no gradient.
+
+Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
+and closure its op hands it, so each op's intermediates are freed as soon as
+nothing reads them.  Inference runs there (``train.predict``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +24,36 @@ from . import fftkit
 from .errors import ContractError
 
 
+_recording = True  # whether new Tensors keep their parents and backward closure
+
+
+@contextmanager
+def no_tape():
+    """Record no tape inside the block, for forward passes that never run backward.
+
+    Ops still build their closures; ``Tensor.__init__`` drops them.  A Tensor
+    made inside has no history, so ``as_data`` takes it as data.  The switch
+    is process-wide, and the previous state comes back on exit, also when
+    the block raises.
+    """
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        if _recording:
+            self._parents, self._backward = parents, backward
+        else:
+            self._parents, self._backward = (), None
 
     @property
     def shape(self):
@@ -385,7 +412,16 @@ def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
     return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)
 
 
+def _tiles(starts, n: int, length: int) -> bool:
+    """Whether windows of n samples at ``starts`` lie end to end over [0, length)."""
+    return len(starts) * n == length and all(s == i * n for i, s in enumerate(starts))
+
+
 def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
+    """Sum window i of f (B, p, n, ...) in at starts[i] of a (B, length, ...) array;
+    a reshape of f, and no copy, when the windows tile the length."""
+    if _tiles(starts, f.shape[2], length):
+        return f.reshape((f.shape[0], length) + f.shape[3:])
     out = np.zeros((f.shape[0], length) + f.shape[3:])
     for i, s in enumerate(starts):
         out[:, s:s + f.shape[2]] += f[:, i]
@@ -394,8 +430,12 @@ def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
 
 def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
     """The windows xd[:, s:s+n] for s in starts, stacked, (B, L, ...) -> (B, p, n, ...),
-    each multiplied along its n axis by ``window`` (n,) when one is given."""
-    seg = xd[:, np.add.outer(starts, np.arange(n))]
+    each multiplied along its n axis by ``window`` (n,) when one is given.  Windows
+    that tile the length are a reshape of xd, and no copy."""
+    if _tiles(starts, n, xd.shape[1]):
+        seg = xd.reshape((xd.shape[0], len(starts), n) + xd.shape[2:])
+    else:
+        seg = xd[:, np.add.outer(starts, np.arange(n))]
     return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
 
 
@@ -413,10 +453,10 @@ def frames(x: Tensor, starts, n: int, window=None) -> Tensor:
 
 def overlap_add(f: Tensor, starts, length: int) -> Tensor:
     """Adjoint of ``frames``: sum window i back in at starts[i], (B, p, n, ...) -> (B, L, ...)."""
-    idx = np.add.outer(starts, np.arange(f.data.shape[2]))
+    n = f.data.shape[2]
 
     def backward(g):
-        _accum(f, g[:, idx])
+        _accum(f, windowed_frames(g, starts, n))
 
     return Tensor(_overlap_add(f.data, starts, length), (f,), backward)
 

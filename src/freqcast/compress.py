@@ -13,7 +13,9 @@ forward values and frozen; gradients flow only through kept coefficients.
 The gather moves whole E-length rows: a (B, p, bins, D, E) plane is viewed
 as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.  The same
 rows of the lift's (..., K) coefficient planes, when the spectra carry
-them, are the factors of the kept entries.
+them, are the factors of the kept entries.  Those planes also give the
+score without touching the E axis: with c the coefficients and G the K x K
+Gram matrix of the basis, sum_e plane_e^2 == sum_jk G_jk c_j c_k.
 """
 
 from __future__ import annotations
@@ -54,6 +56,23 @@ def _rows(idx: np.ndarray, bins: int) -> np.ndarray:
     return (np.arange(b * p).reshape(b, p, 1, 1) * bins + idx) * d + np.arange(d)
 
 
+def _score(s: SpectralWindows) -> np.ndarray:
+    """Magnitude squared summed over E, (B, p, bins, D); from the factors when
+    the spectra carry them, one elementwise term per pair of coefficient
+    columns (a stacked (..., K) @ (K, K) product runs one GEMM per row)."""
+    f = s.factors
+    if f is None:
+        return (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)
+    gram = f.basis @ f.basis.T
+    score = np.zeros(f.re.shape[:-1])
+    for j, l in zip(*np.triu_indices(len(gram))):
+        term = f.re[..., j] * f.re[..., l]
+        term += f.im[..., j] * f.im[..., l]
+        term *= gram[j, l] if j == l else 2.0 * gram[j, l]
+        score += term
+    return score
+
+
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """Keep the m highest-energy bins per (sample, window, channel)."""
     if s.index is not None:
@@ -62,7 +81,7 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     bins = s.bins
     if not 1 <= m <= bins:
         raise ConfigError(f"top-M must satisfy 1 <= M <= {bins}, got {m}")
-    score = (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)  # (B, p, bins, D)
+    score = _score(s)  # (B, p, bins, D)
     order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
     idx = np.sort(order[:, :, :m], axis=2)
     per_window = [(slice(None), i) for i in range(idx.shape[1])]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, mean_all, mul, sub
+from .autograd import Tensor, as_data, mean_all, mul, no_tape, sub
 from .config import RunConfig
 from .data import make_windows, metrics
 from .errors import ConfigError, ContractError, TrainingError
@@ -35,9 +35,13 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss; a tape cannot be consumed twice."""
+    """Reverse sweep from a scalar loss; a tape cannot be consumed twice, and a
+    loss with no tape (computed inside ``no_tape()``) would reach no parameter."""
     if loss.grad is not None:
         raise ContractError("backward() already ran on this loss node")
+    if not loss._parents:
+        raise ContractError("backward() got a loss with no tape; was it computed "
+                            "inside autograd.no_tape()?")
     loss.backward()
 
 
@@ -172,21 +176,30 @@ def write_metrics_csv(records: list[EpochRecord], path: str) -> None:
                              repr(r.val_mae), repr(r.val_rmse)])
 
 
-def predict(params: ForecastParams, cfg: RunConfig, x: np.ndarray,
+def predict(params: ForecastParams, cfg: RunConfig, x,
             chunk: int | None = None) -> np.ndarray:
-    """Forward in chunks without keeping graphs; returns (N, T, D).
+    """Forecasts (N, T, D) for the (N, L, D) windows ``x``, recording no tape.
 
-    ``chunk`` windows go through each forward; ``None`` means ``cfg.batch``.
+    ``x`` is data: an array, or anything numpy reads as one.  ``chunk``
+    windows go through each ``forward``; ``None`` means ``cfg.batch``, and
+    any other value must be a positive integer.  The forwards run inside
+    ``autograd.no_tape()``: no op keeps its inputs for a backward pass, so
+    each intermediate is freed once the next op has read it.  The values are
+    those of ``forward(x, ...).data``, bit for bit.
     """
     _keep_freed_buffers()
     chunk = cfg.batch if chunk is None else chunk
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)):
+        raise ContractError(f"predict chunk must be an integer number of windows, "
+                            f"got {chunk!r}")
     if chunk < 1:
         raise ContractError(f"predict chunk must be at least 1 window, got {chunk}")
-    if x.shape[0] == 0:
+    x = as_data(x, "predict")
+    if x.ndim == 0 or x.shape[0] == 0:
         raise ContractError(f"predict got no windows: input shape {x.shape}")
-    outs = []
-    for i in range(0, x.shape[0], chunk):
-        outs.append(forward(x[i:i + chunk], params, cfg).data)
+    with no_tape():
+        outs = [forward(x[i:i + chunk], params, cfg).data
+                for i in range(0, x.shape[0], chunk)]
     return np.concatenate(outs, axis=0)
 
 

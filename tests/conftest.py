@@ -1,8 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from freqcast import autograd
 from freqcast.autograd import Tensor
 from freqcast.hypercomplex import HCNumber
+
+
+@pytest.fixture(autouse=True)
+def tape_recording_stays_on():
+    """A test that leaves ``no_tape`` switched off fails here, where the leak
+    is, instead of silently handing later tests no gradients."""
+    assert autograd._recording, "tape recording was already off when the test started"
+    yield
+    assert autograd._recording, "the test left tape recording off"
+
+
+@st.composite
+def plan_geometry(draw, max_p: int, max_nfft: int):
+    """(p, nfft, hop) of a valid plan.  Half the draws tile the lookback (hop ==
+    nfft, or p = 1 with hop 0); the others overlap (p > 1, hop < nfft)."""
+    if draw(st.booleans(), label="tiles"):
+        p, nfft = draw(st.integers(1, max_p), label="p"), draw(st.integers(1, max_nfft))
+        return p, nfft, nfft if p > 1 else 0
+    p, nfft = draw(st.integers(2, max_p), label="p"), draw(st.integers(2, max_nfft))
+    return p, nfft, draw(st.integers(1, nfft - 1), label="hop")
 
 
 @pytest.fixture

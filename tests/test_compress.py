@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from freqcast.autograd import Tensor
 from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
-from freqcast.spectral import SpectralWindows, plan_stft, rstft
+from freqcast.model import _mask_spectra
+from freqcast.spectral import WINDOW_FNS, SpectralWindows, plan_stft, rstft
+
+from conftest import plan_geometry
 
 
 def make_spectra(rng, lookback=32, p=3, nfft=16, channels=2, embed=2, batch=2):
@@ -182,3 +185,50 @@ def test_routing_matches_exhaustive_sort(case):
     for full, back in ((re, padded.re.data), (im, padded.im.data)):
         expected = np.where(kept[..., None], full, 0.0)
         assert back.tobytes() == expected.tobytes()
+
+
+@st.composite
+def lifted_spectra(draw):
+    """Lifted spectra on a random plan and window function, with one plane
+    masked or none, and a random M.  The input, scale and bias are each
+    all-zero in about half the draws, so zero bias, zero scale and an
+    all-zero lifted input all come up."""
+    p, nfft, hop = draw(plan_geometry(4, 16))
+    plan = plan_stft(nfft + (p - 1) * hop, p, nfft, draw(st.sampled_from(WINDOW_FNS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def maybe_zero(shape):
+        return rng.normal(size=shape) if draw(st.booleans()) else np.zeros(shape)
+
+    e = draw(st.integers(1, 4))
+    x = maybe_zero((draw(st.integers(1, 3)), plan.lookback, draw(st.integers(1, 3)), 1))
+    scale, bias = maybe_zero(e), maybe_zero(e)
+    s = rstft(x, plan, Tensor(scale), Tensor(bias))
+    s = _mask_spectra(s, draw(st.sampled_from([None, "real", "imag"])))
+    return s, draw(st.integers(1, plan.bins)), not (x * scale + bias).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lifted_spectra())
+def test_factored_score_keeps_the_exhaustive_sorts_bins(case):
+    """Top-M scores lifted spectra from their factors.  Wherever the direct
+    score of the lifted planes separates the M-th from the (M+1)-th bin by
+    more than 1e-9 relative, the kept bins are the exhaustive sort's; on an
+    all-zero lifted input every score ties and bins 0..M-1 are kept."""
+    s, m, zero = case
+    assert s.factors is not None
+    score = (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)
+    kept = np.stack(top_m_select(s, m).indices, axis=1)
+    b, p, bins, d = score.shape
+    event("all-zero lifted input" if zero else "non-zero lifted input")
+    if zero:
+        assert np.array_equal(kept, np.broadcast_to(np.arange(m)[:, None], kept.shape))
+    for ix in np.ndindex(b, p):
+        for k in range(d):
+            ranked = sorted(range(bins), key=lambda j: (-score[ix][j, k], j))
+            if m < bins:
+                last, out = score[ix][ranked[m - 1], k], score[ix][ranked[m], k]
+                if not last - out > 1e-9 * abs(last):
+                    event("a column too close to call")
+                    continue
+            assert kept[ix][:, k].tolist() == sorted(ranked[:m])

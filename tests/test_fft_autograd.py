@@ -31,7 +31,7 @@ from freqcast.autograd import (
 from freqcast.errors import ContractError
 from freqcast.spectral import WINDOW_FNS, SpectralWindows, istft, plan_stft
 
-from conftest import max_rel_err, naive_dft, numeric_gradient
+from conftest import max_rel_err, naive_dft, numeric_gradient, plan_geometry
 
 
 # every length class: 1, odd, even non-power-of-2, powers of 2 up to 256
@@ -381,16 +381,48 @@ class TestAutogradPrimitives:
                                          x.data)), [f])
 
     @settings(max_examples=60, deadline=None)
-    @given(nfft=st.integers(1, 12), p=st.integers(1, 5), data=st.data())
-    def test_frames_and_overlap_add_are_adjoint(self, nfft, p, data):
-        hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+    @given(geometry=plan_geometry(5, 12), data=st.data())
+    def test_frames_and_overlap_add_are_adjoint(self, geometry, data):
+        """Holds on every plan; half the draws tile the lookback, where both ops
+        are reshapes, and half overlap."""
+        p, nfft, hop = geometry
         plan = plan_stft(nfft + (p - 1) * hop, p, nfft)
+        event("tiles" if p * nfft == plan.lookback else "overlaps")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(2, plan.lookback, 3))
         y = rng.normal(size=(2, p, nfft, 3))
         lhs = (frames(Tensor(x), plan.starts, nfft).data * y).sum()
         rhs = (x * overlap_add(Tensor(y), plan.starts, plan.lookback).data).sum()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
+
+    @pytest.mark.parametrize("geometry", [(6, 1, 6), (12, 3, 4), (512, 4, 128)])
+    def test_tiling_frames_and_overlap_add_are_the_loop_bit_for_bit(self, rng, geometry):
+        """Where the windows tile the lookback, both ops are reshapes: forward and
+        backward give the values of the overlap-add loop and of the gather by a
+        window index, bit for bit (on data with no -0.0, which the loop's
+        zero buffer would turn into +0.0)."""
+        plan = plan_stft(*geometry)
+        b, p, n, length = 2, plan.window_count, plan.nfft, plan.lookback
+        idx = np.add.outer(plan.starts, np.arange(n))
+
+        def loop(f):
+            out = np.zeros((b, length) + f.shape[3:])
+            for i, s in enumerate(plan.starts):
+                out[:, s:s + n] += f[:, i]
+            return out
+
+        f = Tensor(rng.normal(size=(b, p, n, 3, 2)))
+        x = Tensor(rng.normal(size=(b, length, 3, 2)))
+        gx = rng.normal(size=x.shape)
+        gf = rng.normal(size=f.shape)
+        added, framed = overlap_add(f, plan.starts, length), frames(x, plan.starts, n)
+        assert added.data.tobytes() == loop(f.data).tobytes()
+        assert framed.data.tobytes() == x.data[:, idx].tobytes()
+        assert np.shares_memory(added.data, f.data) and np.shares_memory(framed.data, x.data)
+        added._backward(gx)
+        framed._backward(gf)
+        assert f.grad.tobytes() == gx[:, idx].tobytes()
+        assert x.grad.tobytes() == loop(gf).tobytes()
 
     def test_block_matrix_layout_and_grads(self, rng):
         a = Tensor(rng.normal(size=(2, 2)))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from freqcast import fftkit
@@ -20,7 +20,7 @@ from freqcast.spectral import (
     valid_window_counts,
 )
 
-from conftest import max_rel_err, naive_dft, numeric_gradient
+from conftest import max_rel_err, naive_dft, numeric_gradient, plan_geometry
 
 
 def spectra_values(x, plan):
@@ -250,13 +250,14 @@ def test_rstft_gradient_with_either_plane_unused(rng, planes):
 
 
 @settings(max_examples=80, deadline=None)
-@given(p=st.integers(1, 6), nfft=st.integers(1, 40), window_fn=st.sampled_from(WINDOW_FNS),
-       data=st.data())
-def test_synthesis_round_trips_on_random_valid_plans(p, nfft, window_fn, data):
+@given(geometry=plan_geometry(6, 40), window_fn=st.sampled_from(WINDOW_FNS), data=st.data())
+def test_synthesis_round_trips_on_random_valid_plans(geometry, window_fn, data):
     """istft inverts rstft on every valid plan, and so it does after keeping
-    every bin through top-M and the padding's kept form."""
-    hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+    every bin through top-M and the padding's kept form.  Half the draws tile
+    the lookback, and half overlap."""
+    p, nfft, hop = geometry
     plan = plan_stft(nfft + (p - 1) * hop, p, nfft, window_fn)
+    event("tiles" if p * nfft == plan.lookback else "overlaps")
     shape = (data.draw(st.integers(1, 3), label="B"), plan.lookback,
              data.draw(st.integers(1, 3), label="D"), data.draw(st.integers(1, 3), label="E"))
     x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).normal(

@@ -13,7 +13,8 @@ import pytest
 import freqcast
 from freqcast import data as data_io
 from freqcast import train as train_mod
-from freqcast.autograd import Tensor
+from freqcast import autograd
+from freqcast.autograd import Tensor, no_tape
 from freqcast.config import RunConfig
 from freqcast.errors import ContractError, TrainingError
 from freqcast.model import forward, init_params
@@ -65,6 +66,15 @@ class TestBackward:
         loss = mse_loss(x, np.zeros_like(x.data))
         backward(loss)
         with pytest.raises(ContractError):
+            backward(loss)
+
+    def test_loss_without_a_tape_rejected(self, rng):
+        """Inside no_tape() a loss keeps no history: a sweep from it would
+        silently leave every parameter without a gradient."""
+        x = Tensor(rng.normal(size=(2, 1, 1)))
+        with no_tape():
+            loss = mse_loss(x, np.zeros_like(x.data))
+        with pytest.raises(ContractError, match="no tape"):
             backward(loss)
 
     def test_masked_weights_get_exactly_zero_gradient(self, rng):
@@ -335,6 +345,55 @@ class TestPredict:
     def test_input_without_windows_rejected(self):
         with pytest.raises(ContractError, match="no windows"):
             predict(self.params, self.cfg, self.x[:0])
+
+    @pytest.mark.parametrize("chunk", [2.5, True, 4.0, "4"])
+    def test_chunk_that_is_not_an_integer_rejected(self, chunk):
+        """2.5 died in range() with a bare TypeError, and True meant 1."""
+        with pytest.raises(ContractError, match=f"integer number of windows, got {chunk!r}"):
+            predict(self.params, self.cfg, self.x, chunk=chunk)
+
+    def test_numpy_integer_chunk_accepted(self):
+        assert np.array_equal(predict(self.params, self.cfg, self.x, chunk=np.int64(3)),
+                              predict(self.params, self.cfg, self.x, chunk=3))
+
+    def test_nested_list_input_is_taken_as_an_array(self):
+        """A list has no .shape: it died with a bare AttributeError."""
+        assert np.array_equal(predict(self.params, self.cfg, self.x.tolist()),
+                              predict(self.params, self.cfg, self.x))
+
+
+class TestNoTape:
+    def setup_method(self):
+        self.cfg = small_cfg(batch=4)
+        self.params = init_params(self.cfg)
+        self.params.embed_bias.data[...] = np.random.default_rng(3).normal(size=self.cfg.embed)
+        self.x = np.random.default_rng(2).normal(size=(10, self.cfg.lookback, 2))
+
+    def test_forward_inside_records_no_parents_and_no_backward(self):
+        with no_tape():
+            assert not autograd._recording
+            out = forward(self.x, self.params, self.cfg)
+        assert out._parents == () and out._backward is None
+
+    def test_recording_is_back_on_after_the_block_and_after_predict_raises(self):
+        with no_tape():
+            pass
+        assert autograd._recording
+        with pytest.raises(ContractError, match="lookback"):
+            predict(self.params, self.cfg, self.x[:, 1:])
+        assert autograd._recording
+        loss = mse_loss(forward(self.x, self.params, self.cfg), np.zeros((10, 4, 2)))
+        backward(loss)
+        assert self.params.head_w1.grad is not None
+
+    def test_forward_outside_still_refuses_a_computed_tensor(self):
+        computed = Tensor(self.x) * 1.0
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            forward(computed, self.params, self.cfg)
+
+    def test_predict_equals_forward_bit_for_bit(self):
+        assert (predict(self.params, self.cfg, self.x, chunk=10).tobytes()
+                == forward(self.x, self.params, self.cfg).data.tobytes())
 
 
 FAULTS_PER_CHUNK = """
