@@ -59,10 +59,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -93,17 +89,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -161,13 +148,6 @@ def sub(a: Tensor, b) -> Tensor:
             _accum(b, _unbroadcast(-g, b.data.shape))
 
     return Tensor(a.data - bd, parents, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g)
-
-    return Tensor(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -276,21 +256,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     return Tensor(np.transpose(a.data, axes), (a,), backward)
 
 
-def getitem(a: Tensor, idx) -> Tensor:
-    """Basic (slice/int) indexing only."""
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[idx] = g
-        _accum(a, buf)
-
-    return Tensor(a.data[idx], (a,), backward)
-
-
 def split(a: Tensor, idxs) -> list[Tensor]:
     """Disjoint basic-index parts ``a[idx]``, one per entry of ``idxs``.  Their
     gradients fill one buffer, which a hub node hands to ``a`` after all of
-    them ran; p ``getitem`` nodes would allocate p buffers."""
+    them ran, so p parts cost one zero buffer, not p."""
     buf: list[np.ndarray] = []
     hub = Tensor(a.data, (a,), lambda g: _accum(a, buf.pop()) if buf else None)
 
@@ -338,63 +307,58 @@ def _rounds(keys: list[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Where ``block_matrix`` puts its parts: entry j adds coefs[j] * part
-    planes[j] into block (rows[j], cols[j]) of a grid x grid block matrix.
+    """Where ``block_matrix`` puts its parts: entry j places coefs[j] * part
+    planes[j] in block (rows[j], cols[j]) of a grid x grid block matrix.  No
+    two entries name one block; a part may fill several blocks.
 
-    ``fwd`` and ``bwd`` hold the (rows, cols, planes, coefs) arrays ordered
-    in rounds, which ``fwd_bounds`` and ``bwd_bounds`` delimit: the k-th
-    entry of each block, or of each part, is in round k, so rounds add in
-    table order.  The first backward round names each used part once, in
-    order of first use; ``slots`` holds, for each later round, where its
-    entries' parts are in that first round (a slice when it names them all).
+    ``entries`` holds the (rows, cols, planes, coefs) arrays ordered in
+    rounds, which ``bounds`` delimits: the k-th entry of each part is in
+    round k, so each part's blocks add in table order.  The first round
+    names each used part once, in order of first use; ``slots`` holds, for
+    each later round, where its entries' parts are in that first round (a
+    slice when it names them all).
     """
 
     grid: int
-    fwd: tuple[np.ndarray, ...]
-    fwd_bounds: list[int]
-    bwd: tuple[np.ndarray, ...]
-    bwd_bounds: list[int]
+    entries: tuple[np.ndarray, ...]
+    bounds: list[int]
     slots: list[slice | np.ndarray]
 
     @classmethod
     def of(cls, entries, grid: int) -> "BlockLayout":
-        """From (plane, row, col, coef) tuples, summed into their blocks in this order."""
+        """From (plane, row, col, coef) tuples, each naming a different block."""
         planes, rows, cols, coefs = (np.array(col) for col in zip(*entries))
-        arrays = (rows, cols, planes, coefs.astype(np.float64).reshape(-1, 1, 1))
+        blocks = (rows * grid + cols).tolist()
+        if len(set(blocks)) != len(blocks):
+            twice = next(b for j, b in enumerate(blocks) if b in blocks[:j])
+            raise ContractError(f"block ({twice // grid}, {twice % grid}) is named twice; "
+                                "a block matrix takes one part per block")
         first: dict[int, int] = {}
         slot = np.array([first.setdefault(part, len(first)) for part in planes.tolist()])
-        fwd_rounds = _rounds((rows * grid + cols).tolist())
-        bwd_rounds = _rounds(planes.tolist())
-        fwd = np.argsort(fwd_rounds, kind="stable")
-        bwd = np.lexsort((slot, bwd_rounds))
-        fwd_bounds, bwd_bounds = (
-            np.searchsorted(r[order], np.arange(r.max() + 2)).tolist()
-            for r, order in ((fwd_rounds, fwd), (bwd_rounds, bwd)))
-        slots = [slot[bwd[lo:hi]] for lo, hi in zip(bwd_bounds[1:-1], bwd_bounds[2:])]
+        rounds = _rounds(planes.tolist())
+        order = np.lexsort((slot, rounds))
+        bounds = np.searchsorted(rounds[order], np.arange(rounds.max() + 2)).tolist()
+        slots = [slot[order[lo:hi]] for lo, hi in zip(bounds[1:-1], bounds[2:])]
         slots = [slice(None) if len(s) == len(first) else s for s in slots]
-        return cls(grid, tuple(a[fwd] for a in arrays), fwd_bounds,
-                   tuple(a[bwd] for a in arrays), bwd_bounds, slots)
+        arrays = (rows, cols, planes, coefs.astype(np.float64).reshape(-1, 1, 1))
+        return cls(grid, tuple(a[order] for a in arrays), bounds, slots)
 
 
 def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
     """Square matrix of grid x grid equal-sized square blocks from ``parts``,
     placed as ``layout`` says; blocks no entry names are zero.
 
-    Each direction is one gather and one scatter per round, in table order:
-    the result, and the gradient of a part that had none, are those of adding
-    the entries one by one.
+    The forward is one gather and one scatter.  The backward gathers each
+    part's blocks in rounds, in table order: a part's gradient is that of
+    adding its blocks one by one.
     """
     size, grid = parts[0].data.shape[0], layout.grid
-    rows, cols, planes, coefs = layout.fwd
+    rows, cols, planes, coefs = layout.entries
+    bounds = layout.bounds
     pieces = np.take(np.stack([t.data for t in parts]), planes, axis=0)
     pieces *= coefs
     out = np.zeros((grid, size, grid, size))
-    bounds = layout.fwd_bounds
-    out[rows[:bounds[1]], :, cols[:bounds[1]], :] = pieces[:bounds[1]]
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        out[rows[lo:hi], :, cols[lo:hi], :] += pieces[lo:hi]
-    rows, cols, planes, coefs = layout.bwd
-    bounds = layout.bwd_bounds
+    out[rows, :, cols, :] = pieces
     used = [parts[i] for i in planes[:bounds[1]]]
 
     def backward(g):
@@ -439,20 +403,9 @@ def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
     return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
 
 
-def frames(x: Tensor, starts, n: int, window=None) -> Tensor:
-    """``windowed_frames`` of a Tensor; its adjoint is the windowed overlap-add."""
-    length = x.data.shape[1]
-
-    def backward(g):
-        if window is not None:
-            g = g * np.reshape(window, (n,) + (1,) * (g.ndim - 3))
-        _accum(x, _overlap_add(g, starts, length))
-
-    return Tensor(windowed_frames(x.data, starts, n, window), (x,), backward)
-
-
 def overlap_add(f: Tensor, starts, length: int) -> Tensor:
-    """Adjoint of ``frames``: sum window i back in at starts[i], (B, p, n, ...) -> (B, L, ...)."""
+    """Adjoint of ``windowed_frames``: sum window i back in at starts[i],
+    (B, p, n, ...) -> (B, L, ...)."""
     n = f.data.shape[2]
 
     def backward(g):
@@ -502,20 +455,6 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
         _accum(a, buf.reshape(a.data.shape))
 
     return Tensor(np.take(flat, rows, axis=0), (a,), backward)
-
-
-def rfft_pair(x: Tensor, axis: int = -1) -> tuple[Tensor, Tensor]:
-    """One-sided DFT of a real tensor; returns (real, imag) plane Tensors."""
-    n = x.data.shape[axis]
-    re, im = fftkit.rfft_onesided(x.data, axis=axis)
-
-    def backward_re(g):
-        _accum(x, fftkit.rfft_transpose(g, np.zeros_like(g), n, axis=axis))
-
-    def backward_im(g):
-        _accum(x, fftkit.rfft_transpose(np.zeros_like(g), g, n, axis=axis))
-
-    return Tensor(re, (x,), backward_re), Tensor(im, (x,), backward_im)
 
 
 def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1, index=None) -> Tensor:

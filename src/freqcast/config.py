@@ -149,10 +149,13 @@ class RunConfig:
             v = merged[f.name]
             try:
                 if f.type in ("int", int):
-                    if isinstance(v, float) and not v.is_integer():
-                        raise ValueError(v)  # int() would silently drop the fraction
+                    # int() would silently drop a fraction, and make a bool 0 or 1
+                    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+                        raise ValueError(v)
                     coerced[f.name] = int(v)
                 elif f.type in ("float", float):
+                    if isinstance(v, bool):  # float() would make it 0.0 or 1.0
+                        raise ValueError(v)
                     coerced[f.name] = float(v)
                 elif f.type in ("bool", bool):
                     coerced[f.name] = _as_bool(v)

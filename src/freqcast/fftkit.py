@@ -115,7 +115,8 @@ def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
 
 
 def rfft_transpose(gre, gim, n: int, axis: int = -1):
-    """Transpose of the rfft_onesided linear map, applied to cotangents."""
+    """Transpose of the rfft_onesided linear map, applied to cotangents.  Analysis
+    takes its input as data, so no op calls it; the bench's probe wraps it by name."""
     return _on_axis(_operators(n)[0].T, axis, gre, gim)
 
 

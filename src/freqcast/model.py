@@ -245,13 +245,26 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
             raise ContractError(f"checkpoint {path} header lacks {missing}")
         if header["version"] != 1:
             raise ContractError(f"unsupported checkpoint version {header['version']}")
-        cfg = RunConfig.from_dict(header["config"])
+        try:
+            cfg = RunConfig.from_dict(header["config"]).validate()
+        except ConfigError as e:  # init_params would fail on it with a bare numpy error
+            raise ContractError(f"checkpoint {path} field 'config': {e}") from e
         params = init_params(cfg)
         named = dict(params.named_tensors())
+        if not isinstance(header["tensors"], list):
+            raise ContractError(f"checkpoint {path} field 'tensors' must be a list, "
+                                f"got {header['tensors']!r}")
         for i, e in enumerate(header["tensors"]):
             lacking = [k for k in ("name", "shape") if not isinstance(e, dict) or k not in e]
             if lacking:
                 raise ContractError(f"checkpoint {path} tensor entry {i} lacks {lacking}")
+            if not isinstance(e["name"], str):
+                raise ContractError(f"checkpoint {path} tensor entry {i} field 'name' must "
+                                    f"be a string, got {e['name']!r}")
+            if not (isinstance(e["shape"], list) and all(
+                    type(n) is int and n >= 0 for n in e["shape"])):
+                raise ContractError(f"checkpoint {path} tensor entry {i} field 'shape' must "
+                                    f"be a list of sizes, got {e['shape']!r}")
         listed = [entry["name"] for entry in header["tensors"]]
         missing = [name for name in named if name not in listed]
         unknown = [name for name in listed if name not in named]
@@ -273,7 +286,10 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
                 raise ContractError(f"checkpoint truncated while reading {name!r}")
-            named[name].data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            values = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(values).all():
+                raise ContractError(f"checkpoint {path} tensor {name!r} holds non-finite values")
+            named[name].data = values
         if fh.read(1):
             raise ContractError(f"checkpoint has trailing bytes after {listed[-1]!r}")
     return params, cfg, header.get("norm_stats")

@@ -23,13 +23,11 @@ from .autograd import (
     CTensor,
     Tensor,
     as_data,
-    frames,
     irfft_real,
     lift,
     lift_columns,
     mul,
     overlap_add,
-    rfft_pair,
     windowed_frames,
 )
 from .errors import ConfigError, ContractError
@@ -52,10 +50,6 @@ class StftPlan:
     @property
     def starts(self) -> list[int]:
         return [i * self.hop for i in range(self.window_count)]
-
-    @property
-    def centers(self) -> list[float]:
-        return [s + self.nfft / 2 for s in self.starts]
 
     def window_values(self) -> np.ndarray:
         return _window_values(self.window_fn, self.nfft)
@@ -219,36 +213,32 @@ class SpectralWindows:
 
 def rstft(x, plan: StftPlan, scale: Tensor | None = None,
           bias: Tensor | None = None) -> SpectralWindows:
-    """One-sided DFT of each windowed segment of a real (B, L, D, E) tensor.
+    """One-sided DFT of each windowed segment of a real (B, L, D, E) input.
 
-    Given the embedding lift's (E,) ``scale`` and ``bias``, x must be the
-    un-lifted (B, L, D, 1) input and the result is the analysis of
-    x * scale + bias, formed in the spectral domain by linearity as
-    X * scale + U * bias, where X analyses x and U a constant-one lookback.
-    x is then data, as in ``model.embed``: gradients reach scale and bias only.
-    The result carries the columns [X, U] and the basis [scale; bias] as its
-    ``factors``.
+    x is data, as in ``model.embed``: no gradient reaches it, and a Tensor
+    computed by earlier ops is refused.  Alone, x gives two constant planes.
+    With the embedding lift's (E,) ``scale`` and ``bias``, x is the un-lifted
+    (B, L, D, 1) input and the result analyses x * scale + bias, formed by
+    linearity as X * scale + U * bias (U analyses a constant-one lookback):
+    gradients reach scale and bias only, and the result carries the columns
+    [X, U] and the basis [scale; bias] as its ``factors``.
     """
     lifted = scale is not None or bias is not None
-    if lifted:
-        x = as_data(x, "rstft with scale and bias")
-    elif not isinstance(x, Tensor):
-        x = Tensor(x)
+    x = as_data(x, "rstft")
     if x.ndim != 4:
         raise ContractError(f"rstft expects (B, L, D, E), got shape {x.shape}")
     if x.shape[1] != plan.lookback:
         raise ContractError(
             f"rstft: time axis {x.shape[1]} != plan lookback {plan.lookback}"
         )
-    window = None if plan.window_fn == "rectangular" else plan.window_values()
-    if not lifted:
-        return SpectralWindows(*rfft_pair(frames(x, plan.starts, plan.nfft, window), axis=2),
-                               plan)
-    if scale is None or bias is None or x.shape[3] != 1:
+    if lifted and (scale is None or bias is None or x.shape[3] != 1):
         raise ContractError("rstft lifts a (B, L, D, 1) input by both scale and bias, "
                             f"got shape {x.shape}")
+    window = None if plan.window_fn == "rectangular" else plan.window_values()
     seg = windowed_frames(x, plan.starts, plan.nfft, window)
     x_re, x_im = fftkit.rfft_onesided(seg, axis=2)
+    if not lifted:
+        return SpectralWindows(Tensor(x_re), Tensor(x_im), plan)
     u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
     f = LiftFactors(lift_columns(x_re, u_re), lift_columns(x_im, u_im),
                     np.stack([scale.data, bias.data]))

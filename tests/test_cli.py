@@ -1,12 +1,15 @@
 """End-to-end command-line workflows in a temporary directory."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import re
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +126,14 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="bad value for lookback: 1.5"):
             RunConfig.from_dict({"lookback": 1.5})
         assert RunConfig.from_dict({"lookback": 32.0}).lookback == 32
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)
+                                       if f.type in ("int", "float")])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_refused_for_numeric_field(self, field, value):
+        """--set epochs=true would otherwise train 1 epoch, and lr=true use 1.0."""
+        with pytest.raises(ConfigError, match=f"bad value for {field}: {value}"):
+            RunConfig.from_dict({field: value})
 
     @pytest.mark.parametrize("field, value", [("synth_noise", -1.0), ("synth_noise", math.nan),
                                               ("synth_noise", math.inf), ("lr", math.inf)])
@@ -316,6 +327,28 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e2")]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint {bad}: {message}" in err
+
+    @pytest.mark.parametrize("corrupt,message", [
+        ("tensors", "field 'tensors' must be a list, got 5"),
+        ("nan", "tensor 'head.b2' holds non-finite values"),
+    ], ids=["tensors-int", "nan"])
+    def test_malformed_checkpoint_exits_2_naming_the_field(self, tmp_path, checkpoint, capsys,
+                                                           corrupt, message):
+        bad = tmp_path / "bad.ckpt"
+        if corrupt == "nan":
+            params, cfg, stats = load_checkpoint(str(checkpoint))
+            params.head_b2.data[0] = np.nan
+            save_checkpoint(str(bad), params, cfg, stats)
+        else:
+            blob = checkpoint.read_bytes()
+            (hlen,) = struct.unpack("<Q", blob[8:16])
+            header = json.loads(blob[16:16 + hlen])
+            header["tensors"] = 5
+            new = json.dumps(header).encode("utf-8")
+            bad.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen:])
+        assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e2")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"checkpoint {bad} {message}" in err
 
     def test_data_with_other_channel_count_rejected(self, tmp_path, checkpoint, capsys):
         csv_path = tmp_path / "three.csv"

@@ -116,7 +116,7 @@ def test_plane_shape_mismatch_rejected(rng):
     """Mismatched planes would broadcast into the score; they are refused."""
     s = make_spectra(rng)
     with pytest.raises(ContractError, match=r"re \(2, 3, 9, 2, 2\) vs im \(2, 3, 9, 2, 1\)"):
-        top_m_select(SpectralWindows(s.re, s.im[..., :1], s.plan), 2)
+        top_m_select(SpectralWindows(s.re, Tensor(s.im.data[..., :1]), s.plan), 2)
 
 
 @pytest.mark.parametrize("bad", [-1, 9])

@@ -1,11 +1,14 @@
 """FFT kernels against an independent oracle, and autograd gradient checks."""
 
+import inspect
+import types
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from freqcast import fftkit
+from freqcast import autograd, fftkit
 from freqcast.autograd import (
     BlockLayout,
     CTensor,
@@ -14,8 +17,6 @@ from freqcast.autograd import (
     block_matrix,
     concat,
     factored_matmul,
-    frames,
-    getitem,
     irfft_real,
     matmul,
     mean_all,
@@ -23,13 +24,18 @@ from freqcast.autograd import (
     overlap_add,
     relu,
     reshape,
-    rfft_pair,
+    split,
     sub,
     take_rows,
     transpose,
+    windowed_frames,
 )
+from freqcast.backbones import BACKBONE_KINDS
+from freqcast.config import RunConfig
 from freqcast.errors import ContractError
+from freqcast.model import forward, init_params
 from freqcast.spectral import WINDOW_FNS, SpectralWindows, istft, plan_stft
+from freqcast.train import mse_loss
 
 from conftest import max_rel_err, naive_dft, numeric_gradient, plan_geometry
 
@@ -280,7 +286,7 @@ class TestAutogradPrimitives:
         def build():
             x = reshape(a, (3, 4))
             x = transpose(x, (1, 0))
-            x = getitem(x, (slice(1, 3), slice(None)))
+            [x] = split(x, [(slice(1, 3), slice(None))])
             return mean_all(mul(x, x))
 
         check_grads(build, [a])
@@ -293,7 +299,7 @@ class TestAutogradPrimitives:
         w = rng.normal(size=(4, 3))
 
         def build():
-            cut = getitem(a, (slice(1, 3),))
+            [cut] = split(a, [(slice(1, 3),)])
             return mean_all(mul(add(a, b), w)) + mean_all(mul(cut, cut))
 
         check_grads(build, [a, b])
@@ -335,15 +341,17 @@ class TestAutogradPrimitives:
                 take_rows(Tensor(np.ones((4, 3))), np.array(bad))
 
     @pytest.mark.parametrize("n", [8, 12])
-    def test_fft_pair_grads(self, rng, n):
-        x = Tensor(rng.normal(size=(2, n, 2)))
+    def test_irfft_real_grads(self, rng, n):
+        """Both planes of a leaf spectrum, DC and Nyquist imag (no effect) included."""
+        bins = fftkit.onesided_bins(n)
+        re, im = (Tensor(rng.normal(size=(2, bins, 2))) for _ in range(2))
+        w = rng.normal(size=(2, n, 2))
 
         def build():
-            re, im = rfft_pair(x, axis=1)
             y = irfft_real(re, im, n, axis=1)
-            return mean_all(mul(add(y, re[:, :1]), y))
+            return mean_all(mul(add(y, w), y))
 
-        check_grads(build, [x])
+        check_grads(build, [re, im])
 
     @pytest.mark.parametrize("axis", [0, -1])
     def test_concat_and_overlapping_slices_grads(self, rng, axis):
@@ -351,7 +359,8 @@ class TestAutogradPrimitives:
         parts = [Tensor(rng.normal(size=(w, 3) if axis == 0 else (3, w))) for w in widths]
 
         def cut(y, lo, hi):
-            return getitem(y, (slice(lo, hi),) if axis == 0 else (Ellipsis, slice(lo, hi)))
+            [part] = split(y, [(slice(lo, hi),) if axis == 0 else (Ellipsis, slice(lo, hi))])
+            return part
 
         def build():
             y = concat(parts, axis=axis)
@@ -365,20 +374,15 @@ class TestAutogradPrimitives:
     @pytest.mark.parametrize("geometry", [(6, 1, 6), (10, 3, 6), (12, 3, 4)])
     def test_frames_and_overlap_add_grads(self, rng, geometry):
         plan = plan_stft(*geometry)  # one window, overlapping, hop == nfft
-        x = Tensor(rng.normal(size=(2, plan.lookback, 2)))
+        x = rng.normal(size=(2, plan.lookback, 2))
         f = Tensor(rng.normal(size=(2, plan.window_count, plan.nfft, 2)))
-        framed = frames(x, plan.starts, plan.nfft).data
+        framed = windowed_frames(x, plan.starts, plan.nfft)
         for i, s in enumerate(plan.starts):
-            np.testing.assert_array_equal(framed[:, i], x.data[:, s:s + plan.nfft])
-        check_grads(lambda: mean_all(mul(frames(x, plan.starts, plan.nfft), f.data)), [x])
+            np.testing.assert_array_equal(framed[:, i], x[:, s:s + plan.nfft])
         window = rng.uniform(0.5, 1.5, size=plan.nfft)
-        np.testing.assert_array_equal(frames(x, plan.starts, plan.nfft, window).data,
+        np.testing.assert_array_equal(windowed_frames(x, plan.starts, plan.nfft, window),
                                       framed * window[:, None])
-        x.grad = None
-        check_grads(lambda: mean_all(mul(frames(x, plan.starts, plan.nfft, window), f.data)),
-                    [x])
-        check_grads(lambda: mean_all(mul(overlap_add(f, plan.starts, plan.lookback),
-                                         x.data)), [f])
+        check_grads(lambda: mean_all(mul(overlap_add(f, plan.starts, plan.lookback), x)), [f])
 
     @settings(max_examples=60, deadline=None)
     @given(geometry=plan_geometry(5, 12), data=st.data())
@@ -391,16 +395,16 @@ class TestAutogradPrimitives:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(2, plan.lookback, 3))
         y = rng.normal(size=(2, p, nfft, 3))
-        lhs = (frames(Tensor(x), plan.starts, nfft).data * y).sum()
+        lhs = (windowed_frames(x, plan.starts, nfft) * y).sum()
         rhs = (x * overlap_add(Tensor(y), plan.starts, plan.lookback).data).sum()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
 
     @pytest.mark.parametrize("geometry", [(6, 1, 6), (12, 3, 4), (512, 4, 128)])
     def test_tiling_frames_and_overlap_add_are_the_loop_bit_for_bit(self, rng, geometry):
-        """Where the windows tile the lookback, both ops are reshapes: forward and
-        backward give the values of the overlap-add loop and of the gather by a
-        window index, bit for bit (on data with no -0.0, which the loop's
-        zero buffer would turn into +0.0)."""
+        """Where the windows tile the lookback, framing and overlap-add are
+        reshapes: they give the values of the gather by a window index and of
+        the overlap-add loop, bit for bit, and so does overlap-add's backward
+        (on data with no -0.0, which the loop's zero buffer would turn into +0.0)."""
         plan = plan_stft(*geometry)
         b, p, n, length = 2, plan.window_count, plan.nfft, plan.lookback
         idx = np.add.outer(plan.starts, np.arange(n))
@@ -412,28 +416,26 @@ class TestAutogradPrimitives:
             return out
 
         f = Tensor(rng.normal(size=(b, p, n, 3, 2)))
-        x = Tensor(rng.normal(size=(b, length, 3, 2)))
+        x = rng.normal(size=(b, length, 3, 2))
         gx = rng.normal(size=x.shape)
-        gf = rng.normal(size=f.shape)
-        added, framed = overlap_add(f, plan.starts, length), frames(x, plan.starts, n)
+        added, framed = overlap_add(f, plan.starts, length), windowed_frames(x, plan.starts, n)
         assert added.data.tobytes() == loop(f.data).tobytes()
-        assert framed.data.tobytes() == x.data[:, idx].tobytes()
-        assert np.shares_memory(added.data, f.data) and np.shares_memory(framed.data, x.data)
+        assert framed.tobytes() == x[:, idx].tobytes()
+        assert np.shares_memory(added.data, f.data) and np.shares_memory(framed, x)
         added._backward(gx)
-        framed._backward(gf)
         assert f.grad.tobytes() == gx[:, idx].tobytes()
-        assert x.grad.tobytes() == loop(gf).tobytes()
 
     def test_block_matrix_layout_and_grads(self, rng):
         a = Tensor(rng.normal(size=(2, 2)))
         b = Tensor(rng.normal(size=(2, 2)))
-        # a tensor in several blocks, and two entries summed into one block
+        # a tensor in several blocks, and a block no entry names
         layout = BlockLayout.of([(0, 0, 0, 1.0), (1, 0, 2, -1.0), (0, 2, 1, 2.0),
-                                 (1, 2, 1, 0.5)], 3)
+                                 (1, 1, 1, 0.5)], 3)
         want = np.zeros((6, 6))
         want[0:2, 0:2] = a.data
         want[0:2, 4:6] = -b.data
-        want[4:6, 2:4] = 2.0 * a.data + 0.5 * b.data
+        want[4:6, 2:4] = 2.0 * a.data
+        want[2:4, 2:4] = 0.5 * b.data
         np.testing.assert_array_equal(block_matrix([a, b], layout).data, want)
         x = Tensor(rng.normal(size=(4, 6)))
 
@@ -444,24 +446,32 @@ class TestAutogradPrimitives:
         check_grads(build, [a, b, x])
 
     def test_block_matrix_with_parts_used_unequally_often(self, rng):
-        """A part in three blocks, one in a single block: the backward's later
-        rounds name only some parts."""
+        """A part in three blocks, one in two and one in a single block: the
+        backward's later rounds name only some parts."""
         a, b, c = (Tensor(rng.normal(size=(2, 2))) for _ in range(3))
-        layout = BlockLayout.of([(0, 0, 0, 1.0), (2, 1, 1, 3.0), (0, 1, 0, -2.0),
-                                 (1, 0, 1, 1.0), (0, 1, 1, 0.5), (1, 1, 0, -1.0)], 2)
-        g = rng.normal(size=(4, 4))
+        layout = BlockLayout.of([(0, 0, 0, 1.0), (2, 2, 2, 3.0), (0, 1, 0, -2.0),
+                                 (1, 0, 1, 1.0), (0, 1, 1, 0.5), (1, 2, 0, -1.0)], 3)
+        g = rng.normal(size=(6, 6))
         mix = block_matrix([a, b, c], layout)
-        want = np.zeros((4, 4))
+        want = np.zeros((6, 6))
         want[:2, :2] = a.data
-        want[2:, 2:] = 3.0 * c.data + 0.5 * a.data
-        want[2:, :2] = -2.0 * a.data - b.data
-        want[:2, 2:] = b.data
+        want[4:, 4:] = 3.0 * c.data
+        want[2:4, :2] = -2.0 * a.data
+        want[:2, 2:4] = b.data
+        want[2:4, 2:4] = 0.5 * a.data
+        want[4:, :2] = -b.data
         np.testing.assert_array_equal(mix.data, want)
         mix._backward(g)
-        gb = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        gb = g.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
         np.testing.assert_array_equal(a.grad, gb[0, 0] + -2.0 * gb[1, 0] + 0.5 * gb[1, 1])
-        np.testing.assert_array_equal(b.grad, gb[0, 1] + -1.0 * gb[1, 0])
-        np.testing.assert_array_equal(c.grad, 3.0 * gb[1, 1])
+        np.testing.assert_array_equal(b.grad, gb[0, 1] + -1.0 * gb[2, 0])
+        np.testing.assert_array_equal(c.grad, 3.0 * gb[2, 2])
+
+    def test_block_layout_refuses_a_repeated_block(self):
+        """Two entries in one block would need the forward to add them in rounds;
+        no backbone layout names a block twice, so a table that does is refused."""
+        with pytest.raises(ContractError, match=r"block \(1, 0\) is named twice"):
+            BlockLayout.of([(0, 0, 0, 1.0), (0, 1, 0, 2.0), (1, 1, 0, -1.0)], 2)
 
     @settings(max_examples=80, deadline=None)
     @given(blocks=st.integers(1, 6), k=st.integers(1, 4), e=st.integers(1, 6),
@@ -512,3 +522,51 @@ class TestCTensor:
     def test_plane_shape_mismatch(self):
         with pytest.raises(ContractError):
             CTensor(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+
+
+def _builds_backward(code: types.CodeType) -> bool:
+    """Whether a function defines a closure named backward*, at any depth."""
+    return any(isinstance(c, types.CodeType)
+               and (c.co_name.startswith("backward") or _builds_backward(c))
+               for c in code.co_consts)
+
+
+def _recorded_ops(loss: Tensor) -> set[str]:
+    """The autograd functions whose closures sit on the tape under ``loss``."""
+    ops, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            ops.add(node._backward.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return ops
+
+
+# one training step per backbone kind; among them a hann window, an
+# overlapping plan (hop 4 < nfft 8) and a mask mode
+DEAD_OP_STEPS = {
+    "fd": dict(window_fn="hann", lookback=16, windows=3, nfft=8),
+    "wm": dict(mask_mode="w_imag+x_imag", lookback=16, windows=4, nfft=4),
+    "hc": dict(lookback=16, windows=4, nfft=4),
+    "basic": dict(lookback=16, windows=2, nfft=8),
+}
+
+
+def test_every_op_with_a_backward_is_recorded_by_a_training_step():
+    """A public autograd op that builds a backward closure but that no
+    training step puts on the tape is dead code: only tests would reach it."""
+    assert set(DEAD_OP_STEPS) == set(BACKBONE_KINDS)
+    ops = {name for name, fn in vars(autograd).items()
+           if inspect.isfunction(fn) and fn.__module__ == autograd.__name__
+           and not name.startswith("_") and _builds_backward(fn.__code__)}
+    recorded = set()
+    for kind, kw in DEAD_OP_STEPS.items():
+        cfg = RunConfig(backbone=kind, horizon=4, embed=3, top_m=2, hidden=5, **kw).validate()
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(2, cfg.lookback, 2)), rng.normal(size=(2, cfg.horizon, 2))
+        recorded |= _recorded_ops(mse_loss(forward(x, init_params(cfg), cfg), y))
+    assert "matmul" in ops and "block_matrix" in ops and "split" in ops
+    assert sorted(ops - recorded) == []

@@ -195,7 +195,13 @@ class TestSpectralLift:
     @given(p=st.sampled_from([1, 2, 4, 8]), window_fn=st.sampled_from(WINDOW_FNS),
            data=st.data())
     def test_lift_of_spectra_is_spectra_of_lift(self, p, window_fn, data):
-        """rstft(x, plan, scale, bias) == rstft(x * scale + bias): values, top-M, gradients."""
+        """rstft(x, plan, scale, bias) == rstft(x * scale + bias): values, top-M, gradients.
+
+        The oracle is the closed form over ``np.fft.rfft``: the planes analyse
+        the lifted windows, and with X the spectra of x's windows and U of
+        the window alone, the gradient of mean(re * w) + mean(im * w) is
+        sum(w * (Xr + Xi)) / N for scale and sum(w * (Ur + Ui)) / N for bias.
+        """
         nfft = data.draw(st.integers(1, 16), label="nfft")
         hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
         e = data.draw(st.integers(1, 5), label="embed")
@@ -207,18 +213,24 @@ class TestSpectralLift:
         bias = Tensor(rng.uniform(0.2, 1.0, size=e) * rng.choice([-1.0, 1.0], size=e))
         weight = rng.normal(size=(2, p, plan.bins, 3, e))
 
-        def spectra_and_grads(build):
-            scale.grad = bias.grad = None
-            s = build()
-            (mean_all(mul(s.re, weight)) + mean_all(mul(s.im, weight))).backward()
-            return s, [s.re.data, s.im.data, scale.grad, bias.grad]
+        lifted = rstft(x[..., None], plan, scale, bias)
+        (mean_all(mul(lifted.re, weight)) + mean_all(mul(lifted.im, weight))).backward()
+        got = [lifted.re.data, lifted.im.data, scale.grad, bias.grad]
 
-        lifted, got = spectra_and_grads(lambda: rstft(x[..., None], plan, scale, bias))
-        # the oracle lifts in the time domain, by broadcasting, as the definition reads
-        direct, want = spectra_and_grads(
-            lambda: rstft(mul(Tensor(x[..., None]), scale) + bias, plan))
+        window = plan.window_values()
+        frames = np.stack([x[:, s:s + nfft] for s in plan.starts], axis=1)  # (2, p, n, 3)
+        spec_x = np.fft.rfft(frames * window[:, None], axis=2)[..., None]
+        spec_u = np.fft.rfft(window)[:, None, None]
+        # the definition lifts in the time domain, by broadcasting, then windows
+        spec = np.fft.rfft((frames[..., None] * scale.data + bias.data)
+                           * window[:, None, None], axis=2)
+        n = weight.size
+        want = [spec.real, spec.imag,
+                (weight * (spec_x.real + spec_x.imag)).sum(axis=(0, 1, 2, 3)) / n,
+                (weight * (spec_u.real + spec_u.imag)).sum(axis=(0, 1, 2, 3)) / n]
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        direct = rstft(x[..., None] * scale.data + bias.data, plan)
         m = data.draw(st.integers(1, plan.bins), label="top_m")
         assert np.array_equal(top_m_select(lifted, m).indices, top_m_select(direct, m).indices)
 
@@ -451,6 +463,42 @@ class TestCheckpoint:
 
         self._edit_header(path, drop_key)
         with pytest.raises(ContractError, match=f"tensor entry 1 lacks \\['{key}'\\]"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.update(tensors=5), "field 'tensors' must be a list, got 5"),
+        (lambda h: h.update(tensors=None), "field 'tensors' must be a list, got None"),
+        (lambda h: h["tensors"][1].update(shape=5),
+         "tensor entry 1 field 'shape' must be a list of sizes, got 5"),
+        (lambda h: h["tensors"][1].update(shape=[4.0]),
+         "tensor entry 1 field 'shape' must be a list of sizes, got [4.0]"),
+        (lambda h: h["tensors"][1].update(name=["x"]),
+         "tensor entry 1 field 'name' must be a string, got ['x']"),
+        (lambda h: h["config"].update(lookback=-5),
+         "field 'config': invalid configuration:"),
+        (lambda h: h["config"].update(embed=0),
+         "field 'config': invalid configuration:\n  - embed must be >= 1, got 0"),
+        (lambda h: h["config"].update(epochs=True), "field 'config': bad value for epochs"),
+    ], ids=["tensors-int", "tensors-null", "shape-int", "shape-float", "name-list",
+            "config-lookback", "config-embed", "config-bool"])
+    def test_malformed_header_field_named(self, tmp_path, edit, message):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), init_params(cfg), cfg, None)
+        self._edit_header(path, lambda header: edit(header) or 0)
+        with pytest.raises(ContractError, match=re.escape(f"checkpoint {path} {message}")):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, bad):
+        """fit never writes a non-finite parameter; a checkpoint holding one is refused."""
+        cfg = tiny_cfg()
+        params = init_params(cfg)
+        params.head_b1.data[2] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, cfg, None)
+        with pytest.raises(ContractError,
+                           match=re.escape(f"checkpoint {path} tensor 'head.b1' holds non-finite")):
             load_checkpoint(str(path))
 
     def test_missing_file_named(self, tmp_path):
