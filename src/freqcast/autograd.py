@@ -295,82 +295,71 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     return Tensor(np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward)
 
 
-def _rounds(keys: list[int]) -> np.ndarray:
-    """For each entry, how many entries before it have its key."""
-    seen: dict[int, int] = {}
-    rounds = np.empty(len(keys), dtype=np.intp)
-    for j, key in enumerate(keys):
-        rounds[j] = seen.get(key, 0)
-        seen[key] = rounds[j] + 1
-    return rounds
-
-
 @dataclass(frozen=True)
 class BlockLayout:
     """Where ``block_matrix`` puts its parts: entry j places coefs[j] * part
     planes[j] in block (rows[j], cols[j]) of a grid x grid block matrix.  No
-    two entries name one block; a part may fill several blocks.
+    two entries name one block, and every part that is used fills the same
+    number ``uses`` of blocks.
 
-    ``entries`` holds the (rows, cols, planes, coefs) arrays ordered in
-    rounds, which ``bounds`` delimits: the k-th entry of each part is in
-    round k, so each part's blocks add in table order.  The first round
-    names each used part once, in order of first use; ``slots`` holds, for
-    each later round, where its entries' parts are in that first round (a
-    slice when it names them all).
+    The entries are round-major: round k holds the k-th entry of each used
+    part, parts in increasing order, so the first round names each used part
+    once and each part's blocks add in table order.
     """
 
     grid: int
-    entries: tuple[np.ndarray, ...]
-    bounds: list[int]
-    slots: list[slice | np.ndarray]
+    uses: int
+    rows: np.ndarray
+    cols: np.ndarray
+    planes: np.ndarray
+    coefs: np.ndarray
 
     @classmethod
     def of(cls, entries, grid: int) -> "BlockLayout":
-        """From (plane, row, col, coef) tuples, each naming a different block."""
+        """From (plane, row, col, coef) tuples, each naming a different block
+        and each used part equally often."""
         planes, rows, cols, coefs = (np.array(col) for col in zip(*entries))
         blocks = (rows * grid + cols).tolist()
         if len(set(blocks)) != len(blocks):
             twice = next(b for j, b in enumerate(blocks) if b in blocks[:j])
             raise ContractError(f"block ({twice // grid}, {twice % grid}) is named twice; "
                                 "a block matrix takes one part per block")
-        first: dict[int, int] = {}
-        slot = np.array([first.setdefault(part, len(first)) for part in planes.tolist()])
-        rounds = _rounds(planes.tolist())
-        order = np.lexsort((slot, rounds))
-        bounds = np.searchsorted(rounds[order], np.arange(rounds.max() + 2)).tolist()
-        slots = [slot[order[lo:hi]] for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        slots = [slice(None) if len(s) == len(first) else s for s in slots]
-        arrays = (rows, cols, planes, coefs.astype(np.float64).reshape(-1, 1, 1))
-        return cls(grid, tuple(a[order] for a in arrays), bounds, slots)
+        used, counts = np.unique(planes, return_counts=True)
+        if counts.min() != counts.max():
+            fills = ", ".join(f"part {u} in {c}" for u, c in zip(used.tolist(), counts.tolist()))
+            raise ContractError(f"parts fill unequal numbers of blocks ({fills}); "
+                                "a block matrix takes each used part equally often")
+        uses = int(counts[0])
+        order = np.argsort(planes, kind="stable").reshape(-1, uses).T.ravel()
+        return cls(grid, uses, rows[order], cols[order], planes[order],
+                   coefs.astype(np.float64).reshape(-1, 1, 1)[order])
 
 
 def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
     """Square matrix of grid x grid equal-sized square blocks from ``parts``,
     placed as ``layout`` says; blocks no entry names are zero.
 
-    The forward is one gather and one scatter.  The backward gathers each
-    part's blocks in rounds, in table order: a part's gradient is that of
-    adding its blocks one by one.
+    The forward is one gather and one scatter.  The backward is one gather of
+    every entry's block times its coef, then adds each later round into the
+    first: a part's gradient is that of adding its blocks one by one, in
+    table order.
     """
     size, grid = parts[0].data.shape[0], layout.grid
-    rows, cols, planes, coefs = layout.entries
-    bounds = layout.bounds
+    rows, cols, planes, coefs = layout.rows, layout.cols, layout.planes, layout.coefs
     pieces = np.take(np.stack([t.data for t in parts]), planes, axis=0)
     pieces *= coefs
     out = np.zeros((grid, size, grid, size))
     out[rows, :, cols, :] = pieces
-    used = [parts[i] for i in planes[:bounds[1]]]
+    used = [parts[i] for i in planes[:len(planes) // layout.uses]]
 
     def backward(g):
-        g = g.reshape(grid, size, grid, size)
+        rounds = g.reshape(grid, size, grid, size)[rows, :, cols, :]
+        rounds *= coefs
+        rounds = rounds.reshape(layout.uses, len(used), size, size)
         # the parts' gradients are views of one array: it holds the first round
-        grads = g[rows[:bounds[1]], :, cols[:bounds[1]], :]
-        grads *= coefs[:bounds[1]]
-        for (lo, hi), slot in zip(zip(bounds[1:-1], bounds[2:]), layout.slots):
-            piece = g[rows[lo:hi], :, cols[lo:hi], :]
-            piece *= coefs[lo:hi]
-            grads[slot] += piece
-        for t, piece in zip(used, grads):
+        for later in rounds[1:]:
+            rounds[0] += later
+        for t, piece in zip(used, rounds[0]):
             _accum(t, piece)
 
     return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)

@@ -233,9 +233,3 @@ def backbone_named_tensors(kind: str, params: BackboneParams) -> list[tuple[str,
         named.append((f"backbone.{kind}.{name}.re", ct.re))
         named.append((f"backbone.{kind}.{name}.im", ct.im))
     return named
-
-
-def backbone_weight_ctensors(kind: str, params: BackboneParams) -> list[CTensor]:
-    """The weight matrices only (biases excluded), for masking checks."""
-    _check_kind(kind)
-    return list(params.weights)

@@ -75,10 +75,9 @@ def _out_root(args) -> str:
     return args.out or os.environ.get(OUT_ROOT_ENV) or "runs"
 
 
-def _make_run_dir(root: str, tag: str, cfg: RunConfig | None = None) -> str:
+def _make_run_dir(root: str, tag: str, cfg: RunConfig) -> str:
     stamp = _dt.datetime.now().strftime("%Y%m%d-%H%M%S")
-    suffix = f"-{config_hash(cfg)}" if cfg is not None else ""
-    base = os.path.join(root, f"{tag}-{stamp}{suffix}")
+    base = os.path.join(root, f"{tag}-{stamp}-{config_hash(cfg)}")
     path, k = base, 1
     while os.path.exists(path):
         k += 1
@@ -216,19 +215,20 @@ SWEEPS = ("top_m", "lookback", "mask", "backbone")
 
 
 def _sweep_values(args, cfg: RunConfig) -> list:
+    """The sweep's values, each once: every value gets its own run directory."""
     if args.sweep == "mask":
-        return list(MASK_MODES) if not args.values else args.values.split(",")
-    if args.sweep == "backbone":
-        return (args.values.split(",") if args.values else ["wm", "hc", "basic"])
-    if not args.values:
+        values = list(MASK_MODES) if not args.values else args.values.split(",")
+    elif args.sweep == "backbone":
+        values = args.values.split(",") if args.values else ["wm", "hc", "basic"]
+    elif not args.values:
         raise ConfigError(f"--values is required for the {args.sweep} sweep")
-    out = []
-    for v in args.values.split(","):
-        if args.sweep == "top_m" and v.strip() == "max":
-            out.append(cfg.plan().bins)
-        else:
-            out.append(_flag_int("--values", v))
-    return out
+    else:
+        values = [cfg.plan().bins if args.sweep == "top_m" and v.strip() == "max"
+                  else _flag_int("--values", v) for v in args.values.split(",")]
+    twice = next((v for j, v in enumerate(values) if v in values[:j]), None)
+    if twice is not None:
+        raise ConfigError(f"--values gives {args.sweep}={twice} more than once")
+    return values
 
 
 def cmd_ablate(args) -> int:

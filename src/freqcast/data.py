@@ -27,7 +27,6 @@ log = logging.getLogger(__name__)
 class Dataset:
     name: str
     values: np.ndarray  # (timesteps, channels) float64
-    frequency: str
     channel_names: list[str]
 
     @property
@@ -39,7 +38,7 @@ class Dataset:
         return self.values.shape[1]
 
 
-def load_csv(path: str, name: str | None = None, frequency: str = "unknown") -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Parse a header+rows CSV; a non-numeric first column is a timestamp."""
     with open_text(path, "CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
@@ -82,7 +81,7 @@ def load_csv(path: str, name: str | None = None, frequency: str = "unknown") -> 
                     f"{path}: line {line}, column {c + 1}: non-finite cell {cell!r}"
                 )
             values[r, c - start_col] = value
-    return Dataset(name or path, values, frequency, channel_names)
+    return Dataset(path, values, channel_names)
 
 
 def split_chronological(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,6 +211,8 @@ def synth_corpus(kind: str, seed: int, length: int, channels: int,
         raise ConfigError(f"unknown synthetic corpus {kind!r}; choose from {SYNTH_KINDS}")
     if length < 256:
         raise ConfigError(f"synthetic corpora need length >= 256, got {length}")
+    if channels < 1:
+        raise ConfigError(f"synthetic corpora need channels >= 1, got {channels}")
     if not 0 <= noise < np.inf:
         raise ConfigError(f"synthetic corpus noise must be finite and >= 0, got {noise}")
     # crc32, not hash(): the stream must not depend on PYTHONHASHSEED
@@ -255,6 +256,5 @@ def synth_corpus(kind: str, seed: int, length: int, channels: int,
     return Dataset(
         name=f"{kind}-seed{seed}",
         values=values,
-        frequency="synthetic",
         channel_names=[f"ch{d}" for d in range(channels)],
     )

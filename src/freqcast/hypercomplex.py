@@ -336,8 +336,3 @@ def find_sedenion_zero_divisor() -> tuple[HCNumber, HCNumber]:
         if hc_norm(x) > 0 and hc_norm(y) > 0 and hc_norm(cd_multiply(x, y)) < 1e-9:
             return x, y
     raise ContractError("no sedenion zero divisor found; search is broken")
-
-
-def count_signed_basis_zero_divisors() -> int:
-    """Exhaustive count of vanishing signed-basis-pair products (base 16)."""
-    return sum(1 for _ in _signed_pair_products())

@@ -117,9 +117,7 @@ def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
     plane = weight_mask_plane(mode)
     if plane is None:
         return
-    from .backbones import backbone_weight_ctensors
-
-    for w in backbone_weight_ctensors(params.backbone_kind, params.backbone):
+    for w in params.backbone.weights:
         (w.re if plane == "real" else w.im).data[...] = 0.0
 
 

@@ -208,15 +208,13 @@ def evaluate(params: ForecastParams, cfg: RunConfig, x: np.ndarray,
     return metrics(predict(params, cfg, x), y)
 
 
-def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig,
-        params: ForecastParams | None = None,
-        rng: np.random.Generator | None = None) -> FitResult:
+def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitResult:
     """Mini-batch Adam over sliding windows; returns best-validation params."""
     _keep_freed_buffers()
     if train_split.size == 0 or val_split.size == 0:
         raise TrainingError("empty training or validation split")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    params = params if params is not None else init_params(cfg, rng)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(cfg, rng)
 
     x_train, y_train = make_windows(train_split, cfg.lookback, cfg.horizon, cfg.stride)
     x_val, y_val = make_windows(val_split, cfg.lookback, cfg.horizon, cfg.stride)

@@ -13,7 +13,7 @@ import pytest
 
 from freqcast import data as data_io
 from freqcast.autograd import Tensor
-from freqcast.backbones import backbone_weight_ctensors, count_weight_matrices
+from freqcast.backbones import count_weight_matrices
 from freqcast.cli import run_training
 from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.conformance import (
@@ -233,9 +233,7 @@ def test_c08_masking_robustness():
             assert np.isfinite(values).all(), f"{mode}: non-finite metric {values}"
         plane = weight_mask_plane(mode)
         if plane is not None:
-            for w in backbone_weight_ctensors(
-                result.params.backbone_kind, result.params.backbone
-            ):
+            for w in result.params.backbone.weights:
                 masked = w.re.data if plane == "real" else w.im.data
                 assert np.abs(masked).max() == 0.0, f"{mode}: weight plane drifted"
         debug = {}

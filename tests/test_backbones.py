@@ -11,6 +11,7 @@ from freqcast import backbones, model
 from freqcast.autograd import CTensor, Tensor, block_matrix, mean_all, mul
 from freqcast.backbones import (
     BACKBONE_KINDS,
+    HC_WINDOW_COUNTS,
     WEIGHT_MASKS,
     BackboneParams,
     backbone_forward,
@@ -486,6 +487,20 @@ class TestBlockLayout:
             assert (a is None) == (b is None)
             if b is not None:
                 np.testing.assert_array_equal(a, b)
+
+    def test_every_layout_fills_each_weight_plane_equally_often(self):
+        """Each block takes one weight plane, and each used plane fills 2 blocks
+        (2p on hc, whose p weights reach every window): ``BlockLayout.of``
+        refuses a table that breaks either, so a new one fails here."""
+        shapes = [(kind, p, radius) for kind in BACKBONE_KINDS
+                  for p in (HC_WINDOW_COUNTS if kind == "hc" else range(1, 17))
+                  for radius in (range(1, max(p, 2)) if kind == "wm" else (1,))]
+        layouts = [(kind, p, backbones._layout(kind, p, radius, conj, mask))
+                   for kind, p, radius in shapes
+                   for conj in (True, False) for mask in WEIGHT_MASKS]
+        assert len(layouts) == 936
+        for kind, p, layout in layouts:
+            assert layout.uses == (2 * p if kind == "hc" else 2)
 
 
 def factored_cfg(kind, mask_mode, window_fn):

@@ -414,6 +414,17 @@ class TestAblateCommand:
                     + fast_args(out=tmp_path)) == 2
         assert "--values: 'x' is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep, values, repeated", [
+        ("top_m", "2,2", "top_m=2"), ("top_m", "5,max", "top_m=5"),
+        ("mask", "none,none", "mask=none")])
+    def test_repeated_value_refused_before_any_run(self, tmp_path, capsys,
+                                                   sweep, values, repeated):
+        root = tmp_path / "sweep"
+        assert main(["ablate", "--sweep", sweep, "--values", values]
+                    + fast_args(out=root)) == 2
+        assert f"--values gives {repeated} more than once" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_failed_subruns_recorded_and_exit_nonzero(self, tmp_path):
         root = tmp_path / "sweep"
         code = main(["ablate", "--sweep", "lookback", "--values", "16,17"]
@@ -453,8 +464,11 @@ class TestSynthCommand:
 
         np.testing.assert_allclose(ds.values, want.values, atol=1e-15)
 
-    def test_negative_noise_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--noise", "-1", "noise"), ("--channels", "0", "channels >= 1, got 0"),
+        ("--channels", "-1", "channels >= 1, got -1")])
+    def test_bad_corpus_argument_rejected(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "corpus.csv"
-        assert main(["synth", "--noise", "-1", "--out", str(out)]) == 2
-        assert "noise" in capsys.readouterr().err
+        assert main(["synth", flag, value, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()

@@ -67,7 +67,7 @@ class TestLoadCsv:
 
 def make_dataset(n, channels=1):
     values = np.arange(n * channels, dtype=float).reshape(n, channels)
-    return data_io.Dataset("seq", values, "unit", [f"c{i}" for i in range(channels)])
+    return data_io.Dataset("seq", values, [f"c{i}" for i in range(channels)])
 
 
 class TestSplit:
@@ -186,6 +186,11 @@ class TestSynthCorpus:
     def test_length_floor(self):
         with pytest.raises(ConfigError):
             data_io.synth_corpus("sinusoid_mix", 0, 128, 1)
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_channels_floor(self, channels):
+        with pytest.raises(ConfigError, match=f"channels >= 1, got {channels}"):
+            data_io.synth_corpus("sinusoid_mix", 0, 400, channels)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

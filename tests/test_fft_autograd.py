@@ -445,27 +445,12 @@ class TestAutogradPrimitives:
 
         check_grads(build, [a, b, x])
 
-    def test_block_matrix_with_parts_used_unequally_often(self, rng):
-        """A part in three blocks, one in two and one in a single block: the
-        backward's later rounds name only some parts."""
-        a, b, c = (Tensor(rng.normal(size=(2, 2))) for _ in range(3))
-        layout = BlockLayout.of([(0, 0, 0, 1.0), (2, 2, 2, 3.0), (0, 1, 0, -2.0),
-                                 (1, 0, 1, 1.0), (0, 1, 1, 0.5), (1, 2, 0, -1.0)], 3)
-        g = rng.normal(size=(6, 6))
-        mix = block_matrix([a, b, c], layout)
-        want = np.zeros((6, 6))
-        want[:2, :2] = a.data
-        want[4:, 4:] = 3.0 * c.data
-        want[2:4, :2] = -2.0 * a.data
-        want[:2, 2:4] = b.data
-        want[2:4, 2:4] = 0.5 * a.data
-        want[4:, :2] = -b.data
-        np.testing.assert_array_equal(mix.data, want)
-        mix._backward(g)
-        gb = g.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
-        np.testing.assert_array_equal(a.grad, gb[0, 0] + -2.0 * gb[1, 0] + 0.5 * gb[1, 1])
-        np.testing.assert_array_equal(b.grad, gb[0, 1] + -1.0 * gb[2, 0])
-        np.testing.assert_array_equal(c.grad, 3.0 * gb[2, 2])
+    def test_block_layout_refuses_unequal_use(self):
+        """Every backbone layout fills each used part's blocks equally often, so
+        the backward adds whole rounds; a table that does not is refused."""
+        with pytest.raises(ContractError, match=r"part 0 in 3, part 1 in 2, part 2 in 1"):
+            BlockLayout.of([(0, 0, 0, 1.0), (2, 2, 2, 3.0), (0, 1, 0, -2.0),
+                            (1, 0, 1, 1.0), (0, 1, 1, 0.5), (1, 2, 0, -1.0)], 3)
 
     def test_block_layout_refuses_a_repeated_block(self):
         """Two entries in one block would need the forward to add them in rounds;

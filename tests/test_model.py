@@ -303,9 +303,7 @@ class TestMasking:
         cfg = dataclasses.replace(tiny_cfg(), mask_mode=mode)
         params = init_params(cfg)
         plane = weight_mask_plane(mode)
-        from freqcast.backbones import backbone_weight_ctensors
-
-        for w in backbone_weight_ctensors(params.backbone_kind, params.backbone):
+        for w in params.backbone.weights:
             masked = w.re.data if plane == "real" else w.im.data
             assert np.abs(masked).max() == 0.0
 

@@ -84,9 +84,7 @@ class TestBackward:
         y = rng.normal(size=(2, cfg.horizon, 2))
         loss = mse_loss(forward(x, params, cfg), y)
         backward(loss)
-        from freqcast.backbones import backbone_weight_ctensors
-
-        for w in backbone_weight_ctensors(params.backbone_kind, params.backbone):
+        for w in params.backbone.weights:
             g = w.im.grad
             assert g is None or np.abs(g).max() == 0.0
             assert w.re.grad is not None and np.abs(w.re.grad).max() > 0.0
