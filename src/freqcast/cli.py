@@ -36,7 +36,7 @@ from .config import (
     parse_config_file,
 )
 from .conformance import format_report, full_report
-from .errors import ConfigError, FreqcastError, open_input
+from .errors import ConfigError, FreqcastError, create_output, open_input
 from .model import load_checkpoint, save_checkpoint
 from .train import fit, predict, write_metrics_csv
 
@@ -48,6 +48,13 @@ def _flag_int(flag: str, item: str) -> int:
         return int(item)
     except ValueError:
         raise ConfigError(f"{flag}: {item!r} is not an integer") from None
+
+
+def _flag_seed(args) -> int:
+    """--seed of a command whose seed bypasses RunConfig (default 0)."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed or 0
 
 
 def _build_config(args) -> RunConfig:
@@ -82,7 +89,7 @@ def _make_run_dir(root: str, tag: str, cfg: RunConfig) -> str:
     while os.path.exists(path):
         k += 1
         path = f"{base}-{k}"
-    os.makedirs(path)
+    create_output(os.makedirs, path, "run directory")
     return path
 
 
@@ -274,19 +281,20 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    report = full_report(seed=args.seed or 0)
+    report = full_report(seed=_flag_seed(args))
     print(format_report(report))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with create_output(open, args.json, "JSON report", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
         print(f"json report: {args.json}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    ds = data_io.synth_corpus(args.kind, args.seed or 0, args.length,
+    ds = data_io.synth_corpus(args.kind, _flag_seed(args), args.length,
                               args.channels, args.noise)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with create_output(open, args.out, "corpus CSV", "w", encoding="utf-8",
+                       newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.channel_names)
         for row in ds.values:
@@ -297,8 +305,8 @@ def cmd_synth(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, config_opts: bool = True) -> None:
     p.add_argument("--out", help="output root (default: $FREQCAST_OUT_ROOT or ./runs)")
-    p.add_argument("--seed", type=int, help="override the run seed")
     if config_opts:
+        p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--manifest", help="reproduce the config of a past run")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

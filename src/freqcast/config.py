@@ -110,6 +110,8 @@ class RunConfig:
                 out.append(f"synth_channels must be >= 1, got {self.synth_channels}")
             if not 0 <= self.synth_noise < math.inf:
                 out.append(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
+        if self.seed < 0:
+            out.append(f"seed must be >= 0, got {self.seed}")
         for name in ("lookback", "horizon", "embed", "hidden", "epochs", "batch", "stride"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1, got {getattr(self, name)}")

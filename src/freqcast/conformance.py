@@ -15,7 +15,7 @@ plus a batch of randomly generated valid plans.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,9 +23,10 @@ from .autograd import Tensor
 from .errors import ConfigError
 from .hypercomplex import (
     PRINTED_LAYER_ROWS,
-    PRINTED_PRODUCT_ROWS,
+    VALID_BASES,
     cd_multiply_components,
     evaluate_rows,
+    printed_product,
 )
 from .spectral import StftPlan, istft, plan_stft, rstft
 
@@ -64,32 +65,18 @@ def algebra_rows(seed: int = 0, samples: int = 500) -> tuple[RowStatus, ...]:
     """Row-by-row deviation of every printed display from the recursion."""
     rng = np.random.default_rng(seed)
     rows: list[RowStatus] = []
-    # base 2: the printed display is the textbook complex product
-    a, b = _random_components(rng, 1, samples), _random_components(rng, 1, samples)
-    ref = cd_multiply_components(a, b)[0]
-    printed = (a[0].real * b[0].real - a[0].imag * b[0].imag) + 1j * (
-        a[0].real * b[0].imag + a[0].imag * b[0].real
-    )
-    dev = float(np.abs(ref - printed).max())
-    rows.append(RowStatus(2, "product", 0, dev, dev < ALGEBRA_TOL))
-    for base, table in sorted(PRINTED_PRODUCT_ROWS.items()):
+    displays = [("product", base, partial(printed_product, base)) for base in VALID_BASES]
+    displays += [("layer", base, partial(evaluate_rows, table))
+                 for base, table in sorted(PRINTED_LAYER_ROWS.items())]
+    for display, base, printed_fn in displays:
         p = base // 2
         a = _random_components(rng, p, samples)
         b = _random_components(rng, p, samples)
         ref = cd_multiply_components(a, b)
-        printed = evaluate_rows(table, a, b)
+        printed = printed_fn(a, b)
         for k in range(p):
             dev = float(np.abs(ref[k] - printed[k]).max())
-            rows.append(RowStatus(base, "product", k, dev, dev < ALGEBRA_TOL))
-    for base, table in sorted(PRINTED_LAYER_ROWS.items()):
-        p = base // 2
-        a = _random_components(rng, p, samples)
-        w = _random_components(rng, p, samples)
-        ref = cd_multiply_components(a, w)
-        printed = evaluate_rows(table, a, w)
-        for k in range(p):
-            dev = float(np.abs(ref[k] - printed[k]).max())
-            rows.append(RowStatus(base, "layer", k, dev, dev < ALGEBRA_TOL))
+            rows.append(RowStatus(base, display, k, dev, dev < ALGEBRA_TOL))
     return tuple(rows)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the openers for user-named files."""
+"""Exception types shared across the package, and the openers for user-named paths."""
 
 import io
 
@@ -29,6 +29,15 @@ def open_input(path: str, what: str, error: type[FreqcastError], mode: str = "r"
         return open(path, mode, **kwargs)
     except OSError as e:
         raise error(f"cannot open {what} {path}: {e.strerror}") from e
+
+
+def create_output(make, path: str, what: str, *args, **kwargs):
+    """``make(path, ...)`` (``open`` or ``os.makedirs``) for an output the user named;
+    failure raises ConfigError naming the path and cause."""
+    try:
+        return make(path, *args, **kwargs)
+    except OSError as e:
+        raise ConfigError(f"cannot create {what} {path}: {e.strerror}") from e
 
 
 def open_text(path: str, what: str, error: type[FreqcastError], newline: str | None = None):

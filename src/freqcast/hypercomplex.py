@@ -13,7 +13,7 @@ published expansions are not all mutually consistent.  ``conformance``
 compares them row by row against the recursion.
 
 Norms are multiplicative up to base 8; base 16 has zero divisors, one of
-which ``find_sedenion_zero_divisor`` exhibits by brute-force search.
+which is ``SEDENION_ZERO_DIVISOR``.
 """
 
 from __future__ import annotations
@@ -69,19 +69,10 @@ class HCNumber:
         _check_same_base(self, other)
         return HCNumber(self.base, tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self) -> "HCNumber":
-        return HCNumber(self.base, tuple(-a for a in self.components))
-
-    def __mul__(self, other: "HCNumber") -> "HCNumber":
-        return cd_multiply(self, other)
-
     def conj(self) -> "HCNumber":
         """First component complex-conjugated, all others negated."""
         head = self.components[0].conjugate()
         return HCNumber(self.base, (head,) + tuple(-c for c in self.components[1:]))
-
-    def norm(self) -> float:
-        return hc_norm(self)
 
 
 def _check_same_base(a: HCNumber, b: HCNumber) -> None:
@@ -204,45 +195,15 @@ def evaluate_rows(rows, a_comps, b_comps):
     return out
 
 
-def explicit_product_base2(a: HCNumber, b: HCNumber) -> HCNumber:
-    """Textbook complex product, written out over real parts."""
-    _require_base(a, b, 2)
-    x, y = a.components[0], b.components[0]
-    re = x.real * y.real - x.imag * y.imag
-    im = x.real * y.imag + x.imag * y.real
-    return HCNumber(2, (complex(re, im),))
-
-
-def explicit_product_quat(a: HCNumber, b: HCNumber) -> HCNumber:
-    """Two-component product exactly as published (oracle only)."""
-    _require_base(a, b, 4)
-    return HCNumber(4, tuple(evaluate_rows(_QUAT_ROWS, a.components, b.components)))
-
-
-def explicit_product_oct(a: HCNumber, b: HCNumber) -> HCNumber:
-    """Four-component product exactly as published (oracle only)."""
-    _require_base(a, b, 8)
-    return HCNumber(8, tuple(evaluate_rows(_OCT_ROWS, a.components, b.components)))
-
-
-def explicit_product_sed(a: HCNumber, b: HCNumber) -> HCNumber:
-    """Eight-component product exactly as published (oracle only)."""
-    _require_base(a, b, 16)
-    return HCNumber(16, tuple(evaluate_rows(_SED_ROWS, a.components, b.components)))
-
-
-EXPLICIT_PRODUCTS = {
-    2: explicit_product_base2,
-    4: explicit_product_quat,
-    8: explicit_product_oct,
-    16: explicit_product_sed,
-}
-
-
-def _require_base(a: HCNumber, b: HCNumber, base: int) -> None:
-    _check_same_base(a, b)
-    if a.base != base:
-        raise ContractError(f"expected base {base}, got {a.base}")
+def printed_product(base: int, a_comps, b_comps):
+    """The published product display for ``base`` on component sequences
+    (scalars or arrays); base 2 is the textbook complex product over real parts."""
+    if base == 2:
+        (x,), (y,) = a_comps, b_comps
+        re = x.real * y.real - x.imag * y.imag
+        im = x.real * y.imag + x.imag * y.real
+        return [re + 1j * im]
+    return evaluate_rows(PRINTED_PRODUCT_ROWS[base], a_comps, b_comps)
 
 
 # --- bilinear structure of the recursion -------------------------------------
@@ -288,51 +249,8 @@ def component_product_table(base: int):
 
 # --- sedenion zero divisors ---------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _basis_product_table(base: int):
-    """table[a][b] = (k, sign) with u_a * u_b = sign * u_k."""
-    table = []
-    for a in range(base):
-        row = []
-        ua = HCNumber.basis(base, a)
-        for b in range(base):
-            prod = cd_multiply(ua, HCNumber.basis(base, b))
-            flat = []
-            for ci, c in enumerate(prod.components):
-                flat.extend([(2 * ci, c.real), (2 * ci + 1, c.imag)])
-            nz = [(k, v) for k, v in flat if abs(v) > 1e-12]
-            assert len(nz) == 1 and abs(abs(nz[0][1]) - 1.0) < 1e-12
-            row.append((nz[0][0], int(round(nz[0][1]))))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _signed_pair_products():
-    """Yield ((a, s, b), (c, t, d)) combos whose product vanishes, base 16."""
-    table = _basis_product_table(16)
-    pairs = [(a, s, b) for a in range(16) for b in range(a + 1, 16) for s in (1, -1)]
-    for a, s, b in pairs:
-        for c, t, d in pairs:
-            acc: dict[int, int] = {}
-            for idx, coef in ((a, 1), (b, s)):
-                for jdx, coef2 in ((c, 1), (d, t)):
-                    k, sign = table[idx][jdx]
-                    acc[k] = acc.get(k, 0) + coef * coef2 * sign
-            if all(v == 0 for v in acc.values()):
-                yield (a, s, b), (c, t, d)
-
-
-def _signed_pair_number(a: int, s: int, b: int) -> HCNumber:
-    x = HCNumber.basis(16, a)
-    y = HCNumber.basis(16, b)
-    return x + y if s == 1 else x - y
-
-
-def find_sedenion_zero_divisor() -> tuple[HCNumber, HCNumber]:
-    """Nonzero base-16 pair whose product has norm below 1e-9."""
-    for (a, s, b), (c, t, d) in _signed_pair_products():
-        x = _signed_pair_number(a, s, b)
-        y = _signed_pair_number(c, t, d)
-        if hc_norm(x) > 0 and hc_norm(y) > 0 and hc_norm(cd_multiply(x, y)) < 1e-9:
-            return x, y
-    raise ContractError("no sedenion zero divisor found; search is broken")
+# (u1 + u10) * (u4 - u15) == 0 under the recursion.
+SEDENION_ZERO_DIVISOR = (
+    HCNumber.basis(16, 1) + HCNumber.basis(16, 10),
+    HCNumber.basis(16, 4) - HCNumber.basis(16, 15),
+)

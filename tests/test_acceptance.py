@@ -23,10 +23,10 @@ from freqcast.conformance import (
 )
 from freqcast.config import MASK_MODES, RunConfig
 from freqcast.hypercomplex import (
-    EXPLICIT_PRODUCTS,
+    SEDENION_ZERO_DIVISOR,
     cd_multiply,
-    find_sedenion_zero_divisor,
     hc_norm,
+    printed_product,
 )
 from freqcast.model import forward, init_params, weight_mask_plane
 from freqcast.spectral import istft, rstft
@@ -48,7 +48,7 @@ def test_c01_algebra_oracle_equivalence():
         for _ in range(1000):
             a, b = rand_hc(rng, base), rand_hc(rng, base)
             rec = cd_multiply(a, b).components
-            exp = EXPLICIT_PRODUCTS[base](a, b).components
+            exp = printed_product(base, a.components, b.components)
             for row, (x, y) in enumerate(zip(rec, exp)):
                 if abs(x - y) > 1e-12:
                     assert row in flagged, (
@@ -58,7 +58,7 @@ def test_c01_algebra_oracle_equivalence():
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0
-    report(1, ok, f"{checked} products checked against the explicit oracles; "
+    report(1, ok, f"{checked} products checked against the published displays; "
                   f"deviations confined to flagged rows; {elapsed:.2f}s (< 5s)")
     assert ok, f"runtime {elapsed:.2f}s exceeds 5s"
 
@@ -72,7 +72,7 @@ def test_c02_norm_multiplicativity_and_zero_divisor():
             denom = hc_norm(a) * hc_norm(b)
             worst = max(worst, abs(hc_norm(cd_multiply(a, b)) - denom) / denom)
     assert worst < 1e-9, f"norm multiplicativity broke: rel err {worst:.3e}"
-    a, b = find_sedenion_zero_divisor()
+    a, b = SEDENION_ZERO_DIVISOR
     prod_norm = hc_norm(cd_multiply(a, b))
     ok = hc_norm(a) > 0 and hc_norm(b) > 0 and prod_norm < 1e-9
     report(2, ok, f"bases 2/4/8 multiplicative to {worst:.2e}; base-16 zero "

@@ -72,6 +72,7 @@ BREAKERS = [
     ("lr", {}, st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])),
     ("lr_decay", {}, st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
         | st.just(math.nan)),
+    ("seed", {}, st.integers(max_value=-1)),
 ]
 
 
@@ -259,6 +260,20 @@ class TestTrainCommand:
         assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--set", "seed=-1"]])
+    def test_negative_seed_exits_2_before_any_run_directory(self, tmp_path, capsys, flags):
+        root = tmp_path / "runs"
+        assert main(["train"] + fast_args(out=root) + flags) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("")
+        assert main(["train"] + fast_args(out=out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create run directory {out}" in err and "Not a directory" in err
+
     def test_out_root_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FREQCAST_OUT_ROOT", str(tmp_path / "envroot"))
         assert main(["train"] + [a for a in fast_args(out=tmp_path)[:-2]]) == 0
@@ -293,6 +308,20 @@ class TestEvalCommand:
         _, _, test = data_io.split_chronological(ds)
         windows = test.shape[0] - 16 - 4 + 1
         assert len(body) == windows * 4
+
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, checkpoint, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create run directory {out}" in err and "Not a directory" in err
+
+    def test_seed_flag_rejected(self, tmp_path, checkpoint, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", str(checkpoint), "--seed", "3",
+                  "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_non_integer_horizon_named(self, tmp_path, checkpoint, capsys):
         assert main(["eval", "--checkpoint", str(checkpoint), "--horizons", "2,abc",
@@ -425,6 +454,13 @@ class TestAblateCommand:
         assert f"--values gives {repeated} more than once" in capsys.readouterr().err
         assert not root.exists()
 
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("")
+        assert main(["ablate", "--sweep", "mask"] + fast_args(out=out)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create run directory {out}" in err and "Not a directory" in err
+
     def test_failed_subruns_recorded_and_exit_nonzero(self, tmp_path):
         root = tmp_path / "sweep"
         code = main(["ablate", "--sweep", "lookback", "--values", "16,17"]
@@ -446,6 +482,16 @@ class TestConformanceCommand:
         report = json.loads(json_path.read_text())
         assert report["algebra"] and report["roundtrip"]
 
+    def test_json_into_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        json_path = tmp_path / "missing" / "r.json"
+        assert main(["conformance", "--json", str(json_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot create JSON report {json_path}: No such file" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["conformance", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_recursion_matches_itself_rows_exist(self, capsys):
         assert main(["conformance"]) == 0
         out = capsys.readouterr().out
@@ -466,9 +512,15 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--noise", "-1", "noise"), ("--channels", "0", "channels >= 1, got 0"),
-        ("--channels", "-1", "channels >= 1, got -1")])
+        ("--channels", "-1", "channels >= 1, got -1"),
+        ("--seed", "-1", "--seed must be >= 0, got -1")])
     def test_bad_corpus_argument_rejected(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "corpus.csv"
         assert main(["synth", flag, value, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_into_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["synth", "--out", str(out)]) == 2
+        assert f"cannot create corpus CSV {out}: No such file" in capsys.readouterr().err
