@@ -2,7 +2,13 @@
 
 A ``Tensor`` records the op that produced it as a backward closure, in the
 micrograd style; ``Tensor.backward()`` topologically sorts the graph and
-accumulates gradients into every node's ``.grad``.  Complex values never
+sweeps it in reverse, accumulating gradients into the ``.grad`` of the
+leaves: the Tensors no recorded op produced (parameters, data, ``no_tape()``
+outputs).  A tape is single-use.  Once a node's closure has run, the sweep
+releases the node: it drops its closure and parents, and an interior node its
+gradient, so the graph is freed while the caller still holds the loss.  The
+root keeps its seed gradient, and a later backward that reaches a released
+node raises ``ContractError``.  Complex values never
 appear on the tape: ``CTensor`` is just a (real, imag) pair of Tensors, so
 complex and hyper-complex layers differentiate through their real planes.
 
@@ -44,8 +50,13 @@ def no_tape():
         _recording = outer
 
 
+def _spent(g):
+    raise ContractError("backward() reached a node whose tape an earlier backward "
+                        "consumed; a tape is single-use, so run the forward again")
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -63,6 +74,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def backward(self):
+        """Accumulate this scalar's gradient into the ``.grad`` of each leaf it
+        was computed from, consuming the tape.
+
+        Each node is popped as the sweep reaches it and released once its
+        closure has run, so only the leaves and this root, whose ``.grad`` is
+        the seed, keep a gradient.  A second sweep over any part of the tape
+        raises ``ContractError``.
+        """
         if self.data.size != 1:
             raise ContractError("backward() starts from a scalar loss")
         topo: list[Tensor] = []
@@ -81,9 +100,14 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._backward, node._parents = _spent, ()
+            if node is not self:
+                node.grad = None
 
     # operator sugar; the constant side of a mixed op gets no gradient
     def __add__(self, other):
@@ -117,10 +141,11 @@ def _raw(x):
 def as_data(x, who: str) -> np.ndarray:
     """x's values, for an op that takes its input as data and sends it no gradient.
 
-    A Tensor computed by earlier ops is refused: its history would be cut
-    without a word, and no gradient would reach what it was computed from.
+    A Tensor computed by earlier ops is refused, also once a backward has
+    consumed its tape: its history would be cut without a word, and no
+    gradient would reach what it was computed from.
     """
-    if isinstance(x, Tensor) and x._parents:
+    if isinstance(x, Tensor) and x._backward is not None:
         raise ContractError(f"{who} takes its input as data and sends it no gradient; "
                             "got a Tensor computed by earlier ops")
     return _raw(x)

@@ -185,8 +185,8 @@ def cmd_eval(args) -> int:
             f"horizons {bad} outside [1, {cfg.horizon}] supported by the checkpoint"
         )
 
-    preds = predict(params, cfg, x_test)
     run_dir = _make_run_dir(_out_root(args), "eval", cfg)
+    preds = predict(params, cfg, x_test)
 
     table_path = os.path.join(run_dir, "metrics_table.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:

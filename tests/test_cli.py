@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqcast import cli
 from freqcast import data as data_io
 from freqcast.backbones import ACTIVATIONS, BACKBONE_KINDS
 from freqcast.cli import main
@@ -309,9 +310,16 @@ class TestEvalCommand:
         windows = test.shape[0] - 16 - 4 + 1
         assert len(body) == windows * 4
 
-    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, checkpoint, capsys):
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, checkpoint, capsys,
+                                                 monkeypatch):
+        """The run directory is made before any forward runs over the test split."""
         out = tmp_path / "out.txt"
         out.write_text("")
+
+        def predict(*args, **kwargs):
+            raise AssertionError("predict ran before the run directory was made")
+
+        monkeypatch.setattr(cli, "predict", predict)
         assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"cannot create run directory {out}" in err and "Not a directory" in err

@@ -5,6 +5,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,11 @@ import freqcast
 from freqcast import data as data_io
 from freqcast import train as train_mod
 from freqcast import autograd
-from freqcast.autograd import Tensor, no_tape
+from freqcast.autograd import Tensor, mean_all, mul, no_tape
 from freqcast.config import RunConfig
 from freqcast.errors import ContractError, TrainingError
-from freqcast.model import forward, init_params
+from freqcast.model import embed, forward, init_params
+from freqcast.spectral import rstft
 from freqcast.train import Adam, backward, fit, mse_loss, predict
 
 SMALL = dict(lookback=16, horizon=4, embed=4, windows=2, nfft=8, top_m=4,
@@ -88,6 +91,77 @@ class TestBackward:
             g = w.im.grad
             assert g is None or np.abs(g).max() == 0.0
             assert w.re.grad is not None and np.abs(w.re.grad).max() > 0.0
+
+
+class TestReleasedTape:
+    """A backward sweep releases the tape it consumes, so a caller that keeps
+    the loss, as ``fit`` does until the next step, keeps no graph alive."""
+
+    def setup_method(self):
+        self.cfg = small_cfg(batch=4)
+        self.params = init_params(self.cfg)
+        rng = np.random.default_rng(7)
+        self.x = rng.normal(size=(4, self.cfg.lookback, 2))
+        self.y = rng.normal(size=(4, self.cfg.horizon, 2))
+
+    def test_no_interior_tensor_outlives_the_sweep(self):
+        debug: dict = {}
+        pred = forward(self.x, self.params, self.cfg, debug=debug)
+        loss = mse_loss(pred, self.y)
+        interior = {name: weakref.ref(t) for name, t in
+                    [("pred", pred), ("embedded", debug["embedded"]),
+                     ("reconstructed", debug["reconstructed"])]}
+        del pred, debug
+        backward(loss)
+        assert {name: ref() for name, ref in interior.items()} == dict.fromkeys(interior)
+        assert loss.grad is not None
+
+    def test_leaves_keep_their_gradients(self):
+        backward(mse_loss(forward(self.x, self.params, self.cfg), self.y))
+        for name, t in self.params.named_tensors():
+            assert t.grad is not None and np.isfinite(t.grad).all(), name
+        # the block matrix hands its weight planes views of one array
+        planes = [w.re.grad for w in self.params.backbone.weights]
+        planes += [w.im.grad for w in self.params.backbone.weights]
+        assert planes[0].base is not None
+        assert all(g.base is planes[0].base for g in planes)
+
+    def test_a_consumed_tape_cannot_be_swept_again(self):
+        pred = forward(self.x, self.params, self.cfg)
+        loss = mse_loss(pred, self.y)
+        backward(loss)
+        assert pred.grad is None and loss.grad is not None
+        with pytest.raises(ContractError, match="single-use"):
+            loss.backward()
+        with pytest.raises(ContractError, match="single-use"):
+            backward(mse_loss(pred, self.y))
+
+    def test_a_consumed_tensor_is_still_refused_as_data(self):
+        doubled = mul(Tensor(self.x[..., None]), 2.0)
+        backward(mean_all(mul(doubled, doubled)))
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            embed(doubled, self.params)
+        with pytest.raises(ContractError, match="computed by earlier ops"):
+            rstft(doubled, self.cfg.plan(), self.params.embed_scale, self.params.embed_bias)
+
+    def test_a_step_holds_no_earlier_step_graph(self):
+        """Under tracemalloc, the second of two steps peaks at most 10% above
+        the first, although the first step's loss is still held during it."""
+        named = self.params.named_tensors()
+        backward(mse_loss(forward(self.x, self.params, self.cfg), self.y))  # fill caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                for _, t in named:
+                    t.grad = None
+                tracemalloc.reset_peak()
+                loss = mse_loss(forward(self.x, self.params, self.cfg), self.y)
+                backward(loss)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class ReferenceAdam:
