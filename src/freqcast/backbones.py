@@ -76,20 +76,32 @@ def _uniform_ct(rng: np.random.Generator, shape, scale: float) -> CTensor:
     )
 
 
-def _check_kind(kind: str) -> None:
+def check_backbone(kind: str, window_count: int, radius: int) -> None:
+    """Refuse a backbone kind, or a window count or radius that kind cannot use."""
     if kind not in BACKBONE_KINDS:
         raise ConfigError(f"unknown backbone kind {kind!r}; choose from {BACKBONE_KINDS}")
-
-
-def _check_wm_radius(window_count: int, radius: int) -> None:
-    if radius < 1:
-        raise ConfigError(f"neighbor radius must be >= 1, got {radius}")
-    # p == 1 is allowed and degenerates to the per-window layer
-    if window_count > 1 and radius >= window_count:
+    if kind == "hc" and window_count not in HC_WINDOW_COUNTS:
         raise ConfigError(
-            f"neighbor radius {radius} must be smaller than the window count "
-            f"{window_count}"
+            f"the hyper-complex backbone needs a window count (windows) in "
+            f"{HC_WINDOW_COUNTS}, got {window_count}; use the window-mixing or basic "
+            f"backbone instead"
         )
+    # p == 1 is allowed and degenerates to the per-window layer
+    if kind == "wm" and 1 < window_count <= radius:
+        raise ConfigError(
+            f"neighbor radius (radius) {radius} must be smaller than the "
+            f"window count (windows) {window_count}"
+        )
+
+
+def check_radius(radius: int) -> None:
+    if radius < 1:
+        raise ConfigError(f"neighbor radius (radius) must be >= 1, got {radius}")
+
+
+def check_activation(act: str) -> None:
+    if act not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation {act!r}; choose from {ACTIVATIONS}")
 
 
 def block_table(kind: str, window_count: int, radius: int = 1,
@@ -100,7 +112,8 @@ def block_table(kind: str, window_count: int, radius: int = 1,
     uses a weight fixes its place in the initialisation draw order.
     """
     p = window_count
-    _check_kind(kind)
+    check_backbone(kind, p, radius)
+    check_radius(radius)
     if kind == "fd":
         return [f"{i}.w" for i in range(p)], [(i, i, i, 1, False, False) for i in range(p)]
     if kind == "basic":
@@ -108,18 +121,11 @@ def block_table(kind: str, window_count: int, radius: int = 1,
         return ([f"{src}->{dst}" for src, dst in pairs],
                 [(src, dst, n, 1, False, False) for n, (src, dst) in enumerate(pairs)])
     if kind == "hc":
-        if p not in HC_WINDOW_COUNTS:
-            raise ConfigError(
-                f"the hyper-complex backbone needs a window count in "
-                f"{HC_WINDOW_COUNTS}, got {p}; use the window-mixing or basic "
-                f"backbone instead"
-            )
         # output component k += sign * ca(x_i) * cb(w_j)
         return [f"w.{j}" for j in range(p)], [
             (i, k, j, sign, conj_x, conj_w)
             for k, i, j, sign, conj_x, conj_w in component_product_table(2 * p)
         ]
-    _check_wm_radius(p, radius)
     pairs = [
         (src, dst)
         for dst in range(p)
@@ -192,8 +198,7 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
                      conjugate_neighbors: bool = True,
                      weight_mask: str | None = None) -> CompressedWindows:
     """One mixing layer: act(windows @ assembled matrix + bias)."""
-    if act not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {act!r}; choose from {ACTIVATIONS}")
+    check_activation(act)
     if weight_mask not in WEIGHT_MASKS:
         raise ConfigError(f"unknown weight mask {weight_mask!r}")
     if kind == "wm" and radius != params.radius:

@@ -29,7 +29,7 @@ from . import __version__
 from . import data as data_io
 from .backbones import count_weight_matrices
 from .config import (
-    MASK_MODES,
+    MASK_PLANES,
     RunConfig,
     apply_overrides,
     config_hash,
@@ -224,7 +224,7 @@ SWEEPS = ("top_m", "lookback", "mask", "backbone")
 def _sweep_values(args, cfg: RunConfig) -> list:
     """The sweep's values, each once: every value gets its own run directory."""
     if args.sweep == "mask":
-        values = list(MASK_MODES) if not args.values else args.values.split(",")
+        values = list(MASK_PLANES) if not args.values else args.values.split(",")
     elif args.sweep == "backbone":
         values = args.values.split(",") if args.values else ["wm", "hc", "basic"]
     elif not args.values:

@@ -73,14 +73,17 @@ def _score(s: SpectralWindows) -> np.ndarray:
     return score
 
 
+def check_top_m(m: int, plan: StftPlan) -> None:
+    if not 1 <= m <= plan.bins:
+        raise ConfigError(f"top_m must be in [1, {plan.bins}] for nfft={plan.nfft}, got {m}")
+
+
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """Keep the m highest-energy bins per (sample, window, channel)."""
     if s.index is not None:
         raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
                             f"spectrum of {s.re.shape[2]} bins per window")
-    bins = s.bins
-    if not 1 <= m <= bins:
-        raise ConfigError(f"top-M must satisfy 1 <= M <= {bins}, got {m}")
+    check_top_m(m, s.plan)
     score = _score(s)  # (B, p, bins, D)
     order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
     idx = np.sort(order[:, :, :m], axis=2)
@@ -94,7 +97,7 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
         f = LiftFactors(np.take(f.re.reshape(-1, k), rows, axis=0),
                         np.take(f.im.reshape(-1, k), rows, axis=0), f.basis)
     return CompressedWindows([CTensor(r, i) for r, i in zip(re, im)],
-                             [idx[w] for w in per_window], bins, s.plan, f)
+                             [idx[w] for w in per_window], s.bins, s.plan, f)
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:

@@ -5,6 +5,10 @@ literals where possible and kept as strings otherwise.  Command-line
 overrides use the same ``key=value`` form and win over file values.  The
 merged mapping is what lands in the run manifest, so a manifest alone
 reproduces a run.
+
+Validation states each rule once: a rule that a component enforces is checked
+by the component's own function, so ``validate()`` gives its message.  Only the
+synthetic-corpus rules are restated, as ``synth_corpus`` words them by flag.
 """
 
 from __future__ import annotations
@@ -15,20 +19,28 @@ import json
 import math
 from dataclasses import dataclass
 
-from .backbones import ACTIVATIONS, BACKBONE_KINDS, HC_WINDOW_COUNTS
+from .backbones import check_activation, check_backbone, check_radius
+from .compress import check_top_m
 from .data import SYNTH_KINDS
 from .errors import ConfigError, open_text
-from .spectral import WINDOW_FNS, StftPlan, plan_stft
+from .spectral import StftPlan, plan_stft
 
-MASK_MODES = (
-    "none",
-    "x_real",
-    "x_imag",
-    "w_real",
-    "w_imag",
-    "w_imag+x_imag",
-    "w_real+x_real",
-)
+# mask_mode -> (plane of the input spectra, plane of the backbone weights) it zeroes
+MASK_PLANES = {
+    "none": (None, None),
+    "x_real": ("real", None),
+    "x_imag": ("imag", None),
+    "w_real": (None, "real"),
+    "w_imag": (None, "imag"),
+    "w_imag+x_imag": ("imag", "imag"),
+    "w_real+x_real": ("real", "real"),
+}
+
+
+def mask_planes(mode: str) -> tuple[str | None, str | None]:
+    if mode not in MASK_PLANES:
+        raise ConfigError(f"unknown mask_mode {mode!r}; choose from {tuple(MASK_PLANES)}")
+    return MASK_PLANES[mode]
 
 
 @dataclass
@@ -70,35 +82,20 @@ class RunConfig:
     def problems(self) -> list[str]:
         """Collect every validation failure; empty list means valid."""
         out = []
-        try:
-            plan = self.plan()
-        except ConfigError as e:
-            plan = None
-            out.append(str(e))
-        if self.backbone not in BACKBONE_KINDS:
-            out.append(f"unknown backbone {self.backbone!r}; choose from {BACKBONE_KINDS}")
-        elif self.backbone == "hc" and self.windows not in HC_WINDOW_COUNTS:
-            out.append(
-                f"the hyper-complex backbone needs a window count (windows) in "
-                f"{HC_WINDOW_COUNTS}, got {self.windows}; use backbone 'wm' or 'basic'"
-            )
-        if self.backbone == "wm" and self.windows > 1 and self.radius >= self.windows:
-            out.append(
-                f"neighbor radius (radius) {self.radius} must be smaller than the "
-                f"window count (windows) {self.windows}"
-            )
-        if self.radius < 1:
-            out.append(f"neighbor radius (radius) must be >= 1, got {self.radius}")
-        if plan is not None and not 1 <= self.top_m <= plan.bins:
-            out.append(
-                f"top_m must be in [1, {plan.bins}] for nfft={self.nfft}, got {self.top_m}"
-            )
-        if self.window_fn not in WINDOW_FNS:
-            out.append(f"unknown window_fn {self.window_fn!r}; choose from {WINDOW_FNS}")
-        if self.mask_mode not in MASK_MODES:
-            out.append(f"unknown mask_mode {self.mask_mode!r}; choose from {MASK_MODES}")
-        if self.activation not in ACTIVATIONS:
-            out.append(f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}")
+
+        def check(rule, *args):
+            try:
+                return rule(*args)
+            except ConfigError as e:
+                out.append(str(e))
+
+        plan = check(self.plan)
+        check(check_backbone, self.backbone, self.windows, self.radius)
+        check(check_radius, self.radius)
+        if plan is not None:
+            check(check_top_m, self.top_m, plan)
+        check(mask_planes, self.mask_mode)
+        check(check_activation, self.activation)
         if self.data.startswith("synth:"):
             kind = self.data.split(":", 1)[1]
             if kind not in SYNTH_KINDS:
@@ -119,8 +116,7 @@ class RunConfig:
             out.append(f"lr must be positive and finite, got {self.lr}")
         if not 0 < self.lr_decay <= 1:
             out.append(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        # an unknown window_fn fails the plan and its own check alike
-        return list(dict.fromkeys(out))
+        return out
 
     def validate(self) -> "RunConfig":
         problems = self.problems()

@@ -12,11 +12,11 @@ are computed from the raw input, analysed once per channel rather than once
 per embedding dimension, and lifted in the spectral domain; the embedded
 input itself is built only for the skip connection.
 
-Masking modes zero the real or imaginary plane of the spectra and/or of all
-backbone weight matrices, in training and inference alike; biases are left
-alone.  The checkpoint format is documented in the README: a magic string,
-a JSON header with the config and per-tensor manifest, then raw
-little-endian float64 buffers.
+Masking modes (``config.MASK_PLANES``) zero the real or imaginary plane of the
+spectra and/or of all backbone weight matrices, in training and inference
+alike; biases are left alone.  The checkpoint format is documented in the
+README: a magic string, a JSON header with the config and per-tensor
+manifest, then raw little-endian float64 buffers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .backbones import (
     init_backbone,
 )
 from .compress import position_aware_pad, top_m_select
-from .config import MASK_MODES, RunConfig
+from .config import RunConfig, mask_planes
 from .errors import ConfigError, ContractError, open_input
 from .spectral import SpectralWindows, istft, rstft
 
@@ -88,33 +88,9 @@ def init_params(cfg: RunConfig, rng: np.random.Generator | None = None) -> Forec
     return params
 
 
-def spectral_mask_plane(mode: str) -> str | None:
-    """Which plane of the input spectra a mask mode hides, if any."""
-    if mode in ("x_real", "w_real+x_real"):
-        return "real"
-    if mode in ("x_imag", "w_imag+x_imag"):
-        return "imag"
-    return None
-
-
-def weight_mask_plane(mode: str) -> str | None:
-    """Which plane of the backbone weights a mask mode zeroes, if any."""
-    if mode in ("w_real", "w_real+x_real"):
-        return "real"
-    if mode in ("w_imag", "w_imag+x_imag"):
-        return "imag"
-    return None
-
-
-def _check_mask_mode(mode: str) -> None:
-    if mode not in MASK_MODES:
-        raise ConfigError(f"unknown mask_mode {mode!r}; choose from {MASK_MODES}")
-
-
 def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
     """Zero the masked weight plane in place so it starts (and stays) zero."""
-    _check_mask_mode(mode)
-    plane = weight_mask_plane(mode)
+    _, plane = mask_planes(mode)
     if plane is None:
         return
     for w in params.backbone.weights:
@@ -163,12 +139,12 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
         raise ContractError(
             f"forward: input length {x.shape[1]} != configured lookback {cfg.lookback}"
         )
-    _check_mask_mode(cfg.mask_mode)
+    spectral_plane, weight_plane = mask_planes(cfg.mask_mode)
 
     x_e = embed(x, params)
     plan = cfg.plan()
     spectra = _mask_spectra(rstft(x[..., None], plan, params.embed_scale, params.embed_bias),
-                            spectral_mask_plane(cfg.mask_mode))
+                            spectral_plane)
     compressed = top_m_select(spectra, cfg.top_m)
     mixed = backbone_forward(
         cfg.backbone,
@@ -177,7 +153,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
         act=cfg.activation,
         radius=cfg.radius,
         conjugate_neighbors=cfg.conjugate_neighbors,
-        weight_mask=weight_mask_plane(cfg.mask_mode),
+        weight_mask=weight_plane,
     )
     padded = position_aware_pad(mixed)
     x_rec = istft(padded)

@@ -13,6 +13,7 @@ front, because the synthesis normalisation would divide by zero there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,23 +79,19 @@ def _window_values(window_fn: str, nfft: int) -> np.ndarray:
     return w
 
 
-def valid_window_counts(lookback: int, nfft: int, cap: int = 256) -> list[int]:
-    """Window counts that give an integer hop without coverage gaps."""
-    counts = []
-    if nfft == lookback:
-        counts.append(1)
-    for p in range(2, cap + 1):
-        span = lookback - nfft
-        if span % (p - 1) == 0 and span // (p - 1) <= nfft:
-            counts.append(p)
-    return counts
+def valid_window_counts(lookback: int, nfft: int) -> list[int]:
+    """Window counts that give an integer hop without coverage gaps, ascending.
 
-
-def nearest_valid_window_count(lookback: int, nfft: int, p: int) -> int | None:
-    counts = valid_window_counts(lookback, nfft, cap=max(256, 2 * p))
-    if not counts:
-        return None
-    return min(counts, key=lambda c: (abs(c - p), c))
+    p >= 2 windows step by h = (lookback - nfft) / (p - 1), so the counts come
+    from the divisors h <= nfft of lookback - nfft.  Each divisor pair is found
+    from its smaller member: at most min(nfft, sqrt(lookback - nfft)) tries.
+    Hop-0 layouts (p >= 2 windows with nfft == lookback) are not listed.
+    """
+    span = lookback - nfft
+    if span <= 0:
+        return [1] if span == 0 else []
+    hops = [h for h in range(1, min(nfft, math.isqrt(span)) + 1) if span % h == 0]
+    return sorted({span // h + 1 for h in hops} | {h + 1 for h in hops if span // h <= nfft})
 
 
 def plan_stft(lookback: int, window_count: int, nfft: int,
@@ -116,31 +113,25 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
         return StftPlan(lookback, 1, nfft, 0, window_fn)
 
     span = lookback - nfft
-    if span % (window_count - 1) != 0:
-        hint = nearest_valid_window_count(lookback, nfft, window_count)
+    hop, rest = divmod(span, window_count - 1)
+    if rest or hop > nfft:
+        hint = min(valid_window_counts(lookback, nfft), default=None,
+                   key=lambda c: (abs(c - window_count), c))
         hint_msg = f"; nearest valid window count is {hint}" if hint else ""
-        raise ConfigError(
-            f"window layout does not tile the lookback (lookback={lookback}, "
-            f"windows={window_count}, nfft={nfft}): span {span} is not "
-            f"divisible by windows - 1 = {window_count - 1}{hint_msg}"
-        )
-    hop = span // (window_count - 1)
-    if hop > nfft:
-        hint = nearest_valid_window_count(lookback, nfft, window_count)
-        hint_msg = f"; nearest valid window count is {hint}" if hint else ""
+        if rest:
+            raise ConfigError(
+                f"window layout does not tile the lookback (lookback={lookback}, "
+                f"windows={window_count}, nfft={nfft}): span {span} is not "
+                f"divisible by windows - 1 = {window_count - 1}{hint_msg}"
+            )
         raise ConfigError(
             f"hop {hop} exceeds nfft {nfft}: samples between windows would "
             f"carry zero window energy and synthesis could not divide by the "
             f"per-sample energy (lookback={lookback}, windows={window_count}, "
             f"nfft={nfft}){hint_msg}"
         )
-    plan = StftPlan(lookback, window_count, nfft, hop, window_fn)
-    if plan.coverage().min() <= 0.0:
-        raise ConfigError(
-            f"plan leaves zero-energy samples: lookback={lookback}, "
-            f"windows={window_count}, nfft={nfft}, window_fn={window_fn}"
-        )
-    return plan
+    # hop <= nfft and both windows are positive on [0, nfft): every sample is covered
+    return StftPlan(lookback, window_count, nfft, hop, window_fn)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,14 @@ from freqcast.conformance import (
     flagged_rows,
     random_valid_plans,
 )
-from freqcast.config import MASK_MODES, RunConfig
+from freqcast.config import MASK_PLANES, RunConfig
 from freqcast.hypercomplex import (
     SEDENION_ZERO_DIVISOR,
     cd_multiply,
     hc_norm,
     printed_product,
 )
-from freqcast.model import forward, init_params, weight_mask_plane
+from freqcast.model import forward, init_params
 from freqcast.spectral import istft, rstft
 from freqcast.train import backward, fit, mse_loss
 
@@ -225,27 +225,23 @@ def test_c08_masking_robustness():
     val_n = data_io.normalize(val_raw, stats)
     probe = data_io.make_windows(val_n, 16, 4)[0][:2]
 
-    for mode in MASK_MODES:
+    for mode, (splane, plane) in MASK_PLANES.items():
         cfg = RunConfig(**MASK_CFG, mask_mode=mode).validate()
         result = fit(train_n, val_n, cfg)
         for record in result.log:
             values = [record.train_loss, record.val_mae, record.val_rmse]
             assert np.isfinite(values).all(), f"{mode}: non-finite metric {values}"
-        plane = weight_mask_plane(mode)
         if plane is not None:
             for w in result.params.backbone.weights:
                 masked = w.re.data if plane == "real" else w.im.data
                 assert np.abs(masked).max() == 0.0, f"{mode}: weight plane drifted"
         debug = {}
         forward(probe, result.params, cfg, debug=debug)
-        from freqcast.model import spectral_mask_plane
-
-        splane = spectral_mask_plane(mode)
         if splane is not None:
             for c in debug["spectra"].windows:
                 masked = c.re.data if splane == "real" else c.im.data
                 assert np.abs(masked).max() == 0.0, f"{mode}: spectra plane leaked"
-    report(8, True, f"all {len(MASK_MODES)} mask modes trained 3 epochs without "
+    report(8, True, f"all {len(MASK_PLANES)} mask modes trained 3 epochs without "
                     f"NaN; masked planes stayed exactly zero")
 
 

@@ -21,7 +21,7 @@ from freqcast.backbones import (
     init_backbone,
 )
 from freqcast.compress import CompressedWindows, top_m_select
-from freqcast.config import MASK_MODES, RunConfig
+from freqcast.config import MASK_PLANES, RunConfig
 from freqcast.errors import ConfigError, ContractError
 from freqcast.hypercomplex import HCNumber, cd_multiply
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
@@ -510,7 +510,7 @@ def factored_cfg(kind, mask_mode, window_fn):
 
 class TestFactoredBackbone:
     @pytest.mark.parametrize("kind", BACKBONE_KINDS)
-    @pytest.mark.parametrize("mask_mode", MASK_MODES)
+    @pytest.mark.parametrize("mask_mode", list(MASK_PLANES))
     @pytest.mark.parametrize("window_fn", WINDOW_FNS)
     def test_factors_change_nothing_but_rounding(self, kind, mask_mode, window_fn,
                                                  monkeypatch):

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import re
+import signal
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,17 @@ from hypothesis import strategies as st
 
 from freqcast import cli
 from freqcast import data as data_io
-from freqcast.backbones import ACTIVATIONS, BACKBONE_KINDS
+from freqcast.backbones import (
+    ACTIVATIONS,
+    BACKBONE_KINDS,
+    backbone_forward,
+    block_table,
+    init_backbone,
+)
 from freqcast.cli import main
+from freqcast.compress import top_m_select
 from freqcast.config import (
-    MASK_MODES,
+    MASK_PLANES,
     RunConfig,
     apply_overrides,
     config_hash,
@@ -27,8 +36,8 @@ from freqcast.config import (
 )
 from freqcast.data import SYNTH_KINDS
 from freqcast.errors import ConfigError
-from freqcast.model import load_checkpoint, save_checkpoint
-from freqcast.spectral import WINDOW_FNS
+from freqcast.model import forward, init_params, load_checkpoint, save_checkpoint
+from freqcast.spectral import WINDOW_FNS, plan_stft
 
 FAST = [
     "data=synth:sinusoid_mix",
@@ -53,7 +62,7 @@ def _names_outside(valid):
 # (field, other fields, invalid values): every other field is valid, so each
 # reported problem must be about the broken one
 BREAKERS = [
-    ("windows", {}, st.integers(-3, 12).filter(lambda w: w != 4)),
+    ("windows", {}, st.integers(-3, 10**18).filter(lambda w: w != 4)),
     ("nfft", {}, st.integers(-5, 0) | st.integers(97, 200)),
     ("lookback", {}, st.integers(-5, 23)),
     ("top_m", {}, st.integers(-3, 0) | st.integers(14, 40)),
@@ -61,7 +70,7 @@ BREAKERS = [
     ("radius", {"backbone": "wm"}, st.integers(4, 9)),
     ("backbone", {}, _names_outside(BACKBONE_KINDS)),
     ("window_fn", {}, _names_outside(WINDOW_FNS)),
-    ("mask_mode", {}, _names_outside(MASK_MODES)),
+    ("mask_mode", {}, _names_outside(MASK_PLANES)),
     ("activation", {}, _names_outside(ACTIVATIONS)),
     ("data", {}, _names_outside(SYNTH_KINDS).map(lambda kind: "synth:" + kind)),
     ("synth_length", {}, st.integers(-10, 255)),
@@ -75,6 +84,53 @@ BREAKERS = [
         | st.just(math.nan)),
     ("seed", {}, st.integers(max_value=-1)),
 ]
+
+
+@contextmanager
+def alarm(seconds):
+    """Fail with TimeoutError, rather than hang, if the body outlasts ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        # raised afresh: the interrupted frame may have no line number to report
+        raise TimeoutError(f"still running after {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def raised(component, *args, **kwargs) -> str:
+    """The text of the ConfigError a component raises for these arguments."""
+    with pytest.raises(ConfigError) as err:
+        component(*args, **kwargs)
+    return str(err.value)
+
+
+# rule -> (fields that break it, the component that enforces it); the component
+# is called on the broken config and a default-config forward's parameters,
+# batch and stage outputs
+RULES = {
+    "backbone kind": (dict(backbone="nope"),
+                      lambda cfg, run: block_table(cfg.backbone, cfg.windows)),
+    "hc window count": (dict(windows=5), lambda cfg, run: init_backbone(
+        cfg.backbone, np.random.default_rng(0), cfg.windows, cfg.embed, cfg.radius)),
+    "radius >= 1": (dict(radius=0),
+                    lambda cfg, run: block_table(cfg.backbone, cfg.windows, cfg.radius)),
+    "wm radius < windows": (dict(backbone="wm", radius=4),
+                            lambda cfg, run: block_table(cfg.backbone, cfg.windows, cfg.radius)),
+    "activation": (dict(activation="tanh"), lambda cfg, run: backbone_forward(
+        cfg.backbone, run["compressed"], run["params"].backbone, act=cfg.activation)),
+    "top_m": (dict(top_m=14), lambda cfg, run: top_m_select(run["spectra"], cfg.top_m)),
+    "window_fn": (dict(window_fn="blackman"), lambda cfg, run: plan_stft(
+        cfg.lookback, cfg.windows, cfg.nfft, cfg.window_fn)),
+    "mask_mode": (dict(mask_mode="bogus"),
+                  lambda cfg, run: forward(run["x"], run["params"], cfg)),
+}
 
 
 def fast_args(*extra, out):
@@ -164,10 +220,26 @@ class TestConfigHandling:
         names that field the way a config file or --set spells it."""
         field, base, bad = case.draw(st.sampled_from(BREAKERS), label="field")
         value = case.draw(bad, label="value")
-        problems = RunConfig(**{**base, field: value}).problems()
+        with alarm(2):
+            problems = RunConfig(**{**base, field: value}).problems()
         assert problems
         for problem in problems:
             assert re.search(rf"(?<![\w.]){field}(?!\w)", problem), problem
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_problem_is_the_text_the_component_raises(self, rule):
+        """One rule, one message: validate() and the component enforcing the
+        rule say the same thing about the same values."""
+        fields, component = RULES[rule]
+        cfg = RunConfig(**fields)
+        run = {"params": init_params(RunConfig()),
+               "x": np.random.default_rng(0).normal(size=(2, cfg.lookback, 2))}
+        forward(run["x"], run["params"], RunConfig(), debug=run)
+        assert cfg.problems() == [raised(component, cfg, run)]
+
+    def test_unknown_backbone_with_bad_radius_is_two_problems(self):
+        assert RunConfig(backbone="nope", radius=0).problems() == [
+            raised(block_table, "nope", 4), raised(block_table, "hc", 4, 0)]
 
     def test_hash_is_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
@@ -345,6 +417,27 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(checkpoint), "--horizons", "8",
                      "--out", str(tmp_path / "e2")]) == 2
 
+    def test_huge_window_count_in_header_exits_2_with_hint(self, tmp_path, capsys):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), init_params(RunConfig()), RunConfig())
+        bad = self.with_header(good, tmp_path / "bad.ckpt",
+                               lambda header: header["config"].update(windows=10**9))
+        with alarm(10):
+            code = main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "nearest valid window count is 73" in capsys.readouterr().err
+
+    @staticmethod
+    def with_header(checkpoint, path, edit):
+        """A copy of ``checkpoint`` at ``path`` whose JSON header ``edit`` changed."""
+        blob = checkpoint.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen:])
+        return path
+
     @staticmethod
     def with_stats(checkpoint, path, stats):
         """A copy of ``checkpoint`` at ``path`` whose norm_stats are ``stats``."""
@@ -377,12 +470,7 @@ class TestEvalCommand:
             params.head_b2.data[0] = np.nan
             save_checkpoint(str(bad), params, cfg, stats)
         else:
-            blob = checkpoint.read_bytes()
-            (hlen,) = struct.unpack("<Q", blob[8:16])
-            header = json.loads(blob[16:16 + hlen])
-            header["tensors"] = 5
-            new = json.dumps(header).encode("utf-8")
-            bad.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen:])
+            self.with_header(checkpoint, bad, lambda header: header.update(tensors=5))
         assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e2")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"checkpoint {bad} {message}" in err

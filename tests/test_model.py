@@ -16,7 +16,7 @@ from freqcast import fftkit
 from freqcast.autograd import Tensor, mean_all, mul
 from freqcast.backbones import BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
-from freqcast.config import MASK_MODES, RunConfig
+from freqcast.config import MASK_PLANES, RunConfig, mask_planes
 from freqcast.errors import ConfigError, ContractError
 from freqcast.model import (
     apply_weight_mask_to_data,
@@ -25,8 +25,6 @@ from freqcast.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    spectral_mask_plane,
-    weight_mask_plane,
 )
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
@@ -245,13 +243,13 @@ class TestSpectralLift:
 
 class TestMasking:
     def test_mode_vocabulary(self):
-        assert len(MASK_MODES) == 7
-        assert spectral_mask_plane("x_real") == "real"
-        assert spectral_mask_plane("w_imag+x_imag") == "imag"
-        assert spectral_mask_plane("w_real") is None
-        assert weight_mask_plane("w_real+x_real") == "real"
-        assert weight_mask_plane("x_imag") is None
-        assert weight_mask_plane("none") is None
+        assert len(MASK_PLANES) == 7
+        assert mask_planes("x_real") == ("real", None)
+        assert mask_planes("w_imag+x_imag") == ("imag", "imag")
+        assert mask_planes("w_real") == (None, "real")
+        assert mask_planes("w_real+x_real") == ("real", "real")
+        assert mask_planes("x_imag") == ("imag", None)
+        assert mask_planes("none") == (None, None)
 
     def test_unknown_mode_rejected(self, rng):
         cfg = dataclasses.replace(tiny_cfg(), mask_mode="w_nonsense")
@@ -302,7 +300,7 @@ class TestMasking:
     def test_weight_planes_zeroed_at_init(self, mode):
         cfg = dataclasses.replace(tiny_cfg(), mask_mode=mode)
         params = init_params(cfg)
-        plane = weight_mask_plane(mode)
+        _, plane = mask_planes(mode)
         for w in params.backbone.weights:
             masked = w.re.data if plane == "real" else w.im.data
             assert np.abs(masked).max() == 0.0
@@ -329,7 +327,7 @@ class TestCheckpoint:
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(BACKBONE_KINDS), p=st.integers(1, 8), e=st.integers(1, 5),
-           radius=st.integers(1, 4), mask=st.sampled_from(MASK_MODES),
+           radius=st.integers(1, 4), mask=st.sampled_from(list(MASK_PLANES)),
            stats=st.none() | st.integers(1, 4).flatmap(lambda c: st.fixed_dictionaries(
                {key: st.lists(st.floats(allow_nan=False, allow_infinity=False),
                               min_size=c, max_size=c) for key in ("min", "max")})),

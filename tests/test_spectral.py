@@ -14,7 +14,6 @@ from freqcast.spectral import (
     LiftFactors,
     SpectralWindows,
     istft,
-    nearest_valid_window_count,
     plan_stft,
     rstft,
     valid_window_counts,
@@ -66,17 +65,33 @@ class TestPlanning:
             if p > 1:
                 hop = (96 - 16) // (p - 1)
                 assert (96 - 16) % (p - 1) == 0 and hop <= 16
-        assert nearest_valid_window_count(96, 16, 13) == 11
-        assert nearest_valid_window_count(96, 6, 33) == 31
+        for lookback, windows, nfft, hint in [(96, 13, 16, 11), (96, 33, 6, 31)]:
+            with pytest.raises(ConfigError, match=f"nearest valid window count is {hint}$"):
+                plan_stft(lookback, windows, nfft)
+
+    def test_valid_window_counts_match_a_scan_of_every_count(self):
+        """Listing the counts from the divisors of lookback - nfft finds exactly
+        the counts p >= 2 whose hop divides it and stays <= nfft."""
+        for lookback in range(2, 120):
+            for nfft in range(1, lookback):
+                span = lookback - nfft
+                scan = [p for p in range(2, span + 2)
+                        if span % (p - 1) == 0 and span // (p - 1) <= nfft]
+                assert valid_window_counts(lookback, nfft) == scan, (lookback, nfft)
+        assert valid_window_counts(16, 16) == [1]
 
     def test_unknown_window_function(self):
         with pytest.raises(ConfigError):
             plan_stft(32, 2, 16, window_fn="blackman")
 
-    def test_coverage_positive_everywhere(self):
-        for window_fn in ("rectangular", "hann"):
-            plan = plan_stft(40, 4, 16, window_fn)
-            assert plan.coverage().min() > 0
+    @settings(max_examples=200, deadline=None)
+    @given(geometry=plan_geometry(16, 64), window_fn=st.sampled_from(WINDOW_FNS))
+    def test_coverage_positive_everywhere(self, geometry, window_fn):
+        """Every plan plan_stft accepts gives every sample positive window energy,
+        so synthesis can always divide by it and plan_stft needs no check of it."""
+        p, nfft, hop = geometry
+        plan = plan_stft(nfft + (p - 1) * hop, p, nfft, window_fn)
+        assert plan.coverage().min() > 0
 
 
 class TestAnalysis:
