@@ -17,10 +17,22 @@ Non-Tensor operands are treated as constants and receive no gradient.
 Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
 and closure its op hands it, so each op's intermediates are freed as soon as
 nothing reads them.  Inference runs there (``train.predict``).
+
+Training uses a second thread through ``side_by_side``: ``matmul``'s backward
+computes its two gradients side by side, and ``train.Adam.step`` updates two
+halves of the parameters.  Each value is the same numpy call on the same
+operands as on one thread, so results are bit-identical.  The worker is handed
+arrays only: it makes no Tensor and never reads the recording switch.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -48,6 +60,72 @@ def no_tape():
         yield
     finally:
         _recording = outer
+
+
+@functools.cache
+def _worker() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="freqcast-worker")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its thread: start afresh there
+    os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+# When the worker finishes more than a millisecond, and more than twice the
+# caller's own part, after the caller, its CPU was taken: by another process,
+# or by a host that runs this machine's CPUs unevenly.  Waiting on it again
+# would cost more than it saves, so for a tenth of a second the caller then
+# runs both parts.
+_STALL_S, _ALONE_S = 1e-3, 0.1
+_alone_until = 0.0
+
+
+def side_by_side(first, second):
+    """(first(), second()), with first running on the worker thread while
+    second runs here.
+
+    The two must not write to memory the other reads, and ``first`` should
+    write into buffers the caller allocated.  On the worker, ``first`` runs in
+    a copy of the caller's context, so numpy's ``errstate`` holds there too.
+    If the worker has not begun ``first`` by the time ``second`` returns, the
+    caller runs it itself, so a worker that is slow to wake costs no more
+    than running both here.  The caller also runs both for a while after the
+    worker stalled (``_STALL_S``).  An exception from either call is raised
+    here, once nothing runs on the caller's buffers any more.
+    """
+    global _alone_until
+    if time.perf_counter() < _alone_until:
+        return first(), second()
+    claim = threading.Lock()  # taken by whichever thread runs first
+    context = contextvars.copy_context()
+    # the caller empties it when it takes first, so that the lane left in the
+    # worker's queue holds none of first's arrays
+    job = [first]
+
+    def lane():
+        if claim.acquire(blocking=False):
+            return context.run(job[0])
+        return None
+
+    start = time.perf_counter()
+    future = _worker().submit(lane)
+    try:
+        b = second()
+    except BaseException:
+        if claim.acquire(blocking=False):
+            job.clear()
+        else:
+            future.exception()  # wait: the worker is writing into the caller's buffers
+        raise
+    mine = time.perf_counter() - start
+    if claim.acquire(blocking=False):
+        return job.pop()(), b
+    a = future.result()
+    done = time.perf_counter()
+    if done - start - mine > max(2 * mine, _STALL_S):
+        _alone_until = done + _ALONE_S
+    return a, b
 
 
 def _spent(g):
@@ -191,7 +269,8 @@ def matmul(a, w) -> Tensor:
     """a: (..., k) times w: (k, m).  Either operand may be a constant array.
 
     The leading axes are flattened so each product is one GEMM; numpy's
-    stacked matmul would run one small GEMM per leading index.
+    stacked matmul would run one small GEMM per leading index.  When both
+    operands are Tensors, the backward's two GEMMs run side by side.
     """
     ad, wd = _raw(a), _raw(w)
     if wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
@@ -204,9 +283,14 @@ def matmul(a, w) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if isinstance(a, Tensor):
+        if isinstance(a, Tensor) and isinstance(w, Tensor):
+            ga = np.empty(a2.shape)
+            _, gw = side_by_side(lambda: np.matmul(g2, wd.T, out=ga), lambda: a2.T @ g2)
+            _accum(a, ga.reshape(ad.shape))
+            _accum(w, gw)
+        elif isinstance(a, Tensor):
             _accum(a, (g2 @ wd.T).reshape(ad.shape))
-        if isinstance(w, Tensor):
+        elif isinstance(w, Tensor):
             _accum(w, a2.T @ g2)
 
     return Tensor((a2 @ wd).reshape(ad.shape[:-1] + (m,)), parents, backward)

@@ -143,8 +143,17 @@ def block_table(kind: str, window_count: int, radius: int = 1,
 
 
 def count_weight_matrices(kind: str, window_count: int, radius: int = 1) -> int:
-    """Exact number of complex weight matrices a backbone instantiates."""
-    return len(block_table(kind, window_count, radius)[0])
+    """Exact number of complex weight matrices a backbone instantiates, in
+    closed form: the length of ``block_table``'s names, without building it."""
+    p = window_count
+    check_backbone(kind, p, radius)
+    check_radius(radius)
+    if kind == "basic":
+        return p * p
+    if kind == "wm":  # p self weights and the ordered pairs at distance 1..r
+        r = min(radius, p - 1)
+        return (2 * r + 1) * p - r * (r + 1)
+    return p
 
 
 def init_backbone(kind: str, rng, window_count: int, embed: int,

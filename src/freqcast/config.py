@@ -9,6 +9,8 @@ reproduces a run.
 Validation states each rule once: a rule that a component enforces is checked
 by the component's own function, so ``validate()`` gives its message.  Only the
 synthetic-corpus rules are restated, as ``synth_corpus`` words them by flag.
+Sizes are capped before anything is allocated: neither the parameter count
+nor a synthetic corpus may exceed ``data.MAX_VALUES`` float64 values.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .backbones import check_activation, check_backbone, check_radius
+from .backbones import check_activation, check_backbone, check_radius, count_weight_matrices
 from .compress import check_top_m
-from .data import SYNTH_KINDS
+from .data import MAX_VALUES, SYNTH_KINDS
 from .errors import ConfigError, open_text
 from .spectral import StftPlan, plan_stft
 
@@ -79,6 +81,13 @@ class RunConfig:
     def plan(self) -> StftPlan:
         return plan_stft(self.lookback, self.windows, self.nfft, self.window_fn)
 
+    def parameter_count(self) -> int:
+        """The float64 values ``model.init_params`` allocates, in closed form."""
+        e, h = self.embed, self.hidden
+        weights = count_weight_matrices(self.backbone, self.windows, self.radius)
+        return (2 * e + 2 * weights * e * e + 2 * self.windows * e
+                + self.lookback * e * h + h + h * self.horizon + self.horizon)
+
     def problems(self) -> list[str]:
         """Collect every validation failure; empty list means valid."""
         out = []
@@ -107,6 +116,9 @@ class RunConfig:
                 out.append(f"synth_channels must be >= 1, got {self.synth_channels}")
             if not 0 <= self.synth_noise < math.inf:
                 out.append(f"synth_noise must be finite and >= 0, got {self.synth_noise}")
+            if self.synth_length * self.synth_channels > MAX_VALUES:
+                out.append(f"synth_length * synth_channels = {self.synth_length:,} * "
+                           f"{self.synth_channels:,} values is above the cap of {MAX_VALUES:,}")
         if self.seed < 0:
             out.append(f"seed must be >= 0, got {self.seed}")
         for name in ("lookback", "horizon", "embed", "hidden", "epochs", "batch", "stride"):
@@ -116,6 +128,13 @@ class RunConfig:
             out.append(f"lr must be positive and finite, got {self.lr}")
         if not 0 < self.lr_decay <= 1:
             out.append(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        count = self.parameter_count() if not out else 0  # the count needs valid sizes
+        if count > MAX_VALUES:
+            out.append(f"the model would hold {count:,} parameters, above the cap of "
+                       f"{MAX_VALUES:,}: they grow with backbone={self.backbone!r}, "
+                       f"windows={self.windows}, radius={self.radius}, embed={self.embed}, "
+                       f"lookback={self.lookback}, hidden={self.hidden} and "
+                       f"horizon={self.horizon}")
         return out
 
     def validate(self) -> "RunConfig":

@@ -190,6 +190,10 @@ def persistence_forecast(x: np.ndarray, horizon: int) -> np.ndarray:
 
 SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 
+# the most float64 values (800 MB) a run may ask for: in a synthetic corpus,
+# and in the model's parameters (``RunConfig.problems``)
+MAX_VALUES = 10**8
+
 _MIN_SEGMENT = 64
 
 
@@ -213,6 +217,9 @@ def synth_corpus(kind: str, seed: int, length: int, channels: int,
         raise ConfigError(f"synthetic corpora need length >= 256, got {length}")
     if channels < 1:
         raise ConfigError(f"synthetic corpora need channels >= 1, got {channels}")
+    if length * channels > MAX_VALUES:
+        raise ConfigError(f"synthetic corpora hold at most {MAX_VALUES:,} values, got "
+                          f"length * channels = {length:,} * {channels:,}")
     if not 0 <= noise < np.inf:
         raise ConfigError(f"synthetic corpus noise must be finite and >= 0, got {noise}")
     # crc32, not hash(): the stream must not depend on PYTHONHASHSEED

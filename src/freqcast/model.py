@@ -88,6 +88,15 @@ def init_params(cfg: RunConfig, rng: np.random.Generator | None = None) -> Forec
     return params
 
 
+class _NoDraws:
+    """Stands in for the random generator where only the shapes are wanted:
+    every draw is zeros, so ``init_params`` allocates and draws nothing."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
     """Zero the masked weight plane in place so it starts (and stays) zero."""
     _, plane = mask_planes(mode)
@@ -223,7 +232,7 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
             cfg = RunConfig.from_dict(header["config"]).validate()
         except ConfigError as e:  # init_params would fail on it with a bare numpy error
             raise ContractError(f"checkpoint {path} field 'config': {e}") from e
-        params = init_params(cfg)
+        params = init_params(cfg, _NoDraws())  # the shapes and names; the file has the values
         named = dict(params.named_tensors())
         if not isinstance(header["tensors"], list):
             raise ContractError(f"checkpoint {path} field 'tensors' must be a list, "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, as_data, mean_all, mul, no_tape, sub
+from .autograd import Tensor, as_data, mean_all, mul, no_tape, side_by_side, sub
 from .config import RunConfig
 from .data import make_windows, metrics
 from .errors import ConfigError, ContractError, TrainingError
@@ -81,6 +81,14 @@ class Adam:
     all three in place with whole-vector ufuncs.  While the optimiser holds
     a tensor, write its ``data`` in place: assigning a new array detaches
     the tensor from the optimiser.
+
+    The gradients are gathered and checked for non-finite values on the
+    calling thread, so a bad gradient raises before any value changes.  The
+    update then runs over the two halves of the vectors side by side
+    (``autograd.side_by_side``), the upper half on the worker thread unless
+    the caller finds it late and takes it too.  Each element sees the same
+    ufuncs in the same order, so the result is the whole-vector update's,
+    bit for bit.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3,
@@ -119,18 +127,25 @@ class Adam:
         return self.params[int(np.searchsorted(self._ends, first, side="right"))][0]
 
     def step(self) -> None:
-        g, tmp, m, v = self._grad, self._scratch, self._m, self._v
         for (_, t), part in zip(self.params, self._grads):
             if t.grad is None:
                 part.fill(0.0)
             else:
                 np.copyto(part, t.grad)
-        bad = self.nonfinite(g)
+        bad = self.nonfinite(self._grad)
         if bad is not None:
             raise TrainingError(f"non-finite gradient in parameter {bad!r}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
+        half = self.flat.size // 2
+        side_by_side(functools.partial(self._update, slice(half, None), bc1, bc2),
+                     functools.partial(self._update, slice(0, half), bc1, bc2))
+
+    def _update(self, part: slice, bc1: float, bc2: float) -> None:
+        """The update of ``step`` over one contiguous part of the flat vectors."""
+        g, tmp, m, v, flat = (a[part] for a in (self._grad, self._scratch, self._m,
+                                                self._v, self.flat))
         # m = beta1 * m + (1 - beta1) * g
         np.multiply(m, self.beta1, out=m)
         np.add(m, np.multiply(g, 1 - self.beta1, out=tmp), out=m)
@@ -141,7 +156,7 @@ class Adam:
         # data = data - lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.multiply(np.divide(m, bc1, out=g), self.lr, out=g)
         np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.eps, out=tmp)
-        np.subtract(self.flat, np.divide(g, tmp, out=g), out=self.flat)
+        np.subtract(flat, np.divide(g, tmp, out=g), out=flat)
 
     def decay_lr(self, factor: float) -> None:
         self.lr *= factor

@@ -298,6 +298,14 @@ class TestParameterCounts:
     def test_fd_counts_one_per_window(self):
         assert count_weight_matrices("fd", 5) == 5
 
+    def test_closed_form_counts_the_block_table(self):
+        for kind in BACKBONE_KINDS:
+            for p in HC_WINDOW_COUNTS if kind == "hc" else range(1, 17):
+                # wm takes any radius below p, and any at all when p == 1
+                for radius in (range(1, p if p > 1 else 4) if kind == "wm" else [1]):
+                    names, _ = block_table(kind, p, radius)
+                    assert count_weight_matrices(kind, p, radius) == len(names), (kind, p, radius)
+
     def test_counts_match_constructed_parameters(self, rng):
         p, e = 4, 2
         for kind in ("fd", "wm", "hc", "basic"):

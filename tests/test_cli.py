@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import struct
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -83,6 +84,10 @@ BREAKERS = [
     ("lr_decay", {}, st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
         | st.just(math.nan)),
     ("seed", {}, st.integers(max_value=-1)),
+    # sizes above data.MAX_VALUES
+    *((name, {}, st.integers(low, 10**18)) for name, low in (
+        ("embed", 10**5), ("hidden", 10**6), ("horizon", 10**6),
+        ("synth_length", 10**8), ("synth_channels", 10**8))),
 ]
 
 
@@ -296,6 +301,28 @@ class TestTrainCommand:
         assert proc.returncode == 0, proc.stderr
         (dir_b,) = run_dirs(root_b)
         assert (dir_a / "metrics.csv").read_bytes() == (dir_b / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("sets, named", [
+        (["embed=100000000000"], "embed=100000000000"),
+        (["backbone=fd", "lookback=10000023", "windows=10000000", "nfft=24"],
+         "windows=10000000, radius=1, embed=16, lookback=10000023"),
+        (["synth_length=1000000000000"], "synth_length * synth_channels"),
+    ])
+    def test_oversized_config_exits_2_before_allocating(self, tmp_path, capsys, sets, named):
+        args = ["train", "--out", str(tmp_path)]
+        for kv in sets:
+            args += ["--set", kv]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "above the cap of 100,000,000" in err
+        assert named in err
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("flag", ["--config", "--manifest"])
     def test_missing_input_file_exits_2_naming_it(self, tmp_path, capsys, flag):
@@ -609,7 +636,8 @@ class TestSynthCommand:
     @pytest.mark.parametrize("flag, value, named", [
         ("--noise", "-1", "noise"), ("--channels", "0", "channels >= 1, got 0"),
         ("--channels", "-1", "channels >= 1, got -1"),
-        ("--seed", "-1", "--seed must be >= 0, got -1")])
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--length", "1000000000000", "length * channels = 1,000,000,000,000 * 2")])
     def test_bad_corpus_argument_rejected(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "corpus.csv"
         assert main(["synth", flag, value, "--out", str(out)]) == 2

@@ -1,7 +1,11 @@
 """FFT kernels against an independent oracle, and autograd gradient checks."""
 
 import inspect
+import sys
+import threading
+import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -501,6 +505,141 @@ class TestAutogradPrimitives:
         out = mean_all(mul(a, a))
         out.backward()
         np.testing.assert_allclose(a.grad, [4.0])
+
+
+class TestSideBySide:
+    """The two-lane code: ``side_by_side`` and the backward of ``matmul``."""
+
+    @pytest.fixture(autouse=True)
+    def no_stall_window(self, monkeypatch):
+        """Start each test with the worker in use, whatever an earlier one did."""
+        monkeypatch.setattr(autograd, "_alone_until", 0.0)
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 40)])
+    def test_matmul_gradients_are_the_serial_products(self, rng, lead):
+        a = Tensor(rng.normal(size=lead + (70,)))
+        w = Tensor(rng.normal(size=(70, 50)))
+        out = matmul(a, w)
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        g2 = g.reshape(-1, 50)
+        assert np.array_equal(a.grad, (g2 @ w.data.T).reshape(a.shape))
+        assert np.array_equal(w.grad, a.data.reshape(-1, 70).T @ g2)
+
+    def test_returns_both_results(self):
+        assert autograd.side_by_side(lambda: "worker", lambda: "caller") == ("worker", "caller")
+
+    @staticmethod
+    def on_the_worker(first):
+        """``first`` and a ``second`` that returns once ``first`` has begun, so
+        that ``first`` runs on the worker rather than on the caller; the
+        thread it ran on is appended to the list returned last."""
+        begun, threads = threading.Event(), []
+
+        def worker_side():
+            threads.append(threading.get_ident())
+            begun.set()
+            return first()
+
+        return worker_side, lambda: begun.wait(10), threads
+
+    def test_worker_exception_reaches_the_caller(self):
+        def boom():
+            raise KeyError("from the worker")
+
+        first, second, threads = self.on_the_worker(boom)
+        with pytest.raises(KeyError, match="from the worker"):
+            autograd.side_by_side(first, second)
+        assert threads != [threading.get_ident()]
+
+    def test_caller_exception_waits_for_the_worker(self):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append(True)
+
+        first, wait, _ = self.on_the_worker(slow)
+
+        def fail():
+            wait()
+            raise ValueError("from the caller")
+
+        with pytest.raises(ValueError, match="from the caller"):
+            autograd.side_by_side(first, fail)
+        assert done == [True]
+
+    def test_worker_keeps_the_callers_errstate(self):
+        big = np.full(3, 1e300)
+        first, second, threads = self.on_the_worker(lambda: big * big)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                autograd.side_by_side(first, second)
+        assert threads != [threading.get_ident()]
+
+    def test_caller_runs_both_when_the_worker_has_not_begun(self):
+        """A worker that is slow to wake costs no more than one thread, and the
+        lane still queued for it keeps none of the caller's arrays alive."""
+        held, threads = threading.Event(), []
+        busy = autograd._worker().submit(held.wait, 10)
+        buf = np.ones(3)
+        kept = weakref.ref(buf)
+
+        def first(buf=buf):
+            threads.append(threading.get_ident())
+            return buf.sum()
+
+        try:
+            out = autograd.side_by_side(first, lambda: 2)
+            del first, buf
+            freed = kept() is None
+        finally:
+            held.set()
+        assert busy.result() and out == (3.0, 2) and threads == [threading.get_ident()]
+        assert freed
+
+
+    def test_after_a_stall_the_caller_runs_both_for_a_while(self, monkeypatch):
+        monkeypatch.setattr(autograd, "_ALONE_S", 0.2)
+        first, second, threads = self.on_the_worker(lambda: time.sleep(0.02))
+        autograd.side_by_side(first, second)  # the worker ends 20 ms after the caller
+        assert threads != [threading.get_ident()]
+        first, second, threads = self.on_the_worker(lambda: None)
+        autograd.side_by_side(first, second)
+        assert threads == [threading.get_ident()]
+        time.sleep(0.2)
+        first, second, threads = self.on_the_worker(lambda: None)
+        autograd.side_by_side(first, second)
+        assert threads != [threading.get_ident()]
+
+    def test_each_first_runs_once_under_contention(self):
+        """Callers on more threads than there are CPUs, with the interpreter
+        switching threads as often as it can: each first runs exactly once,
+        on one thread or the other, and each call returns its own results."""
+        hits, errors, calls = [], [], 300
+
+        def caller(k):
+            try:
+                for i in range(calls):
+                    key = (k, i)
+                    out = autograd.side_by_side(lambda: hits.append(key) or key, lambda: k)
+                    assert out == (key, k), out
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(hits) == [(k, i) for k in range(4) for i in range(calls)]
 
 
 class TestCTensor:

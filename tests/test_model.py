@@ -241,6 +241,13 @@ class TestSpectralLift:
             rstft(rng.normal(size=(1, 8, 2, 3)), plan, scale, bias)
 
 
+@pytest.mark.parametrize("kind, p, radius", [("fd", 3, 1), ("wm", 4, 2), ("wm", 1, 3),
+                                              ("hc", 8, 1), ("basic", 3, 1)])
+def test_parameter_count_is_what_init_params_allocates(kind, p, radius):
+    cfg = tiny_cfg(backbone=kind, windows=p, radius=radius, lookback=4 * p, nfft=4)
+    assert cfg.parameter_count() == sum(t.data.size for _, t in init_params(cfg).named_tensors())
+
+
 class TestMasking:
     def test_mode_vocabulary(self):
         assert len(MASK_PLANES) == 7
@@ -352,6 +359,24 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in pairs:
             assert n1 == n2
             assert t1.data.shape == t2.data.shape
+            assert t1.data.tobytes() == t2.data.tobytes()
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        """Loading allocates the tensors from the config's shapes: no random
+        initialisation is drawn only to be overwritten."""
+        cfg = tiny_cfg(backbone="basic", mask_mode="w_imag")
+        params = init_params(cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, cfg, None)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random values")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        loaded, _, _ = load_checkpoint(str(path))
+        pairs = list(zip(params.named_tensors(), loaded.named_tensors(), strict=True))
+        for (n1, t1), (n2, t2) in pairs:
+            assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -226,6 +227,54 @@ class TestAdam:
             assert np.array_equal(flat.v[name], ref.v[name]), name
         assert np.array_equal(dict(flat_named)["w.im"].data, np.zeros((4, 3)))
         assert flat.step_count == ref.step_count == 6
+
+    def test_halves_match_the_serial_update_bit_for_bit(self, rng):
+        """Five steps over an odd-length flat vector with one parameter that
+        gets no gradient equal the whole-vector ufunc sequence on one thread."""
+        shapes = [(3, 5), (7,), (), (4, 4)]  # 39 values: the halves are 19 and 20
+        named = [(str(i), Tensor(rng.normal(size=s))) for i, s in enumerate(shapes)]
+        opt = Adam(named, lr=3e-2)
+        flat, m, v = np.concatenate([t.data.ravel() for _, t in named]), np.zeros(39), np.zeros(39)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-2
+        for step in range(1, 6):
+            for name, t in named:
+                t.grad = None if name == "2" else rng.normal(size=t.data.shape)
+            g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                                for _, t in named])
+            opt.step()
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            m = np.multiply(m, b1) + np.multiply(g, 1 - b1)
+            v = np.multiply(v, b2) + np.multiply(np.multiply(g, g), 1 - b2)
+            flat = flat - np.multiply(np.divide(m, bc1), lr) / (np.sqrt(np.divide(v, bc2)) + eps)
+        assert opt.flat.size % 2 == 1
+        assert np.array_equal(opt.flat, flat)
+        assert np.array_equal(opt._m, m) and np.array_equal(opt._v, v)
+
+    def test_overflow_in_the_upper_half_raises_under_errstate(self, monkeypatch):
+        """The upper half runs on the worker thread, which must keep the
+        caller's numpy error state."""
+        begun = threading.Event()
+
+        def upper_half_on_the_worker(first, second):
+            def upper():
+                begun.set()
+                return first()
+
+            def lower():
+                begun.wait(10)  # so that the caller does not take the upper half too
+                return second()
+
+            return autograd.side_by_side(upper, lower)
+
+        monkeypatch.setattr(train_mod, "side_by_side", upper_half_on_the_worker)
+        monkeypatch.setattr(autograd, "_alone_until", 0.0)
+        low, high = Tensor(np.zeros(4)), Tensor(np.zeros(5))
+        opt = Adam([("low", low), ("high", high)], lr=1e-3)
+        low.grad, high.grad = np.ones(4), np.array([1.0, 1.0, 1.0, 1.0, 1e200])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                opt.step()
+        assert begun.is_set()
 
     def test_step_writes_each_parameter_in_place(self, rng):
         named = mixed_params(rng)
