@@ -19,10 +19,11 @@ and closure its op hands it, so each op's intermediates are freed as soon as
 nothing reads them.  Inference runs there (``train.predict``).
 
 Training uses a second thread through ``side_by_side``: ``matmul``'s backward
-computes its two gradients side by side, and ``train.Adam.step`` updates two
-halves of the parameters.  Each value is the same numpy call on the same
-operands as on one thread, so results are bit-identical.  The worker is handed
-arrays only: it makes no Tensor and never reads the recording switch.
+computes its two gradients side by side when BLAS runs one thread, and
+``train.Adam.step`` updates two halves of the parameters.  Each value is the
+same numpy call on the same operands as on one thread, so results are
+bit-identical.  The worker is handed arrays only: it makes no Tensor and never
+reads the recording switch.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import contextvars
 import functools
 import os
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -63,7 +62,9 @@ def no_tape():
 
 
 @functools.cache
-def _worker() -> ThreadPoolExecutor:
+def _worker():
+    # imported here, so that a process that never trains does not load it
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="freqcast-worker")
 
 
@@ -72,13 +73,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
-# When the worker finishes more than a millisecond, and more than twice the
-# caller's own part, after the caller, its CPU was taken: by another process,
-# or by a host that runs this machine's CPUs unevenly.  Waiting on it again
-# would cost more than it saves, so for a tenth of a second the caller then
-# runs both parts.
-_STALL_S, _ALONE_S = 1e-3, 0.1
-_alone_until = 0.0
+@functools.cache
+def _blas_threads() -> int:
+    """The threads BLAS runs a GEMM on, as OpenBLAS, MKL and BLIS choose them
+    when numpy loads them: the first of their variables that is set, else one
+    per CPU this process may use."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def side_by_side(first, second):
@@ -90,13 +97,9 @@ def side_by_side(first, second):
     a copy of the caller's context, so numpy's ``errstate`` holds there too.
     If the worker has not begun ``first`` by the time ``second`` returns, the
     caller runs it itself, so a worker that is slow to wake costs no more
-    than running both here.  The caller also runs both for a while after the
-    worker stalled (``_STALL_S``).  An exception from either call is raised
-    here, once nothing runs on the caller's buffers any more.
+    than running both here.  An exception from either call is raised here,
+    once nothing runs on the caller's buffers any more.
     """
-    global _alone_until
-    if time.perf_counter() < _alone_until:
-        return first(), second()
     claim = threading.Lock()  # taken by whichever thread runs first
     context = contextvars.copy_context()
     # the caller empties it when it takes first, so that the lane left in the
@@ -108,7 +111,6 @@ def side_by_side(first, second):
             return context.run(job[0])
         return None
 
-    start = time.perf_counter()
     future = _worker().submit(lane)
     try:
         b = second()
@@ -118,14 +120,9 @@ def side_by_side(first, second):
         else:
             future.exception()  # wait: the worker is writing into the caller's buffers
         raise
-    mine = time.perf_counter() - start
     if claim.acquire(blocking=False):
         return job.pop()(), b
-    a = future.result()
-    done = time.perf_counter()
-    if done - start - mine > max(2 * mine, _STALL_S):
-        _alone_until = done + _ALONE_S
-    return a, b
+    return future.result(), b
 
 
 def _spent(g):
@@ -270,7 +267,8 @@ def matmul(a, w) -> Tensor:
 
     The leading axes are flattened so each product is one GEMM; numpy's
     stacked matmul would run one small GEMM per leading index.  When both
-    operands are Tensors, the backward's two GEMMs run side by side.
+    operands are Tensors and BLAS runs one thread, the backward's two GEMMs
+    run side by side; a BLAS that runs more already keeps the CPUs busy.
     """
     ad, wd = _raw(a), _raw(w)
     if wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
@@ -283,14 +281,15 @@ def matmul(a, w) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if isinstance(a, Tensor) and isinstance(w, Tensor):
+        if isinstance(a, Tensor) and isinstance(w, Tensor) and _blas_threads() == 1:
             ga = np.empty(a2.shape)
             _, gw = side_by_side(lambda: np.matmul(g2, wd.T, out=ga), lambda: a2.T @ g2)
             _accum(a, ga.reshape(ad.shape))
             _accum(w, gw)
-        elif isinstance(a, Tensor):
+            return
+        if isinstance(a, Tensor):
             _accum(a, (g2 @ wd.T).reshape(ad.shape))
-        elif isinstance(w, Tensor):
+        if isinstance(w, Tensor):
             _accum(w, a2.T @ g2)
 
     return Tensor((a2 @ wd).reshape(ad.shape[:-1] + (m,)), parents, backward)

@@ -190,8 +190,11 @@ def persistence_forecast(x: np.ndarray, horizon: int) -> np.ndarray:
 
 SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 
-# the most float64 values (800 MB) a run may ask for: in a synthetic corpus,
-# and in the model's parameters (``RunConfig.problems``)
+# the most float64 values (800 MB) a run may store in a synthetic corpus, and
+# in the model's parameters (``RunConfig.problems``).  It bounds what is stored,
+# not what a run allocates: training holds about six vectors of the parameter
+# count (the parameters, Adam's moments, gathered gradient and scratch, and each
+# tensor's ``.grad``), and windowing copies a corpus (lookback + horizon) times.
 MAX_VALUES = 10**8
 
 _MIN_SEGMENT = 64

@@ -1,6 +1,7 @@
 """FFT kernels against an independent oracle, and autograd gradient checks."""
 
 import inspect
+import os
 import sys
 import threading
 import time
@@ -510,13 +511,20 @@ class TestAutogradPrimitives:
 class TestSideBySide:
     """The two-lane code: ``side_by_side`` and the backward of ``matmul``."""
 
-    @pytest.fixture(autouse=True)
-    def no_stall_window(self, monkeypatch):
-        """Start each test with the worker in use, whatever an earlier one did."""
-        monkeypatch.setattr(autograd, "_alone_until", 0.0)
-
+    @pytest.mark.parametrize("blas_threads", [1, 2])
     @pytest.mark.parametrize("lead", [(7,), (3, 40)])
-    def test_matmul_gradients_are_the_serial_products(self, rng, lead):
+    def test_matmul_gradients_are_the_serial_products(self, rng, monkeypatch, lead,
+                                                      blas_threads):
+        """Side by side under a one-thread BLAS, on the caller alone under a
+        threaded one: the same products either way."""
+        calls, real = [], autograd.side_by_side
+
+        def counted(first, second):
+            calls.append(1)
+            return real(first, second)
+
+        monkeypatch.setattr(autograd, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(autograd, "side_by_side", counted)
         a = Tensor(rng.normal(size=lead + (70,)))
         w = Tensor(rng.normal(size=(70, 50)))
         out = matmul(a, w)
@@ -525,6 +533,23 @@ class TestSideBySide:
         g2 = g.reshape(-1, 50)
         assert np.array_equal(a.grad, (g2 @ w.data.T).reshape(a.shape))
         assert np.array_equal(w.grad, a.data.reshape(-1, 70).T @ g2)
+        assert len(calls) == (blas_threads == 1)
+
+    @pytest.mark.parametrize("env, threads", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OMP_NUM_THREADS": "3,1"}, 3),
+        ({"MKL_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": ""}, None),
+        ({}, None),
+    ])
+    def test_blas_threads_follow_the_environment(self, monkeypatch, env, threads):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert autograd._blas_threads.__wrapped__() == (threads or cpus)
 
     def test_returns_both_results(self):
         assert autograd.side_by_side(lambda: "worker", lambda: "caller") == ("worker", "caller")
@@ -597,20 +622,6 @@ class TestSideBySide:
             held.set()
         assert busy.result() and out == (3.0, 2) and threads == [threading.get_ident()]
         assert freed
-
-
-    def test_after_a_stall_the_caller_runs_both_for_a_while(self, monkeypatch):
-        monkeypatch.setattr(autograd, "_ALONE_S", 0.2)
-        first, second, threads = self.on_the_worker(lambda: time.sleep(0.02))
-        autograd.side_by_side(first, second)  # the worker ends 20 ms after the caller
-        assert threads != [threading.get_ident()]
-        first, second, threads = self.on_the_worker(lambda: None)
-        autograd.side_by_side(first, second)
-        assert threads == [threading.get_ident()]
-        time.sleep(0.2)
-        first, second, threads = self.on_the_worker(lambda: None)
-        autograd.side_by_side(first, second)
-        assert threads != [threading.get_ident()]
 
     def test_each_first_runs_once_under_contention(self):
         """Callers on more threads than there are CPUs, with the interpreter

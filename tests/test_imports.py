@@ -33,7 +33,7 @@ def test_no_module_imports_scipy():
 
 
 THREADS = """
-import importlib, pkgutil, threading
+import importlib, pkgutil, sys, threading
 import numpy as np
 import pytest
 
@@ -42,6 +42,7 @@ start = threading.active_count()
 for m in pkgutil.iter_modules(freqcast.__path__):
     importlib.import_module("freqcast." + m.name)
 assert threading.active_count() == start, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
 from freqcast.config import RunConfig
 from freqcast.model import forward, init_params
 from freqcast.train import Adam, backward, mse_loss, predict
@@ -60,7 +61,8 @@ print(threading.active_count() - start)
 
 
 def test_threads_start_only_when_used_and_stay_at_one():
-    """Importing starts no thread; training and inference add at most the one worker."""
+    """Importing starts no thread and loads no thread pool; training and
+    inference add at most the one worker."""
     assert int(run_with_src(THREADS)) <= 1
 
 
