@@ -238,6 +238,32 @@ def add(a: Tensor, b) -> Tensor:
     return Tensor(a.data + bd, parents, backward)
 
 
+def add_by_channel(a: Tensor, b) -> Tensor:
+    """a + b for (B, L, D, E) operands of one shape, written channel-major and
+    flattened per channel: (B, D, L*E).
+
+    The sum is written once, into the transposed view of its (B, D, L, E)
+    buffer, so the flat result is a reshape of it; a transpose and a reshape
+    of a + b would copy the whole sum.  Both parents get one transposed view
+    of the gradient.
+    """
+    ad, bd = _raw(a), _raw(b)
+    if ad.ndim != 4 or ad.shape != bd.shape:
+        raise ContractError(f"add_by_channel expects two (B, L, D, E) operands of one "
+                            f"shape, got {ad.shape} and {bd.shape}")
+    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+    n, l, d, e = ad.shape
+    out = np.empty((n, d, l, e))
+    np.add(ad, bd, out=out.transpose(0, 2, 1, 3))
+
+    def backward(g):
+        gt = g.reshape(n, d, l, e).transpose(0, 2, 1, 3)
+        for t in parents:
+            _accum(t, gt)
+
+    return Tensor(out.reshape(n, d, l * e), parents, backward)
+
+
 def sub(a: Tensor, b) -> Tensor:
     bd = _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
@@ -345,13 +371,6 @@ def lift(cols: np.ndarray, scale: Tensor, bias: Tensor) -> Tensor:
     E entries; the GEMM writes the (..., E) result in one pass.
     """
     return matmul(cols, stack([scale, bias], axis=0))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:

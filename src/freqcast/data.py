@@ -157,20 +157,24 @@ def denormalize(split: np.ndarray, stats: NormStats) -> np.ndarray:
 
 def make_windows(split: np.ndarray, lookback: int, horizon: int,
                  stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding (lookback, horizon) sample pairs, contiguous and adjacent."""
+    """Sliding (lookback, horizon) sample pairs, adjacent, every ``stride`` steps.
+
+    Both are read-only views of ``split``, shaped (count, lookback, ...) and
+    (count, horizon, ...): windowing copies nothing.
+    """
+    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
+        if value < 1:
+            raise ConfigError(f"make_windows needs {name} >= 1, got {value}")
     n = split.shape[0]
     if n < lookback + horizon:
         raise ConfigError(
             f"split of {n} timesteps is shorter than lookback + horizon = "
             f"{lookback + horizon}"
         )
-    count = (n - lookback - horizon) // stride + 1
-    x = np.stack([split[i * stride:i * stride + lookback] for i in range(count)])
-    y = np.stack([
-        split[i * stride + lookback:i * stride + lookback + horizon]
-        for i in range(count)
-    ])
-    return x, y
+    # (count, ..., lookback + horizon), the window along the last axis
+    pairs = np.lib.stride_tricks.sliding_window_view(split, lookback + horizon, axis=0)
+    pairs = np.moveaxis(pairs[::stride], -1, 1)
+    return pairs[:, :lookback], pairs[:, lookback:]
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
@@ -194,7 +198,7 @@ SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 # in the model's parameters (``RunConfig.problems``).  It bounds what is stored,
 # not what a run allocates: training holds about six vectors of the parameter
 # count (the parameters, Adam's moments, gathered gradient and scratch, and each
-# tensor's ``.grad``), and windowing copies a corpus (lookback + horizon) times.
+# tensor's ``.grad``).  Windowing copies nothing: the windows are views.
 MAX_VALUES = 10**8
 
 _MIN_SEGMENT = 64

@@ -12,8 +12,10 @@ The synthesis pair also takes spectra in kept form: M of the bins per
 (lead, mid) position, named by an ``index`` shaped like the planes without
 their last axis.  For each position they gather the 2M ``inv`` rows those
 bins select, one contiguous row each, and run one batched product over the
-positions, so only kept bins cost flops.  The product writes straight into
-the (lead, n, mid, E) output, whose (n, E) blocks BLAS addresses in place.
+positions, so only kept bins cost flops.  The rows are gathered for a block
+of leading positions at a time, at most ``GATHER_VALUES`` values, and each
+block's product writes straight into its part of the (lead, n, mid, E)
+output, whose (n, E) blocks BLAS addresses in place.
 
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
@@ -27,6 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError
+
+
+# the most float64 values (1 MiB) of ``inv`` rows a kept-bin product gathers at
+# once; a block is always at least one leading position
+GATHER_VALUES = 2**17
 
 
 def onesided_bins(n: int) -> int:
@@ -83,15 +90,23 @@ def check_kept_index(index, shape, n: int, axis: int) -> None:
 
 
 def _kept_rows(index, shape, n: int, axis: int):
-    """The 2M ``inv`` rows each (lead, mid) position keeps, (lead, mid, 2M, n),
+    """The 2M ``inv`` row numbers each (lead, mid) position keeps, (lead, mid, 2M),
     and the planes' (lead, M, mid, E) view shape."""
     check_kept_index(index, shape, n, axis)
     axis %= len(shape)
     view = (int(np.prod(shape[:axis])), shape[axis],
             int(np.prod(shape[axis + 1:-1])), shape[-1])
     rows = np.reshape(index, view[:3]).transpose(0, 2, 1)
-    rows = np.concatenate([rows, rows + onesided_bins(n)], axis=2)
-    return np.take(_operators(n)[1], rows, axis=0), view
+    return np.concatenate([rows, rows + onesided_bins(n)], axis=2), view
+
+
+def _gathered(rows: np.ndarray, n: int):
+    """(positions, rows) for each block of leading positions: a slice of the
+    lead axis and the ``inv`` rows ``rows`` names there, (block, mid, 2M, n)."""
+    inv = _operators(n)[1]
+    step = max(1, GATHER_VALUES // max(1, int(np.prod(rows.shape[1:])) * n))
+    for lo in range(0, len(rows), step):
+        yield slice(lo, lo + step), np.take(inv, rows[lo:lo + step], axis=0)
 
 
 def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
@@ -108,8 +123,9 @@ def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
     x = np.concatenate([np.reshape(re, (lead, m, mid, e)),
                         np.reshape(im, (lead, m, mid, e))], axis=1)
     out = np.empty((lead, n, mid, e))
-    np.matmul(rows.transpose(0, 1, 3, 2), x.transpose(0, 2, 1, 3),
-              out=out.transpose(0, 2, 1, 3))
+    xt, ot = x.transpose(0, 2, 1, 3), out.transpose(0, 2, 1, 3)
+    for at, block in _gathered(rows, n):
+        np.matmul(block.transpose(0, 1, 3, 2), xt[at], out=ot[at])
     axis %= np.ndim(re)
     return out.reshape(np.shape(re)[:axis] + (n,) + np.shape(re)[axis + 1:])
 
@@ -132,6 +148,7 @@ def irfft_transpose(g, n: int, axis: int = -1, index=None):
     shape = np.shape(g)[:axis] + np.shape(index)[axis:axis + 1] + np.shape(g)[axis + 1:]
     rows, (lead, m, mid, e) = _kept_rows(index, shape, n, axis)
     out = np.empty((lead, 2 * m, mid, e))
-    np.matmul(rows, np.reshape(g, (lead, n, mid, e)).transpose(0, 2, 1, 3),
-              out=out.transpose(0, 2, 1, 3))
+    gt, ot = np.reshape(g, (lead, n, mid, e)).transpose(0, 2, 1, 3), out.transpose(0, 2, 1, 3)
+    for at, block in _gathered(rows, n):
+        np.matmul(block, gt[at], out=ot[at])
     return out[:, :m].reshape(shape), out[:, m:].reshape(shape)

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, as_data, lift, lift_columns, matmul, relu, reshape, transpose
+from .autograd import Tensor, add_by_channel, as_data, lift, lift_columns, matmul, relu, transpose
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -166,10 +166,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
     )
     padded = position_aware_pad(mixed)
     x_rec = istft(padded)
-    skip = x_rec + x_e
-
-    b, l, d, e = skip.shape
-    flat = reshape(transpose(skip, (0, 2, 1, 3)), (b, d, l * e))
+    flat = add_by_channel(x_rec, x_e)  # skip connection, (B, D, L*E)
     hid = matmul(flat, params.head_w1) + params.head_b1
     if cfg.activation == "relu":
         hid = relu(hid)

@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqcast import data as data_io
 from freqcast.errors import ConfigError, ContractError, DataError
@@ -138,6 +140,35 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             data_io.make_windows(np.arange(5.0)[:, None], 4, 2)
+
+    # each used to fail its own way: a bare ZeroDivisionError, numpy's "need at
+    # least one array to stack", a numpy shape error, and (19, 0, 1) windows
+    @pytest.mark.parametrize("name, value", [
+        ("stride", 0), ("stride", -1), ("lookback", -3), ("lookback", 0), ("horizon", 0)])
+    def test_sizes_below_one_are_refused_by_name(self, name, value):
+        sizes = {"lookback": 3, "horizon": 2, "stride": 1, name: value}
+        with pytest.raises(ConfigError, match=rf"make_windows needs {name} >= 1, got {value}$"):
+            data_io.make_windows(np.arange(20.0)[:, None], **sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), lookback=st.integers(1, 12), horizon=st.integers(1, 12),
+           stride=st.integers(1, 9), channels=st.integers(1, 3))
+    def test_windows_are_read_only_views_of_the_per_sample_slices(
+            self, n, lookback, horizon, stride, channels):
+        split = np.arange(float(n * channels)).reshape(n, channels)
+        if n < lookback + horizon:
+            with pytest.raises(ConfigError, match="shorter than lookback"):
+                data_io.make_windows(split, lookback, horizon, stride)
+            return
+        x, y = data_io.make_windows(split, lookback, horizon, stride)
+        starts = range(0, n - lookback - horizon + 1, stride)
+        assert np.array_equal(x, np.stack([split[s:s + lookback] for s in starts]))
+        assert np.array_equal(y, np.stack([split[s + lookback:s + lookback + horizon]
+                                           for s in starts]))
+        for w in (x, y):
+            assert np.shares_memory(w, split)
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0, 0] = -1.0
 
 
 class TestMetrics:

@@ -19,6 +19,7 @@ from freqcast.autograd import (
     CTensor,
     Tensor,
     add,
+    add_by_channel,
     block_matrix,
     concat,
     factored_matmul,
@@ -28,7 +29,6 @@ from freqcast.autograd import (
     mul,
     overlap_add,
     relu,
-    reshape,
     split,
     sub,
     take_rows,
@@ -235,6 +235,28 @@ class TestKeptBinKernels:
         want = istft(SpectralWindows(Tensor(full_re), Tensor(full_im), plan)).data
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
+    @pytest.mark.parametrize("n", [8, 7])
+    @pytest.mark.parametrize("leads_per_block", [1, 3])
+    def test_blocked_gather_equals_one_block_bit_for_bit(self, rng, monkeypatch, n,
+                                                         leads_per_block):
+        """Gathering the operator rows for a few leading positions at a time
+        changes no bit of synthesis or of its transpose.  7 leads (7 samples of
+        1 window) split into blocks of 3 leave a short last block; at even n
+        every position keeps the Nyquist bin."""
+        bins, m, mid, e = fftkit.onesided_bins(n), 3, 2, 2
+        index = np.sort(np.argsort(rng.random((7, 1, bins - 1, mid)), axis=2)[:, :, :m - 1],
+                        axis=2)
+        index = np.concatenate([index, np.full((7, 1, 1, mid), bins - 1)], axis=2)
+        re, im = rng.normal(size=(2, 7, 1, m, mid, e))
+        g = rng.normal(size=(7, 1, n, mid, e))
+        whole = [fftkit.irfft_onesided(re, im, n, axis=2, index=index),
+                 *fftkit.irfft_transpose(g, n, axis=2, index=index)]
+        assert fftkit.GATHER_VALUES >= 7 * mid * 2 * m * n  # one block by default
+        monkeypatch.setattr(fftkit, "GATHER_VALUES", leads_per_block * mid * 2 * m * n)
+        blocked = [fftkit.irfft_onesided(re, im, n, axis=2, index=index),
+                   *fftkit.irfft_transpose(g, n, axis=2, index=index)]
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_kept_kernels_refuse_bins_outside_the_spectrum(self, rng, bad):
         """n = 8 has 5 bins: bin 5 would read the first imaginary row and -1
@@ -285,16 +307,27 @@ class TestAutogradPrimitives:
         with pytest.raises(ContractError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
-    def test_reshape_transpose_slice_pad(self, rng):
+    def test_transpose_and_split(self, rng):
         a = Tensor(rng.normal(size=(2, 6)))
 
         def build():
-            x = reshape(a, (3, 4))
-            x = transpose(x, (1, 0))
+            x = transpose(a, (1, 0))
             [x] = split(x, [(slice(1, 3), slice(None))])
             return mean_all(mul(x, x))
 
         check_grads(build, [a])
+
+    def test_add_by_channel_is_the_flattened_channel_major_sum(self, rng):
+        a, b = (Tensor(rng.normal(size=(2, 5, 3, 4))) for _ in range(2))
+        want = np.transpose(a.data + b.data, (0, 2, 1, 3)).reshape(2, 3, 20)
+        got = add_by_channel(a, b).data
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        w = rng.normal(size=(2, 3, 20))
+        check_grads(lambda: mean_all(mul(add_by_channel(a, mul(b, b)), w)), [a, b])
+
+    def test_add_by_channel_refuses_operands_of_other_shapes(self, rng):
+        with pytest.raises(ContractError, match="two \\(B, L, D, E\\) operands"):
+            add_by_channel(Tensor(np.zeros((2, 5, 3, 4))), Tensor(np.zeros((5, 3, 4))))
 
     def test_shared_gradient_is_never_written_in_place(self, rng):
         """add hands one gradient array to both parents; slicing one of them

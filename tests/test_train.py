@@ -516,6 +516,25 @@ class TestNoTape:
                 == forward(self.x, self.params, self.cfg).data.tobytes())
 
 
+def test_a_predict_chunk_at_predict_long_shapes_peaks_below_20_mib():
+    """One chunk of 32 windows (L = 512, D = 4, E = 8, nfft = 128, M = 8) holds
+    about 19.1 MiB at its peak under tracemalloc.  Gathering every kept
+    operator row at once (8 MiB) or copying the skip sum for the head's
+    flatten (4 MiB) crosses the bound; with both it was 23.3 MiB."""
+    cfg = RunConfig(backbone="wm", lookback=512, horizon=96, windows=4, nfft=128,
+                    embed=8, top_m=8, hidden=64).validate()
+    params = init_params(cfg)
+    x = np.random.default_rng(0).normal(size=(32, 512, 4))
+    predict(params, cfg, x, chunk=32)  # fill the operator and plan caches
+    tracemalloc.start()
+    try:
+        predict(params, cfg, x, chunk=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
+
+
 FAULTS_PER_CHUNK = """
 import resource, statistics
 import numpy as np
