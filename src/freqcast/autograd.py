@@ -1,16 +1,22 @@
 """Reverse-mode differentiation over float64 numpy arrays.
 
-A ``Tensor`` records the op that produced it as a backward closure, in the
-micrograd style; ``Tensor.backward()`` topologically sorts the graph and
-sweeps it in reverse, accumulating gradients into the ``.grad`` of the
-leaves: the Tensors no recorded op produced (parameters, data, ``no_tape()``
+A ``Tensor`` is a value (``data``) and a graph node.  The node holds the
+gradient, the nodes of the Tensors it was computed from, and the op's
+backward closure, in the micrograd style; it holds no value.  Each closure
+saves only what its backward reads: ``add`` keeps two shapes, ``relu`` its
+mask, ``matmul`` each operand that the other's gradient needs.  So a value
+lives only while the caller or a closure that reads it holds it, and a
+forward's intermediates die as it lets go of them, also while its tape is
+recorded.  ``Tensor.backward()`` topologically sorts the nodes and sweeps
+them in reverse, accumulating gradients into the ``.grad`` of the leaves:
+the Tensors no recorded op produced (parameters, data, ``no_tape()``
 outputs).  A tape is single-use.  Once a node's closure has run, the sweep
-releases the node: it drops its closure and parents, and an interior node its
-gradient, so the graph is freed while the caller still holds the loss.  The
-root keeps its seed gradient, and a later backward that reaches a released
-node raises ``ContractError``.  Complex values never
-appear on the tape: ``CTensor`` is just a (real, imag) pair of Tensors, so
-complex and hyper-complex layers differentiate through their real planes.
+releases the node: it drops its closure and parents, and an interior node
+its gradient, so the graph is freed while the caller still holds the loss.
+The root keeps its seed gradient, and a later backward that reaches a
+released node raises ``ContractError``.  Complex values never appear on the
+tape: ``CTensor`` is just a (real, imag) pair of Tensors, so complex and
+hyper-complex layers differentiate through their real planes.
 
 Non-Tensor operands are treated as constants and receive no gradient.
 
@@ -130,16 +136,35 @@ def _spent(g):
                         "consumed; a tape is single-use, so run the forward again")
 
 
+class _Node:
+    """A Tensor's place on the tape: its gradient, the nodes of the Tensors it
+    was computed from, and the closure that sends its gradient to them.  It
+    holds no value; the closure holds what its backward reads."""
+
+    __slots__ = ("grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(self, parents, backward):
+        self.grad = None
+        self._parents, self._backward = parents, backward
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+    """A float64 value and its graph node; ``grad``, ``_parents`` and
+    ``_backward`` are the node's."""
+
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         if _recording:
-            self._parents, self._backward = parents, backward
+            self._node = _Node(tuple(t._node for t in parents), backward)
         else:
-            self._parents, self._backward = (), None
+            self._node = _Node((), None)
+
+    grad = property(lambda self: self._node.grad,
+                    lambda self, g: setattr(self._node, "grad", g))
+    _parents = property(lambda self: self._node._parents)
+    _backward = property(lambda self: self._node._backward)
 
     @property
     def shape(self):
@@ -159,9 +184,10 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError("backward() starts from a scalar loss")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -174,14 +200,14 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is None:
                 continue
             node._backward(node.grad)
             node._backward, node._parents = _spent, ()
-            if node is not self:
+            if node is not root:
                 node.grad = None
 
     # operator sugar; the constant side of a mixed op gets no gradient
@@ -192,9 +218,14 @@ class Tensor:
         return mul(self, other)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _node(x) -> _Node | None:
+    """x's graph node, or None for a constant."""
+    return x._node if isinstance(x, Tensor) else None
+
+
+def _accum(node: _Node, g: np.ndarray) -> None:
     # g may be shared (add hands one array to both parents): keep, never write
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -229,11 +260,12 @@ def as_data(x, who: str) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     bd = _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
+    na, nb, sa, sb = a._node, _node(b), a.data.shape, bd.shape
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, sb))
 
     return Tensor(a.data + bd, parents, backward)
 
@@ -252,14 +284,15 @@ def add_by_channel(a: Tensor, b) -> Tensor:
         raise ContractError(f"add_by_channel expects two (B, L, D, E) operands of one "
                             f"shape, got {ad.shape} and {bd.shape}")
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+    nodes = [t._node for t in parents]
     n, l, d, e = ad.shape
     out = np.empty((n, d, l, e))
     np.add(ad, bd, out=out.transpose(0, 2, 1, 3))
 
     def backward(g):
         gt = g.reshape(n, d, l, e).transpose(0, 2, 1, 3)
-        for t in parents:
-            _accum(t, gt)
+        for node in nodes:
+            _accum(node, gt)
 
     return Tensor(out.reshape(n, d, l * e), parents, backward)
 
@@ -267,25 +300,30 @@ def add_by_channel(a: Tensor, b) -> Tensor:
 def sub(a: Tensor, b) -> Tensor:
     bd = _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
+    na, nb, sa, sb = a._node, _node(b), a.data.shape, bd.shape
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(-g, sb))
 
     return Tensor(a.data - bd, parents, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bd = _raw(b)
+    ad, bd = a.data, _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
+    na, nb, sa = a._node, _node(b), ad.shape
+    out = ad * bd
+    if nb is None:
+        ad = None  # only b's gradient reads a's values
 
     def backward(g):
-        _accum(a, _unbroadcast(g * bd, a.data.shape))
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(na, _unbroadcast(g * bd, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * ad, bd.shape))
 
-    return Tensor(a.data * bd, parents, backward)
+    return Tensor(out, parents, backward)
 
 
 def matmul(a, w) -> Tensor:
@@ -302,23 +340,27 @@ def matmul(a, w) -> Tensor:
             f"matmul shapes incompatible: {ad.shape} x {wd.shape}"
         )
     parents = tuple(t for t in (a, w) if isinstance(t, Tensor))
+    na, nw, sa = _node(a), _node(w), ad.shape
     k, m = wd.shape
     a2 = ad.reshape(-1, k)
+    out = (a2 @ wd).reshape(sa[:-1] + (m,))
+    if na is None:
+        wd = None  # only a's gradient reads w's values; the lift's columns get none
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if isinstance(a, Tensor) and isinstance(w, Tensor) and _blas_threads() == 1:
+        if na is not None and nw is not None and _blas_threads() == 1:
             ga = np.empty(a2.shape)
             _, gw = side_by_side(lambda: np.matmul(g2, wd.T, out=ga), lambda: a2.T @ g2)
-            _accum(a, ga.reshape(ad.shape))
-            _accum(w, gw)
+            _accum(na, ga.reshape(sa))
+            _accum(nw, gw)
             return
-        if isinstance(a, Tensor):
-            _accum(a, (g2 @ wd.T).reshape(ad.shape))
-        if isinstance(w, Tensor):
-            _accum(w, a2.T @ g2)
+        if na is not None:
+            _accum(na, (g2 @ wd.T).reshape(sa))
+        if nw is not None:
+            _accum(nw, a2.T @ g2)
 
-    return Tensor((a2 @ wd).reshape(ad.shape[:-1] + (m,)), parents, backward)
+    return Tensor(out, parents, backward)
 
 
 def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
@@ -339,19 +381,20 @@ def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
         raise ContractError(f"factored_matmul shapes incompatible: x {xd.shape} = coef "
                             f"{coef.shape} over basis {basis.shape}, times w {wd.shape}")
     parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
+    nx, nw, sx = _node(x), _node(w), xd.shape
     m = wd.shape[1]
     c2 = coef.reshape(-1, blocks * k)
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if isinstance(x, Tensor):
-            _accum(x, (g2 @ wd.T).reshape(xd.shape))
-        if isinstance(w, Tensor):
+        if nx is not None:
+            _accum(nx, (g2 @ wd.T).reshape(sx))
+        if nw is not None:
             cg = (c2.T @ g2).reshape(blocks, k, m)
-            _accum(w, np.matmul(basis.T, cg).reshape(blocks * e, m))
+            _accum(nw, np.matmul(basis.T, cg).reshape(blocks * e, m))
 
     v = np.matmul(basis, wd.reshape(blocks, e, m)).reshape(blocks * k, m)
-    return Tensor((c2 @ v).reshape(xd.shape[:-1] + (m,)), parents, backward)
+    return Tensor((c2 @ v).reshape(sx[:-1] + (m,)), parents, backward)
 
 
 def lift_columns(x: np.ndarray, u) -> np.ndarray:
@@ -376,9 +419,10 @@ def lift(cols: np.ndarray, scale: Tensor, bias: Tensor) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
+    na = a._node
 
     def backward(g):
-        _accum(a, np.transpose(g, inverse))
+        _accum(na, np.transpose(g, inverse))
 
     return Tensor(np.transpose(a.data, axes), (a,), backward)
 
@@ -388,12 +432,13 @@ def split(a: Tensor, idxs) -> list[Tensor]:
     gradients fill one buffer, which a hub node hands to ``a`` after all of
     them ran, so p parts cost one zero buffer, not p."""
     buf: list[np.ndarray] = []
-    hub = Tensor(a.data, (a,), lambda g: _accum(a, buf.pop()) if buf else None)
+    na, shape = a._node, a.data.shape
+    hub = Tensor(a.data, (a,), lambda g: _accum(na, buf.pop()) if buf else None)
 
     def part(idx):
         def backward(g):
             if not buf:
-                buf.append(np.zeros_like(a.data))
+                buf.append(np.zeros(shape))
             buf[0][idx] = g
 
         return Tensor(a.data[idx], (hub,), backward)
@@ -403,10 +448,11 @@ def split(a: Tensor, idxs) -> list[Tensor]:
 
 def stack(parts: list[Tensor], axis: int) -> Tensor:
     """Join equal-shaped tensors along a new axis."""
+    nodes = [t._node for t in parts]
 
     def backward(g):
-        for t, piece in zip(parts, np.moveaxis(g, axis, 0)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.moveaxis(g, axis, 0)):
+            _accum(node, piece)
 
     return Tensor(np.stack([t.data for t in parts], axis=axis), tuple(parts), backward)
 
@@ -414,10 +460,11 @@ def stack(parts: list[Tensor], axis: int) -> Tensor:
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     """Join tensors along an existing axis."""
     bounds = np.cumsum([t.data.shape[axis] for t in parts])[:-1]
+    nodes = [t._node for t in parts]
 
     def backward(g):
-        for t, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.split(g, bounds, axis=axis)):
+            _accum(node, piece)
 
     return Tensor(np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward)
 
@@ -478,16 +525,17 @@ def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
     out = np.zeros((grid, size, grid, size))
     out[rows, :, cols, :] = pieces
     used = [parts[i] for i in planes[:len(planes) // layout.uses]]
+    nodes = [t._node for t in used]
 
     def backward(g):
         rounds = g.reshape(grid, size, grid, size)[rows, :, cols, :]
         rounds *= coefs
-        rounds = rounds.reshape(layout.uses, len(used), size, size)
+        rounds = rounds.reshape(layout.uses, len(nodes), size, size)
         # the parts' gradients are views of one array: it holds the first round
         for later in rounds[1:]:
             rounds[0] += later
-        for t, piece in zip(used, rounds[0]):
-            _accum(t, piece)
+        for node, piece in zip(nodes, rounds[0]):
+            _accum(node, piece)
 
     return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)
 
@@ -522,28 +570,28 @@ def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
 def overlap_add(f: Tensor, starts, length: int) -> Tensor:
     """Adjoint of ``windowed_frames``: sum window i back in at starts[i],
     (B, p, n, ...) -> (B, L, ...)."""
-    n = f.data.shape[2]
+    nf, n = f._node, f.data.shape[2]
 
     def backward(g):
-        _accum(f, windowed_frames(g, starts, n))
+        _accum(nf, windowed_frames(g, starts, n))
 
     return Tensor(_overlap_add(f.data, starts, length), (f,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    na, mask = a._node, a.data > 0
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(na, g * mask)
 
     return Tensor(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+    na, shape, n = a._node, a.data.shape, a.data.size
 
     def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
+        _accum(na, np.full(shape, float(g) / n))
 
     return Tensor(a.data.mean(), (a,), backward)
 
@@ -561,14 +609,15 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     Each row is one contiguous copy; ``take_along_axis`` with an index
     broadcast over E would build a fancy-index grid over every axis.
     """
-    e = a.data.shape[-1]
+    na, shape, e = a._node, a.data.shape, a.data.shape[-1]
     flat = a.data.reshape(-1, e)
-    _check_rows(rows, flat.shape[0])
+    count = flat.shape[0]
+    _check_rows(rows, count)
 
     def backward(g):
-        buf = np.zeros_like(flat)
+        buf = np.zeros((count, e))
         buf[rows.ravel()] = g.reshape(-1, e)
-        _accum(a, buf.reshape(a.data.shape))
+        _accum(na, buf.reshape(shape))
 
     return Tensor(np.take(flat, rows, axis=0), (a,), backward)
 
@@ -577,11 +626,12 @@ def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1, index=None) -> Te
     """Real synthesis from one-sided planes (1/n normalised); with ``index``,
     from the kept bins it names (``fftkit.irfft_onesided``)."""
     out = fftkit.irfft_onesided(re.data, im.data, n, axis=axis, index=index)
+    nre, nim = re._node, im._node
 
     def backward(g):
         gre, gim = fftkit.irfft_transpose(g, n, axis=axis, index=index)
-        _accum(re, gre)
-        _accum(im, gim)
+        _accum(nre, gre)
+        _accum(nim, gim)
 
     return Tensor(out, (re, im), backward)
 

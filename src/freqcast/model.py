@@ -141,7 +141,10 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
             debug: dict | None = None) -> Tensor:
     """Run the whole pipeline on a (B, L, D) batch; returns (B, T, D).
 
-    The batch is data, as in ``embed``: no gradient flows back to it.
+    The batch is data, as in ``embed``: no gradient flows back to it.  Each
+    stage's output is let go once the next stage has read it, so past its
+    stage only what a backward closure reads stays alive.  A ``debug`` dict,
+    when given, keeps every stage output under its name.
     """
     x = _batch(x, "forward")
     if x.shape[1] != cfg.lookback:
@@ -150,35 +153,34 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
         )
     spectral_plane, weight_plane = mask_planes(cfg.mask_mode)
 
-    x_e = embed(x, params)
-    plan = cfg.plan()
-    spectra = _mask_spectra(rstft(x[..., None], plan, params.embed_scale, params.embed_bias),
-                            spectral_plane)
-    compressed = top_m_select(spectra, cfg.top_m)
-    mixed = backbone_forward(
+    def stage(name: str, out):
+        if debug is not None:
+            debug[name] = out
+        return out
+
+    h = stage("spectra", _mask_spectra(
+        rstft(x[..., None], cfg.plan(), params.embed_scale, params.embed_bias),
+        spectral_plane))
+    h = stage("compressed", top_m_select(h, cfg.top_m))
+    h = stage("mixed", backbone_forward(
         cfg.backbone,
-        compressed,
+        h,
         params.backbone,
         act=cfg.activation,
         radius=cfg.radius,
         conjugate_neighbors=cfg.conjugate_neighbors,
         weight_mask=weight_plane,
-    )
-    padded = position_aware_pad(mixed)
-    x_rec = istft(padded)
-    flat = add_by_channel(x_rec, x_e)  # skip connection, (B, D, L*E)
-    hid = matmul(flat, params.head_w1) + params.head_b1
+    ))
+    h = stage("padded", position_aware_pad(h))
+    h = stage("reconstructed", istft(h))
+    # skip connection, (B, D, L*E); the embedded input is built here, so that
+    # it is not alive through the spectral stages
+    h = add_by_channel(h, stage("embedded", embed(x, params)))
+    h = matmul(h, params.head_w1) + params.head_b1
     if cfg.activation == "relu":
-        hid = relu(hid)
-    out = matmul(hid, params.head_w2) + params.head_b2
-    pred = transpose(out, (0, 2, 1))
-
-    if debug is not None:
-        debug.update(
-            embedded=x_e, spectra=spectra, compressed=compressed,
-            mixed=mixed, padded=padded, reconstructed=x_rec,
-        )
-    return pred
+        h = relu(h)
+    h = matmul(h, params.head_w2) + params.head_b2
+    return transpose(h, (0, 2, 1))
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -30,6 +30,7 @@ from freqcast.autograd import (
     overlap_add,
     relu,
     split,
+    stack,
     sub,
     take_rows,
     transpose,
@@ -539,6 +540,48 @@ class TestAutogradPrimitives:
         out = mean_all(mul(a, a))
         out.backward()
         np.testing.assert_allclose(a.grad, [4.0])
+
+
+FACTORS = (np.random.default_rng(5).normal(size=(3, 4)),
+           np.random.default_rng(6).normal(size=(2, 4)))
+# op -> input shapes, the call, and which inputs' values its backward reads
+TAPE_READS = {
+    "add": ([(3, 4), (4,)], add, []),
+    "sub": ([(3, 4), (3, 4)], sub, []),
+    "mul by a constant": ([(3, 4)], lambda a: mul(a, 2.0), []),
+    "add_by_channel": ([(2, 3, 2, 4), (2, 3, 2, 4)], add_by_channel, []),
+    "transpose": ([(2, 3, 4)], lambda a: transpose(a, (2, 0, 1)), []),
+    "split": ([(4, 6)],
+              lambda a: split(a, [(slice(None), slice(0, 3)), (slice(None), slice(3, 6))]),
+              []),
+    "stack": ([(3, 4), (3, 4)], lambda a, b: stack([a, b], axis=1), []),
+    "concat": ([(3, 2), (3, 4)], lambda a, b: concat([a, b]), []),
+    "take_rows": ([(2, 5, 3)], lambda a: take_rows(a, np.array([1, 4, 7])), []),
+    "relu": ([(3, 4)], relu, []),
+    "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, [0, 2, 4], 8), []),
+    "irfft_real": ([(3, 5), (3, 5)], lambda re, im: irfft_real(re, im, 8), []),
+    "block_matrix": ([(2, 2), (2, 2)], lambda a, b: block_matrix(
+        [a, b], BlockLayout.of([(0, 0, 0, 1.0), (1, 1, 1, -1.0)], 2)), []),
+    "mean_all": ([(3, 4)], mean_all, []),
+    "matmul": ([(2, 3, 4), (4, 5)], matmul, [0, 1]),
+    "mul by a Tensor": ([(3, 4), (3, 4)], mul, [0, 1]),
+    "factored_matmul": ([(3, 8), (8, 5)], lambda x, w: factored_matmul(x, *FACTORS, w), [1]),
+}
+
+
+@pytest.mark.parametrize("shapes, call, read", TAPE_READS.values(), ids=TAPE_READS)
+def test_the_tape_keeps_an_input_value_only_if_its_backward_reads_it(rng, shapes, call, read):
+    """Once the caller drops an op's inputs and keeps its output, an input's
+    value array is alive only if the op's backward reads it."""
+    inputs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+    values = [weakref.ref(t.data) for t in inputs]
+    out = call(*inputs)
+    for t in out if isinstance(out, list) else [out]:
+        # a view of an input is the output's value, not the tape's: keep a copy
+        if any(np.shares_memory(t.data, i.data) for i in inputs):
+            t.data = t.data.copy()
+    del inputs
+    assert [i for i, ref in enumerate(values) if ref() is not None] == read
 
 
 class TestSideBySide:

@@ -106,15 +106,20 @@ class TestReleasedTape:
         self.y = rng.normal(size=(4, self.cfg.horizon, 2))
 
     def test_no_interior_tensor_outlives_the_sweep(self):
+        """The interior Tensors die with the caller's references, before the
+        sweep; their graph nodes live on the tape until the sweep releases them."""
         debug: dict = {}
         pred = forward(self.x, self.params, self.cfg, debug=debug)
         loss = mse_loss(pred, self.y)
-        interior = {name: weakref.ref(t) for name, t in
-                    [("pred", pred), ("embedded", debug["embedded"]),
-                     ("reconstructed", debug["reconstructed"])]}
-        del pred, debug
+        named = [("pred", pred), ("embedded", debug["embedded"]),
+                 ("reconstructed", debug["reconstructed"])]
+        interior = {name: weakref.ref(t) for name, t in named}
+        nodes = {name: weakref.ref(t._node) for name, t in named}
+        del pred, debug, named
+        assert all(ref() is not None for ref in nodes.values())
         backward(loss)
         assert {name: ref() for name, ref in interior.items()} == dict.fromkeys(interior)
+        assert {name: ref() for name, ref in nodes.items()} == dict.fromkeys(nodes)
         assert loss.grad is not None
 
     def test_leaves_keep_their_gradients(self):
@@ -516,11 +521,36 @@ class TestNoTape:
                 == forward(self.x, self.params, self.cfg).data.tobytes())
 
 
-def test_a_predict_chunk_at_predict_long_shapes_peaks_below_20_mib():
+def test_a_train_step_at_train_basic_p8_shapes_peaks_below_20_mib():
+    """One step of 32 windows through the basic backbone at p = 8 (L = 96,
+    D = 2, E = 32, nfft = 26, M = 8) holds about 16.0 MiB at its peak under
+    tracemalloc.  A tape that keeps every stage output alive through the
+    backward (the lifted planes, the kept rows, the backbone's input, its
+    bias sum and activation, the synthesis frames, the embedded input) held
+    36.3 MiB."""
+    cfg = RunConfig(backbone="basic", windows=8, lookback=96, horizon=24, nfft=26,
+                    embed=32, top_m=8, hidden=64).validate()
+    params = init_params(cfg)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(32, 96, 2)), rng.normal(size=(32, 24, 2))
+    backward(mse_loss(forward(x, params, cfg), y))  # fill the operator and plan caches
+    for _, t in params.named_tensors():
+        t.grad = None
+    tracemalloc.start()
+    try:
+        backward(mse_loss(forward(x, params, cfg), y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
+
+
+def test_a_predict_chunk_at_predict_long_shapes_peaks_below_14_mib():
     """One chunk of 32 windows (L = 512, D = 4, E = 8, nfft = 128, M = 8) holds
-    about 19.1 MiB at its peak under tracemalloc.  Gathering every kept
-    operator row at once (8 MiB) or copying the skip sum for the head's
-    flatten (4 MiB) crosses the bound; with both it was 23.3 MiB."""
+    about 12.1 MiB at its peak under tracemalloc.  Keeping each stage output
+    until the forward returned held 19.1 MiB; before that, gathering every
+    kept operator row at once and copying the skip sum for the head's flatten
+    held 23.3 MiB."""
     cfg = RunConfig(backbone="wm", lookback=512, horizon=96, windows=4, nfft=128,
                     embed=8, top_m=8, hidden=64).validate()
     params = init_params(cfg)
@@ -532,7 +562,7 @@ def test_a_predict_chunk_at_predict_long_shapes_peaks_below_20_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20, peak / 2**20
+    assert peak < 14 * 2**20, peak / 2**20
 
 
 FAULTS_PER_CHUNK = """
