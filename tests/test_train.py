@@ -150,9 +150,16 @@ class TestReleasedTape:
         with pytest.raises(ContractError, match="computed by earlier ops"):
             rstft(doubled, self.cfg.plan(), self.params.embed_scale, self.params.embed_bias)
 
-    def test_a_step_holds_no_earlier_step_graph(self):
+    def test_a_step_holds_no_earlier_step_graph(self, monkeypatch):
         """Under tracemalloc, the second of two steps peaks at most 10% above
-        the first, although the first step's loss is still held during it."""
+        the first, although the first step's loss is still held during it.
+
+        Both steps run matmul's two gradient GEMMs one after the other.  With
+        one BLAS thread (set in-process by ``bench/run.py`` when the bench
+        tests import it) the pair runs side by side, and the peak then depends
+        on how the two threads interleave, by more than the 10% margin at
+        these sizes."""
+        monkeypatch.setattr(autograd, "_blas_threads", lambda: 2)
         named = self.params.named_tensors()
         backward(mse_loss(forward(self.x, self.params, self.cfg), self.y))  # fill caches
         peaks = []
