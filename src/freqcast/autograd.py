@@ -345,7 +345,7 @@ def matmul(a, w) -> Tensor:
     a2 = ad.reshape(-1, k)
     out = (a2 @ wd).reshape(sa[:-1] + (m,))
     if na is None:
-        wd = None  # only a's gradient reads w's values; the lift's columns get none
+        wd = None  # only a's gradient reads w's values
 
     def backward(g):
         g2 = g.reshape(-1, m)
@@ -406,14 +406,24 @@ def lift_columns(x: np.ndarray, u) -> np.ndarray:
     return cols
 
 
-def lift(cols: np.ndarray, scale: Tensor, bias: Tensor) -> Tensor:
-    """x * scale + u * bias for ``lift_columns(x, u)`` and (E,) Tensors: one
-    (N, 2) @ (2, E) GEMM onto a last axis of E.
+def lift(coef: np.ndarray, basis: Tensor) -> Tensor:
+    """Constant coefficients (..., n*K) lifted by a (K, E) basis: each K-block
+    of coef times the basis becomes an E-block of the (..., n*E) result.
 
-    Broadcasting (..., 1) against (E,) would run numpy's inner loop once per
-    E entries; the GEMM writes the (..., E) result in one pass.
+    One (N*n, K) @ (K, E) GEMM writes the result; broadcasting (..., 1)
+    against (E,) would run numpy's inner loop once per E entries.  Only the
+    basis gets a gradient, coef^T g, so the closure keeps coef and not the
+    basis's values.  With n = 1 this is ``matmul(coef, basis)`` bit for bit.
     """
-    return matmul(cols, stack([scale, bias], axis=0))
+    k, e = basis.shape
+    c2 = coef.reshape(-1, k)
+    nb = basis._node
+
+    def backward(g):
+        _accum(nb, c2.T @ g.reshape(-1, e))
+
+    out = (c2 @ basis.data).reshape(coef.shape[:-1] + (coef.shape[-1] // k * e,))
+    return Tensor(out, (basis,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -427,21 +437,28 @@ def transpose(a: Tensor, axes) -> Tensor:
     return Tensor(np.transpose(a.data, axes), (a,), backward)
 
 
-def split(a: Tensor, idxs) -> list[Tensor]:
-    """Disjoint basic-index parts ``a[idx]``, one per entry of ``idxs``.  Their
-    gradients fill one buffer, which a hub node hands to ``a`` after all of
-    them ran, so p parts cost one zero buffer, not p."""
+def split(a: Tensor, idxs, shape=None, axes=None) -> list[Tensor]:
+    """Disjoint basic-index parts of ``a`` viewed as ``shape`` (its own by
+    default): ``view[idx]`` for each entry of ``idxs``, its axes permuted by
+    ``axes`` when given.  Every part is a view of ``a``.  Their gradients
+    fill one buffer, which a hub node hands to ``a`` after all of them ran,
+    so p parts cost one zero buffer, not p."""
     buf: list[np.ndarray] = []
-    na, shape = a._node, a.data.shape
-    hub = Tensor(a.data, (a,), lambda g: _accum(na, buf.pop()) if buf else None)
+    na, own = a._node, a.data.shape
+    shape = own if shape is None else tuple(shape)
+    view = a.data.reshape(shape)
+    hub = Tensor(a.data, (a,), lambda g: _accum(na, buf.pop().reshape(own)) if buf else None)
+
+    def pick(arr, idx):
+        return arr[idx] if axes is None else arr[idx].transpose(axes)
 
     def part(idx):
         def backward(g):
             if not buf:
                 buf.append(np.zeros(shape))
-            buf[0][idx] = g
+            pick(buf[0], idx)[...] = g
 
-        return Tensor(a.data[idx], (hub,), backward)
+        return Tensor(pick(view, idx), (hub,), backward)
 
     return [part(idx) for idx in idxs]
 
@@ -594,32 +611,6 @@ def mean_all(a: Tensor) -> Tensor:
         _accum(na, np.full(shape, float(g) / n))
 
     return Tensor(a.data.mean(), (a,), backward)
-
-
-def _check_rows(rows: np.ndarray, count: int) -> None:
-    # numpy raises a bare IndexError past the end and wraps negative rows silently
-    if rows.size and (rows.min() < 0 or rows.max() >= count):
-        raise ContractError(f"row index out of range [0, {count})")
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """The last-axis rows of ``a`` at flat row numbers ``rows``, which must be
-    distinct: (..., E) viewed as (N, E), out[j] = a[rows[j]], shape rows.shape + (E,).
-
-    Each row is one contiguous copy; ``take_along_axis`` with an index
-    broadcast over E would build a fancy-index grid over every axis.
-    """
-    na, shape, e = a._node, a.data.shape, a.data.shape[-1]
-    flat = a.data.reshape(-1, e)
-    count = flat.shape[0]
-    _check_rows(rows, count)
-
-    def backward(g):
-        buf = np.zeros((count, e))
-        buf[rows.ravel()] = g.reshape(-1, e)
-        _accum(na, buf.reshape(shape))
-
-    return Tensor(np.take(flat, rows, axis=0), (a,), backward)
 
 
 def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1, index=None) -> Tensor:

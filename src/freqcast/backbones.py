@@ -1,8 +1,8 @@
 """Frequency-domain mixing layers over compressed spectra.
 
-Four interchangeable backbones, all mapping a list of p complex window
-tensors (B, M, D, E) to a same-shaped list by matrix products over the
-embedding axis:
+Four interchangeable backbones, all mapping the p complex kept windows
+(B, M, D, E), stacked as one (B, M, D, 2p*E) operand, to a same-shaped
+operand by matrix products over the embedding axis:
 
 * ``fd``    - each window through its own complex affine layer, no mixing.
 * ``wm``    - each window mixes with neighbours up to a radius; neighbour
@@ -25,13 +25,13 @@ channels.
 The matmul runs through the input's factors when it carries them: a lifted
 spectrum is K = 2 coefficients per row times the basis [scale; bias], so the
 forward and the weight gradient cost K/E of the dense products.  The
-gradient to the windows stays dense, and reaches scale and bias through
-top-M and the analysis.
+gradient to the operand stays dense, and reaches scale and bias through
+top-M's lift of the kept rows and the basis that the analysis stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +44,6 @@ from .autograd import (
     concat,
     factored_matmul,
     relu,
-    split,
 )
 from .compress import CompressedWindows
 from .errors import ConfigError, ContractError
@@ -192,47 +191,34 @@ def _layout(kind: str, p: int, radius: int, conjugate_neighbors: bool,
     return BlockLayout.of(entries, 2 * p)
 
 
-def _coefficients(c: CompressedWindows, x: Tensor, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """x's E-blocks as coefficients times a basis: the kept factors of the
-    lift, laid out as x is, or x itself over the identity."""
-    if c.factors is None:
-        return x.data, np.eye(e)
-    f = c.factors
-    coef = np.moveaxis(np.concatenate([f.re, f.im], axis=1), 1, -2)  # (B, M, D, 2p, K)
-    return coef.reshape(x.shape[:-1] + (-1,)), f.basis
-
-
 def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
                      act: str = "relu", radius: int = 1,
                      conjugate_neighbors: bool = True,
                      weight_mask: str | None = None) -> CompressedWindows:
-    """One mixing layer: act(windows @ assembled matrix + bias)."""
+    """One mixing layer: act(windows @ assembled matrix + bias), read from and
+    written to the stacked (B, M, D, 2p*E) operand."""
     check_activation(act)
     if weight_mask not in WEIGHT_MASKS:
         raise ConfigError(f"unknown weight mask {weight_mask!r}")
     if kind == "wm" and radius != params.radius:
         raise ContractError(f"radius {radius} != parameter radius {params.radius}")
-    p = len(c.windows)
+    p = c.window_count
     names, _ = block_table(kind, p, radius, conjugate_neighbors)
     if len(params.biases) != p or len(params.weights) != len(names):
         raise ContractError(
             f"parameters sized for {len(params.biases)} windows, got {p}"
         )
     e = params.weights[0].shape[0]
-    if c.windows[0].shape[-1] != e:
-        raise ContractError(
-            f"embedding axis {c.windows[0].shape[-1]} != weight size {e}"
-        )
-    x = concat([w.re for w in c.windows] + [w.im for w in c.windows])
+    if c.embed != e:
+        raise ContractError(f"embedding axis {c.embed} != weight size {e}")
     bias = concat([b.re for b in params.biases] + [b.im for b in params.biases])
     mix = block_matrix([w.re for w in params.weights] + [w.im for w in params.weights],
                        _layout(kind, p, radius, conjugate_neighbors, weight_mask))
-    y = factored_matmul(x, *_coefficients(c, x, e), mix) + bias
+    coef, basis = c.factors if c.factors is not None else (c.stacked.data, np.eye(e))
+    y = factored_matmul(c.stacked, coef, basis, mix) + bias
     if act == "relu":
         y = relu(y)
-    planes = split(y, [(Ellipsis, slice(i * e, (i + 1) * e)) for i in range(2 * p)])
-    out = [CTensor(planes[i], planes[p + i]) for i in range(p)]
-    return CompressedWindows(out, c.indices, c.bins_total, c.plan)
+    return replace(c, stacked=y, factors=None)
 
 
 def backbone_named_tensors(kind: str, params: BackboneParams) -> list[tuple[str, Tensor]]:

@@ -3,17 +3,19 @@
 Selection keeps, independently for every (batch sample, window, channel),
 the M frequency bins with the largest magnitude-squared summed over the
 embedding axis.  Kept indices are remembered so the padding step can hand
-coefficients back with their original bins: it stacks the kept windows and
-carries the indices, and synthesis reads the kept bins where they are, so
-the zero bins are never built.  Ties go to the lower bin index, and kept
-indices are stored ascending, so runs are deterministic across platforms.
+coefficients back with their original bins: synthesis reads the kept bins
+where they are, so the zero bins are never built.  Ties go to the lower bin
+index, and kept indices are stored ascending, so runs are deterministic
+across platforms.
 
 Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
-The gather moves whole E-length rows: a (B, p, bins, D, E) plane is viewed
-as (B*p*bins*D, E) rows, and kept entry (b, i, m, d) is one row.  The same
-rows of the lift's (..., K) coefficient planes, when the spectra carry
-them, are the factors of the kept entries.  Those planes also give the
+The kept spectra are stacked as the backbone reads them, one
+(B, M, D, 2p*E) operand, from top-M to synthesis.  The gather moves whole
+rows: a (B, p, bins, D, K) plane is viewed as (B*p*bins*D, K) rows, and
+kept entry (b, i, m, d) is one row.  Lifted spectra are gathered as their
+(..., K) coefficient planes and lifted by the basis in one GEMM, so of the
+lifted planes only the kept rows are built.  Those planes also give the
 score without touching the E axis: with c the coefficients and G the K x K
 Gram matrix of the basis, sum_e plane_e^2 == sum_jk G_jk c_j c_k.
 """
@@ -24,36 +26,88 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, split, stack, take_rows
+from .autograd import CTensor, Tensor, as_data, concat, lift, split
 from .errors import ConfigError, ContractError
-from .spectral import LiftFactors, SpectralWindows, StftPlan
+from .spectral import SpectralWindows, StftPlan
 
 
 @dataclass
 class CompressedWindows:
-    """Per-window compressed spectra (B, M, D, E) plus kept bin indices (B, M, D).
+    """Kept spectra of p windows stacked as the backbone reads them.
 
-    ``factors``, when given, writes the p windows stacked on axis 1 as
-    (B, p, M, D, K) coefficients times a (K, E) basis: the kept rows of the
-    analysis's own factors.
+    ``stacked`` (B, M, D, 2p*E) holds window i's real plane in E-block i and
+    its imaginary plane in E-block p + i; ``index`` (B, p, M, D) names the
+    kept bins.  Given as a list of p complex (B, M, D, E) windows and a list
+    of p (B, M, D) indices, they are joined here, the windows on the tape;
+    indices given as Nones leave ``index`` None.  ``window_count`` is p,
+    needed only when neither the windows nor the index show it.
+    ``factors``, when given, is (coef, basis): the operand's E-blocks as
+    (B, M, D, 2p*K) coefficients times the (K, E) basis values, the kept
+    rows of the analysis's own factors.
     """
 
-    windows: list[CTensor]
-    indices: list[np.ndarray]
+    stacked: Tensor
+    index: np.ndarray | None
     bins_total: int
-    plan: StftPlan
-    factors: LiftFactors | None = None
+    plan: StftPlan | None
+    factors: tuple[np.ndarray, np.ndarray] | None = None
+    window_count: int | None = None
+
+    def __post_init__(self):
+        if isinstance(self.stacked, list):
+            windows, self.window_count = self.stacked, len(self.stacked)
+            self.stacked = concat([w.re for w in windows] + [w.im for w in windows])
+        if isinstance(self.index, list):
+            self.index = (None if any(i is None for i in self.index)
+                          else np.stack(self.index, axis=1))
+        if self.window_count is None and self.index is not None:
+            self.window_count = self.index.shape[1]
+        p = self.window_count
+        if p is None or self.stacked.shape[-1] % (2 * p):
+            raise ContractError(f"an operand of width {self.stacked.shape[-1]} does not "
+                                f"stack the two planes of {p} windows")
 
     @property
     def kept(self) -> int:
-        return self.windows[0].shape[1]
+        return self.stacked.shape[1]
+
+    @property
+    def embed(self) -> int:
+        return self.stacked.shape[-1] // (2 * self.window_count)
+
+    def _blocks(self) -> tuple[int, ...]:
+        """The operand's shape with its last axis as (plane, window, E)."""
+        return self.stacked.shape[:-1] + (2, self.window_count, self.embed)
+
+    @property
+    def windows(self) -> list[CTensor]:
+        """Per-window complex (B, M, D, E) views of the operand, on the tape."""
+        p = self.window_count
+        parts = split(self.stacked, [(Ellipsis, c, i, slice(None))
+                                     for c in range(2) for i in range(p)], self._blocks())
+        return [CTensor(parts[i], parts[p + i]) for i in range(p)]
+
+    @property
+    def indices(self) -> list[np.ndarray | None]:
+        """Per-window (B, M, D) views of the kept bin indices."""
+        if self.index is None:
+            return [None] * self.window_count
+        return [self.index[:, i] for i in range(self.window_count)]
 
 
 def _rows(idx: np.ndarray, bins: int) -> np.ndarray:
     """Row numbers ((b*p + i)*bins + idx[b, i, m, d])*D + d of the kept bins
-    (B, p, M, D) in a (B, p, bins, D, E) plane viewed as rows of E."""
+    (B, p, M, D) in a (B, p, bins, D, K) plane viewed as rows of K."""
     b, p, _, d = idx.shape
     return (np.arange(b * p).reshape(b, p, 1, 1) * bins + idx) * d + np.arange(d)
+
+
+def _gather(planes, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` (B, M, D, p) of each (..., K) plane, in the operand's
+    layout (B, M, D, 2p*K): the first plane's p rows, then the second's."""
+    k = planes[0].shape[-1]
+    kept = np.stack([np.take(plane.reshape(-1, k), rows, axis=0) for plane in planes], axis=3)
+    return kept.reshape(rows.shape[:3] + (-1,))
 
 
 def _score(s: SpectralWindows) -> np.ndarray:
@@ -63,7 +117,7 @@ def _score(s: SpectralWindows) -> np.ndarray:
     f = s.factors
     if f is None:
         return (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)
-    gram = f.basis @ f.basis.T
+    gram = f.basis.data @ f.basis.data.T
     score = np.zeros(f.re.shape[:-1])
     for j, l in zip(*np.triu_indices(len(gram))):
         term = f.re[..., j] * f.re[..., l]
@@ -79,35 +133,36 @@ def check_top_m(m: int, plan: StftPlan) -> None:
 
 
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
-    """Keep the m highest-energy bins per (sample, window, channel)."""
+    """Keep the m highest-energy bins per (sample, window, channel).
+
+    Lifted spectra give the kept rows of their factors, lifted by the basis
+    on the tape, and the planes stay unbuilt.  Spectra without factors are
+    data, as the analysis's input is: their kept rows are copied, and a
+    plane computed by earlier ops is refused.
+    """
     if s.index is not None:
         raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
-                            f"spectrum of {s.re.shape[2]} bins per window")
+                            f"spectrum of {s.shape[2]} bins per window")
     check_top_m(m, s.plan)
     score = _score(s)  # (B, p, bins, D)
     order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
     idx = np.sort(order[:, :, :m], axis=2)
-    per_window = [(slice(None), i) for i in range(idx.shape[1])]
-    rows = _rows(idx, score.shape[2])
-    re = split(take_rows(s.re, rows), per_window)
-    im = split(take_rows(s.im, rows), per_window)
+    rows = _rows(idx, score.shape[2]).transpose(0, 2, 3, 1)  # (B, M, D, p)
     f = s.factors
-    if f is not None:
-        k = f.basis.shape[0]
-        f = LiftFactors(np.take(f.re.reshape(-1, k), rows, axis=0),
-                        np.take(f.im.reshape(-1, k), rows, axis=0), f.basis)
-    return CompressedWindows([CTensor(r, i) for r, i in zip(re, im)],
-                             [idx[w] for w in per_window], s.bins, s.plan, f)
+    if f is None:
+        planes = [as_data(plane, "top_m_select") for plane in (s.re, s.im)]
+        return CompressedWindows(Tensor(_gather(planes, rows)), idx, s.bins, s.plan)
+    coef = _gather([f.re, f.im], rows)
+    return CompressedWindows(lift(coef, f.basis), idx, s.bins, s.plan, (coef, f.basis.data))
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
-    """Restore kept coefficients to their original bins: the stacked kept windows,
-    carrying their (B, p, M, D) bin indices for synthesis to read them by."""
-    idx = np.stack(c.indices, axis=1)  # (B, p, M, D)
-    if idx.shape[2] != c.kept:
-        raise ContractError(
-            f"index set size {idx.shape[2]} != kept coefficients {c.kept}"
-        )
-    re = stack([w.re for w in c.windows], axis=1)
-    im = stack([w.im for w in c.windows], axis=1)
-    return SpectralWindows(re, im, c.plan, idx)
+    """Restore kept coefficients to their original bins: the operand's two
+    planes as (B, p, M, D, E) views, carrying their (B, p, M, D) bin indices
+    for synthesis to read them by."""
+    if c.index is None or c.index.shape[2] != c.kept:
+        kept = None if c.index is None else c.index.shape[2]
+        raise ContractError(f"index set size {kept} != kept coefficients {c.kept}")
+    re, im = split(c.stacked, [(Ellipsis, plane, slice(None), slice(None)) for plane in (0, 1)],
+                   c._blocks(), axes=(0, 3, 1, 2, 4))
+    return SpectralWindows(re, im, c.plan, c.index)

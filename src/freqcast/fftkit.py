@@ -119,15 +119,17 @@ def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
     """
     if index is None:
         return _on_axis(_operators(n)[1], axis, re, im)
-    rows, (lead, m, mid, e) = _kept_rows(index, np.shape(re), n, axis)
-    x = np.concatenate([np.reshape(re, (lead, m, mid, e)),
-                        np.reshape(im, (lead, m, mid, e))], axis=1)
+    shape = np.shape(re)
+    rows, (lead, m, mid, e) = _kept_rows(index, shape, n, axis)
+    axis %= len(shape)
+    # the planes may be strided views: each is copied once, into its half
+    x = np.empty((lead, 2 * m, mid, e))
+    np.concatenate([re, im], axis=axis, out=x.reshape(shape[:axis] + (2 * m,) + shape[axis + 1:]))
     out = np.empty((lead, n, mid, e))
     xt, ot = x.transpose(0, 2, 1, 3), out.transpose(0, 2, 1, 3)
     for at, block in _gathered(rows, n):
         np.matmul(block.transpose(0, 1, 3, 2), xt[at], out=ot[at])
-    axis %= np.ndim(re)
-    return out.reshape(np.shape(re)[:axis] + (n,) + np.shape(re)[axis + 1:])
+    return out.reshape(shape[:axis] + (n,) + shape[axis + 1:])
 
 
 def rfft_transpose(gre, gim, n: int, axis: int = -1):

@@ -9,8 +9,9 @@ forward() maps a real (B, L, D) batch to (B, T, D):
 
 The lift x * scale + bias is affine and the analysis linear, so the spectra
 are computed from the raw input, analysed once per channel rather than once
-per embedding dimension, and lifted in the spectral domain; the embedded
-input itself is built only for the skip connection.
+per embedding dimension, and lifted in the spectral domain, where top-M
+lifts only the rows it keeps; the embedded input itself is built only for
+the skip connection.
 
 Masking modes (``config.MASK_PLANES``) zero the real or imaginary plane of the
 spectra and/or of all backbone weight matrices, in training and inference
@@ -30,7 +31,8 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, add_by_channel, as_data, lift, lift_columns, matmul, relu, transpose
+from .autograd import (Tensor, add_by_channel, as_data, lift, lift_columns, matmul, relu, stack,
+                       transpose)
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -107,15 +109,14 @@ def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
 
 
 def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
-    """Zero one plane of the spectra, and the same plane of their factors."""
+    """Zero one plane of lifted spectra: its coefficient plane, which lifts to
+    a zero plane."""
+    if plane is None:
+        return s
     f = s.factors
-    if plane == "real":
-        return SpectralWindows(s.re * 0.0, s.im, s.plan,
-                               factors=None if f is None else replace(f, re=f.re * 0.0))
-    if plane == "imag":
-        return SpectralWindows(s.re, s.im * 0.0, s.plan,
-                               factors=None if f is None else replace(f, im=f.im * 0.0))
-    return s
+    part = {"real": "re", "imag": "im"}[plane]
+    return SpectralWindows(None, None, s.plan,
+                           factors=replace(f, **{part: getattr(f, part) * 0.0}))
 
 
 def _batch(x, who: str) -> np.ndarray:
@@ -134,7 +135,8 @@ def embed(x, params: ForecastParams) -> Tensor:
     earlier ops is refused rather than silently cut from its history.
     """
     x = _batch(x, "embed")
-    return lift(lift_columns(x[..., None], 1.0), params.embed_scale, params.embed_bias)
+    basis = stack([params.embed_scale, params.embed_bias], axis=0)
+    return lift(lift_columns(x[..., None], 1.0), basis)
 
 
 def forward(x, params: ForecastParams, cfg: RunConfig,

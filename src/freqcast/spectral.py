@@ -29,6 +29,7 @@ from .autograd import (
     lift_columns,
     mul,
     overlap_add,
+    stack,
     windowed_frames,
 )
 from .errors import ConfigError, ContractError
@@ -139,17 +140,16 @@ class LiftFactors:
     """Spectral planes (..., E) written as coefficient planes (..., K) times a
     (K, E) basis: re == self.re @ basis and im == self.im @ basis.
 
-    The lifted analysis has K = 2, the basis [scale; bias] and the columns
-    [X, U] of ``rstft``.  Every array is data: the basis holds the values of
-    scale and bias, not the Tensors, which get their gradient through the planes.
+    The lifted analysis has K = 2, the columns [X, U] of ``rstft`` and the
+    basis [scale; bias], a Tensor that ``rstft`` stacks from the two: every
+    lift of these coefficients sends its gradient to scale and bias through it.
     """
 
     re: np.ndarray
     im: np.ndarray
-    basis: np.ndarray
+    basis: Tensor
 
 
-@dataclass
 class SpectralWindows:
     """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E).
 
@@ -157,30 +157,57 @@ class SpectralWindows:
     entries the planes (B, p, M, D, E) hold per window and channel; every
     other bin is zero.  ``None`` means every bin, in order.  ``factors``,
     when given, writes the planes as (B, p, bins, D, K) coefficients times a
-    (K, E) basis.
+    (K, E) basis.  Planes given as None are then lifted on the tape the
+    first time ``re`` or ``im`` is read, so a reader of the factors alone
+    never builds them.
     """
 
-    re: Tensor
-    im: Tensor
-    plan: StftPlan
-    index: np.ndarray | None = None
-    factors: LiftFactors | None = None
-
-    def __post_init__(self):
-        if self.re.shape != self.im.shape:
-            raise ContractError(f"spectral planes disagree: re {self.re.shape} "
-                                f"vs im {self.im.shape}")
-        f = self.factors
-        if f is not None and (f.basis.shape[1:] != self.re.shape[-1:] or f.im.shape != f.re.shape
-                              or f.re.shape != self.re.shape[:-1] + f.basis.shape[:1]):
+    def __init__(self, re: Tensor | None, im: Tensor | None, plan: StftPlan,
+                 index: np.ndarray | None = None, factors: LiftFactors | None = None):
+        self._planes = [re, im]
+        self.plan, self.index, self.factors = plan, index, factors
+        f = factors
+        if (re is None) != (im is None) or (re is None and f is None):
+            raise ContractError("spectral planes may be left out only both together, "
+                                "and only when factors give them")
+        if re is not None and re.shape != im.shape:
+            raise ContractError(f"spectral planes disagree: re {re.shape} vs im {im.shape}")
+        if f is not None and (len(f.basis.shape) != 2 or f.im.shape != f.re.shape
+                              or f.re.shape[-1:] != f.basis.shape[:1]
+                              or f.re.shape[:-1] + f.basis.shape[1:] != self.shape):
             raise ContractError(f"factors re {f.re.shape}, im {f.im.shape} over basis "
-                                f"{f.basis.shape} do not make planes of shape {self.re.shape}")
+                                f"{f.basis.shape} do not make planes of shape {self.shape}")
         if self.index is not None:
-            fftkit.check_kept_index(self.index, self.re.shape, self.plan.nfft, axis=2)
+            fftkit.check_kept_index(self.index, self.shape, self.plan.nfft, axis=2)
             # a repeated bin would be summed by synthesis but overwritten by .windows
             if (np.diff(self.index, axis=2) <= 0).any():
                 raise ContractError("kept bin indices must be strictly ascending per "
                                     "(sample, window, channel)")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        if self._planes[0] is not None:
+            return self._planes[0].shape
+        f = self.factors
+        return f.re.shape[:-1] + f.basis.shape[1:]
+
+    re = property(lambda self: self._plane(0))
+    im = property(lambda self: self._plane(1))
+
+    def _plane(self, part: int) -> Tensor:
+        if self._planes[part] is None:
+            f = self.factors
+            self._planes[part] = lift((f.re, f.im)[part], f.basis)
+        return self._planes[part]
+
+    def _values(self, part: int) -> np.ndarray:
+        """A plane's values, off the tape: the built plane's, or the product
+        ``lift`` would compute for it."""
+        if self._planes[part] is not None:
+            return self._planes[part].data
+        f = self.factors
+        cols = (f.re, f.im)[part]
+        return (cols.reshape(-1, cols.shape[-1]) @ f.basis.data).reshape(self.shape)
 
     @property
     def bins(self) -> int:
@@ -190,7 +217,7 @@ class SpectralWindows:
     def windows(self) -> list[CTensor]:
         """Per-window (B, bins, D, E) read-only planes, off the tape; a kept-form
         spectrum is scattered into zero planes first."""
-        re, im = self.re.data.view(), self.im.data.view()
+        re, im = self._values(0).view(), self._values(1).view()
         if self.index is not None:
             re, im = (self._scatter(plane) for plane in (re, im))
         re.flags.writeable = im.flags.writeable = False
@@ -211,8 +238,9 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     With the embedding lift's (E,) ``scale`` and ``bias``, x is the un-lifted
     (B, L, D, 1) input and the result analyses x * scale + bias, formed by
     linearity as X * scale + U * bias (U analyses a constant-one lookback):
-    gradients reach scale and bias only, and the result carries the columns
-    [X, U] and the basis [scale; bias] as its ``factors``.
+    gradients reach scale and bias only.  The result is then its ``factors``,
+    the columns [X, U] and the basis [scale; bias] stacked on the tape; its
+    planes are lifted only if something reads them.
     """
     lifted = scale is not None or bias is not None
     x = as_data(x, "rstft")
@@ -232,8 +260,8 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
         return SpectralWindows(Tensor(x_re), Tensor(x_im), plan)
     u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
     f = LiftFactors(lift_columns(x_re, u_re), lift_columns(x_im, u_im),
-                    np.stack([scale.data, bias.data]))
-    return SpectralWindows(lift(f.re, scale, bias), lift(f.im, scale, bias), plan, factors=f)
+                    stack([scale, bias], axis=0))
+    return SpectralWindows(None, None, plan, factors=f)
 
 
 @lru_cache(maxsize=None)

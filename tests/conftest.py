@@ -16,6 +16,21 @@ def tape_recording_stays_on():
     assert autograd._recording, "the test left tape recording off"
 
 
+@pytest.fixture(autouse=True)
+def matmul_backward_runs_side_by_side(monkeypatch):
+    """Every test runs matmul's side-by-side backward unless it pins
+    ``autograd._blas_threads`` itself.  That function reads the BLAS thread
+    variables once per process, and collecting ``bench/test_bench.py`` sets
+    them to one thread; unpinned, a test would run one backward in a full
+    run and the other when run alone on a machine with more CPUs.  The
+    environment reader stays reachable as ``__wrapped__``."""
+    def one_thread():
+        return 1
+
+    one_thread.__wrapped__ = autograd._blas_threads.__wrapped__
+    monkeypatch.setattr(autograd, "_blas_threads", one_thread)
+
+
 @st.composite
 def plan_geometry(draw, max_p: int, max_nfft: int):
     """(p, nfft, hop) of a valid plan.  Half the draws tile the lookback (hop ==

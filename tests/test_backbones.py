@@ -351,6 +351,40 @@ class TestLinearity:
             )
 
 
+class TestStackedOperand:
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_list_built_windows_mix_as_top_ms_operand(self, rng, kind):
+        """Windows handed over as a list of leaves, as the bench's backbone
+        table builds them, and top-M's stacked operand give the same output
+        and parameter gradients, bit for bit."""
+        p = 2 if kind == "hc" else 3
+        params = init_backbone(kind, rng, p, 3, radius=1)
+        for b in params.biases:
+            b.re.data[:], b.im.data[:] = rng.normal(size=(2, 3))
+        stacked = compressed(rng, p=p, m=2)
+        listed = CompressedWindows(
+            [CTensor(Tensor(c.re.data), Tensor(c.im.data)) for c in stacked.windows],
+            stacked.indices, stacked.bins_total, stacked.plan)
+        named = backbone_named_tensors(kind, params)
+
+        def run(c):
+            for _, t in named:
+                t.grad = None
+            out = backbone_forward(kind, c, params)
+            loss = None
+            for w in out.windows:
+                term = mean_all(mul(w.re, w.re)) + mean_all(mul(w.im, w.im))
+                loss = term if loss is None else loss + term
+            loss.backward()
+            return out.stacked.data, [t.grad for _, t in named]
+
+        (want, want_grads), (got, got_grads) = run(stacked), run(listed)
+        assert np.array_equal(np.stack(listed.indices, axis=1), stacked.index)
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_grads, want_grads):
+            assert a.tobytes() == b.tobytes()
+
+
 def masked(w, mask):
     """A complex weight with the masked plane removed."""
     if mask == "real":

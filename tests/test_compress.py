@@ -232,3 +232,20 @@ def test_factored_score_keeps_the_exhaustive_sorts_bins(case):
                     event("a column too close to call")
                     continue
             assert kept[ix][:, k].tolist() == sorted(ranked[:m])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lifted_spectra())
+def test_top_m_lifts_the_kept_rows_of_the_lifted_planes(case):
+    """Top-M's operand holds each kept (sample, window, bin, channel) row of
+    the lifted planes, lifted from its coefficients alone, within 2 ulp of
+    the row the full planes hold (the same K = 2 sums, one GEMM each)."""
+    s, m, _ = case
+    comp = top_m_select(s, m)
+    kept = [np.take_along_axis(plane.data, comp.index[..., None], axis=2)
+            for plane in (s.re, s.im)]  # (B, p, M, D, E) each
+    want = np.stack(kept).transpose(1, 3, 4, 0, 2, 5).reshape(comp.stacked.shape)
+    np.testing.assert_array_max_ulp(comp.stacked.data, want, maxulp=2)
+    for w, (re, im) in zip(comp.windows, zip(*(np.moveaxis(k, 1, 0) for k in kept))):
+        np.testing.assert_array_max_ulp(w.re.data, re, maxulp=2)
+        np.testing.assert_array_max_ulp(w.im.data, im, maxulp=2)

@@ -24,6 +24,7 @@ from freqcast.autograd import (
     concat,
     factored_matmul,
     irfft_real,
+    lift,
     matmul,
     mean_all,
     mul,
@@ -32,7 +33,6 @@ from freqcast.autograd import (
     split,
     stack,
     sub,
-    take_rows,
     transpose,
     windowed_frames,
 )
@@ -364,28 +364,37 @@ class TestAutogradPrimitives:
         mean_all(out).backward()
         assert a.grad.tolist() == [0.0, 0.0, 0.0, 0.25]
 
-    def test_gather_scatter_roundtrip_grads(self, rng):
-        """take_rows of the 3 largest rows per (sample, channel) of a (3, 8, 2, E)
-        tensor viewed as rows of E; its backward scatters them back."""
-        a = Tensor(rng.normal(size=(3, 8, 2, 2)))
-        idx = np.argsort(-np.abs(a.data).sum(axis=3), axis=1)[:, :3, :]  # (3, 3, 2)
-        rows = (np.arange(3)[:, None, None] * 8 + idx) * 2 + np.arange(2)
+    def test_lift_of_coefficient_blocks_grads(self, rng):
+        """lift of (3, 4, n*K) coefficients by a (K, E) basis: block i of the
+        (3, 4, n*E) result is coef block i @ basis, and only the basis gets
+        a gradient; with n = 1 it is matmul bit for bit."""
+        k, e, n = 2, 5, 3
+        coef = rng.normal(size=(3, 4, n * k))
+        basis = Tensor(rng.normal(size=(k, e)))
+        check_grads(lambda: mean_all(mul(lift(coef, basis), lift(coef, basis))), [basis])
+        blocks = coef.reshape(3, 4, n, k) @ basis.data
+        np.testing.assert_allclose(lift(coef, basis).data, blocks.reshape(3, 4, n * e),
+                                   rtol=0, atol=1e-14)
+        one = coef[..., :k]
+        assert np.array_equal(lift(one, basis).data, matmul(one, basis).data)
+
+    def test_split_into_transposed_views_grads(self, rng):
+        """split of a (2, 3, 12) tensor viewed as (2, 3, 2, 2, 3): the two
+        (2, 2, 3, 3) parts are transposed views of it, and their backward
+        scatters the gradient back in place."""
+        a = Tensor(rng.normal(size=(2, 3, 12)))
+        view = (2, 3, 2, 2, 3)
+        idxs = [(Ellipsis, plane, slice(None), slice(None)) for plane in (0, 1)]
 
         def build():
-            g = take_rows(a, rows)
-            return mean_all(mul(g, g))
+            re, im = split(a, idxs, view, axes=(0, 3, 1, 2))
+            return mean_all(mul(re, re)) + mean_all(mul(im, mul(im, im)))
 
         check_grads(build, [a])
-        kept = take_rows(a, rows).data
-        assert np.array_equal(kept, np.take_along_axis(a.data, idx[..., None], axis=1))
-        assert np.count_nonzero(np.abs(a.grad).sum(axis=3)) == rows.size
-
-    def test_scatter_index_bounds(self):
-        """Rows outside [0, N) are refused; numpy would raise a bare IndexError
-        past the end and wrap a negative row silently."""
-        for bad in ([0, 5], [0, -1]):
-            with pytest.raises(ContractError, match=r"row index out of range \[0, 4\)"):
-                take_rows(Tensor(np.ones((4, 3))), np.array(bad))
+        parts = split(a, idxs, view, axes=(0, 3, 1, 2))
+        for part, idx in zip(parts, idxs):
+            assert np.shares_memory(part.data, a.data)
+            assert np.array_equal(part.data, a.data.reshape(view)[idx].transpose(0, 3, 1, 2))
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_irfft_real_grads(self, rng, n):
@@ -564,7 +573,10 @@ TAPE_READS = {
               []),
     "stack": ([(3, 4), (3, 4)], lambda a, b: stack([a, b], axis=1), []),
     "concat": ([(3, 2), (3, 4)], lambda a, b: concat([a, b]), []),
-    "take_rows": ([(2, 5, 3)], lambda a: take_rows(a, np.array([1, 4, 7])), []),
+    "split into transposed views": ([(2, 12)], lambda a: split(
+        a, [(Ellipsis, 0, slice(None)), (Ellipsis, 1, slice(None))], (2, 2, 6), axes=(1, 0)),
+        []),
+    "lift": ([(2, 4)], lambda basis: lift(FACTORS[1].reshape(4, 2), basis), []),
     "relu": ([(3, 4)], relu, []),
     "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, [0, 2, 4], 8), []),
     "irfft_real": ([(3, 5), (3, 5)], lambda re, im: irfft_real(re, im, 8), []),

@@ -9,10 +9,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from freqcast import fftkit
+from freqcast import autograd, backbones, compress, fftkit, model, spectral
 from freqcast.autograd import Tensor, mean_all, mul
 from freqcast.backbones import BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
@@ -27,6 +27,10 @@ from freqcast.model import (
     save_checkpoint,
 )
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
+from freqcast.train import backward as train_backward
+from freqcast.train import mse_loss
+
+from conftest import max_rel_err
 
 TINY = dict(lookback=8, horizon=4, embed=4, windows=2, nfft=4, top_m=3, hidden=8,
             batch=2, epochs=2)
@@ -239,6 +243,111 @@ class TestSpectralLift:
             rstft(rng.normal(size=(1, 8, 2, 1)), plan, scale=scale)
         with pytest.raises(ContractError, match=r"\(1, 8, 2, 3\)"):
             rstft(rng.normal(size=(1, 8, 2, 3)), plan, scale, bias)
+
+    def test_forward_leaves_the_lifted_planes_unbuilt(self, monkeypatch, rng):
+        """forward lifts only the kept rows: the full (B, p, bins, D, E) planes
+        are lifted once something reads them, and no earlier."""
+        cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=2)
+        params, x = init_params(cfg), rng.normal(size=(3, 16, 2))
+        built = []
+        monkeypatch.setattr(spectral, "lift", lambda coef, basis: built.append(
+            coef.shape) or autograd.lift(coef, basis))
+        debug = {}
+        forward(x, params, cfg, debug=debug)
+        assert built == []
+        full = debug["spectra"].re.data
+        assert built == [(3, 2, 5, 2, 2)] and full.shape == (3, 2, 5, 2, cfg.embed)
+
+
+# one parameter group per named-tensor role, the backbone's tensors together
+def _group(name: str) -> str:
+    return "backbone" if name.startswith("backbone.") else name
+
+
+@st.composite
+def gradient_cases(draw):
+    """A run configuration and its inputs: any backbone kind, a tiling or an
+    overlapping plan, either window function, B and D of 2 or 3, M below the
+    bin count, any mask mode, non-zero scale, bias and backbone biases."""
+    kind = draw(st.sampled_from(BACKBONE_KINDS), label="backbone")
+    p = draw(st.sampled_from([2, 4]) if kind == "hc" else st.integers(1, 4), label="p")
+    nfft = draw(st.integers(2, 8), label="nfft")
+    tiles = p == 1 or draw(st.booleans(), label="tiles")
+    hop = nfft if tiles else draw(st.integers(1, nfft - 1), label="hop")
+    cfg = RunConfig(
+        backbone=kind, windows=p, nfft=nfft, lookback=nfft + (p - 1) * hop, horizon=3,
+        window_fn=draw(st.sampled_from(WINDOW_FNS), label="window_fn"),
+        embed=draw(st.integers(1, 4), label="E"),
+        top_m=draw(st.integers(1, nfft // 2), label="M"),
+        mask_mode=draw(st.sampled_from(list(MASK_PLANES)), label="mask_mode"),
+        hidden=5).validate()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = init_params(cfg, rng)
+    signs = rng.choice([-1.0, 1.0], size=(2, cfg.embed))
+    params.embed_scale.data[:] = signs[0] * rng.uniform(0.2, 1.0, size=cfg.embed)
+    params.embed_bias.data[:] = signs[1] * rng.uniform(0.2, 1.0, size=cfg.embed)
+    for b in params.backbone.biases:
+        b.re.data[:], b.im.data[:] = rng.normal(scale=0.3, size=(2, cfg.embed))
+    shape = (draw(st.integers(2, 3), label="B"), cfg.lookback, draw(st.integers(2, 3), label="D"))
+    x, y = rng.normal(size=shape), rng.normal(size=(shape[0], cfg.horizon, shape[2]))
+    return cfg, params, x, y, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=gradient_cases())
+def test_tape_directional_derivatives_match_central_differences(case):
+    """For every parameter group, the tape's derivative of forward's loss along
+    a direction matches the central difference of that loss to 1e-6 relative
+    (``max_rel_err``: below 1e-6 in size, absolute).
+
+    With the kept bins and every ReLU's sign fixed, the loss is quadratic
+    along one group's direction, so the difference is exact up to round-off.
+    A draw whose M-th and (M+1)-th scores are within 1e-9 relative is
+    skipped, and so is a group whose two steps differ in a kept bin or in a
+    ReLU's sign."""
+    cfg, params, x, y, rng = case
+    named = params.named_tensors()
+    debug = {}
+    loss = mse_loss(forward(x, params, cfg, debug=debug), y)
+    score = -np.sort(-compress._score(debug["spectra"]), axis=2)
+    last, out = score[:, :, cfg.top_m - 1], score[:, :, cfg.top_m]
+    if not (last - out > 1e-9 * np.abs(last)).all():
+        event("M-th and (M+1)-th scores too close to call")
+        return
+    train_backward(loss)
+
+    def loss_at(members, dirs, step):
+        """forward's loss with every member moved by step * its direction,
+        and the kept bins and ReLU signs it ran with."""
+        saved = [t.data.copy() for t in members]
+        for t, d in zip(members, dirs):
+            t.data += step * d
+        masks, debug = [], {}
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (model, backbones):
+                mp.setattr(module, "relu", lambda a: masks.append(a.data > 0) or autograd.relu(a))
+            value = float(mse_loss(forward(x, params, cfg, debug=debug), y).data)
+        for t, old in zip(members, saved):
+            t.data[...] = old
+        return value, [np.stack(debug["compressed"].indices, axis=1)] + masks
+
+    h = 1e-3
+    for group in dict.fromkeys(_group(name) for name, _ in named):
+        members = [t for name, t in named if _group(name) == group]
+        grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in members]
+        norm = np.sqrt(sum((g ** 2).sum() for g in grads))
+        noise = [rng.normal(size=t.shape) for t in members]
+        size = np.sqrt(sum((d ** 2).sum() for d in noise))
+        # a random direction plus the gradient's own, so that the derivative
+        # is not small for want of alignment
+        dirs = [d / size + (g / norm if norm > 0 else 0.0) for d, g in zip(noise, grads)]
+        tape = sum(float((g * d).sum()) for g, d in zip(grads, dirs))
+        (up, at_up), (down, at_down) = (loss_at(members, dirs, s * h) for s in (1.0, -1.0))
+        if not all(np.array_equal(a, b) for a, b in zip(at_up, at_down)):
+            event("a step moves a kept bin or a ReLU's sign")
+            continue
+        numeric = (up - down) / (2 * h)
+        assert max_rel_err(np.array(tape), np.array(numeric)) <= 1e-6, (group, tape, numeric)
 
 
 @pytest.mark.parametrize("kind, p, radius", [("fd", 3, 1), ("wm", 4, 2), ("wm", 1, 3),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from freqcast import fftkit
+from freqcast import fftkit, spectral
 from freqcast.autograd import Tensor, mul
 from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
@@ -226,6 +226,30 @@ def test_window_views_are_read_only_and_off_the_tape(rng):
             np.testing.assert_array_equal(view.data, plane.data[:, i])
 
 
+def test_reading_windows_records_no_tape_node(monkeypatch, rng):
+    """``.windows`` of lifted spectra and of a kept form are values: no Tensor
+    made while reading them gets a backward, and the lifted planes stay
+    unbuilt; the values are those of the planes built later."""
+    plan = plan_stft(16, 3, 8, "hann")
+    s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, Tensor(rng.normal(size=4)),
+              Tensor(rng.normal(size=4)))
+    padded = position_aware_pad(top_m_select(s, 2))
+    made, init = [], Tensor.__init__
+    with monkeypatch.context() as mp:
+        mp.setattr(Tensor, "__init__", lambda self, data, parents=(), backward=None: (
+            made.append(backward), init(self, data, parents, backward))[1])
+        mp.setattr(spectral, "lift", None)  # building the planes would fail
+        lifted, kept = s.windows, padded.windows
+    assert len(made) == 12 and not any(made)
+    for i, (c, k) in enumerate(zip(lifted, kept)):
+        for view, plane in ((c.re, s.re), (c.im, s.im)):
+            assert np.array_equal(view.data, plane.data[:, i])
+        for view, part in ((k.re, padded.re), (k.im, padded.im)):
+            full = np.zeros(view.shape)
+            np.put_along_axis(full, padded.index[:, i, ..., None], part.data[:, i], axis=1)
+            assert np.array_equal(view.data, full)
+
+
 @pytest.mark.parametrize("geometry", [(24, 1, 24), (24, 4, 12), (96, 8, 26)])  # p = 1, 4, 8
 def test_one_kernel_call_per_transform(monkeypatch, rng, geometry):
     """Every window goes through one stacked kernel call, whatever p is."""
@@ -299,10 +323,11 @@ def test_lifted_spectra_carry_their_factors(rng):
     scale, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
     s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, scale, bias)
     f = s.factors
-    np.testing.assert_array_equal(f.basis, np.stack([scale.data, bias.data]))
+    np.testing.assert_array_equal(f.basis.data, np.stack([scale.data, bias.data]))
+    assert f.basis._parents == (scale._node, bias._node)
     for plane, coef in ((s.re, f.re), (s.im, f.im)):
-        np.testing.assert_allclose(coef @ f.basis, plane.data, rtol=0, atol=1e-14)
-    for bad in (LiftFactors(f.re, f.im, f.basis[:, :3]),
+        np.testing.assert_allclose(coef @ f.basis.data, plane.data, rtol=0, atol=1e-14)
+    for bad in (LiftFactors(f.re, f.im, Tensor(f.basis.data[:, :3])),
                 LiftFactors(f.re[..., :1], f.im[..., :1], f.basis),
                 LiftFactors(f.re, f.im[:1], f.basis)):
         with pytest.raises(ContractError, match="factors"):
