@@ -38,34 +38,31 @@ class CompressedWindows:
     ``stacked`` (B, M, D, 2p*E) holds window i's real plane in E-block i and
     its imaginary plane in E-block p + i; ``index`` (B, p, M, D) names the
     kept bins.  Given as a list of p complex (B, M, D, E) windows and a list
-    of p (B, M, D) indices, they are joined here, the windows on the tape;
-    indices given as Nones leave ``index`` None.  ``window_count`` is p,
-    needed only when neither the windows nor the index show it.
+    of p (B, M, D) indices, they are joined here, the windows on the tape.
     ``factors``, when given, is (coef, basis): the operand's E-blocks as
     (B, M, D, 2p*K) coefficients times the (K, E) basis values, the kept
     rows of the analysis's own factors.
     """
 
     stacked: Tensor
-    index: np.ndarray | None
+    index: np.ndarray
     bins_total: int
     plan: StftPlan | None
     factors: tuple[np.ndarray, np.ndarray] | None = None
-    window_count: int | None = None
 
     def __post_init__(self):
         if isinstance(self.stacked, list):
-            windows, self.window_count = self.stacked, len(self.stacked)
+            windows = self.stacked
             self.stacked = concat([w.re for w in windows] + [w.im for w in windows])
         if isinstance(self.index, list):
-            self.index = (None if any(i is None for i in self.index)
-                          else np.stack(self.index, axis=1))
-        if self.window_count is None and self.index is not None:
-            self.window_count = self.index.shape[1]
-        p = self.window_count
-        if p is None or self.stacked.shape[-1] % (2 * p):
+            self.index = np.stack(self.index, axis=1)
+        if self.stacked.shape[-1] % (2 * self.window_count):
             raise ContractError(f"an operand of width {self.stacked.shape[-1]} does not "
-                                f"stack the two planes of {p} windows")
+                                f"stack the two planes of {self.window_count} windows")
+
+    @property
+    def window_count(self) -> int:
+        return self.index.shape[1]
 
     @property
     def kept(self) -> int:
@@ -88,10 +85,8 @@ class CompressedWindows:
         return [CTensor(parts[i], parts[p + i]) for i in range(p)]
 
     @property
-    def indices(self) -> list[np.ndarray | None]:
+    def indices(self) -> list[np.ndarray]:
         """Per-window (B, M, D) views of the kept bin indices."""
-        if self.index is None:
-            return [None] * self.window_count
         return [self.index[:, i] for i in range(self.window_count)]
 
 
@@ -160,9 +155,8 @@ def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
     """Restore kept coefficients to their original bins: the operand's two
     planes as (B, p, M, D, E) views, carrying their (B, p, M, D) bin indices
     for synthesis to read them by."""
-    if c.index is None or c.index.shape[2] != c.kept:
-        kept = None if c.index is None else c.index.shape[2]
-        raise ContractError(f"index set size {kept} != kept coefficients {c.kept}")
+    if c.index.shape[2] != c.kept:
+        raise ContractError(f"index set size {c.index.shape[2]} != kept coefficients {c.kept}")
     re, im = split(c.stacked, [(Ellipsis, plane, slice(None), slice(None)) for plane in (0, 1)],
                    c._blocks(), axes=(0, 3, 1, 2, 4))
     return SpectralWindows(re, im, c.plan, c.index)

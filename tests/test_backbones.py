@@ -37,8 +37,10 @@ def ct_from(arr):
 
 
 def wrap(*windows):
-    """Bare windows as a layer input; the layer never reads indices or plan."""
-    return CompressedWindows(list(windows), [None] * len(windows), 0, None)
+    """Bare windows as a layer input; of the indices the layer reads only how
+    many windows they name, and it never reads the plan."""
+    return CompressedWindows(list(windows), [np.zeros(w.shape[:-1], dtype=int) for w in windows],
+                             0, None)
 
 
 def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
