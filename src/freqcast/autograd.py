@@ -18,7 +18,8 @@ released node raises ``ContractError``.  Complex values never appear on the
 tape: ``CTensor`` is just a (real, imag) pair of Tensors, so complex and
 hyper-complex layers differentiate through their real planes.
 
-Non-Tensor operands are treated as constants and receive no gradient.
+The elementwise ops take a non-Tensor operand as a constant, which receives
+no gradient; ``matmul`` multiplies two Tensors only.
 
 Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
 and closure its op hands it, so each op's intermediates are freed as soon as
@@ -139,12 +140,14 @@ def _spent(g):
 class _Node:
     """A Tensor's place on the tape: its gradient, the nodes of the Tensors it
     was computed from, and the closure that sends its gradient to them.  It
-    holds no value; the closure holds what its backward reads."""
+    holds no value; the closure holds what its backward reads.  A leaf's
+    ``sink``, set by ``train.Adam``, is where its gradient is written: the
+    first is copied in (``matmul`` computes it there), later ones added."""
 
-    __slots__ = ("grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("grad", "sink", "_parents", "_backward", "__weakref__")
 
     def __init__(self, parents, backward):
-        self.grad = None
+        self.grad = self.sink = None
         self._parents, self._backward = parents, backward
 
 
@@ -225,7 +228,15 @@ def _node(x) -> _Node | None:
 
 def _accum(node: _Node, g: np.ndarray) -> None:
     # g may be shared (add hands one array to both parents): keep, never write
-    node.grad = g if node.grad is None else node.grad + g
+    if node.grad is None:
+        if node.sink is not None and g is not node.sink:
+            np.copyto(node.sink, g)
+            g = node.sink
+        node.grad = g
+    elif node.grad is node.sink:
+        np.add(node.sink, g, out=node.sink)
+    else:
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -326,41 +337,39 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor(out, parents, backward)
 
 
-def matmul(a, w) -> Tensor:
-    """a: (..., k) times w: (k, m).  Either operand may be a constant array.
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """a: (..., k) times w: (k, m), both Tensors.
 
     The leading axes are flattened so each product is one GEMM; numpy's
-    stacked matmul would run one small GEMM per leading index.  When both
-    operands are Tensors and BLAS runs one thread, the backward's two GEMMs
-    run side by side; a BLAS that runs more already keeps the CPUs busy.
+    stacked matmul would run one small GEMM per leading index.  w's gradient
+    is computed in its sink when it has one.  When BLAS runs one thread, the
+    backward's two GEMMs run side by side; a BLAS that runs more already
+    keeps the CPUs busy.
     """
-    ad, wd = _raw(a), _raw(w)
+    if not (isinstance(a, Tensor) and isinstance(w, Tensor)):
+        raise ContractError(f"matmul multiplies two Tensors, got {type(a).__name__} "
+                            f"and {type(w).__name__}")
+    ad, wd = a.data, w.data
     if wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
         raise ContractError(
             f"matmul shapes incompatible: {ad.shape} x {wd.shape}"
         )
-    parents = tuple(t for t in (a, w) if isinstance(t, Tensor))
-    na, nw, sa = _node(a), _node(w), ad.shape
+    na, nw, sa = a._node, w._node, ad.shape
     k, m = wd.shape
     a2 = ad.reshape(-1, k)
-    out = (a2 @ wd).reshape(sa[:-1] + (m,))
-    if na is None:
-        wd = None  # only a's gradient reads w's values
 
     def backward(g):
-        g2 = g.reshape(-1, m)
-        if na is not None and nw is not None and _blas_threads() == 1:
+        g2, sink = g.reshape(-1, m), nw.sink if nw.grad is None else None
+        if _blas_threads() == 1:
             ga = np.empty(a2.shape)
-            _, gw = side_by_side(lambda: np.matmul(g2, wd.T, out=ga), lambda: a2.T @ g2)
-            _accum(na, ga.reshape(sa))
-            _accum(nw, gw)
-            return
-        if na is not None:
-            _accum(na, (g2 @ wd.T).reshape(sa))
-        if nw is not None:
-            _accum(nw, a2.T @ g2)
+            _, gw = side_by_side(lambda: np.matmul(g2, wd.T, out=ga),
+                                 lambda: np.matmul(a2.T, g2, out=sink))
+        else:
+            ga, gw = g2 @ wd.T, np.matmul(a2.T, g2, out=sink)
+        _accum(na, ga.reshape(sa))
+        _accum(nw, gw)
 
-    return Tensor(out, parents, backward)
+    return Tensor((a2 @ wd).reshape(sa[:-1] + (m,)), (a, w), backward)
 
 
 def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
@@ -413,7 +422,7 @@ def lift(coef: np.ndarray, basis: Tensor) -> Tensor:
     One (N*n, K) @ (K, E) GEMM writes the result; broadcasting (..., 1)
     against (E,) would run numpy's inner loop once per E entries.  Only the
     basis gets a gradient, coef^T g, so the closure keeps coef and not the
-    basis's values.  With n = 1 this is ``matmul(coef, basis)`` bit for bit.
+    basis's values.  With n = 1 this is ``coef @ basis.data`` bit for bit.
     """
     k, e = basis.shape
     c2 = coef.reshape(-1, k)
@@ -441,26 +450,38 @@ def split(a: Tensor, idxs, shape=None, axes=None) -> list[Tensor]:
     """Disjoint basic-index parts of ``a`` viewed as ``shape`` (its own by
     default): ``view[idx]`` for each entry of ``idxs``, its axes permuted by
     ``axes`` when given.  Every part is a view of ``a``.  Their gradients
-    fill one buffer, which a hub node hands to ``a`` after all of them ran,
-    so p parts cost one zero buffer, not p."""
+    fill one buffer, which a hub node hands to ``a`` after all of them ran.
+    A buffer the parts cover is not zero-filled: the hub zeroes only the
+    parts whose backward never ran."""
     buf: list[np.ndarray] = []
     na, own = a._node, a.data.shape
     shape = own if shape is None else tuple(shape)
     view = a.data.reshape(shape)
-    hub = Tensor(a.data, (a,), lambda g: _accum(na, buf.pop().reshape(own)) if buf else None)
 
     def pick(arr, idx):
         return arr[idx] if axes is None else arr[idx].transpose(axes)
 
-    def part(idx):
+    covers = sum(pick(view, idx).size for idx in idxs) == view.size
+    unwritten = set(range(len(idxs)))
+
+    def collect(g):
+        if buf:
+            for i in unwritten:
+                pick(buf[0], idxs[i])[...] = 0.0
+            _accum(na, buf.pop().reshape(own))
+
+    hub = Tensor(a.data, (a,), collect)
+
+    def part(i, idx):
         def backward(g):
             if not buf:
-                buf.append(np.zeros(shape))
+                buf.append(np.empty(shape) if covers else np.zeros(shape))
             pick(buf[0], idx)[...] = g
+            unwritten.discard(i)
 
         return Tensor(pick(view, idx), (hub,), backward)
 
-    return [part(idx) for idx in idxs]
+    return [part(i, idx) for i, idx in enumerate(idxs)]
 
 
 def stack(parts: list[Tensor], axis: int) -> Tensor:
@@ -574,13 +595,22 @@ def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
 
 
 def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
-    """The windows xd[:, s:s+n] for s in starts, stacked, (B, L, ...) -> (B, p, n, ...),
-    each multiplied along its n axis by ``window`` (n,) when one is given.  Windows
-    that tile the length are a reshape of xd, and no copy."""
+    """The windows xd[:, s:s+n] for evenly spaced s in starts, stacked, (B, L, ...)
+    -> (B, p, n, ...), each multiplied along its n axis by ``window`` (n,) when
+    one is given.  Unwindowed frames are a view of xd: a reshape where they
+    tile the length, else read-only, as overlapping windows share samples."""
     if _tiles(starts, n, xd.shape[1]):
         seg = xd.reshape((xd.shape[0], len(starts), n) + xd.shape[2:])
     else:
-        seg = xd[:, np.add.outer(starts, np.arange(n))]
+        hop = starts[1] - starts[0] if len(starts) > 1 else 0
+        if (any(s != starts[0] + i * hop for i, s in enumerate(starts))
+                or min(starts) < 0 or max(starts) + n > xd.shape[1]):
+            raise ContractError(f"windows of {n} at {list(starts)} are not evenly spaced "
+                                f"inside a length of {xd.shape[1]}")
+        step = xd.strides[1]
+        seg = np.lib.stride_tricks.as_strided(
+            xd[:, starts[0]:], (xd.shape[0], len(starts), n) + xd.shape[2:],
+            (xd.strides[0], hop * step, step) + xd.strides[2:], writeable=False)
     return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
 
 

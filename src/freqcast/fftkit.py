@@ -9,13 +9,14 @@ over the flattened leading axes: the input is viewed as (lead, n, trail) and
 axis is moved.  The transposes are what reverse-mode differentiation needs.
 
 The synthesis pair also takes spectra in kept form: M of the bins per
-(lead, mid) position, named by an ``index`` shaped like the planes without
-their last axis.  For each position they gather the 2M ``inv`` rows those
-bins select, one contiguous row each, and run one batched product over the
-positions, so only kept bins cost flops.  The rows are gathered for a block
-of leading positions at a time, at most ``GATHER_VALUES`` values, and each
-block's product writes straight into its part of the (lead, n, mid, E)
-output, whose (n, E) blocks BLAS addresses in place.
+position, named by an ``index`` shaped like the planes without their last
+axis.  For each position they gather the 2M ``inv`` rows those bins select,
+one contiguous row each, and run one batched product over the positions, so
+only kept bins cost flops.  Both operands are views with the transformed
+axis moved next to the last, so each position's (n, E) block is read and
+written where it lies: a strided cotangent, such as the channel-major skip
+gradient or overlapping frames, is never copied.  The rows are gathered for
+a block of the leading axis at a time, at most ``GATHER_VALUES`` values.
 
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
@@ -89,20 +90,25 @@ def check_kept_index(index, shape, n: int, axis: int) -> None:
         raise ContractError(f"kept bin index out of range [0, {bins})")
 
 
-def _kept_rows(index, shape, n: int, axis: int):
-    """The 2M ``inv`` row numbers each (lead, mid) position keeps, (lead, mid, 2M),
-    and the planes' (lead, M, mid, E) view shape."""
+def _kept_rows(index, shape, n: int, axis: int) -> np.ndarray:
+    """The 2M ``inv`` row numbers each position of planes of ``shape`` keeps,
+    laid out as ``_moved`` lays out the planes: (lead, ..., 2M)."""
     check_kept_index(index, shape, n, axis)
-    axis %= len(shape)
-    view = (int(np.prod(shape[:axis])), shape[axis],
-            int(np.prod(shape[axis + 1:-1])), shape[-1])
-    rows = np.reshape(index, view[:3]).transpose(0, 2, 1)
-    return np.concatenate([rows, rows + onesided_bins(n)], axis=2), view
+    rows = np.moveaxis(index, axis, -1)
+    rows = rows.reshape((1,) * (2 - rows.ndim) + rows.shape)
+    return np.concatenate([rows, rows + onesided_bins(n)], axis=-1)
+
+
+def _moved(a: np.ndarray, axis: int) -> np.ndarray:
+    """A view of a with ``axis`` next to the last, over at least one leading
+    axis: (lead, ..., n, E).  Its (n, E) blocks keep a's strides."""
+    a = np.moveaxis(a, axis, -2)
+    return a.reshape((1,) * (3 - a.ndim) + a.shape)
 
 
 def _gathered(rows: np.ndarray, n: int):
     """(positions, rows) for each block of leading positions: a slice of the
-    lead axis and the ``inv`` rows ``rows`` names there, (block, mid, 2M, n)."""
+    lead axis and the ``inv`` rows ``rows`` names there, (block, ..., 2M, n)."""
     inv = _operators(n)[1]
     step = max(1, GATHER_VALUES // max(1, int(np.prod(rows.shape[1:])) * n))
     for lo in range(0, len(rows), step):
@@ -120,16 +126,15 @@ def irfft_onesided(re, im, n: int, axis: int = -1, index=None):
     if index is None:
         return _on_axis(_operators(n)[1], axis, re, im)
     shape = np.shape(re)
-    rows, (lead, m, mid, e) = _kept_rows(index, shape, n, axis)
+    rows = _kept_rows(index, shape, n, axis)
     axis %= len(shape)
     # the planes may be strided views: each is copied once, into its half
-    x = np.empty((lead, 2 * m, mid, e))
-    np.concatenate([re, im], axis=axis, out=x.reshape(shape[:axis] + (2 * m,) + shape[axis + 1:]))
-    out = np.empty((lead, n, mid, e))
-    xt, ot = x.transpose(0, 2, 1, 3), out.transpose(0, 2, 1, 3)
+    x = np.concatenate([re, im], axis=axis)
+    out = np.empty(shape[:axis] + (n,) + shape[axis + 1:])
+    xm, om = _moved(x, axis), _moved(out, axis)
     for at, block in _gathered(rows, n):
-        np.matmul(block.transpose(0, 1, 3, 2), xt[at], out=ot[at])
-    return out.reshape(shape[:axis] + (n,) + shape[axis + 1:])
+        np.matmul(block.swapaxes(-1, -2), xm[at], out=om[at])
+    return out
 
 
 def rfft_transpose(gre, gim, n: int, axis: int = -1):
@@ -148,9 +153,9 @@ def irfft_transpose(g, n: int, axis: int = -1, index=None):
         return tuple(np.split(_on_axis(_operators(n)[1].T, axis, g), 2, axis=axis))
     axis %= np.ndim(g)
     shape = np.shape(g)[:axis] + np.shape(index)[axis:axis + 1] + np.shape(g)[axis + 1:]
-    rows, (lead, m, mid, e) = _kept_rows(index, shape, n, axis)
-    out = np.empty((lead, 2 * m, mid, e))
-    gt, ot = np.reshape(g, (lead, n, mid, e)).transpose(0, 2, 1, 3), out.transpose(0, 2, 1, 3)
+    rows = _kept_rows(index, shape, n, axis)
+    out = np.empty(shape[:axis] + (2 * shape[axis],) + shape[axis + 1:])
+    gm, om = _moved(g, axis), _moved(out, axis)
     for at, block in _gathered(rows, n):
-        np.matmul(block, gt[at], out=ot[at])
-    return out[:, :m].reshape(shape), out[:, m:].reshape(shape)
+        np.matmul(block, gm[at], out=om[at])
+    return tuple(np.split(out, 2, axis=axis))

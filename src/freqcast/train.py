@@ -82,9 +82,15 @@ class Adam:
     a tensor, write its ``data`` in place: assigning a new array detaches
     the tensor from the optimiser.
 
-    The gradients are gathered and checked for non-finite values on the
-    calling thread, so a bad gradient raises before any value changes.  The
-    update then runs over the two halves of the vectors side by side
+    The gradients live in one vector too: each tensor's graph node gets its
+    part as a ``sink``, where a backward writes its gradient.  ``step``
+    zero-fills the part of a tensor with no gradient and copies in only a
+    ``.grad`` set by hand.  The update uses the vector as scratch, so a step
+    consumes a gradient held in a sink: that ``.grad`` reads None after it.
+
+    The gradients are checked for non-finite values on the calling thread,
+    so a bad gradient raises before any value changes.  The update then
+    runs over the two halves of the vectors side by side
     (``autograd.side_by_side``), the upper half on the worker thread unless
     the caller finds it late and takes it too.  Each element sees the same
     ufuncs in the same order, so the result is the whole-vector update's,
@@ -105,7 +111,6 @@ class Adam:
         self.flat = np.empty(n)
         self._m, self._v = np.zeros(n), np.zeros(n)
         self._grad, self._scratch = np.empty(n), np.empty(n)
-        self._finite = np.empty(n, dtype=bool)
         self.m, self.v, self._grads = {}, {}, []
         for (name, t), end, size in zip(named_params, self._ends, sizes):
             part, shape = slice(end - size, end), t.data.shape
@@ -114,27 +119,38 @@ class Adam:
             self.m[name] = self._m[part].reshape(shape)
             self.v[name] = self._v[part].reshape(shape)
             self._grads.append(self._grad[part].reshape(shape))
+            t._node.sink = self._grads[-1]
 
     def zero_grads(self) -> None:
         for _, t in self.params:
             t.grad = None
 
     def nonfinite(self, vec: np.ndarray) -> str | None:
-        """Name of the first parameter whose part of a flat vector is not finite."""
-        if np.isfinite(vec, out=self._finite).all():
+        """Name of the first parameter whose part of a flat vector is not finite;
+        one sum, and a scan only when the sum is not finite (or overflows)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.sum(vec)):
+                return None
+        finite = np.isfinite(vec)
+        if finite.all():
             return None
-        first = int(np.argmin(self._finite))
+        first = int(np.argmin(finite))
         return self.params[int(np.searchsorted(self._ends, first, side="right"))][0]
 
     def step(self) -> None:
+        held = []  # the tensors whose gradient is already in their sink
         for (_, t), part in zip(self.params, self._grads):
             if t.grad is None:
                 part.fill(0.0)
+            elif t.grad is part:
+                held.append(t)
             else:
                 np.copyto(part, t.grad)
         bad = self.nonfinite(self._grad)
         if bad is not None:
             raise TrainingError(f"non-finite gradient in parameter {bad!r}")
+        for t in held:
+            t.grad = None
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
@@ -270,4 +286,6 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitRe
 
     assert best is not None
     np.copyto(optim.flat, best_flat)
+    for _, t in optim.params:  # the returned tensors keep no view of its gradients
+        t._node.sink = None
     return FitResult(params, log, best[1], best[0])

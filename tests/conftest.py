@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -84,3 +86,19 @@ def numeric_gradient(loss_fn, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def traced_peaks(*calls) -> list[float]:
+    """The ``tracemalloc`` peak while each of ``calls`` runs, in MiB, all in one
+    traced session: memory that an earlier call left held counts toward a
+    later call's peak."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+    return peaks

@@ -37,6 +37,7 @@ from freqcast.autograd import (
     windowed_frames,
 )
 from freqcast.backbones import BACKBONE_KINDS
+from freqcast.compress import CompressedWindows, position_aware_pad
 from freqcast.config import RunConfig
 from freqcast.errors import ContractError
 from freqcast.model import forward, init_params
@@ -266,6 +267,37 @@ class TestKeptBinKernels:
                    *fftkit.irfft_transpose(g, n, axis=2, index=index)]
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
+    @pytest.mark.parametrize("shape", [
+        (4, 2, 16, 4, 24, 4),  # train-hc-default: B, D, E, p, nfft, M
+        (4, 2, 32, 8, 26, 8),  # train-basic-p8
+        (3, 4, 8, 4, 128, 8),  # predict-long
+    ])
+    @pytest.mark.parametrize("layout", ["channel-major", "overlapping", "contiguous"])
+    def test_kept_transpose_reads_strided_cotangents_bit_for_bit(self, rng, monkeypatch,
+                                                                 shape, layout):
+        """The cotangents synthesis gets: the channel-major skip gradient framed
+        by a reshape, overlapping frames of it (a strided view, at hop 2n/5 as
+        train-basic-p8's plan has), or a C-contiguous array.  Each gives the
+        result on a contiguous copy, bit for bit, and so does one sample per
+        gathered block, in both kernels."""
+        b, d, e, p, n, m = shape
+        hop = 2 * n // 5 if layout == "overlapping" else n
+        plan = plan_stft(n + (p - 1) * hop, p, n)
+        skip = rng.normal(size=(b, d, plan.lookback, e)).transpose(0, 2, 1, 3)
+        if layout == "contiguous":
+            skip = np.ascontiguousarray(skip)
+        g = windowed_frames(skip, plan.starts, n)
+        assert g.flags.c_contiguous == (layout == "contiguous")
+        index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
+        want = fftkit.irfft_transpose(np.ascontiguousarray(g), n, axis=2, index=index)
+        got = fftkit.irfft_transpose(g, n, axis=2, index=index)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        synthesis = fftkit.irfft_onesided(*got, n, axis=2, index=index)
+        monkeypatch.setattr(fftkit, "GATHER_VALUES", 1)
+        blocked = fftkit.irfft_transpose(g, n, axis=2, index=index)
+        assert [t.tobytes() for t in blocked] == [t.tobytes() for t in want]
+        assert fftkit.irfft_onesided(*got, n, axis=2, index=index).tobytes() == synthesis.tobytes()
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_kept_kernels_refuse_bins_outside_the_spectrum(self, rng, bad):
         """n = 8 has 5 bins: bin 5 would read the first imaginary row and -1
@@ -315,6 +347,14 @@ class TestAutogradPrimitives:
     def test_matmul_shape_error(self, rng):
         with pytest.raises(ContractError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("constant", ["a", "w"])
+    def test_matmul_refuses_a_constant_operand(self, rng, constant):
+        a, w = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 4)))
+        operands = {"a": a, "w": w}
+        operands[constant] = operands[constant].data
+        with pytest.raises(ContractError, match="matmul multiplies two Tensors, got"):
+            matmul(operands["a"], operands["w"])
 
     def test_transpose_and_split(self, rng):
         a = Tensor(rng.normal(size=(2, 6)))
@@ -367,7 +407,7 @@ class TestAutogradPrimitives:
     def test_lift_of_coefficient_blocks_grads(self, rng):
         """lift of (3, 4, n*K) coefficients by a (K, E) basis: block i of the
         (3, 4, n*E) result is coef block i @ basis, and only the basis gets
-        a gradient; with n = 1 it is matmul bit for bit."""
+        a gradient; with n = 1 it is the plain product bit for bit."""
         k, e, n = 2, 5, 3
         coef = rng.normal(size=(3, 4, n * k))
         basis = Tensor(rng.normal(size=(k, e)))
@@ -376,7 +416,7 @@ class TestAutogradPrimitives:
         np.testing.assert_allclose(lift(coef, basis).data, blocks.reshape(3, 4, n * e),
                                    rtol=0, atol=1e-14)
         one = coef[..., :k]
-        assert np.array_equal(lift(one, basis).data, matmul(one, basis).data)
+        assert np.array_equal(lift(one, basis).data, one @ basis.data)
 
     def test_split_into_transposed_views_grads(self, rng):
         """split of a (2, 3, 12) tensor viewed as (2, 3, 2, 2, 3): the two
@@ -395,6 +435,54 @@ class TestAutogradPrimitives:
         for part, idx in zip(parts, idxs):
             assert np.shares_memory(part.data, a.data)
             assert np.array_equal(part.data, a.data.reshape(view)[idx].transpose(0, 3, 1, 2))
+
+    @pytest.mark.parametrize("used", [(0, 1, 2), (0, 2), (1,)])
+    def test_split_zeroes_only_the_parts_whose_backward_never_ran(self, rng, used):
+        """Parts that cover the view fill a buffer that is not zeroed first;
+        a part the loss does not read gets exact zeros, every other part its
+        own gradient, as a zero-filled buffer would give them."""
+        a = Tensor(rng.normal(size=(2, 12)))
+        idxs = [(slice(None), i) for i in range(3)]
+        weights = rng.normal(size=(3, 2, 4))
+        parts = split(a, idxs, (2, 3, 4))
+        loss = mean_all(mul(parts[used[0]], weights[used[0]]))
+        for i in used[1:]:
+            loss = loss + mean_all(mul(parts[i], weights[i]))
+        loss.backward()
+        want = np.zeros((2, 3, 4))
+        for i in used:
+            want[:, i] = np.full((2, 4), 1.0 / 8) * weights[i]
+        assert a.grad.tobytes() == want.reshape(2, 12).tobytes()
+
+    @pytest.mark.parametrize("reader", ["pad", "windows"])
+    def test_pad_and_window_views_scatter_their_gradients_exactly(self, rng, reader):
+        """Pad's two planes and ``.windows``' 2p planes cover the operand: its
+        gradient is each plane's gradient put in place, bit for bit."""
+        b, p, m, d, e = 2, 3, 2, 2, 4
+        plan = plan_stft(16, p, 8)
+        index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
+        stacked = Tensor(rng.normal(size=(b, m, d, 2 * p * e)))
+        c = CompressedWindows(stacked, index, plan.bins, plan)
+        if reader == "pad":
+            padded = position_aware_pad(c)
+            planes = [padded.re, padded.im]
+        else:
+            planes = [t for w in c.windows for t in (w.re, w.im)]
+        weights = [rng.normal(size=t.shape) for t in planes]
+        loss = mean_all(mul(planes[0], weights[0]))
+        for t, w in zip(planes[1:], weights[1:]):
+            loss = loss + mean_all(mul(t, w))
+        loss.backward()
+        want = np.zeros(stacked.shape)
+        blocks = want.reshape(b, m, d, 2, p, e)
+        grads = [np.full(t.shape, 1.0 / t.data.size) * w for t, w in zip(planes, weights)]
+        if reader == "pad":
+            for plane, g in enumerate(grads):
+                blocks[:, :, :, plane] = g.transpose(0, 2, 3, 1, 4)
+        else:
+            for j, g in enumerate(grads):
+                blocks[:, :, :, j % 2, j // 2] = g
+        assert stacked.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_irfft_real_grads(self, rng, n):
@@ -480,6 +568,27 @@ class TestAutogradPrimitives:
         assert np.shares_memory(added.data, f.data) and np.shares_memory(framed, x)
         added._backward(gx)
         assert f.grad.tobytes() == gx[:, idx].tobytes()
+
+    @pytest.mark.parametrize("geometry", [(10, 3, 6), (96, 8, 26), (8, 3, 8)])
+    def test_overlapping_frames_are_a_read_only_view(self, rng, geometry):
+        """Windows that overlap (or repeat, at hop 0) are framed as a strided
+        view of their input, equal to the gather by a window index; it is
+        read-only, since its windows share samples.  A strided input, as the
+        channel-major skip gradient is, keeps its strides."""
+        plan = plan_stft(*geometry)
+        idx = np.add.outer(plan.starts, np.arange(plan.nfft))
+        base = rng.normal(size=(2, 3, plan.lookback, 4))
+        for x in (base[:, 0], base.transpose(0, 2, 1, 3)):
+            framed = windowed_frames(x, plan.starts, plan.nfft)
+            assert np.shares_memory(framed, x) and not framed.flags.writeable
+            assert framed.tobytes() == x[:, idx].tobytes()
+
+    def test_frames_refuse_unevenly_spaced_windows(self, rng):
+        x = rng.normal(size=(2, 10, 1))
+        with pytest.raises(ContractError, match="not evenly spaced"):
+            windowed_frames(x, [0, 1, 4], 4)
+        with pytest.raises(ContractError, match="not evenly spaced"):
+            windowed_frames(x, [0, 4, 8], 4)
 
     def test_block_matrix_layout_and_grads(self, rng):
         a = Tensor(rng.normal(size=(2, 2)))
