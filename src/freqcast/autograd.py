@@ -19,7 +19,8 @@ tape: ``CTensor`` is just a (real, imag) pair of Tensors, so complex and
 hyper-complex layers differentiate through their real planes.
 
 The elementwise ops take a non-Tensor operand as a constant, which receives
-no gradient; ``matmul`` multiplies two Tensors only.
+no gradient; ``matmul``, ``factored_matmul`` and ``add_by_channel`` take
+Tensors only.
 
 Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
 and closure its op hands it, so each op's intermediates are freed as soon as
@@ -281,31 +282,37 @@ def add(a: Tensor, b) -> Tensor:
     return Tensor(a.data + bd, parents, backward)
 
 
-def add_by_channel(a: Tensor, b) -> Tensor:
-    """a + b for (B, L, D, E) operands of one shape, written channel-major and
-    flattened per channel: (B, D, L*E).
+def _tensors(rule: str, *operands) -> None:
+    """Refuse operands that are not all Tensors, naming ``rule`` and their types."""
+    if not all(isinstance(t, Tensor) for t in operands):
+        raise ContractError(f"{rule}, got " + " and ".join(type(t).__name__ for t in operands))
+
+
+def add_by_channel(a: Tensor, b: Tensor) -> Tensor:
+    """a + b for two (B, L, D, E) Tensors of one shape, written channel-major
+    and flattened per channel: (B, D, L*E).
 
     The sum is written once, into the transposed view of its (B, D, L, E)
     buffer, so the flat result is a reshape of it; a transpose and a reshape
     of a + b would copy the whole sum.  Both parents get one transposed view
     of the gradient.
     """
-    ad, bd = _raw(a), _raw(b)
+    _tensors("add_by_channel adds two Tensors", a, b)
+    ad, bd = a.data, b.data
     if ad.ndim != 4 or ad.shape != bd.shape:
         raise ContractError(f"add_by_channel expects two (B, L, D, E) operands of one "
                             f"shape, got {ad.shape} and {bd.shape}")
-    parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
-    nodes = [t._node for t in parents]
+    na, nb = a._node, b._node
     n, l, d, e = ad.shape
     out = np.empty((n, d, l, e))
     np.add(ad, bd, out=out.transpose(0, 2, 1, 3))
 
     def backward(g):
         gt = g.reshape(n, d, l, e).transpose(0, 2, 1, 3)
-        for node in nodes:
-            _accum(node, gt)
+        _accum(na, gt)
+        _accum(nb, gt)
 
-    return Tensor(out.reshape(n, d, l * e), parents, backward)
+    return Tensor(out.reshape(n, d, l * e), (a, b), backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -346,9 +353,7 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     backward's two GEMMs run side by side; a BLAS that runs more already
     keeps the CPUs busy.
     """
-    if not (isinstance(a, Tensor) and isinstance(w, Tensor)):
-        raise ContractError(f"matmul multiplies two Tensors, got {type(a).__name__} "
-                            f"and {type(w).__name__}")
+    _tensors("matmul multiplies two Tensors", a, w)
     ad, wd = a.data, w.data
     if wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
         raise ContractError(
@@ -372,8 +377,8 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     return Tensor((a2 @ wd).reshape(sa[:-1] + (m,)), (a, w), backward)
 
 
-def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
-    """x @ w for an x: (..., n*E) whose every E-block is a combination of
+def factored_matmul(x: Tensor, coef: np.ndarray, basis: np.ndarray, w: Tensor) -> Tensor:
+    """x @ w for a Tensor x: (..., n*E) whose every E-block is a combination of
     the K rows of ``basis`` (K, E): block i of x == coef block i (..., K) @ basis.
 
     The forward is coef @ V and the weight gradient basis^T (coef^T g), per
@@ -382,28 +387,26 @@ def factored_matmul(x, coef: np.ndarray, basis: np.ndarray, w) -> Tensor:
     data, so whatever x was computed from gets its gradient through x alone.
     With coef = x and basis = eye(E) this is ``matmul``, bit for bit.
     """
-    xd, wd = _raw(x), _raw(w)
+    _tensors("factored_matmul multiplies two Tensors", x, w)
+    xd, wd = x.data, w.data
     k, e = basis.shape
     blocks = xd.shape[-1] // e
     if (wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or blocks * e != xd.shape[-1]
             or coef.shape != xd.shape[:-1] + (blocks * k,)):
         raise ContractError(f"factored_matmul shapes incompatible: x {xd.shape} = coef "
                             f"{coef.shape} over basis {basis.shape}, times w {wd.shape}")
-    parents = tuple(t for t in (x, w) if isinstance(t, Tensor))
-    nx, nw, sx = _node(x), _node(w), xd.shape
+    nx, nw, sx = x._node, w._node, xd.shape
     m = wd.shape[1]
     c2 = coef.reshape(-1, blocks * k)
 
     def backward(g):
         g2 = g.reshape(-1, m)
-        if nx is not None:
-            _accum(nx, (g2 @ wd.T).reshape(sx))
-        if nw is not None:
-            cg = (c2.T @ g2).reshape(blocks, k, m)
-            _accum(nw, np.matmul(basis.T, cg).reshape(blocks * e, m))
+        _accum(nx, (g2 @ wd.T).reshape(sx))
+        cg = (c2.T @ g2).reshape(blocks, k, m)
+        _accum(nw, np.matmul(basis.T, cg).reshape(blocks * e, m))
 
     v = np.matmul(basis, wd.reshape(blocks, e, m)).reshape(blocks * k, m)
-    return Tensor((c2 @ v).reshape(sx[:-1] + (m,)), parents, backward)
+    return Tensor((c2 @ v).reshape(sx[:-1] + (m,)), (x, w), backward)
 
 
 def lift_columns(x: np.ndarray, u) -> np.ndarray:
@@ -578,39 +581,32 @@ def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
     return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)
 
 
-def _tiles(starts, n: int, length: int) -> bool:
-    """Whether windows of n samples at ``starts`` lie end to end over [0, length)."""
-    return len(starts) * n == length and all(s == i * n for i, s in enumerate(starts))
-
-
 def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
     """Sum window i of f (B, p, n, ...) in at starts[i] of a (B, length, ...) array;
     a reshape of f, and no copy, when the windows tile the length."""
-    if _tiles(starts, f.shape[2], length):
+    n = f.shape[2]
+    if len(starts) * n == length and all(s == i * n for i, s in enumerate(starts)):
         return f.reshape((f.shape[0], length) + f.shape[3:])
     out = np.zeros((f.shape[0], length) + f.shape[3:])
     for i, s in enumerate(starts):
-        out[:, s:s + f.shape[2]] += f[:, i]
+        out[:, s:s + n] += f[:, i]
     return out
 
 
 def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
     """The windows xd[:, s:s+n] for evenly spaced s in starts, stacked, (B, L, ...)
     -> (B, p, n, ...), each multiplied along its n axis by ``window`` (n,) when
-    one is given.  Unwindowed frames are a view of xd: a reshape where they
-    tile the length, else read-only, as overlapping windows share samples."""
-    if _tiles(starts, n, xd.shape[1]):
-        seg = xd.reshape((xd.shape[0], len(starts), n) + xd.shape[2:])
-    else:
-        hop = starts[1] - starts[0] if len(starts) > 1 else 0
-        if (any(s != starts[0] + i * hop for i, s in enumerate(starts))
-                or min(starts) < 0 or max(starts) + n > xd.shape[1]):
-            raise ContractError(f"windows of {n} at {list(starts)} are not evenly spaced "
-                                f"inside a length of {xd.shape[1]}")
-        step = xd.strides[1]
-        seg = np.lib.stride_tricks.as_strided(
-            xd[:, starts[0]:], (xd.shape[0], len(starts), n) + xd.shape[2:],
-            (xd.strides[0], hop * step, step) + xd.strides[2:], writeable=False)
+    one is given.  Unwindowed frames are a read-only strided view of xd, as
+    overlapping windows share samples; xd's own strides are kept."""
+    hop = starts[1] - starts[0] if len(starts) > 1 else 0
+    if (any(s != starts[0] + i * hop for i, s in enumerate(starts))
+            or min(starts) < 0 or max(starts) + n > xd.shape[1]):
+        raise ContractError(f"windows of {n} at {list(starts)} are not evenly spaced "
+                            f"inside a length of {xd.shape[1]}")
+    step = xd.strides[1]
+    seg = np.lib.stride_tricks.as_strided(
+        xd[:, starts[0]:], (xd.shape[0], len(starts), n) + xd.shape[2:],
+        (xd.strides[0], hop * step, step) + xd.strides[2:], writeable=False)
     return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
 
 
@@ -643,18 +639,17 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(a.data.mean(), (a,), backward)
 
 
-def irfft_real(re: Tensor, im: Tensor, n: int, axis: int = -1, index=None) -> Tensor:
-    """Real synthesis from one-sided planes (1/n normalised); with ``index``,
-    from the kept bins it names (``fftkit.irfft_onesided``)."""
-    out = fftkit.irfft_onesided(re.data, im.data, n, axis=axis, index=index)
-    nre, nim = re._node, im._node
+def irfft_real(x: Tensor, n: int, axis: int = -1, index=None) -> Tensor:
+    """Real synthesis from a one-sided spectrum whose plane axis is ``axis``
+    (1/n normalised); with ``index``, from the kept bins it names
+    (``fftkit.irfft_onesided``)."""
+    out = fftkit.irfft_onesided(x.data, n, axis=axis, index=index)
+    nx = x._node
 
     def backward(g):
-        gre, gim = fftkit.irfft_transpose(g, n, axis=axis, index=index)
-        _accum(nre, gre)
-        _accum(nim, gim)
+        _accum(nx, fftkit.irfft_transpose(g, n, axis=axis, index=index))
 
-    return Tensor(out, (re, im), backward)
+    return Tensor(out, (x,), backward)
 
 
 class CTensor:

@@ -214,7 +214,8 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
     bias = concat([b.re for b in params.biases] + [b.im for b in params.biases])
     mix = block_matrix([w.re for w in params.weights] + [w.im for w in params.weights],
                        _layout(kind, p, radius, conjugate_neighbors, weight_mask))
-    coef, basis = c.factors if c.factors is not None else (c.stacked.data, np.eye(e))
+    f = c.factors
+    coef, basis = (f.coef, f.basis.data) if f is not None else (c.stacked.data, np.eye(e))
     y = factored_matmul(c.stacked, coef, basis, mix) + bias
     if act == "relu":
         y = relu(y)

@@ -246,10 +246,11 @@ def cmd_ablate(args) -> int:
     sweep_dir = _make_run_dir(_out_root(args), f"ablate-{args.sweep}", base)
 
     def run_one(value):
-        sub_dir = os.path.join(sweep_dir, f"{args.sweep}={value}")
-        os.makedirs(sub_dir)
         try:
+            # the value is validated before it becomes part of a path
             cfg = dataclasses.replace(base, **{field: value}).validate()
+            sub_dir = os.path.join(sweep_dir, f"{args.sweep}={value}")
+            create_output(os.makedirs, sub_dir, "sweep run directory")
             summary = run_training(cfg, sub_dir)
             return {
                 "sweep": args.sweep, "value": value, "status": "ok",

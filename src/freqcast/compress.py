@@ -12,12 +12,13 @@ Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
 The kept spectra are stacked as the backbone reads them, one
 (B, M, D, 2p*E) operand, from top-M to synthesis.  The gather moves whole
-rows: a (B, p, bins, D, K) plane is viewed as (B*p*bins*D, K) rows, and
-kept entry (b, i, m, d) is one row.  Lifted spectra are gathered as their
-(..., K) coefficient planes and lifted by the basis in one GEMM, so of the
-lifted planes only the kept rows are built.  Those planes also give the
-score without touching the E axis: with c the coefficients and G the K x K
-Gram matrix of the basis, sum_e plane_e^2 == sum_jk G_jk c_j c_k.
+rows: a (B, p, 2, bins, D, K) spectrum is viewed as (B*p*2*bins*D, K)
+rows, and kept entry (b, i, m, d) of each plane is one row.  Lifted spectra
+are gathered as their (..., K) coefficients and lifted by the basis in one
+GEMM, so of the lifted planes only the kept rows are built.  The
+coefficients also give the score without touching the E axis: with c the
+coefficients and G the K x K Gram matrix of the basis,
+sum_e plane_e^2 == sum_jk G_jk c_j c_k.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .autograd import CTensor, Tensor, as_data, concat, lift, split
 from .errors import ConfigError, ContractError
-from .spectral import SpectralWindows, StftPlan
+from .spectral import LiftFactors, SpectralWindows, StftPlan
 
 
 @dataclass
@@ -39,16 +40,16 @@ class CompressedWindows:
     its imaginary plane in E-block p + i; ``index`` (B, p, M, D) names the
     kept bins.  Given as a list of p complex (B, M, D, E) windows and a list
     of p (B, M, D) indices, they are joined here, the windows on the tape.
-    ``factors``, when given, is (coef, basis): the operand's E-blocks as
-    (B, M, D, 2p*K) coefficients times the (K, E) basis values, the kept
-    rows of the analysis's own factors.
+    ``factors``, when given, writes the operand's E-blocks as (B, M, D, 2p*K)
+    coefficients times the (K, E) basis: the kept rows of the analysis's own
+    factors.
     """
 
     stacked: Tensor
     index: np.ndarray
     bins_total: int
     plan: StftPlan | None
-    factors: tuple[np.ndarray, np.ndarray] | None = None
+    factors: LiftFactors | None = None
 
     def __post_init__(self):
         if isinstance(self.stacked, list):
@@ -91,17 +92,18 @@ class CompressedWindows:
 
 
 def _rows(idx: np.ndarray, bins: int) -> np.ndarray:
-    """Row numbers ((b*p + i)*bins + idx[b, i, m, d])*D + d of the kept bins
-    (B, p, M, D) in a (B, p, bins, D, K) plane viewed as rows of K."""
+    """Row numbers (((b*p + i)*2 + c)*bins + idx[b, i, m, d])*D + d of the
+    kept bins (B, p, M, D) of plane c in a (B, p, 2, bins, D, K) spectrum
+    viewed as rows of K, in the operand's order (B, M, D, 2, p)."""
     b, p, _, d = idx.shape
-    return (np.arange(b * p).reshape(b, p, 1, 1) * bins + idx) * d + np.arange(d)
+    rows = (np.arange(b * p * 2).reshape(b, p, 2, 1, 1) * bins + idx[:, :, None]) * d
+    return (rows + np.arange(d)).transpose(0, 3, 4, 2, 1)
 
 
-def _gather(planes, rows: np.ndarray) -> np.ndarray:
-    """The rows ``rows`` (B, M, D, p) of each (..., K) plane, in the operand's
-    layout (B, M, D, 2p*K): the first plane's p rows, then the second's."""
-    k = planes[0].shape[-1]
-    kept = np.stack([np.take(plane.reshape(-1, k), rows, axis=0) for plane in planes], axis=3)
+def _gather(spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` (B, M, D, 2, p) of (..., K) spectra, in the operand's
+    layout (B, M, D, 2p*K)."""
+    kept = np.take(spectra.reshape(-1, spectra.shape[-1]), rows, axis=0)
     return kept.reshape(rows.shape[:3] + (-1,))
 
 
@@ -111,12 +113,14 @@ def _score(s: SpectralWindows) -> np.ndarray:
     columns (a stacked (..., K) @ (K, K) product runs one GEMM per row)."""
     f = s.factors
     if f is None:
-        return (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)
+        planes = s.planes.data
+        return (planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2).sum(axis=4)
     gram = f.basis.data @ f.basis.data.T
-    score = np.zeros(f.re.shape[:-1])
+    re, im = f.coef[:, :, 0], f.coef[:, :, 1]
+    score = np.zeros(re.shape[:-1])
     for j, l in zip(*np.triu_indices(len(gram))):
-        term = f.re[..., j] * f.re[..., l]
-        term += f.im[..., j] * f.im[..., l]
+        term = re[..., j] * re[..., l]
+        term += im[..., j] * im[..., l]
         term *= gram[j, l] if j == l else 2.0 * gram[j, l]
         score += term
     return score
@@ -132,8 +136,8 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
 
     Lifted spectra give the kept rows of their factors, lifted by the basis
     on the tape, and the planes stay unbuilt.  Spectra without factors are
-    data, as the analysis's input is: their kept rows are copied, and a
-    plane computed by earlier ops is refused.
+    data, as the analysis's input is: their kept rows are copied, and
+    spectra computed by earlier ops are refused.
     """
     if s.index is not None:
         raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
@@ -142,21 +146,21 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     score = _score(s)  # (B, p, bins, D)
     order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
     idx = np.sort(order[:, :, :m], axis=2)
-    rows = _rows(idx, score.shape[2]).transpose(0, 2, 3, 1)  # (B, M, D, p)
+    rows = _rows(idx, score.shape[2])
     f = s.factors
     if f is None:
-        planes = [as_data(plane, "top_m_select") for plane in (s.re, s.im)]
+        planes = as_data(s.planes, "top_m_select")
         return CompressedWindows(Tensor(_gather(planes, rows)), idx, s.bins, s.plan)
-    coef = _gather([f.re, f.im], rows)
-    return CompressedWindows(lift(coef, f.basis), idx, s.bins, s.plan, (coef, f.basis.data))
+    coef = _gather(f.coef, rows)
+    return CompressedWindows(lift(coef, f.basis), idx, s.bins, s.plan,
+                             LiftFactors(coef, f.basis))
 
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
-    """Restore kept coefficients to their original bins: the operand's two
-    planes as (B, p, M, D, E) views, carrying their (B, p, M, D) bin indices
-    for synthesis to read them by."""
+    """Restore kept coefficients to their original bins: the operand as one
+    (B, p, 2, M, D, E) view, carrying its (B, p, M, D) bin indices for
+    synthesis to read it by."""
     if c.index.shape[2] != c.kept:
         raise ContractError(f"index set size {c.index.shape[2]} != kept coefficients {c.kept}")
-    re, im = split(c.stacked, [(Ellipsis, plane, slice(None), slice(None)) for plane in (0, 1)],
-                   c._blocks(), axes=(0, 3, 1, 2, 4))
-    return SpectralWindows(re, im, c.plan, c.index)
+    [planes] = split(c.stacked, [(Ellipsis,)], c._blocks(), axes=(0, 4, 3, 1, 2, 5))
+    return SpectralWindows(planes, c.plan, c.index)

@@ -196,9 +196,9 @@ SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 
 # the most float64 values (800 MB) a run may store in a synthetic corpus, and
 # in the model's parameters (``RunConfig.problems``).  It bounds what is stored,
-# not what a run allocates: training holds about six vectors of the parameter
-# count (the parameters, Adam's moments, gathered gradient and scratch, and each
-# tensor's ``.grad``).  Windowing copies nothing: the windows are views.
+# not what a run allocates: training holds about five vectors of the parameter
+# count (the parameters, Adam's two moments, its flat gradient and scratch).
+# Windowing copies nothing: the windows are views.
 MAX_VALUES = 10**8
 
 _MIN_SEGMENT = 64

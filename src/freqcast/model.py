@@ -114,9 +114,8 @@ def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
     if plane is None:
         return s
     f = s.factors
-    part = {"real": "re", "imag": "im"}[plane]
-    return SpectralWindows(None, None, s.plan,
-                           factors=replace(f, **{part: getattr(f, part) * 0.0}))
+    mask = np.array([plane != "real", plane != "imag"], dtype=np.float64).reshape(2, 1, 1, 1)
+    return SpectralWindows(None, s.plan, factors=replace(f, coef=f.coef * mask))
 
 
 def _batch(x, who: str) -> np.ndarray:

@@ -137,46 +137,44 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
 
 @dataclass(frozen=True)
 class LiftFactors:
-    """Spectral planes (..., E) written as coefficient planes (..., K) times a
-    (K, E) basis: re == self.re @ basis and im == self.im @ basis.
+    """Spectra (..., E) written as coefficients (..., K) times a (K, E) basis:
+    the spectra are ``coef @ basis``.
 
     The lifted analysis has K = 2, the columns [X, U] of ``rstft`` and the
     basis [scale; bias], a Tensor that ``rstft`` stacks from the two: every
     lift of these coefficients sends its gradient to scale and bias through it.
     """
 
-    re: np.ndarray
-    im: np.ndarray
+    coef: np.ndarray
     basis: Tensor
 
 
 class SpectralWindows:
-    """One-sided spectra of all p windows as planes of shape (B, p, bins, D, E).
+    """One-sided spectra of all p windows as one (B, p, 2, bins, D, E) array:
+    axis 2 holds the real plane, then the imaginary one.
 
     In kept form ``index`` (B, p, M, D) names the bin of each of the M
-    entries the planes (B, p, M, D, E) hold per window and channel; every
-    other bin is zero.  ``None`` means every bin, in order.  ``factors``,
-    when given, writes the planes as (B, p, bins, D, K) coefficients times a
-    (K, E) basis.  Planes given as None are then lifted on the tape the
-    first time ``re`` or ``im`` is read, so a reader of the factors alone
-    never builds them.
+    entries the spectra (B, p, 2, M, D, E) hold per window and channel;
+    every other bin is zero.  ``None`` means every bin, in order.
+    ``factors``, when given, writes the spectra as (B, p, 2, bins, D, K)
+    coefficients times a (K, E) basis.  Planes given as None are then lifted
+    on the tape the first time ``planes`` is read, so a reader of the factors
+    alone never builds them.
     """
 
-    def __init__(self, re: Tensor | None, im: Tensor | None, plan: StftPlan,
+    def __init__(self, planes: Tensor | None, plan: StftPlan,
                  index: np.ndarray | None = None, factors: LiftFactors | None = None):
-        self._planes = [re, im]
-        self.plan, self.index, self.factors = plan, index, factors
+        self._planes, self.plan, self.index, self.factors = planes, plan, index, factors
         f = factors
-        if (re is None) != (im is None) or (re is None and f is None):
-            raise ContractError("spectral planes may be left out only both together, "
-                                "and only when factors give them")
-        if re is not None and re.shape != im.shape:
-            raise ContractError(f"spectral planes disagree: re {re.shape} vs im {im.shape}")
-        if f is not None and (len(f.basis.shape) != 2 or f.im.shape != f.re.shape
-                              or f.re.shape[-1:] != f.basis.shape[:1]
-                              or f.re.shape[:-1] + f.basis.shape[1:] != self.shape):
-            raise ContractError(f"factors re {f.re.shape}, im {f.im.shape} over basis "
-                                f"{f.basis.shape} do not make planes of shape {self.shape}")
+        if planes is None and f is None:
+            raise ContractError("spectral planes may be left out only when factors give them")
+        if f is not None and (len(f.basis.shape) != 2 or f.coef.shape[-1:] != f.basis.shape[:1]
+                              or f.coef.shape[:-1] + f.basis.shape[1:] != self.shape):
+            raise ContractError(f"factors {f.coef.shape} over basis {f.basis.shape} do not "
+                                f"make spectra of shape {self.shape}")
+        if len(self.shape) != 6 or self.shape[2] != 2:
+            raise ContractError(f"spectra of shape {self.shape} are not (B, p, 2, bins, D, E): "
+                                "axis 2 holds the real and the imaginary plane")
         if self.index is not None:
             fftkit.check_kept_index(self.index, self.shape, self.plan.nfft, axis=2)
             # a repeated bin would be summed by synthesis but overwritten by .windows
@@ -186,28 +184,17 @@ class SpectralWindows:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._planes[0] is not None:
-            return self._planes[0].shape
+        if self._planes is not None:
+            return self._planes.shape
         f = self.factors
-        return f.re.shape[:-1] + f.basis.shape[1:]
+        return f.coef.shape[:-1] + f.basis.shape[1:]
 
-    re = property(lambda self: self._plane(0))
-    im = property(lambda self: self._plane(1))
-
-    def _plane(self, part: int) -> Tensor:
-        if self._planes[part] is None:
-            f = self.factors
-            self._planes[part] = lift((f.re, f.im)[part], f.basis)
-        return self._planes[part]
-
-    def _values(self, part: int) -> np.ndarray:
-        """A plane's values, off the tape: the built plane's, or the product
-        ``lift`` would compute for it."""
-        if self._planes[part] is not None:
-            return self._planes[part].data
-        f = self.factors
-        cols = (f.re, f.im)[part]
-        return (cols.reshape(-1, cols.shape[-1]) @ f.basis.data).reshape(self.shape)
+    @property
+    def planes(self) -> Tensor:
+        """The spectra, lifted from the factors on the tape when first read."""
+        if self._planes is None:
+            self._planes = lift(self.factors.coef, self.factors.basis)
+        return self._planes
 
     @property
     def bins(self) -> int:
@@ -215,18 +202,20 @@ class SpectralWindows:
 
     @property
     def windows(self) -> list[CTensor]:
-        """Per-window (B, bins, D, E) read-only planes, off the tape; a kept-form
-        spectrum is scattered into zero planes first."""
-        re, im = self._values(0).view(), self._values(1).view()
+        """Per-window (B, bins, D, E) read-only planes, off the tape: the built
+        planes' values, or the product ``lift`` would compute for them.  A
+        kept-form spectrum is scattered into zero planes first."""
+        if self._planes is not None:
+            values = self._planes.data.view()
+        else:
+            f = self.factors
+            values = (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape)
         if self.index is not None:
-            re, im = (self._scatter(plane) for plane in (re, im))
-        re.flags.writeable = im.flags.writeable = False
-        return [CTensor(Tensor(re[:, i]), Tensor(im[:, i])) for i in range(re.shape[1])]
-
-    def _scatter(self, kept: np.ndarray) -> np.ndarray:
-        full = np.zeros(kept.shape[:2] + (self.bins,) + kept.shape[3:])
-        np.put_along_axis(full, self.index[..., None], kept, axis=2)
-        return full
+            kept, values = values, np.zeros(values.shape[:3] + (self.bins,) + values.shape[4:])
+            np.put_along_axis(values, self.index[:, :, None, ..., None], kept, axis=3)
+        values.flags.writeable = False
+        return [CTensor(Tensor(values[:, i, 0]), Tensor(values[:, i, 1]))
+                for i in range(values.shape[1])]
 
 
 def rstft(x, plan: StftPlan, scale: Tensor | None = None,
@@ -234,7 +223,7 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     """One-sided DFT of each windowed segment of a real (B, L, D, E) input.
 
     x is data, as in ``model.embed``: no gradient reaches it, and a Tensor
-    computed by earlier ops is refused.  Alone, x gives two constant planes.
+    computed by earlier ops is refused.  Alone, x gives constant spectra.
     With the embedding lift's (E,) ``scale`` and ``bias``, x is the un-lifted
     (B, L, D, 1) input and the result analyses x * scale + bias, formed by
     linearity as X * scale + U * bias (U analyses a constant-one lookback):
@@ -255,24 +244,21 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
                             f"got shape {x.shape}")
     window = None if plan.window_fn == "rectangular" else plan.window_values()
     seg = windowed_frames(x, plan.starts, plan.nfft, window)
-    x_re, x_im = fftkit.rfft_onesided(seg, axis=2)
+    spectra = fftkit.rfft_onesided(seg, axis=2)
     if not lifted:
-        return SpectralWindows(Tensor(x_re), Tensor(x_im), plan)
-    u_re, u_im = _constant_spectrum(plan.window_fn, plan.nfft)
-    f = LiftFactors(lift_columns(x_re, u_re), lift_columns(x_im, u_im),
+        return SpectralWindows(Tensor(spectra), plan)
+    f = LiftFactors(lift_columns(spectra, _constant_spectrum(plan.window_fn, plan.nfft)),
                     stack([scale, bias], axis=0))
-    return SpectralWindows(None, None, plan, factors=f)
+    return SpectralWindows(None, plan, factors=f)
 
 
 @lru_cache(maxsize=None)
-def _constant_spectrum(window_fn: str, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) spectrum of one windowed all-ones segment, shaped (bins, 1, 1)
-    to broadcast over (B, p, bins, D, 1); every window of a plan shares it."""
-    planes = fftkit.rfft_onesided(_window_values(window_fn, nfft))
-    planes = tuple(plane.reshape(-1, 1, 1) for plane in planes)
-    for plane in planes:
-        plane.setflags(write=False)
-    return planes
+def _constant_spectrum(window_fn: str, nfft: int) -> np.ndarray:
+    """Spectrum of one windowed all-ones segment, shaped (2, bins, 1, 1) to
+    broadcast over (B, p, 2, bins, D, 1); every window of a plan shares it."""
+    spectrum = fftkit.rfft_onesided(_window_values(window_fn, nfft)).reshape(2, -1, 1, 1)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def istft(s: SpectralWindows) -> Tensor:
@@ -281,11 +267,11 @@ def istft(s: SpectralWindows) -> Tensor:
     A kept-form spectrum is synthesised from its kept bins alone.
     """
     plan = s.plan
-    bins = plan.bins if s.index is None else s.re.shape[2]
-    if s.re.shape[1:3] != (plan.window_count, bins):
-        raise ContractError(f"istft: got {s.re.shape[1]} windows of {s.re.shape[2]} bins, "
+    bins = plan.bins if s.index is None else s.shape[3]
+    if (s.shape[1], s.shape[3]) != (plan.window_count, bins):
+        raise ContractError(f"istft: got {s.shape[1]} windows of {s.shape[3]} bins, "
                             f"plan has {plan.window_count} windows of {plan.bins} bins")
-    seg = irfft_real(s.re, s.im, plan.nfft, axis=2, index=s.index)
+    seg = irfft_real(s.planes, plan.nfft, axis=2, index=s.index)
     if plan.window_fn != "rectangular":
         seg = mul(seg, plan.window_values()[:, None, None])
     acc = overlap_add(seg, plan.starts, plan.lookback)

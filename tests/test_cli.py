@@ -596,6 +596,22 @@ class TestAblateCommand:
         assert by_value["17"]["error"]
 
 
+    @pytest.mark.parametrize("value", ["q/../../../escaped", "q" * 300],
+                             ids=["escaping", "too-long"])
+    def test_invalid_value_fails_before_its_directory_is_made(self, tmp_path, capsys, value):
+        """A value that would leave the sweep directory, or name a path too
+        long to make, gets its failed row and no directory."""
+        root = tmp_path / "sweep"
+        assert main(["ablate", "--sweep", "backbone", "--values", value]
+                    + fast_args(out=root)) == 1
+        (row,) = self.read_report(root)
+        assert row["status"] == "failed" and "unknown backbone kind" in row["error"]
+        (sweep_dir,) = run_dirs(root)
+        assert [p for p in sweep_dir.iterdir() if p.is_dir()] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep"]
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestConformanceCommand:
     def test_prints_report_and_writes_json(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"

@@ -91,7 +91,7 @@ def dense(s: SpectralWindows) -> SpectralWindows:
     """A kept-form spectrum as full planes, through its per-window ``.windows``."""
     planes = [np.stack([getattr(w, part).data for w in s.windows], axis=1)
               for part in ("re", "im")]
-    return SpectralWindows(Tensor(planes[0]), Tensor(planes[1]), s.plan)
+    return SpectralWindows(Tensor(np.stack(planes, axis=2)), s.plan)
 
 
 def test_select_pad_select_idempotent(rng):
@@ -113,10 +113,11 @@ def test_m_out_of_range(rng):
 
 
 def test_plane_shape_mismatch_rejected(rng):
-    """Mismatched planes would broadcast into the score; they are refused."""
+    """Spectra with one plane would reach the score with no imaginary part;
+    they are refused."""
     s = make_spectra(rng)
-    with pytest.raises(ContractError, match=r"re \(2, 3, 9, 2, 2\) vs im \(2, 3, 9, 2, 1\)"):
-        top_m_select(SpectralWindows(s.re, Tensor(s.im.data[..., :1]), s.plan), 2)
+    with pytest.raises(ContractError, match=r"spectra of shape \(2, 3, 1, 9, 2, 2\)"):
+        top_m_select(SpectralWindows(Tensor(s.planes.data[:, :, :1]), s.plan), 2)
 
 
 @pytest.mark.parametrize("bad", [-1, 9])
@@ -153,7 +154,7 @@ def random_plan_spectra(draw):
     else:
         re, im = rng.normal(size=shape), rng.normal(size=shape)
     m = draw(st.integers(1, plan.bins))
-    return SpectralWindows(Tensor(re), Tensor(im), plan), m
+    return SpectralWindows(Tensor(np.stack([re, im], axis=2)), plan), m
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,7 +164,7 @@ def test_routing_matches_exhaustive_sort(case):
     ascending; kept values are those bins' rows; padding restores them in
     place, with every other bin zero, bit for bit."""
     s, m = case
-    re, im = s.re.data, s.im.data
+    re, im = np.moveaxis(s.planes.data, 2, 0)
     score = (re ** 2 + im ** 2).sum(axis=4)
     b, p, bins, d = score.shape
     oracle = np.empty((b, p, m, d), dtype=int)
@@ -182,7 +183,7 @@ def test_routing_matches_exhaustive_sort(case):
     kept = np.zeros(score.shape, dtype=bool)
     np.put_along_axis(kept, oracle, True, axis=2)
     padded = dense(position_aware_pad(comp))
-    for full, back in ((re, padded.re.data), (im, padded.im.data)):
+    for full, back in zip((re, im), np.moveaxis(padded.planes.data, 2, 0)):
         expected = np.where(kept[..., None], full, 0.0)
         assert back.tobytes() == expected.tobytes()
 
@@ -217,7 +218,8 @@ def test_factored_score_keeps_the_exhaustive_sorts_bins(case):
     all-zero lifted input every score ties and bins 0..M-1 are kept."""
     s, m, zero = case
     assert s.factors is not None
-    score = (s.re.data ** 2 + s.im.data ** 2).sum(axis=4)
+    re, im = np.moveaxis(s.planes.data, 2, 0)
+    score = (re ** 2 + im ** 2).sum(axis=4)
     kept = np.stack(top_m_select(s, m).indices, axis=1)
     b, p, bins, d = score.shape
     event("all-zero lifted input" if zero else "non-zero lifted input")
@@ -242,8 +244,8 @@ def test_top_m_lifts_the_kept_rows_of_the_lifted_planes(case):
     the row the full planes hold (the same K = 2 sums, one GEMM each)."""
     s, m, _ = case
     comp = top_m_select(s, m)
-    kept = [np.take_along_axis(plane.data, comp.index[..., None], axis=2)
-            for plane in (s.re, s.im)]  # (B, p, M, D, E) each
+    kept = [np.take_along_axis(plane, comp.index[..., None], axis=2)
+            for plane in np.moveaxis(s.planes.data, 2, 0)]  # (B, p, M, D, E) each
     want = np.stack(kept).transpose(1, 3, 4, 0, 2, 5).reshape(comp.stacked.shape)
     np.testing.assert_array_max_ulp(comp.stacked.data, want, maxulp=2)
     for w, (re, im) in zip(comp.windows, zip(*(np.moveaxis(k, 1, 0) for k in kept))):

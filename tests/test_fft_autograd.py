@@ -51,6 +51,18 @@ from conftest import max_rel_err, naive_dft, numeric_gradient, plan_geometry
 LENGTHS = [1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 26, 32, 48, 64, 128, 256]
 
 
+def joined(re, im, axis=-1):
+    """One spectrum from its two planes: the plane axis goes just before the
+    bin axis ``axis``."""
+    return np.stack([re, im], axis=axis % np.ndim(re))
+
+
+def planes(spectrum, axis=-1):
+    """The (re, im) planes of a spectrum whose bin axis is ``axis``, counted
+    as in its planes."""
+    return tuple(np.moveaxis(spectrum, axis % (np.ndim(spectrum) - 1), 0))
+
+
 def hermitian_synthesis(re, im, n):
     """Textbook inverse DFT of the Hermitian extension of a one-sided spectrum,
     built on the ``naive_dft`` oracle; DC and Nyquist imag carry no signal."""
@@ -71,12 +83,12 @@ def assert_real_dc_and_nyquist(im, n, axis=-1):
 
 def adjoint_gaps(x, gre, gim, re, im, g, n, axis=-1):
     """|<Ax, y> - <x, A^T y>| for A = rfft_onesided and A = irfft_onesided."""
-    fr, fi = fftkit.rfft_onesided(x, axis=axis)
+    fr, fi = planes(fftkit.rfft_onesided(x, axis=axis), axis)
     lhs = (fr * gre).sum() + (fi * gim).sum()
-    rfft_gap = abs(lhs - (x * fftkit.rfft_transpose(gre, gim, n, axis=axis)).sum())
+    rfft_gap = abs(lhs - (x * fftkit.rfft_transpose(joined(gre, gim, axis), n, axis=axis)).sum())
 
-    tre, tim = fftkit.irfft_transpose(g, n, axis=axis)
-    lhs = (fftkit.irfft_onesided(re, im, n, axis=axis) * g).sum()
+    tre, tim = planes(fftkit.irfft_transpose(g, n, axis=axis), axis)
+    lhs = (fftkit.irfft_onesided(joined(re, im, axis), n, axis=axis) * g).sum()
     irfft_gap = abs(lhs - (re * tre).sum() - (im * tim).sum())
     return rfft_gap, irfft_gap
 
@@ -88,12 +100,12 @@ class TestFftKernels:
         bins = fftkit.onesided_bins(n)
         re, im = rng.normal(size=(2, bins)), rng.normal(size=(2, bins))
         want = hermitian_synthesis(re, im, n)
-        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n), want, atol=1e-10)
+        np.testing.assert_allclose(fftkit.irfft_onesided(joined(re, im), n), want, atol=1e-10)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_rfft_is_truncated_dft(self, rng, n):
         x = rng.normal(size=(3, n))
-        re, im = fftkit.rfft_onesided(x)
+        re, im = planes(fftkit.rfft_onesided(x))
         want = naive_dft(x)[..., : n // 2 + 1]
         np.testing.assert_allclose(re + 1j * im, want, atol=1e-10)
         assert_real_dc_and_nyquist(im, n)
@@ -101,15 +113,16 @@ class TestFftKernels:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_irfft_inverts_rfft(self, rng, n):
         x = rng.normal(size=(4, n))
-        re, im = fftkit.rfft_onesided(x)
-        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n), x, atol=1e-11)
+        spectrum = fftkit.rfft_onesided(x)
+        assert spectrum.shape == (4, 2, fftkit.onesided_bins(n))
+        np.testing.assert_allclose(fftkit.irfft_onesided(spectrum, n), x, atol=1e-11)
 
     def test_linearity(self, rng):
         x, y = rng.normal(size=(2, 16)), rng.normal(size=(2, 16))
         a, b = 1.7, -0.3
-        r1, i1 = fftkit.rfft_onesided(a * x + b * y)
-        rx, ix = fftkit.rfft_onesided(x)
-        ry, iy = fftkit.rfft_onesided(y)
+        r1, i1 = planes(fftkit.rfft_onesided(a * x + b * y))
+        rx, ix = planes(fftkit.rfft_onesided(x))
+        ry, iy = planes(fftkit.rfft_onesided(y))
         np.testing.assert_allclose(r1, a * rx + b * ry, atol=1e-10)
         np.testing.assert_allclose(i1, a * ix + b * iy, atol=1e-10)
 
@@ -125,12 +138,12 @@ class TestFftKernels:
         for n in LENGTHS:
             bins = fftkit.onesided_bins(n)
             re, im = rng.normal(size=(2, bins))
-            base = fftkit.irfft_onesided(re, im, n)
+            base = fftkit.irfft_onesided(joined(re, im), n)
             im2 = im.copy()
             im2[0] += 3.0
             if n % 2 == 0:
                 im2[-1] -= 2.0
-            np.testing.assert_array_equal(fftkit.irfft_onesided(re, im2, n), base)
+            np.testing.assert_array_equal(fftkit.irfft_onesided(joined(re, im2), n), base)
 
     @pytest.mark.parametrize("shape,axis", [
         ((9,), 0), ((9, 3), 0), ((8, 1), 0),  # axis 0, with and without trailing axes
@@ -144,10 +157,12 @@ class TestFftKernels:
         spec_shape = list(shape)
         spec_shape[axis] = fftkit.onesided_bins(n)
         x = rng.normal(size=shape)
-        re, im = fftkit.rfft_onesided(x, axis=axis)
+        spectrum = fftkit.rfft_onesided(x, axis=axis)
+        re, im = planes(spectrum, axis)
         assert re.shape == im.shape == tuple(spec_shape)
+        assert spectrum.shape == joined(re, im, axis).shape
         np.testing.assert_allclose(re + 1j * im, np.fft.rfft(x, axis=axis), atol=1e-10)
-        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n, axis=axis), x, atol=1e-11)
+        np.testing.assert_allclose(fftkit.irfft_onesided(spectrum, n, axis=axis), x, atol=1e-11)
         gre, gim, sre, sim = rng.normal(size=(4, *spec_shape))
         g = rng.normal(size=shape)
         rfft_gap, irfft_gap = adjoint_gaps(x, gre, gim, sre, sim, g, n, axis=axis)
@@ -168,12 +183,13 @@ class TestFftKernels:
         spec_shape[axis] = bins
 
         x = rng.normal(size=shape)
-        re, im = fftkit.rfft_onesided(x, axis=axis)
+        spectrum = fftkit.rfft_onesided(x, axis=axis)
+        re, im = planes(spectrum, axis)
         # numpy's own FFT is the oracle here: naive_dft is too slow at n=300
         want = np.fft.rfft(x, axis=axis)
         np.testing.assert_allclose(re + 1j * im, want, atol=1e-9)
         assert_real_dc_and_nyquist(im, n, axis=axis)
-        np.testing.assert_allclose(fftkit.irfft_onesided(re, im, n, axis=axis), x,
+        np.testing.assert_allclose(fftkit.irfft_onesided(spectrum, n, axis=axis), x,
                                    atol=1e-10)
 
         gre, gim, sre, sim = rng.normal(size=(4, *spec_shape))
@@ -217,12 +233,12 @@ class TestKeptBinKernels:
         n, bins = plan.nfft, plan.bins
         full_re, full_im = scatter_bins(re, index, bins), scatter_bins(im, index, bins)
 
-        kept = fftkit.irfft_onesided(re, im, n, axis=2, index=index)
-        dense = fftkit.irfft_onesided(full_re, full_im, n, axis=2)
+        kept = fftkit.irfft_onesided(joined(re, im, 2), n, axis=2, index=index)
+        dense = fftkit.irfft_onesided(joined(full_re, full_im, 2), n, axis=2)
         assert np.abs(kept - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1e-300)
-        tre, tim = fftkit.irfft_transpose(g, n, axis=2, index=index)
+        tre, tim = planes(fftkit.irfft_transpose(g, n, axis=2, index=index), 2)
         dense_t = [np.take_along_axis(t, index[..., None], axis=2)
-                   for t in fftkit.irfft_transpose(g, n, axis=2)]
+                   for t in planes(fftkit.irfft_transpose(g, n, axis=2), 2)]
         # a transposed entry sums n terms g[t] * w with |w| <= 2 / n; each kernel
         # rounds it to within about n * eps of their summed magnitudes (the
         # dot-product bound), more than 1e-13 of the largest output only where
@@ -241,8 +257,8 @@ class TestKeptBinKernels:
         gap = abs((kept * g).sum() - (re * tre).sum() - (im * tim).sum())
         assert gap <= 1e-12 * np.abs(terms).sum()
 
-        got = istft(SpectralWindows(Tensor(re), Tensor(im), plan, index)).data
-        want = istft(SpectralWindows(Tensor(full_re), Tensor(full_im), plan)).data
+        got = istft(SpectralWindows(Tensor(joined(re, im, 2)), plan, index)).data
+        want = istft(SpectralWindows(Tensor(joined(full_re, full_im, 2)), plan)).data
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
     @pytest.mark.parametrize("n", [8, 7])
@@ -257,14 +273,14 @@ class TestKeptBinKernels:
         index = np.sort(np.argsort(rng.random((7, 1, bins - 1, mid)), axis=2)[:, :, :m - 1],
                         axis=2)
         index = np.concatenate([index, np.full((7, 1, 1, mid), bins - 1)], axis=2)
-        re, im = rng.normal(size=(2, 7, 1, m, mid, e))
+        spectrum = rng.normal(size=(7, 1, 2, m, mid, e))
         g = rng.normal(size=(7, 1, n, mid, e))
-        whole = [fftkit.irfft_onesided(re, im, n, axis=2, index=index),
-                 *fftkit.irfft_transpose(g, n, axis=2, index=index)]
+        whole = [fftkit.irfft_onesided(spectrum, n, axis=2, index=index),
+                 fftkit.irfft_transpose(g, n, axis=2, index=index)]
         assert fftkit.GATHER_VALUES >= 7 * mid * 2 * m * n  # one block by default
         monkeypatch.setattr(fftkit, "GATHER_VALUES", leads_per_block * mid * 2 * m * n)
-        blocked = [fftkit.irfft_onesided(re, im, n, axis=2, index=index),
-                   *fftkit.irfft_transpose(g, n, axis=2, index=index)]
+        blocked = [fftkit.irfft_onesided(spectrum, n, axis=2, index=index),
+                   fftkit.irfft_transpose(g, n, axis=2, index=index)]
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
     @pytest.mark.parametrize("shape", [
@@ -291,30 +307,30 @@ class TestKeptBinKernels:
         index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
         want = fftkit.irfft_transpose(np.ascontiguousarray(g), n, axis=2, index=index)
         got = fftkit.irfft_transpose(g, n, axis=2, index=index)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
-        synthesis = fftkit.irfft_onesided(*got, n, axis=2, index=index)
+        assert got.tobytes() == want.tobytes()
+        synthesis = fftkit.irfft_onesided(got, n, axis=2, index=index)
         monkeypatch.setattr(fftkit, "GATHER_VALUES", 1)
         blocked = fftkit.irfft_transpose(g, n, axis=2, index=index)
-        assert [t.tobytes() for t in blocked] == [t.tobytes() for t in want]
-        assert fftkit.irfft_onesided(*got, n, axis=2, index=index).tobytes() == synthesis.tobytes()
+        assert blocked.tobytes() == want.tobytes()
+        assert fftkit.irfft_onesided(got, n, axis=2, index=index).tobytes() == synthesis.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_kept_kernels_refuse_bins_outside_the_spectrum(self, rng, bad):
         """n = 8 has 5 bins: bin 5 would read the first imaginary row and -1
         the last one; both are refused before any row is gathered."""
-        re = rng.normal(size=(2, 3, 2))
+        spectrum = rng.normal(size=(2, 2, 3, 2))
         index = np.array([[0, 1, 2], [1, 3, bad]])
         with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 5\)"):
-            fftkit.irfft_onesided(re, re, 8, axis=1, index=index)
+            fftkit.irfft_onesided(spectrum, 8, axis=1, index=index)
         with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 5\)"):
             fftkit.irfft_transpose(rng.normal(size=(2, 8, 2)), 8, axis=1, index=index)
 
     def test_kept_kernels_refuse_an_index_of_the_wrong_shape(self, rng):
-        re = rng.normal(size=(2, 3, 2))
+        spectrum = rng.normal(size=(2, 2, 3, 2))
         with pytest.raises(ContractError, match=r"index of shape \(2, 2\)"):
-            fftkit.irfft_onesided(re, re, 8, axis=1, index=np.zeros((2, 2), dtype=int))
-        with pytest.raises(ContractError, match="does not name the axis-2 bins"):
-            fftkit.irfft_onesided(re, re, 8, axis=2, index=np.zeros((2, 3), dtype=int))
+            fftkit.irfft_onesided(spectrum, 8, axis=1, index=np.zeros((2, 2), dtype=int))
+        with pytest.raises(ContractError, match="does not name the axis-3 bins"):
+            fftkit.irfft_onesided(spectrum, 8, axis=2, index=np.zeros((2, 3), dtype=int))
 
 
 def check_grads(build_loss, tensors, tol=1e-6):
@@ -377,6 +393,19 @@ class TestAutogradPrimitives:
     def test_add_by_channel_refuses_operands_of_other_shapes(self, rng):
         with pytest.raises(ContractError, match="two \\(B, L, D, E\\) operands"):
             add_by_channel(Tensor(np.zeros((2, 5, 3, 4))), Tensor(np.zeros((5, 3, 4))))
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_add_by_channel_and_factored_matmul_refuse_a_constant_operand(self, rng, constant):
+        """Every caller hands both ops Tensors, so an array is refused, not
+        taken as a constant."""
+        ab = [Tensor(rng.normal(size=(2, 3, 2, 4))) for _ in range(2)]
+        x, w = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(8, 2)))
+        xw = [x, w]
+        ab[constant], xw[constant] = ab[constant].data, xw[constant].data
+        with pytest.raises(ContractError, match="add_by_channel adds two Tensors, got"):
+            add_by_channel(*ab)
+        with pytest.raises(ContractError, match="factored_matmul multiplies two Tensors, got"):
+            factored_matmul(xw[0], x.data, np.eye(4), xw[1])
 
     def test_shared_gradient_is_never_written_in_place(self, rng):
         """add hands one gradient array to both parents; slicing one of them
@@ -456,16 +485,15 @@ class TestAutogradPrimitives:
 
     @pytest.mark.parametrize("reader", ["pad", "windows"])
     def test_pad_and_window_views_scatter_their_gradients_exactly(self, rng, reader):
-        """Pad's two planes and ``.windows``' 2p planes cover the operand: its
-        gradient is each plane's gradient put in place, bit for bit."""
+        """Pad's one view and ``.windows``' 2p planes cover the operand: its
+        gradient is each part's gradient put in place, bit for bit."""
         b, p, m, d, e = 2, 3, 2, 2, 4
         plan = plan_stft(16, p, 8)
         index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
         stacked = Tensor(rng.normal(size=(b, m, d, 2 * p * e)))
         c = CompressedWindows(stacked, index, plan.bins, plan)
         if reader == "pad":
-            padded = position_aware_pad(c)
-            planes = [padded.re, padded.im]
+            planes = [position_aware_pad(c).planes]
         else:
             planes = [t for w in c.windows for t in (w.re, w.im)]
         weights = [rng.normal(size=t.shape) for t in planes]
@@ -477,8 +505,7 @@ class TestAutogradPrimitives:
         blocks = want.reshape(b, m, d, 2, p, e)
         grads = [np.full(t.shape, 1.0 / t.data.size) * w for t, w in zip(planes, weights)]
         if reader == "pad":
-            for plane, g in enumerate(grads):
-                blocks[:, :, :, plane] = g.transpose(0, 2, 3, 1, 4)
+            blocks[...] = grads[0].transpose(0, 3, 4, 2, 1, 5)
         else:
             for j, g in enumerate(grads):
                 blocks[:, :, :, j % 2, j // 2] = g
@@ -488,14 +515,14 @@ class TestAutogradPrimitives:
     def test_irfft_real_grads(self, rng, n):
         """Both planes of a leaf spectrum, DC and Nyquist imag (no effect) included."""
         bins = fftkit.onesided_bins(n)
-        re, im = (Tensor(rng.normal(size=(2, bins, 2))) for _ in range(2))
+        x = Tensor(rng.normal(size=(2, 2, bins, 2)))
         w = rng.normal(size=(2, n, 2))
 
         def build():
-            y = irfft_real(re, im, n, axis=1)
+            y = irfft_real(x, n, axis=1)
             return mean_all(mul(add(y, w), y))
 
-        check_grads(build, [re, im])
+        check_grads(build, [x])
 
     @pytest.mark.parametrize("axis", [0, -1])
     def test_concat_and_overlapping_slices_grads(self, rng, axis):
@@ -569,12 +596,14 @@ class TestAutogradPrimitives:
         added._backward(gx)
         assert f.grad.tobytes() == gx[:, idx].tobytes()
 
-    @pytest.mark.parametrize("geometry", [(10, 3, 6), (96, 8, 26), (8, 3, 8)])
-    def test_overlapping_frames_are_a_read_only_view(self, rng, geometry):
-        """Windows that overlap (or repeat, at hop 0) are framed as a strided
-        view of their input, equal to the gather by a window index; it is
-        read-only, since its windows share samples.  A strided input, as the
-        channel-major skip gradient is, keeps its strides."""
+    @pytest.mark.parametrize("geometry", [(10, 3, 6), (96, 8, 26), (8, 3, 8), (12, 3, 4),
+                                          (6, 1, 6)])
+    def test_frames_are_a_read_only_view(self, rng, geometry):
+        """Windows that overlap (or repeat, at hop 0) or tile the lookback are
+        framed as a strided view of their input, equal to the gather by a
+        window index; it is read-only, since overlapping windows share
+        samples.  A strided input, as the channel-major skip gradient is,
+        keeps its strides."""
         plan = plan_stft(*geometry)
         idx = np.add.outer(plan.starts, np.arange(plan.nfft))
         base = rng.normal(size=(2, 3, plan.lookback, 4))
@@ -688,7 +717,7 @@ TAPE_READS = {
     "lift": ([(2, 4)], lambda basis: lift(FACTORS[1].reshape(4, 2), basis), []),
     "relu": ([(3, 4)], relu, []),
     "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, [0, 2, 4], 8), []),
-    "irfft_real": ([(3, 5), (3, 5)], lambda re, im: irfft_real(re, im, 8), []),
+    "irfft_real": ([(3, 2, 5)], lambda x: irfft_real(x, 8), []),
     "block_matrix": ([(2, 2), (2, 2)], lambda a, b: block_matrix(
         [a, b], BlockLayout.of([(0, 0, 0, 1.0), (1, 1, 1, -1.0)], 2)), []),
     "mean_all": ([(3, 4)], mean_all, []),

@@ -170,9 +170,9 @@ class TestForward:
 
     @pytest.mark.parametrize("kind", BACKBONE_KINDS)
     def test_synthesis_reads_only_the_kept_bins(self, monkeypatch, rng, kind):
-        """Forward and backward hand the synthesis kernels top_m rows per window
-        and channel on axis 2, never the plan's full bin count."""
-        cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=2, backbone=kind)
+        """Forward and backward hand the synthesis kernels top_m rows per window,
+        plane and channel on axis 3, never the plan's full bin count."""
+        cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=3, backbone=kind)
         params = init_params(cfg)
         seen = []
         for name in ("irfft_onesided", "irfft_transpose"):
@@ -180,15 +180,15 @@ class TestForward:
 
             def spy(*args, _name=name, _kernel=kernel, **kwargs):
                 out = _kernel(*args, **kwargs)
-                planes = args[0] if _name == "irfft_onesided" else out[0]
-                seen.append((_name, np.shape(planes)[2], np.shape(kwargs["index"])))
+                spectrum = args[0] if _name == "irfft_onesided" else out
+                seen.append((_name, np.shape(spectrum)[2:4], np.shape(kwargs["index"])))
                 return out
 
             monkeypatch.setattr(fftkit, name, spy)
         out = forward(rng.normal(size=(3, 16, 2)), params, cfg)
         mean_all(mul(out, out)).backward()
         assert cfg.top_m < cfg.plan().bins
-        assert seen == [(name, cfg.top_m, (3, 2, cfg.top_m, 2))
+        assert seen == [(name, (2, cfg.top_m), (3, 2, cfg.top_m, 2))
                         for name in ("irfft_onesided", "irfft_transpose")]
 
 
@@ -201,7 +201,8 @@ class TestSpectralLift:
 
         The oracle is the closed form over ``np.fft.rfft``: the planes analyse
         the lifted windows, and with X the spectra of x's windows and U of
-        the window alone, the gradient of mean(re * w) + mean(im * w) is
+        the window alone, the gradient of mean(planes * 2w), which is
+        mean(re * w) + mean(im * w), is
         sum(w * (Xr + Xi)) / N for scale and sum(w * (Ur + Ui)) / N for bias.
         """
         nfft = data.draw(st.integers(1, 16), label="nfft")
@@ -216,8 +217,8 @@ class TestSpectralLift:
         weight = rng.normal(size=(2, p, plan.bins, 3, e))
 
         lifted = rstft(x[..., None], plan, scale, bias)
-        (mean_all(mul(lifted.re, weight)) + mean_all(mul(lifted.im, weight))).backward()
-        got = [lifted.re.data, lifted.im.data, scale.grad, bias.grad]
+        mean_all(mul(lifted.planes, 2.0 * weight[:, :, None])).backward()
+        got = [lifted.planes.data[:, :, 0], lifted.planes.data[:, :, 1], scale.grad, bias.grad]
 
         window = plan.window_values()
         frames = np.stack([x[:, s:s + nfft] for s in plan.starts], axis=1)  # (2, p, n, 3)
@@ -245,8 +246,8 @@ class TestSpectralLift:
             rstft(rng.normal(size=(1, 8, 2, 3)), plan, scale, bias)
 
     def test_forward_leaves_the_lifted_planes_unbuilt(self, monkeypatch, rng):
-        """forward lifts only the kept rows: the full (B, p, bins, D, E) planes
-        are lifted once something reads them, and no earlier."""
+        """forward lifts only the kept rows: the full (B, p, 2, bins, D, E)
+        spectra are lifted once something reads them, and no earlier."""
         cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=2)
         params, x = init_params(cfg), rng.normal(size=(3, 16, 2))
         built = []
@@ -255,8 +256,8 @@ class TestSpectralLift:
         debug = {}
         forward(x, params, cfg, debug=debug)
         assert built == []
-        full = debug["spectra"].re.data
-        assert built == [(3, 2, 5, 2, 2)] and full.shape == (3, 2, 5, 2, cfg.embed)
+        full = debug["spectra"].planes.data
+        assert built == [(3, 2, 2, 5, 2, 2)] and full.shape == (3, 2, 2, 5, 2, cfg.embed)
 
 
 # one parameter group per named-tensor role, the backbone's tensors together

@@ -1,5 +1,7 @@
 """Plan validation, analysis against the naive DFT oracle, exact round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -198,20 +200,26 @@ class TestRoundTrip:
     def test_window_count_mismatch_rejected(self, rng):
         plan = plan_stft(32, 3, 16)
         s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
-        s = SpectralWindows(Tensor(s.re.data[:, :-1]), Tensor(s.im.data[:, :-1]), plan)
+        s = SpectralWindows(Tensor(s.planes.data[:, :-1]), plan)
         with pytest.raises(ContractError, match="2 windows"):
             istft(s)
 
     def test_plane_shape_mismatch_rejected(self, rng):
+        """Axis 2 holds the real and the imaginary plane: spectra with one
+        plane, with three, or with no plane axis are refused by shape."""
         plan = plan_stft(32, 3, 16)
         s = rstft(Tensor(rng.normal(size=(1, 32, 1, 2))), plan)
-        with pytest.raises(ContractError, match=r"\(1, 3, 9, 1, 2\) vs im \(1, 3, 9, 1, 1\)"):
-            istft(SpectralWindows(s.re, Tensor(s.im.data[..., :1]), plan))
+        three = np.concatenate([s.planes.data, s.planes.data[:, :, :1]], axis=2)
+        for bad, shape in ((s.planes.data[:, :, :1], r"\(1, 3, 1, 9, 1, 2\)"),
+                           (three, r"\(1, 3, 3, 9, 1, 2\)"),
+                           (s.planes.data[:, :, 0], r"\(1, 3, 9, 1, 2\)")):
+            with pytest.raises(ContractError, match=rf"spectra of shape {shape} are not"):
+                istft(SpectralWindows(Tensor(bad), plan))
 
     def test_bins_mismatch_rejected(self, rng):
         plan = plan_stft(32, 3, 16)
         s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
-        s = SpectralWindows(Tensor(s.re.data[:, :, :-1]), Tensor(s.im.data[:, :, :-1]), plan)
+        s = SpectralWindows(Tensor(s.planes.data[:, :, :, :-1]), plan)
         with pytest.raises(ContractError, match="8 bins"):
             istft(s)
 
@@ -220,10 +228,10 @@ def test_window_views_are_read_only_and_off_the_tape(rng):
     plan = plan_stft(32, 3, 16)
     s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
     for i, c in enumerate(s.windows):
-        for view, plane in ((c.re, s.re), (c.im, s.im)):
+        for view, plane in zip((c.re, c.im), np.moveaxis(s.planes.data, 2, 0)):
             assert view._backward is None and not view._parents
             assert not view.data.flags.writeable
-            np.testing.assert_array_equal(view.data, plane.data[:, i])
+            np.testing.assert_array_equal(view.data, plane[:, i])
 
 
 def test_reading_windows_records_no_tape_node(monkeypatch, rng):
@@ -242,11 +250,11 @@ def test_reading_windows_records_no_tape_node(monkeypatch, rng):
         lifted, kept = s.windows, padded.windows
     assert len(made) == 12 and not any(made)
     for i, (c, k) in enumerate(zip(lifted, kept)):
-        for view, plane in ((c.re, s.re), (c.im, s.im)):
-            assert np.array_equal(view.data, plane.data[:, i])
-        for view, part in ((k.re, padded.re), (k.im, padded.im)):
+        for view, plane in zip((c.re, c.im), np.moveaxis(s.planes.data, 2, 0)):
+            assert np.array_equal(view.data, plane[:, i])
+        for view, part in zip((k.re, k.im), np.moveaxis(padded.planes.data, 2, 0)):
             full = np.zeros(view.shape)
-            np.put_along_axis(full, padded.index[:, i, ..., None], part.data[:, i], axis=1)
+            np.put_along_axis(full, padded.index[:, i, ..., None], part[:, i], axis=1)
             assert np.array_equal(view.data, full)
 
 
@@ -275,8 +283,7 @@ def test_plain_rstft_takes_its_input_as_data(rng):
     plan = plan_stft(12, 3, 6, "hann")
     x = Tensor(rng.normal(size=(2, 12, 1, 2)))
     s = rstft(x, plan)
-    for plane in (s.re, s.im):
-        assert not plane._parents and plane._backward is None
+    assert not s.planes._parents and s.planes._backward is None
     with pytest.raises(ContractError, match="rstft takes its input as data"):
         rstft(mul(x, 2.0), plan)
 
@@ -312,23 +319,27 @@ def test_top_m_refuses_a_kept_form_spectrum(rng):
 def test_kept_form_refuses_repeated_or_unordered_bins(bins):
     """Synthesis would sum a repeated bin where ``.windows`` keeps one copy."""
     plan = plan_stft(8, 1, 8)
-    re = Tensor(np.ones((1, 1, 2, 1, 1)))
+    planes = Tensor(np.ones((1, 1, 2, 2, 1, 1)))
     with pytest.raises(ContractError, match="strictly ascending"):
-        SpectralWindows(re, re, plan, np.array(bins).reshape(1, 1, 2, 1))
+        SpectralWindows(planes, plan, np.array(bins).reshape(1, 1, 2, 1))
 
 
 def test_lifted_spectra_carry_their_factors(rng):
-    """rstft's factors multiply out to its planes, and mismatched ones are refused."""
+    """rstft's factors multiply out to its planes, and mismatched ones are
+    refused by shape."""
     plan = plan_stft(16, 3, 8)
     scale, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
     s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, scale, bias)
     f = s.factors
     np.testing.assert_array_equal(f.basis.data, np.stack([scale.data, bias.data]))
     assert f.basis._parents == (scale._node, bias._node)
-    for plane, coef in ((s.re, f.re), (s.im, f.im)):
-        np.testing.assert_allclose(coef @ f.basis.data, plane.data, rtol=0, atol=1e-14)
-    for bad in (LiftFactors(f.re, f.im, Tensor(f.basis.data[:, :3])),
-                LiftFactors(f.re[..., :1], f.im[..., :1], f.basis),
-                LiftFactors(f.re, f.im[:1], f.basis)):
-        with pytest.raises(ContractError, match="factors"):
-            SpectralWindows(s.re, s.im, plan, factors=bad)
+    np.testing.assert_allclose(f.coef @ f.basis.data, s.planes.data, rtol=0, atol=1e-14)
+    for bad in (LiftFactors(f.coef, Tensor(f.basis.data[:, :3])),
+                LiftFactors(f.coef[..., :1], f.basis),
+                LiftFactors(f.coef[:1], f.basis)):
+        with pytest.raises(ContractError, match=re.escape(
+                f"factors {bad.coef.shape} over basis {bad.basis.shape} do not make "
+                "spectra of shape (2, 3, 2, 5, 3, 4)")):
+            SpectralWindows(s.planes, plan, factors=bad)
+    with pytest.raises(ContractError, match=r"spectra of shape \(2, 3, 1, 5, 3, 4\)"):
+        SpectralWindows(None, plan, factors=LiftFactors(f.coef[:, :, :1], f.basis))

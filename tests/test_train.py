@@ -660,6 +660,38 @@ def test_a_predict_chunk_at_predict_long_shapes_peaks_below_14_mib():
     assert peak < 14, peak
 
 
+# each bench workload's config (bench/workloads.py), its channel count, and
+# the tape nodes that one training step's forward and loss record there
+TAPE_NODES = {
+    "train-hc-default": ({}, 2, 23),
+    "train-basic-p8": (dict(backbone="basic", windows=8, lookback=96, horizon=24, nfft=26,
+                            embed=32, top_m=8, hidden=64), 2, 24),
+    "predict-long": (dict(backbone="wm", lookback=512, horizon=96, windows=4, nfft=128,
+                          embed=8, top_m=8, hidden=64), 4, 23),
+}
+
+
+@pytest.mark.parametrize("config, channels, nodes", TAPE_NODES.values(), ids=TAPE_NODES)
+def test_a_training_step_records_no_more_tape_nodes_than_its_bound(config, channels, nodes):
+    """A ratchet on a cost that machine noise cannot move: the tape a step
+    records at a batch of 2, counted from the loss.  A change that lowers a
+    count may lower its bound; one that raises it fails here.  Padding's one
+    view of the operand takes 2 nodes; its two planes took 3."""
+    cfg = RunConfig(**config).validate()
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, cfg.lookback, channels))
+    y = rng.normal(size=(2, cfg.horizon, channels))
+    loss = mse_loss(forward(x, init_params(cfg), cfg), y)
+    recorded, seen, stack = 0, set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            recorded += node._backward is not None
+            stack.extend(node._parents)
+    assert recorded <= nodes
+
+
 FAULTS_PER_CHUNK = """
 import resource, statistics
 import numpy as np
