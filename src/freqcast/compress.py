@@ -4,9 +4,11 @@ Selection keeps, independently for every (batch sample, window, channel),
 the M frequency bins with the largest magnitude-squared summed over the
 embedding axis.  Kept indices are remembered so the padding step can hand
 coefficients back with their original bins: synthesis reads the kept bins
-where they are, so the zero bins are never built.  Ties go to the lower bin
-index, and kept indices are stored ascending, so runs are deterministic
-across platforms.
+where they are, so the zero bins are never built.  A partition finds each
+row's M-th highest score, and a row in which exactly M scores reach it keeps
+those bins; only a row with a tie across the M-th place, or a NaN there, is
+ranked by a stable sort.  So ties go to the lower bin, NaN ranks last, and
+kept indices, stored ascending, are the same on every platform.
 
 Selection itself is non-differentiable routing: it is computed from the
 forward values and frozen; gradients flow only through kept coefficients.
@@ -110,20 +112,41 @@ def _gather(spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _score(s: SpectralWindows) -> np.ndarray:
     """Magnitude squared summed over E, (B, p, bins, D); from the factors when
     the spectra carry them, one elementwise term per pair of coefficient
-    columns (a stacked (..., K) @ (K, K) product runs one GEMM per row)."""
+    columns (a stacked (..., K) @ (K, K) product runs one GEMM per row), read
+    contiguous from one (K, 2, B, p, D, bins) copy; a view of bins-last scores."""
     f = s.factors
     if f is None:
         planes = s.planes.data
         return (planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2).sum(axis=4)
     gram = f.basis.data @ f.basis.data.T
-    re, im = f.coef[:, :, 0], f.coef[:, :, 1]
-    score = np.zeros(re.shape[:-1])
+    re, im = np.ascontiguousarray(f.coef.transpose(5, 2, 0, 1, 4, 3)).swapaxes(0, 1)
+    score = np.zeros(re.shape[1:])
     for j, l in zip(*np.triu_indices(len(gram))):
-        term = re[..., j] * re[..., l]
-        term += im[..., j] * im[..., l]
+        term = re[j] * re[l]
+        term += im[j] * im[l]
         term *= gram[j, l] if j == l else 2.0 * gram[j, l]
         score += term
-    return score
+    return score.swapaxes(2, 3)
+
+
+def _stable_first(neg: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the first m bins of each row of ``neg`` (rows, bins) in a stable
+    ascending sort: ties go to the lower bin and NaN ranks last."""
+    return np.argsort(np.argsort(neg, axis=1, kind="stable"), axis=1) < m
+
+
+def _kept_bins(score: np.ndarray, m: int) -> np.ndarray:
+    """Ascending indices (B, p, m, D) of the m highest (B, p, bins, D) scores
+    along the bin axis, as the stable sort of the negated scores keeps them.
+    The m-th highest score of each row is found by a partition; a row in which
+    exactly m scores reach it keeps those.  A row it cannot decide, with a tie
+    across the m-th place or a NaN there, is ranked by the stable sort."""
+    neg = -np.ascontiguousarray(score.swapaxes(2, 3))  # (B, p, D, bins)
+    mask = neg <= np.partition(neg, m - 1, axis=3)[..., m - 1:m]
+    undecided = np.count_nonzero(mask, axis=3) != m
+    if undecided.any():
+        mask[undecided] = _stable_first(neg[undecided], m)
+    return (np.flatnonzero(mask) % neg.shape[3]).reshape(neg.shape[:3] + (m,)).swapaxes(2, 3)
 
 
 def check_top_m(m: int, plan: StftPlan) -> None:
@@ -141,12 +164,10 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """
     if s.index is not None:
         raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
-                            f"spectrum of {s.shape[2]} bins per window")
+                            f"spectrum of {s.shape[3]} bins per window")
     check_top_m(m, s.plan)
-    score = _score(s)  # (B, p, bins, D)
-    order = np.argsort(-score, axis=2, kind="stable")  # ties -> lower bin
-    idx = np.sort(order[:, :, :m], axis=2)
-    rows = _rows(idx, score.shape[2])
+    idx = _kept_bins(_score(s), m)
+    rows = _rows(idx, s.bins)
     f = s.factors
     if f is None:
         planes = as_data(s.planes, "top_m_select")

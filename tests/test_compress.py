@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from freqcast import compress
 from freqcast.autograd import Tensor
 from freqcast.compress import position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
@@ -186,6 +187,87 @@ def test_routing_matches_exhaustive_sort(case):
     for full, back in zip((re, im), np.moveaxis(padded.planes.data, 2, 0)):
         expected = np.where(kept[..., None], full, 0.0)
         assert back.tobytes() == expected.tobytes()
+
+
+def stable_sort_oracle(score: np.ndarray, m: int) -> np.ndarray:
+    """Per (sample, window, channel) of (B, p, bins, D) scores, the first m
+    bins ranked by (-score, bin) with NaN last, ascending: (B, p, m, D)."""
+    b, p, bins, d = score.shape
+    oracle = np.empty((b, p, m, d), dtype=int)
+    for ix in np.ndindex(b, p):
+        for k in range(d):
+            col = score[ix][:, k]
+            ranked = sorted(range(bins), key=lambda j: (bool(np.isnan(col[j])),
+                                                        0.0 if np.isnan(col[j]) else -col[j], j))
+            oracle[ix][:, k] = sorted(ranked[:m])
+    return oracle
+
+
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 2.0)
+
+
+@st.composite
+def special_plane_spectra(draw):
+    """Random-plan planes holding NaN, +-inf, -0.0 and small integers: each
+    entry drawn from those, every entry of a plane one of them (all-equal
+    rows), or normals with about a third of the entries replaced by them."""
+    p, nfft, hop = draw(plan_geometry(4, 16))
+    plan = plan_stft(nfft + (p - 1) * hop, p, nfft)
+    shape = (draw(st.integers(1, 3)), p, 2, plan.bins, draw(st.integers(1, 3)),
+             draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["special", "constant", "mixed"]))
+    event(f"{fill} planes")
+    if fill == "special":
+        planes = rng.choice(SPECIAL, size=shape)
+    elif fill == "constant":
+        planes = np.full(shape, draw(st.sampled_from(SPECIAL)))
+    else:
+        planes = rng.normal(size=shape)
+        swap = rng.random(shape) < 1 / 3
+        planes[swap] = rng.choice(SPECIAL, size=swap.sum())
+    return SpectralWindows(Tensor(planes), plan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=special_plane_spectra())
+def test_kept_bins_equal_the_stable_sort_on_special_values(s):
+    """For every M, the kept bins are the stable sort's, also where scores are
+    NaN (ranked last), +inf, zero, or tied across the M-th place."""
+    re, im = np.moveaxis(s.planes.data, 2, 0)
+    score = (re ** 2 + im ** 2).sum(axis=4)
+    for m in range(1, s.bins + 1):
+        assert np.array_equal(top_m_select(s, m).index, stable_sort_oracle(score, m))
+
+
+def test_lifted_spectra_of_a_nan_sample_keep_the_stable_sorts_bins(rng):
+    """Lifted spectra score from their factors; a NaN input sample makes every
+    one of its scores NaN, so it keeps bins 0..M-1, and the other samples keep
+    the stable sort's bins of the factored score, for every M."""
+    x = rng.normal(size=(3, 40, 2, 1))
+    x[1] = np.nan
+    s = rstft(x, plan_stft(40, 4, 16), Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
+    score = compress._score(s)
+    assert np.isnan(score[1]).all() and not np.isnan(score[[0, 2]]).any()
+    for m in range(1, s.bins + 1):
+        kept = top_m_select(s, m).index
+        assert np.array_equal(kept, stable_sort_oracle(score, m))
+        assert np.array_equal(kept[1], np.broadcast_to(np.arange(m)[:, None], kept[1].shape))
+
+
+def test_tie_free_scores_never_reach_the_stable_sort(rng, monkeypatch):
+    """At predict-long's shapes, (32, 4, 65, 4) lifted scores and M = 8, every
+    row of tie-free scores is decided by its M-th score alone."""
+    def refuse(neg, m):
+        raise AssertionError(f"{len(neg)} rows reached the stable sort")
+
+    monkeypatch.setattr(compress, "_stable_first", refuse)
+    s = rstft(rng.normal(size=(32, 512, 4, 1)), plan_stft(512, 4, 128),
+              Tensor(rng.normal(size=8)), Tensor(rng.normal(size=8)))
+    score = compress._score(s)
+    assert score.shape == (32, 4, 65, 4) and np.unique(score).size == score.size
+    kept = top_m_select(s, 8).index
+    assert np.array_equal(kept, np.sort(np.argsort(-score, axis=2, kind="stable")[:, :, :8], axis=2))
 
 
 @st.composite
