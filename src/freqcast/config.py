@@ -9,8 +9,9 @@ reproduces a run.
 Validation states each rule once: a rule that a component enforces is checked
 by the component's own function, so ``validate()`` gives its message.  Only the
 synthetic-corpus rules are restated, as ``synth_corpus`` words them by flag.
-Sizes are capped before anything is allocated: neither the parameter count
-nor a synthetic corpus may exceed ``data.MAX_VALUES`` float64 values.
+Sizes are capped before anything is allocated: neither the parameter count,
+a synthetic corpus nor the plan's DFT operators may exceed ``data.MAX_VALUES``
+float64 values.
 """
 
 from __future__ import annotations

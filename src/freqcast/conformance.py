@@ -80,15 +80,6 @@ def algebra_rows(seed: int = 0, samples: int = 500) -> tuple[RowStatus, ...]:
     return tuple(rows)
 
 
-def flagged_rows(base: int, display: str = "product",
-                 seed: int = 0, samples: int = 500) -> frozenset[int]:
-    """Rows of a printed display that deviate from the recursion."""
-    return frozenset(
-        r.row for r in algebra_rows(seed, samples)
-        if r.base == base and r.display == display and not r.matches
-    )
-
-
 @dataclass
 class PlanStatus:
     name: str

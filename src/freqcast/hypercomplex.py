@@ -11,14 +11,10 @@ component formulas that float around for quaternions/octonions/sedenions are
 kept only as cross-check oracles (see ``PRINTED_PRODUCT_ROWS``), because the
 published expansions are not all mutually consistent.  ``conformance``
 compares them row by row against the recursion.
-
-Norms are multiplicative up to base 8; base 16 has zero divisors, one of
-which is ``SEDENION_ZERO_DIVISOR``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,58 +22,6 @@ import numpy as np
 from .errors import ContractError
 
 VALID_BASES = (2, 4, 8, 16)
-
-
-@dataclass(frozen=True)
-class HCNumber:
-    """Scalar hyper-complex number: ``base // 2`` complex components."""
-
-    base: int
-    components: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.base not in VALID_BASES:
-            raise ContractError(f"unsupported hyper-complex base {self.base}")
-        if len(self.components) != self.base // 2:
-            raise ContractError(
-                f"base {self.base} needs {self.base // 2} components, "
-                f"got {len(self.components)}"
-            )
-
-    @classmethod
-    def zero(cls, base: int) -> "HCNumber":
-        return cls(base, (0j,) * (base // 2))
-
-    @classmethod
-    def one(cls, base: int) -> "HCNumber":
-        return cls(base, (1 + 0j,) + (0j,) * (base // 2 - 1))
-
-    @classmethod
-    def basis(cls, base: int, index: int) -> "HCNumber":
-        """Real basis element u_index, 0 <= index < base."""
-        if not 0 <= index < base:
-            raise ContractError(f"basis index {index} out of range for base {base}")
-        comps = [0j] * (base // 2)
-        comps[index // 2] = 1 + 0j if index % 2 == 0 else 1j
-        return cls(base, tuple(comps))
-
-    def __add__(self, other: "HCNumber") -> "HCNumber":
-        _check_same_base(self, other)
-        return HCNumber(self.base, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "HCNumber") -> "HCNumber":
-        _check_same_base(self, other)
-        return HCNumber(self.base, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def conj(self) -> "HCNumber":
-        """First component complex-conjugated, all others negated."""
-        head = self.components[0].conjugate()
-        return HCNumber(self.base, (head,) + tuple(-c for c in self.components[1:]))
-
-
-def _check_same_base(a: HCNumber, b: HCNumber) -> None:
-    if a.base != b.base:
-        raise ContractError(f"base mismatch: {a.base} vs {b.base}")
 
 
 # --- Cayley-Dickson recursion over component tuples -------------------------
@@ -97,22 +41,11 @@ def _conj_t(a: tuple[complex, ...]) -> tuple[complex, ...]:
     return (a[0].conjugate(),) + tuple(-c for c in a[1:])
 
 
-def cd_multiply(a: HCNumber, b: HCNumber) -> HCNumber:
-    """Cayley-Dickson product of two same-base hyper-complex numbers."""
-    _check_same_base(a, b)
-    return HCNumber(a.base, _cd_mul(a.components, b.components))
-
-
 def cd_multiply_components(a_components, b_components):
     """The recursion applied to component sequences (scalars or ndarrays)."""
     if len(a_components) != len(b_components):
         raise ContractError("component counts differ")
     return _cd_mul(tuple(a_components), tuple(b_components))
-
-
-def hc_norm(a: HCNumber) -> float:
-    """sqrt of the summed squared complex magnitudes of the components."""
-    return float(np.sqrt(sum(abs(c) ** 2 for c in a.components)))
 
 
 # --- printed component expansions (cross-check oracles only) ----------------
@@ -210,7 +143,7 @@ def printed_product(base: int, a_comps, b_comps):
 #
 # For every component pair (i, j) the recursion contributes exactly one signed,
 # possibly conjugated monomial to exactly one output component.  The table is
-# extracted by probing cd_multiply with unit and imaginary-unit inputs, so it
+# extracted by probing the recursion with unit and imaginary-unit inputs, so it
 # stays mechanically tied to the recursion.
 
 @lru_cache(maxsize=None)
@@ -246,11 +179,3 @@ def component_product_table(base: int):
             entries.append((k, i, j, sign, conj_a, conj_b))
     return tuple(entries)
 
-
-# --- sedenion zero divisors ---------------------------------------------------
-
-# (u1 + u10) * (u4 - u15) == 0 under the recursion.
-SEDENION_ZERO_DIVISOR = (
-    HCNumber.basis(16, 1) + HCNumber.basis(16, 10),
-    HCNumber.basis(16, 4) - HCNumber.basis(16, 15),
-)

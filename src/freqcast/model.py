@@ -40,6 +40,7 @@ from .backbones import (
 )
 from .compress import position_aware_pad, top_m_select
 from .config import RunConfig, mask_planes
+from .data import MAX_VALUES
 from .errors import ConfigError, ContractError, open_input
 from .spectral import SpectralWindows, istft, rstft
 
@@ -145,13 +146,28 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
     The batch is data, as in ``embed``: no gradient flows back to it.  Each
     stage's output is let go once the next stage has read it, so past its
     stage only what a backward closure reads stays alive.  A ``debug`` dict,
-    when given, keeps every stage output under its name.
+    when given, keeps every stage output under its name.  A batch whose
+    largest array would hold more than ``data.MAX_VALUES`` values is refused
+    before anything is allocated.
     """
     x = _batch(x, "forward")
     if x.shape[1] != cfg.lookback:
         raise ContractError(
             f"forward: input length {x.shape[1]} != configured lookback {cfg.lookback}"
         )
+    plan = cfg.plan()
+    (b, _, d), p, e = x.shape, plan.window_count, cfg.embed
+    # the synthesis frames (B, p, nfft, D, E), the analysis coefficients
+    # (B, p, 2, bins, D, 2), top-M's operand (B, M, D, 2p*E) or the head's
+    # (B, D, hidden) and (B, D, horizon); the windows cover the lookback, so the
+    # frames are never smaller than the embedded input (B, L, D, E)
+    largest = b * d * max(p * plan.nfft * e, p * 2 * plan.bins * 2, cfg.top_m * 2 * p * e,
+                          cfg.hidden, cfg.horizon)
+    if largest > MAX_VALUES:
+        raise ConfigError(f"a batch would hold an array of {largest:,} values, above the cap "
+                          f"of {MAX_VALUES:,}: it grows with batch={b}, lookback={cfg.lookback}, "
+                          f"channels={d}, windows={p}, nfft={plan.nfft}, embed={e}, "
+                          f"top_m={cfg.top_m}, hidden={cfg.hidden} and horizon={cfg.horizon}")
     spectral_plane, weight_plane = mask_planes(cfg.mask_mode)
 
     def stage(name: str, out):
@@ -160,7 +176,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
         return out
 
     h = stage("spectra", _mask_spectra(
-        rstft(x[..., None], cfg.plan(), params.embed_scale, params.embed_bias),
+        rstft(x[..., None], plan, params.embed_scale, params.embed_bias),
         spectral_plane))
     h = stage("compressed", top_m_select(h, cfg.top_m))
     h = stage("mixed", backbone_forward(

@@ -32,6 +32,7 @@ from .autograd import (
     stack,
     windowed_frames,
 )
+from .data import MAX_VALUES
 from .errors import ConfigError, ContractError
 
 WINDOW_FNS = ("rectangular", "hann")
@@ -104,6 +105,11 @@ def plan_stft(lookback: int, window_count: int, nfft: int,
         raise ConfigError(
             f"nfft must be in [1, lookback]: nfft={nfft}, lookback={lookback}"
         )
+    # the cached DFT operator pair (``fftkit._operators``): 2 x 2*nfft*bins values
+    operator_values = 4 * nfft * fftkit.onesided_bins(nfft)
+    if operator_values > MAX_VALUES:
+        raise ConfigError(f"nfft={nfft} needs a DFT operator pair of {operator_values:,} "
+                          f"values, above the cap of {MAX_VALUES:,}")
     _window_values(window_fn, nfft)  # reject unknown window functions early
     if window_count == 1:
         if nfft != lookback:

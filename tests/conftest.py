@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from freqcast import autograd
 from freqcast.autograd import Tensor
-from freqcast.hypercomplex import HCNumber
 
 
 @pytest.fixture(autouse=True)
@@ -49,10 +48,11 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def rand_hc(rng, base, scale=1.0):
-    p = base // 2
-    parts = rng.uniform(-scale, scale, size=(p, 2))
-    return HCNumber(base, tuple(complex(a, b) for a, b in parts))
+def rand_hc(rng, base):
+    """A random base-``base`` hyper-complex number as its ``base // 2`` complex
+    components."""
+    parts = rng.uniform(-1.0, 1.0, size=(base // 2, 2))
+    return tuple(complex(a, b) for a, b in parts)
 
 
 def naive_dft(x, axis=-1):

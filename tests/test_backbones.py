@@ -23,7 +23,7 @@ from freqcast.backbones import (
 from freqcast.compress import CompressedWindows, top_m_select
 from freqcast.config import MASK_PLANES, RunConfig
 from freqcast.errors import ConfigError, ContractError
-from freqcast.hypercomplex import HCNumber, cd_multiply
+from freqcast.hypercomplex import cd_multiply_components
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
 
@@ -399,18 +399,16 @@ def masked(w, mask):
 def assert_hc_brute_force(cv, params, got, mask=None):
     """Every output entry against the scalar Cayley-Dickson product."""
     p = len(cv)
-    base = 2 * p
     wv = [masked(w.value(), mask) for w in params.weights]
     bv = [b.value() for b in params.biases]
     e = wv[0].shape[0]
     for idx in np.ndindex(cv[0].shape[:-1]):
         for eo in range(e):
-            acc = HCNumber(base, tuple(complex(bv[k][eo]) for k in range(p)))
+            want = np.array([complex(bv[k][eo]) for k in range(p)])
             for ei in range(e):
-                x = HCNumber(base, tuple(complex(cv[k][idx + (ei,)]) for k in range(p)))
-                w = HCNumber(base, tuple(complex(wv[k][ei, eo]) for k in range(p)))
-                acc = acc + cd_multiply(x, w)
-            want = np.array(acc.components)
+                x = tuple(complex(cv[k][idx + (ei,)]) for k in range(p))
+                w = tuple(complex(wv[k][ei, eo]) for k in range(p))
+                want = want + cd_multiply_components(x, w)
             np.testing.assert_allclose(
                 np.array([got[k][idx + (eo,)] for k in range(p)]), want, atol=1e-12
             )

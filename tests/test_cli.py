@@ -246,6 +246,13 @@ class TestConfigHandling:
         assert RunConfig(backbone="nope", radius=0).problems() == [
             raised(block_table, "nope", 4), raised(block_table, "hc", 4, 0)]
 
+    def test_oversized_dft_operators_are_a_plan_problem(self):
+        """A config whose every stored size is small can still ask for a DFT
+        operator pair of 800 million values; the plan refuses it."""
+        cfg = RunConfig(lookback=20000, nfft=20000, windows=1, backbone="fd", top_m=1,
+                        embed=1, hidden=1, horizon=1, synth_length=40000)
+        assert cfg.problems() == [raised(plan_stft, 20000, 1, 20000)]
+
     def test_hash_is_stable_and_sensitive(self):
         a, b = RunConfig(), RunConfig()
         assert config_hash(a) == config_hash(b)

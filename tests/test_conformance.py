@@ -5,32 +5,31 @@ import numpy as np
 from freqcast.conformance import (
     algebra_rows,
     benchmark_plan_statuses,
-    flagged_rows,
     format_report,
     full_report,
     random_valid_plans,
 )
 
 
+def flagged(seed=0):
+    """(base, display, row) of every printed-display row the report flags."""
+    return {(r.base, r.display, r.row) for r in algebra_rows(seed) if not r.matches}
+
+
 def test_recursion_agrees_with_itself_where_expected():
-    assert flagged_rows(2, "product") == frozenset()
     # the two-component display only mis-conjugates its first row
-    assert flagged_rows(4, "product") == frozenset({0})
-    assert flagged_rows(4, "layer") == frozenset({0})
+    assert {f for f in flagged() if f[0] <= 4} == {(4, "product", 0), (4, "layer", 0)}
 
 
 def test_higher_base_displays_deviate_everywhere():
-    assert flagged_rows(8, "product") == frozenset(range(4))
-    assert flagged_rows(8, "layer") == frozenset(range(4))
-    assert flagged_rows(16, "product") == frozenset(range(8))
-    assert flagged_rows(16, "layer") == frozenset(range(8))
+    assert {f for f in flagged() if f[0] >= 8} == {
+        (base, display, row) for base in (8, 16) for display in ("product", "layer")
+        for row in range(base // 2)
+    }
 
 
 def test_flagged_rows_stable_across_seeds():
-    for base in (4, 8, 16):
-        assert flagged_rows(base, "product", seed=0) == flagged_rows(
-            base, "product", seed=99
-        )
+    assert flagged(seed=0) == flagged(seed=99)
 
 
 def test_deviations_are_order_one_not_roundoff():

@@ -1,14 +1,20 @@
 """The package imports with numpy alone: no module pulls in scipy, and none
-starts a thread."""
+starts a thread.  Every module-level name in the package has a caller outside
+the tests."""
 
+import ast
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import freqcast
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_with_src(code: str) -> str:
@@ -83,3 +89,50 @@ def test_a_forked_child_starts_its_own_worker():
     """A child inherits the executor but not its thread; without a fresh one
     its first side-by-side call would wait forever."""
     assert run_with_src(FORK) == "0"
+
+
+def bound_names(stmt) -> list[str]:
+    """Names a module-level statement binds: its function, its class or its
+    assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def references(stmt, with_strings: bool) -> Counter:
+    """Identifiers a statement reads: loaded names, attribute names, imported
+    names and, if asked, string constants."""
+    refs = Counter()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name] += 1
+        elif with_strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs[n.value] += 1
+    return refs
+
+
+def test_every_module_level_name_has_a_caller_in_src_or_bench():
+    """Code whose only caller is a test is deleted.  Each module-level function,
+    class or assignment in ``src/freqcast`` must be referenced, by identifier,
+    from some other statement in ``src/`` or ``bench/``.  String constants
+    under ``bench/`` count, because ``bench/probe.py`` patches names it looks
+    up by string."""
+    src, bench = ROOT / "src" / "freqcast", ROOT / "bench"
+    statements = [(path, stmt, references(stmt, with_strings=path.parent == bench))
+                  for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    assert any(path.parent == bench for path, *_ in statements)
+    total = sum((refs for *_, refs in statements), Counter())
+    unused = [f"{path.stem}.{name}" for path, stmt, own in statements if path.parent == src
+              for name in bound_names(stmt) if total[name] == own[name]]
+    assert unused == [], f"referenced only by their own definitions: {unused}"

@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,48 @@ class TestForward:
             with pytest.raises(ContractError,
                                match=re.escape(f"B >= 1 and D >= 1, got shape {shape}")):
                 run(np.zeros(shape))
+
+    @pytest.mark.parametrize("fields, d, most", [
+        # synthesis frames of tiling windows: 2 windows * nfft 8 * E 64 values a sample
+        (dict(windows=2, embed=64), 1, 97_656),
+        # synthesis frames of overlapping windows: 3 * 8 * 32
+        (dict(windows=3, embed=32), 1, 130_208),
+        # analysis coefficients at E = 1: 2 windows * 2 planes * 5 bins * 4 channels * 2
+        (dict(windows=2, embed=1), 4, 625_000),
+        # top-M's operand when M = bins: 5 kept * 2 planes * 2 windows * 64
+        (dict(windows=2, embed=64, top_m=5), 1, 78_125),
+        # the head's hidden activations and its output
+        (dict(windows=2, embed=1, hidden=1000), 1, 100_000),
+        (dict(windows=2, embed=1, horizon=2000), 1, 50_000),
+    ])
+    def test_batch_above_the_cap_refused_before_allocating(self, monkeypatch, fields, d, most):
+        """The largest batch whose biggest array holds at most data.MAX_VALUES
+        values reaches the analysis; one sample more is refused, naming what
+        the size grows with, before anything is allocated."""
+        class Analysed(Exception):
+            pass
+
+        def analyse(*args, **kwargs):
+            raise Analysed
+
+        monkeypatch.setattr(model, "rstft", analyse)
+        cfg = tiny_cfg(**dict(lookback=16, nfft=8, top_m=1, backbone="fd", hidden=1,
+                              horizon=1) | fields)
+        params = init_params(cfg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Analysed):
+                forward(np.broadcast_to(0.0, (most, 16, d)), params, cfg)
+            with pytest.raises(ConfigError, match="above the cap of 100,000,000") as err:
+                forward(np.broadcast_to(0.0, (most + 1, 16, d)), params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for named in (f"batch={most + 1}", "lookback=16", f"channels={d}",
+                      f"windows={cfg.windows}", "nfft=8", f"embed={cfg.embed}",
+                      f"top_m={cfg.top_m}", f"hidden={cfg.hidden}", f"horizon={cfg.horizon}"):
+            assert named in str(err.value)
+        assert peak < 2**20, peak
 
     def test_horizon_may_exceed_flattened_width(self, rng):
         cfg = tiny_cfg(horizon=40)  # > lookback * embed = 32

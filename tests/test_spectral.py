@@ -53,6 +53,14 @@ class TestPlanning:
         with pytest.raises(ConfigError):
             plan_stft(32, 2, 48)
 
+    def test_nfft_whose_operators_exceed_the_cap_rejected(self):
+        """The DFT operator pair holds 2 * 2 * nfft * bins values: 99,998,080 at
+        nfft 7070, within data.MAX_VALUES, and 100,012,224 at 7071."""
+        plan_stft(7070, 1, 7070)
+        with pytest.raises(ConfigError, match="nfft=7071 needs a DFT operator pair of "
+                                              "100,012,224 values, above the cap"):
+            plan_stft(7071, 1, 7071)
+
     def test_gapped_layout_rejected(self):
         # hop = (96-16)/2 = 40 > nfft: samples between windows get no energy
         with pytest.raises(ConfigError) as err:
