@@ -19,8 +19,8 @@ tape: ``CTensor`` is just a (real, imag) pair of Tensors, so complex and
 hyper-complex layers differentiate through their real planes.
 
 The elementwise ops take a non-Tensor operand as a constant, which receives
-no gradient; ``matmul``, ``factored_matmul`` and ``add_by_channel`` take
-Tensors only.
+no gradient; ``matmul``, ``factored_matmul`` and ``lift_add_by_channel``
+take Tensors only.
 
 Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
 and closure its op hands it, so each op's intermediates are freed as soon as
@@ -288,33 +288,6 @@ def _tensors(rule: str, *operands) -> None:
         raise ContractError(f"{rule}, got " + " and ".join(type(t).__name__ for t in operands))
 
 
-def add_by_channel(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for two (B, L, D, E) Tensors of one shape, written channel-major
-    and flattened per channel: (B, D, L*E).
-
-    The sum is written once, into the transposed view of its (B, D, L, E)
-    buffer, so the flat result is a reshape of it; a transpose and a reshape
-    of a + b would copy the whole sum.  Both parents get one transposed view
-    of the gradient.
-    """
-    _tensors("add_by_channel adds two Tensors", a, b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 4 or ad.shape != bd.shape:
-        raise ContractError(f"add_by_channel expects two (B, L, D, E) operands of one "
-                            f"shape, got {ad.shape} and {bd.shape}")
-    na, nb = a._node, b._node
-    n, l, d, e = ad.shape
-    out = np.empty((n, d, l, e))
-    np.add(ad, bd, out=out.transpose(0, 2, 1, 3))
-
-    def backward(g):
-        gt = g.reshape(n, d, l, e).transpose(0, 2, 1, 3)
-        _accum(na, gt)
-        _accum(nb, gt)
-
-    return Tensor(out.reshape(n, d, l * e), (a, b), backward)
-
-
 def sub(a: Tensor, b) -> Tensor:
     bd = _raw(b)
     parents = (a, b) if isinstance(b, Tensor) else (a,)
@@ -436,6 +409,38 @@ def lift(coef: np.ndarray, basis: Tensor) -> Tensor:
 
     out = (c2 @ basis.data).reshape(coef.shape[:-1] + (coef.shape[-1] // k * e,))
     return Tensor(out, (basis,), backward)
+
+
+def lift_add_by_channel(x: np.ndarray, basis: Tensor, rec: Tensor) -> Tensor:
+    """Constant x (B, L, D) lifted by a (2, E) basis, as ``lift`` lifts the
+    columns [x, 1], plus a (B, L, D, E) Tensor ``rec``, written channel-major
+    and flattened per channel: (B, D, L*E).
+
+    The lift is one GEMM over channel-major rows straight into a fresh
+    (B, D, L, E) buffer, and rec is added into it in place, so the flat
+    result is a reshape of that buffer; rec laid out channel-major is read
+    contiguously.  rec gets a transposed view of the gradient, and the basis
+    [x, 1]^T g, reduced over time-major rows as ``lift`` reduces them.
+    """
+    _tensors("lift_add_by_channel takes a Tensor basis and reconstruction", basis, rec)
+    n, l, d = x.shape
+    e = basis.shape[1]
+    if basis.shape != (2, e) or rec.shape != (n, l, d, e):
+        raise ContractError(f"lift_add_by_channel adds a (B, L, D, E) reconstruction to x "
+                            f"(B, L, D) lifted by a (2, E) basis, got x {x.shape}, basis "
+                            f"{basis.shape} and reconstruction {rec.shape}")
+    nb, nr = basis._node, rec._node
+    out = np.empty((n, d, l, e))
+    np.matmul(lift_columns(x.transpose(0, 2, 1)[..., None], 1.0).reshape(-1, 2), basis.data,
+              out=out.reshape(-1, e))
+    np.add(out, rec.data.transpose(0, 2, 1, 3), out=out)
+
+    def backward(g):
+        gt = g.reshape(n, d, l, e).transpose(0, 2, 1, 3)
+        _accum(nr, gt)
+        _accum(nb, lift_columns(x[..., None], 1.0).reshape(-1, 2).T @ gt.reshape(-1, e))
+
+    return Tensor(out.reshape(n, d, l * e), (basis, rec), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -582,12 +587,13 @@ def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
 
 
 def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
-    """Sum window i of f (B, p, n, ...) in at starts[i] of a (B, length, ...) array;
-    a reshape of f, and no copy, when the windows tile the length."""
+    """Sum window i of f (B, p, n, ...) in at starts[i] of a (B, length, ...) array
+    laid out in memory as f's frames are; a reshape of f, and no copy, when the
+    windows tile the length and each window's n axis follows the previous one's."""
     n = f.shape[2]
     if len(starts) * n == length and all(s == i * n for i, s in enumerate(starts)):
         return f.reshape((f.shape[0], length) + f.shape[3:])
-    out = np.zeros((f.shape[0], length) + f.shape[3:])
+    out = np.zeros_like(f[:, 0], shape=(f.shape[0], length) + f.shape[3:])
     for i, s in enumerate(starts):
         out[:, s:s + n] += f[:, i]
     return out
@@ -639,11 +645,11 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(a.data.mean(), (a,), backward)
 
 
-def irfft_real(x: Tensor, n: int, axis: int = -1, index=None) -> Tensor:
+def irfft_real(x: Tensor, n: int, axis: int = -1, index=None, out=None) -> Tensor:
     """Real synthesis from a one-sided spectrum whose plane axis is ``axis``
-    (1/n normalised); with ``index``, from the kept bins it names
-    (``fftkit.irfft_onesided``)."""
-    out = fftkit.irfft_onesided(x.data, n, axis=axis, index=index)
+    (1/n normalised); with ``index``, from the kept bins it names; written
+    into ``out`` when given (``fftkit.irfft_onesided``)."""
+    out = fftkit.irfft_onesided(x.data, n, axis=axis, index=index, out=out)
     nx = x._node
 
     def backward(g):

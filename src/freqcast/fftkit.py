@@ -18,9 +18,11 @@ those bins select, one contiguous row each, and run one batched product
 over the positions, so only kept bins cost flops.  Both operands are views
 with the transformed axis moved next to the last, so each position's (n, E)
 block is read and written where it lies: a strided cotangent, such as the
-channel-major skip gradient or overlapping frames, is never copied.  The
-rows are gathered for a block of the leading axis at a time, at most
-``GATHER_VALUES`` values.
+channel-major skip gradient or overlapping frames, is never copied, and
+synthesis writes into the caller's ``out``, in whatever memory order the
+caller allocated it (``spectral.istft`` gives channel-major frames, whose
+(n, E) blocks are contiguous).  The rows are gathered for a block of the
+leading axis at a time, at most ``GATHER_VALUES`` values.
 
 Conventions: the forward transform is sum_t x_t e^(-j 2 pi k t / n)
 (unnormalised); ``irfft_onesided`` includes the 1/n factor so that it
@@ -125,21 +127,23 @@ def _gathered(rows: np.ndarray, n: int):
         yield slice(lo, lo + step), np.take(inv, rows[lo:lo + step], axis=0)
 
 
-def irfft_onesided(x, n: int, axis: int = -1, index=None):
+def irfft_onesided(x, n: int, axis: int = -1, index=None, out=None):
     """Real synthesis from a one-sided spectrum, including the 1/n factor: the
     plane axis ``axis`` and the bin axis after it become one axis of length n.
 
     Imaginary parts supplied at DC (and Nyquist for even n) cannot influence
     a real output; the map simply has zero response to them.  With ``index``
     the spectrum holds only the bins it names (see the module docstring);
-    ``None`` means every bin, in order.
+    ``None`` means every bin, in order.  The result is written into ``out``
+    (the output's shape, any strides) when one is given.
     """
     shape = np.shape(x)
     axis %= len(shape) - 1
+    out = np.empty(shape[:axis] + (n,) + shape[axis + 2:]) if out is None else out
     if index is None:
-        return _on_axis(_operators(n)[1], x, axis, 2, (n,))
+        out[...] = _on_axis(_operators(n)[1], x, axis, 2, (n,))
+        return out
     rows = _kept_rows(index, shape, n, axis)
-    out = np.empty(shape[:axis] + (n,) + shape[axis + 2:])
     xm, om = _moved(np.asarray(x), axis, 2), _moved(out, axis)
     for at, block in _gathered(rows, n):
         np.matmul(block.swapaxes(-1, -2), xm[at], out=om[at])

@@ -10,8 +10,10 @@ forward() maps a real (B, L, D) batch to (B, T, D):
 The lift x * scale + bias is affine and the analysis linear, so the spectra
 are computed from the raw input, analysed once per channel rather than once
 per embedding dimension, and lifted in the spectral domain, where top-M
-lifts only the rows it keeps; the embedded input itself is built only for
-the skip connection.
+lifts only the rows it keeps.  The embedded input itself is built only by
+the skip connection (``embed``), lifted straight into the head's
+channel-major (B, D, L*E) input, to which the reconstruction is added in
+place.
 
 Masking modes (``config.MASK_PLANES``) zero the real or imaginary plane of the
 spectra and/or of all backbone weight matrices, in training and inference
@@ -31,8 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import (Tensor, add_by_channel, as_data, lift, lift_columns, matmul, relu, stack,
-                       transpose)
+from .autograd import Tensor, as_data, lift_add_by_channel, matmul, relu, stack, transpose
 from .backbones import (
     backbone_forward,
     backbone_named_tensors,
@@ -128,15 +129,17 @@ def _batch(x, who: str) -> np.ndarray:
     return x
 
 
-def embed(x, params: ForecastParams) -> Tensor:
-    """Scalar-to-vector lift: out[b,t,d,e] = x[b,t,d] * scale[e] + bias[e].
+def embed(x, params: ForecastParams, rec: Tensor) -> Tensor:
+    """The skip connection: the scalar-to-vector lift x[b,t,d] * scale[e] +
+    bias[e] plus the (B, L, D, E) reconstruction ``rec``, as the head's
+    per-channel input out[b, d, t*E + e] (``autograd.lift_add_by_channel``).
 
     x is data: gradients reach scale and bias only, and a Tensor computed by
     earlier ops is refused rather than silently cut from its history.
     """
     x = _batch(x, "embed")
     basis = stack([params.embed_scale, params.embed_bias], axis=0)
-    return lift(lift_columns(x[..., None], 1.0), basis)
+    return lift_add_by_channel(x, basis, rec)
 
 
 def forward(x, params: ForecastParams, cfg: RunConfig,
@@ -190,9 +193,9 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
     ))
     h = stage("padded", position_aware_pad(h))
     h = stage("reconstructed", istft(h))
-    # skip connection, (B, D, L*E); the embedded input is built here, so that
-    # it is not alive through the spectral stages
-    h = add_by_channel(h, stage("embedded", embed(x, params)))
+    # the skip connection, (B, D, L*E); the embedded input is built here, so
+    # that it is not alive through the spectral stages
+    h = stage("skip", embed(x, params, h))
     h = matmul(h, params.head_w1) + params.head_b1
     if cfg.activation == "relu":
         h = relu(h)

@@ -270,14 +270,19 @@ def _constant_spectrum(window_fn: str, nfft: int) -> np.ndarray:
 def istft(s: SpectralWindows) -> Tensor:
     """Window-weighted overlap-add synthesis, energy-normalised per sample.
 
-    A kept-form spectrum is synthesised from its kept bins alone.
+    A kept-form spectrum is synthesised from its kept bins alone.  The
+    frames are written channel-major, as (B, D, p, nfft, E) memory, and every
+    later step keeps that order: on a tiling plan the overlap-add is a
+    reshape of the frames.  The (B, L, D, E) result is a view of (B, D, L, E)
+    memory, the order of the head's per-channel input.
     """
     plan = s.plan
-    bins = plan.bins if s.index is None else s.shape[3]
-    if (s.shape[1], s.shape[3]) != (plan.window_count, bins):
-        raise ContractError(f"istft: got {s.shape[1]} windows of {s.shape[3]} bins, "
+    (b, p, _, bins, d, e), n = s.shape, plan.nfft
+    if (p, bins) != (plan.window_count, plan.bins if s.index is None else bins):
+        raise ContractError(f"istft: got {p} windows of {bins} bins, "
                             f"plan has {plan.window_count} windows of {plan.bins} bins")
-    seg = irfft_real(s.planes, plan.nfft, axis=2, index=s.index)
+    frames = np.empty((b, d, p, n, e)).transpose(0, 2, 3, 1, 4)
+    seg = irfft_real(s.planes, n, axis=2, index=s.index, out=frames)
     if plan.window_fn != "rectangular":
         seg = mul(seg, plan.window_values()[:, None, None])
     acc = overlap_add(seg, plan.starts, plan.lookback)

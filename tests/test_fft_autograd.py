@@ -19,12 +19,13 @@ from freqcast.autograd import (
     CTensor,
     Tensor,
     add,
-    add_by_channel,
     block_matrix,
     concat,
     factored_matmul,
     irfft_real,
     lift,
+    lift_add_by_channel,
+    lift_columns,
     matmul,
     mean_all,
     mul,
@@ -382,28 +383,52 @@ class TestAutogradPrimitives:
 
         check_grads(build, [a])
 
-    def test_add_by_channel_is_the_flattened_channel_major_sum(self, rng):
-        a, b = (Tensor(rng.normal(size=(2, 5, 3, 4))) for _ in range(2))
-        want = np.transpose(a.data + b.data, (0, 2, 1, 3)).reshape(2, 3, 20)
-        got = add_by_channel(a, b).data
+    def test_lift_add_by_channel_is_the_flattened_channel_major_sum(self, rng):
+        x = rng.normal(size=(2, 5, 3))
+        basis, rec = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 5, 3, 4)))
+        lifted = lift(lift_columns(x[..., None], 1.0), basis).data
+        want = np.transpose(lifted + rec.data, (0, 2, 1, 3)).reshape(2, 3, 20)
+        got = lift_add_by_channel(x, basis, rec).data
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         w = rng.normal(size=(2, 3, 20))
-        check_grads(lambda: mean_all(mul(add_by_channel(a, mul(b, b)), w)), [a, b])
+        check_grads(lambda: mean_all(mul(lift_add_by_channel(x, basis, mul(rec, rec)), w)),
+                    [basis, rec])
 
-    def test_add_by_channel_refuses_operands_of_other_shapes(self, rng):
-        with pytest.raises(ContractError, match="two \\(B, L, D, E\\) operands"):
-            add_by_channel(Tensor(np.zeros((2, 5, 3, 4))), Tensor(np.zeros((5, 3, 4))))
+    @pytest.mark.parametrize("shape", [(3, 16, 2, 4), (4, 96, 2, 16)])
+    def test_lift_add_by_channel_reduces_the_basis_gradient_over_time_major_rows(self, rng,
+                                                                                shape):
+        """The basis gradient is the product the separate lift computed, over
+        time-major rows, bit for bit; the reconstruction's is a view of g."""
+        b, length, d, e = shape
+        x = rng.normal(size=(b, length, d))
+        basis, rec = Tensor(rng.normal(size=(2, e))), Tensor(rng.normal(size=shape))
+        out = lift_add_by_channel(x, basis, rec)
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        g_time_major = g.reshape(b, d, length, e).transpose(0, 2, 1, 3)
+        want = lift_columns(x[..., None], 1.0).reshape(-1, 2).T @ g_time_major.reshape(-1, e)
+        assert basis.grad.tobytes() == want.tobytes()
+        assert np.shares_memory(rec.grad, g) and np.array_equal(rec.grad, g_time_major)
+
+    def test_lift_add_by_channel_refuses_operands_of_other_shapes(self, rng):
+        x, basis = np.zeros((2, 5, 3)), Tensor(np.zeros((2, 4)))
+        with pytest.raises(ContractError, match="adds a \\(B, L, D, E\\) reconstruction"):
+            lift_add_by_channel(x, basis, Tensor(np.zeros((5, 3, 4))))
+        with pytest.raises(ContractError, match="by a \\(2, E\\) basis, got"):
+            lift_add_by_channel(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 5, 3, 4))))
 
     @pytest.mark.parametrize("constant", [0, 1])
-    def test_add_by_channel_and_factored_matmul_refuse_a_constant_operand(self, rng, constant):
+    def test_lift_add_by_channel_and_factored_matmul_refuse_a_constant_operand(self, rng,
+                                                                               constant):
         """Every caller hands both ops Tensors, so an array is refused, not
         taken as a constant."""
-        ab = [Tensor(rng.normal(size=(2, 3, 2, 4))) for _ in range(2)]
+        br = [Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 3, 2, 4)))]
         x, w = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(8, 2)))
         xw = [x, w]
-        ab[constant], xw[constant] = ab[constant].data, xw[constant].data
-        with pytest.raises(ContractError, match="add_by_channel adds two Tensors, got"):
-            add_by_channel(*ab)
+        br[constant], xw[constant] = br[constant].data, xw[constant].data
+        with pytest.raises(ContractError, match="lift_add_by_channel takes a Tensor basis "
+                                                "and reconstruction, got"):
+            lift_add_by_channel(rng.normal(size=(2, 3, 2)), *br)
         with pytest.raises(ContractError, match="factored_matmul multiplies two Tensors, got"):
             factored_matmul(xw[0], x.data, np.eye(4), xw[1])
 
@@ -704,7 +729,8 @@ TAPE_READS = {
     "add": ([(3, 4), (4,)], add, []),
     "sub": ([(3, 4), (3, 4)], sub, []),
     "mul by a constant": ([(3, 4)], lambda a: mul(a, 2.0), []),
-    "add_by_channel": ([(2, 3, 2, 4), (2, 3, 2, 4)], add_by_channel, []),
+    "lift_add_by_channel": ([(2, 4), (2, 3, 2, 4)], lambda basis, rec: lift_add_by_channel(
+        FACTORS[0].reshape(2, 3, 2), basis, rec), []),
     "transpose": ([(2, 3, 4)], lambda a: transpose(a, (2, 0, 1)), []),
     "split": ([(4, 6)],
               lambda a: split(a, [(slice(None), slice(0, 3)), (slice(None), slice(3, 6))]),

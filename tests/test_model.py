@@ -31,7 +31,7 @@ from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 from freqcast.train import backward as train_backward
 from freqcast.train import mse_loss
 
-from conftest import max_rel_err
+from conftest import max_rel_err, traced_peaks
 
 TINY = dict(lookback=8, horizon=4, embed=4, windows=2, nfft=4, top_m=3, hidden=8,
             batch=2, epochs=2)
@@ -51,6 +51,15 @@ def make_identity_backbone(params, kind, embed_dim):
         w.im.data[...] = 0.0
 
 
+def embedded(x, params) -> np.ndarray:
+    """``embed`` of a (B, L, D) x onto a zero reconstruction, read back as the
+    (B, L, D, E) embedded input."""
+    b, length, d = np.shape(x)
+    e = params.embed_scale.shape[0]
+    out = embed(x, params, Tensor(np.zeros((b, length, d, e)))).data
+    return out.reshape(b, d, length, e).transpose(0, 2, 1, 3)
+
+
 class TestEmbed:
     def test_unit_scale_broadcasts(self, rng):
         cfg = tiny_cfg()
@@ -58,38 +67,39 @@ class TestEmbed:
         params.embed_scale.data[:] = 1.0
         params.embed_bias.data[:] = 0.0
         x = rng.normal(size=(2, 8, 3))
-        out = embed(Tensor(x), params).data
+        out = embedded(Tensor(x), params)
         np.testing.assert_allclose(out, np.repeat(x[..., None], 4, axis=3))
 
     def test_zero_input_gives_bias(self, rng):
         cfg = tiny_cfg()
         params = init_params(cfg)
         params.embed_bias.data[:] = rng.normal(size=4)
-        out = embed(Tensor(np.zeros((1, 8, 2))), params).data
+        out = embedded(Tensor(np.zeros((1, 8, 2))), params)
         np.testing.assert_allclose(out, np.broadcast_to(params.embed_bias.data, out.shape))
 
     def test_matches_direct_formula(self, rng):
         cfg = tiny_cfg(embed=2)
         params = init_params(cfg)
         x = rng.normal(size=(2, 8, 2))
-        out = embed(Tensor(x), params).data
+        out = embedded(Tensor(x), params)
         want = x[..., None] * params.embed_scale.data + params.embed_bias.data
         np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_rank_checked(self):
         cfg = tiny_cfg()
         with pytest.raises(ContractError):
-            embed(Tensor(np.zeros((8, 2))), init_params(cfg))
+            embed(Tensor(np.zeros((8, 2))), init_params(cfg), Tensor(np.zeros((8, 2, 4))))
 
     def test_input_is_data(self, rng):
         """A leaf input gets no gradient; one computed by earlier ops is refused."""
         cfg = tiny_cfg()
         params = init_params(cfg)
         x = Tensor(rng.normal(size=(2, 8, 3)))
-        mean_all(embed(x, params)).backward()
+        zero = Tensor(np.zeros((2, 8, 3, 4)))
+        mean_all(embed(x, params, zero)).backward()
         assert x.grad is None and params.embed_scale.grad is not None
         with pytest.raises(ContractError, match="computed by earlier ops"):
-            embed(mul(x, 2.0), params)
+            embed(mul(x, 2.0), params, zero)
         with pytest.raises(ContractError, match="computed by earlier ops"):
             forward(mul(x, 2.0), params, cfg)
         with pytest.raises(ContractError, match="computed by earlier ops"):
@@ -122,10 +132,52 @@ class TestForward:
         params = init_params(cfg)
         make_identity_backbone(params, kind, cfg.embed)
         debug = {}
-        forward(rng.normal(size=(2, 16, 2)), params, cfg, debug=debug)
-        x_e = debug["embedded"].data
+        x = rng.normal(size=(2, 16, 2))
+        forward(x, params, cfg, debug=debug)
+        x_e = x[..., None] * params.embed_scale.data + params.embed_bias.data
         x_rec = debug["reconstructed"].data
         assert np.abs(x_rec - x_e).max() < 1e-6 * np.abs(x_e).max()
+
+    @pytest.mark.parametrize("fields", [
+        dict(lookback=16, windows=2, nfft=8),  # tiling
+        dict(lookback=30, windows=8, nfft=9),  # overlapping: hop 3
+        dict(lookback=16, windows=2, nfft=8, window_fn="hann"),
+    ])
+    def test_synthesis_and_the_skip_sum_keep_the_heads_channel_major_layout(
+            self, rng, monkeypatch, fields):
+        """Kept-bin synthesis writes channel-major frames, the (B, L, D, E)
+        reconstruction lies in channel-major memory (in those frames, where a
+        rectangular plan tiles), and the head reads the skip sum's own buffer,
+        the one (B, D, L, E) array the skip connection allocates: a copy or a
+        transposed write anywhere on that path fails here."""
+        frames, head_inputs = [], []
+        kernel, head = fftkit.irfft_onesided, model.matmul
+
+        def synthesis(*args, **kwargs):
+            frames.append(kwargs["out"])
+            return kernel(*args, **kwargs)
+
+        def first_head_product(a, w):
+            head_inputs.append(a.data)
+            return head(a, w)
+
+        monkeypatch.setattr(fftkit, "irfft_onesided", synthesis)
+        monkeypatch.setattr(model, "matmul", first_head_product)
+        cfg = tiny_cfg(top_m=3, embed=16, **fields)
+        plan, params = cfg.plan(), init_params(cfg)
+        x, debug = rng.normal(size=(32, cfg.lookback, 2)), {}
+        forward(x, params, cfg, debug=debug)
+        [f], rec, skip = frames, debug["reconstructed"].data, debug["skip"].data
+        assert f.transpose(0, 3, 1, 2, 4).flags.c_contiguous
+        assert rec.transpose(0, 2, 1, 3).flags.c_contiguous
+        tiles = plan.window_count * plan.nfft == plan.lookback
+        assert np.shares_memory(rec, f) == (tiles and plan.window_fn == "rectangular")
+        buffer = skip.base
+        assert buffer.shape == (32, 2, cfg.lookback, cfg.embed) and buffer.flags.c_contiguous
+        assert head_inputs[0] is skip and np.shares_memory(skip, buffer)
+        # the buffer and the [x, 1] columns, an eighth of it at E = 16
+        [peak] = traced_peaks(lambda: embed(x, params, debug["reconstructed"]))
+        assert peak * 2**20 < 1.5 * buffer.nbytes, (peak, buffer.nbytes)
 
     def test_wrong_lookback_rejected(self, rng):
         cfg = tiny_cfg()
@@ -138,7 +190,8 @@ class TestForward:
         numpy error from a reduction or reshape deep inside the pipeline."""
         cfg = tiny_cfg()
         params = init_params(cfg)
-        for run in (lambda x: forward(x, params, cfg), lambda x: embed(x, params)):
+        for run in (lambda x: forward(x, params, cfg),
+                    lambda x: embed(x, params, Tensor(np.zeros(shape + (cfg.embed,))))):
             with pytest.raises(ContractError,
                                match=re.escape(f"B >= 1 and D >= 1, got shape {shape}")):
                 run(np.zeros(shape))
