@@ -109,13 +109,15 @@ class Adam:
         self._ends = np.cumsum(sizes, dtype=np.intp)
         n = sum(sizes)
         self.flat = np.empty(n)
+        for (_, t), end, size in zip(named_params, self._ends, sizes):
+            self.flat[end - size:end] = t.data.ravel()
+            t.data = self.flat[end - size:end].reshape(t.data.shape)
+        # each tensor's own array is freed above, before the other four vectors exist
         self._m, self._v = np.zeros(n), np.zeros(n)
         self._grad, self._scratch = np.empty(n), np.empty(n)
         self.m, self.v, self._grads = {}, {}, []
         for (name, t), end, size in zip(named_params, self._ends, sizes):
             part, shape = slice(end - size, end), t.data.shape
-            self.flat[part] = t.data.ravel()
-            t.data = self.flat[part].reshape(shape)
             self.m[name] = self._m[part].reshape(shape)
             self.v[name] = self._v[part].reshape(shape)
             self._grads.append(self._grad[part].reshape(shape))
@@ -255,7 +257,7 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitRe
     optim = Adam(params.named_tensors(), lr=cfg.lr)
     log: list[EpochRecord] = []
     best: tuple[float, int] | None = None
-    best_flat = np.empty_like(optim.flat)
+    best_flat = None  # a snapshot only while a later epoch may move past the best
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(batch_bounds))
@@ -281,11 +283,15 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitRe
         log.append(EpochRecord(epoch, optim.lr, total / seen, val["mae"], val["rmse"]))
         if best is None or val["mae"] < best[0]:
             best = (val["mae"], epoch)
-            np.copyto(best_flat, optim.flat)
+            if epoch < cfg.epochs:
+                if best_flat is None:
+                    best_flat = np.empty_like(optim.flat)
+                np.copyto(best_flat, optim.flat)
         optim.decay_lr(cfg.lr_decay)
 
     assert best is not None
-    np.copyto(optim.flat, best_flat)
+    if best[1] < cfg.epochs:
+        np.copyto(optim.flat, best_flat)
     for _, t in optim.params:  # the returned tensors keep no view of its gradients
         t._node.sink = None
     return FitResult(params, log, best[1], best[0])

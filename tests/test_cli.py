@@ -214,6 +214,18 @@ class TestConfigHandling:
     def test_bool_field_accepts_zero_and_one(self, value, want):
         assert RunConfig.from_dict({"conjugate_neighbors": value}).conjugate_neighbors is want
 
+    @pytest.mark.parametrize("case", [str.lower, str.upper, str.title])
+    @pytest.mark.parametrize("text, want", [("true", True), ("1", True), ("yes", True),
+                                            ("on", True), ("false", False), ("0", False),
+                                            ("no", False), ("off", False)])
+    def test_bool_field_accepts_each_spelling_in_any_case(self, text, want, case):
+        assert RunConfig.from_dict({"conjugate_neighbors": case(text)}).conjugate_neighbors is want
+
+    @pytest.mark.parametrize("text", ["", "y", "n", "t", "2", "enabled", "none", " true"])
+    def test_bool_field_refuses_other_strings_naming_the_field(self, text):
+        with pytest.raises(ConfigError, match="bad value for conjugate_neighbors"):
+            RunConfig.from_dict({"conjugate_neighbors": text})
+
     def test_non_mapping_config_rejected(self):
         with pytest.raises(ConfigError, match="must be a mapping, got list"):
             RunConfig.from_dict([["lookback", 16]])

@@ -116,6 +116,13 @@ class TestNormalize:
         normed = data_io.normalize(x, stats)
         assert np.abs(normed[:, 0]).max() == 0.0
 
+    def test_channel_constant_in_training_maps_to_zero_where_it_later_varies(self):
+        train = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
+        later = np.column_stack([np.linspace(-5.0, 9.0, 8), np.arange(8.0)])
+        out = data_io.normalize(later, data_io.fit_norm_stats(train))
+        assert np.array_equal(out[:, 0], np.zeros(8))
+        np.testing.assert_allclose(out[:, 1], np.arange(8.0) / 19.0, rtol=1e-15)
+
 
 class TestWindows:
     def test_counting_formula(self):

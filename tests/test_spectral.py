@@ -94,6 +94,16 @@ class TestPlanning:
         with pytest.raises(ConfigError):
             plan_stft(32, 2, 16, window_fn="blackman")
 
+    @pytest.mark.parametrize("nfft", [1, 2, 5, 16, 24, 128])
+    def test_hann_values_follow_the_half_sample_offset_formula(self, nfft):
+        """w[t] = 0.5 (1 - cos(2 pi (t + 0.5) / n)), t = 0 .. n - 1, the taper
+        the docstring names; synthesis inverts any positive window, so the
+        round-trip tests would pass with any offset."""
+        t = np.arange(nfft)
+        want = 0.5 * (1.0 - np.cos(2.0 * np.pi * (t + 0.5) / nfft))
+        np.testing.assert_allclose(spectral._window_values("hann", nfft), want,
+                                   rtol=0, atol=1e-15)
+
     @settings(max_examples=200, deadline=None)
     @given(geometry=plan_geometry(16, 64), window_fn=st.sampled_from(WINDOW_FNS))
     def test_coverage_positive_everywhere(self, geometry, window_fn):

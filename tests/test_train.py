@@ -507,6 +507,30 @@ class TestFit:
             assert np.array_equal(t.data, best), name
         assert any(not np.array_equal(b, c) for b, c in zip(seen[1], seen[2]))
 
+    def test_last_epoch_best_is_returned_in_the_optimiser_buffer(self, monkeypatch):
+        train, val = normalized_synth()
+        cfg = small_cfg(epochs=3)
+        made, seen = [], []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def scripted_evaluate(params, cfg, x, y):
+            seen.append([t.data.copy() for _, t in params.named_tensors()])
+            return {"mae": [0.5, 0.4, 0.2][len(seen) - 1], "rmse": 1.0}
+
+        monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
+        monkeypatch.setattr(train_mod, "evaluate", scripted_evaluate)
+        result = fit(train, val, cfg)
+        assert (result.best_epoch, result.best_val_mae) == (3, 0.2)
+        (opt,) = made
+        for (name, t), last in zip(result.params.named_tensors(), seen[2]):
+            assert np.shares_memory(t.data, opt.flat), name
+            assert np.array_equal(t.data, last), name
+        assert any(not np.array_equal(b, c) for b, c in zip(seen[1], seen[2]))
+
     def test_empty_split_rejected(self):
         cfg = small_cfg()
         with pytest.raises(TrainingError):
@@ -645,6 +669,22 @@ def test_a_train_step_at_train_hc_default_shapes_peaks_below_2_25_mib(monkeypatc
     step()  # fill the operator and plan caches and start the worker
     [peak] = traced_peaks(step)
     assert peak < 2.25, peak
+
+
+def test_a_whole_fit_at_run_config_defaults_peaks_below_19_mib():
+    """One 1-epoch ``fit`` at ``RunConfig`` defaults (hc, 420,352 parameters,
+    so 3.2 MiB per parameter-sized vector) on a small synthetic corpus holds
+    about 18.0 MiB at its peak under tracemalloc: the parameters, Adam's two
+    moments, its gradient vector and its scratch vector, plus one step.  It
+    held 21.2 MiB while every fit copied the parameters into a best-epoch
+    snapshot that it never read when the best epoch was the last, and
+    ``Adam`` allocated its vectors before the drawn parameters were freed."""
+    ds = data_io.synth_corpus("sinusoid_mix", 3, 460, 2)
+    stats = data_io.fit_norm_stats(ds.values[:260])
+    train, val = (data_io.normalize(part, stats) for part in np.split(ds.values, [260]))
+    cfg = RunConfig(epochs=1).validate()
+    [peak] = traced_peaks(lambda: fit(train, val, cfg))
+    assert peak < 19, peak
 
 
 def test_a_predict_chunk_at_predict_long_shapes_peaks_below_10_mib():
