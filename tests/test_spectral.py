@@ -96,9 +96,9 @@ class TestPlanning:
 
     @pytest.mark.parametrize("nfft", [1, 2, 5, 16, 24, 128])
     def test_hann_values_follow_the_half_sample_offset_formula(self, nfft):
-        """w[t] = 0.5 (1 - cos(2 pi (t + 0.5) / n)), t = 0 .. n - 1, the taper
-        the docstring names; synthesis inverts any positive window, so the
-        round-trip tests would pass with any offset."""
+        """w[t] = 0.5 (1 - cos(2 pi (t + 0.5) / n)) for t = 0 .. n - 1.  Synthesis
+        inverts any positive window, so the round-trip tests would pass with
+        any other offset."""
         t = np.arange(nfft)
         want = 0.5 * (1.0 - np.cos(2.0 * np.pi * (t + 0.5) / nfft))
         np.testing.assert_allclose(spectral._window_values("hann", nfft), want,
