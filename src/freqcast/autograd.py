@@ -28,9 +28,9 @@ nothing reads them.  Inference runs there (``train.predict``).
 
 Training uses a second thread through ``side_by_side``: ``matmul``'s backward
 computes its two gradients side by side when BLAS runs one thread, and
-``train.Adam.step`` updates two halves of the parameters.  Each value is the
-same numpy call on the same operands as on one thread, so results are
-bit-identical.  The worker is handed arrays only: it makes no Tensor and never
+``train.Adam.step`` updates the parameters in blocks that both threads take
+from one counter.  Each value is the same numpy calls on the same operands as
+on one thread, so results are bit-identical.  The worker is handed arrays only: it makes no Tensor and never
 reads the recording switch.
 """
 
@@ -110,13 +110,13 @@ def side_by_side(first, second):
     """
     claim = threading.Lock()  # taken by whichever thread runs first
     context = contextvars.copy_context()
-    # the caller empties it when it takes first, so that the lane left in the
-    # worker's queue holds none of first's arrays
+    # whichever thread takes first empties it, so that no lane, run or left in
+    # the worker's queue, holds first or its arrays once first has returned
     job = [first]
 
     def lane():
         if claim.acquire(blocking=False):
-            return context.run(job[0])
+            return context.run(job.pop())
         return None
 
     future = _worker().submit(lane)

@@ -197,9 +197,9 @@ SYNTH_KINDS = ("sinusoid_mix", "trend_plus_season", "piecewise_stationary")
 # the most float64 values (800 MB) a run may store in a synthetic corpus, in
 # the model's parameters (``RunConfig.problems``), in a window length's DFT
 # operators (``plan_stft``) and in a batch's largest array (``model.forward``).
-# It bounds what is stored, not what a run allocates: training holds about five
-# vectors of the parameter count (the parameters, Adam's two moments, its flat
-# gradient and scratch).
+# It bounds what is stored, not what a run allocates: training holds about four
+# vectors of the parameter count (the parameters, Adam's two moments and its
+# flat gradient).
 # Windowing copies nothing: the windows are views.
 MAX_VALUES = 10**8
 

@@ -13,7 +13,9 @@ import ctypes
 import functools
 import platform
 import warnings
+import weakref
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -72,29 +74,40 @@ def _keep_freed_buffers() -> None:
                       RuntimeWarning, stacklevel=3)
 
 
+# values in a block of Adam's update: a lane's five 256 KiB blocks fit a 2 MiB L2
+BLOCK = 2**15
+
+
+def _release_sinks(sinks) -> None:
+    """Point each node whose sink is still the given view back to None."""
+    for node, part in sinks:
+        if node.sink is part:
+            node.sink = None
+
+
 class Adam:
     """Bias-corrected Adam over named tensors, with per-epoch lr decay.
 
     The parameters (``flat``) and the moments ``m`` and ``v`` each live in
     one contiguous float64 vector.  Every tensor's ``data`` and every entry
     of the ``m`` and ``v`` dicts is a view into them, and ``step`` updates
-    all three in place with whole-vector ufuncs.  While the optimiser holds
-    a tensor, write its ``data`` in place: assigning a new array detaches
-    the tensor from the optimiser.
+    all three in place with ufuncs.  While the optimiser holds a tensor,
+    write its ``data`` in place: assigning a new array detaches the tensor
+    from the optimiser.
 
     The gradients live in one vector too: each tensor's graph node gets its
     part as a ``sink``, where a backward writes its gradient.  ``step``
     zero-fills the part of a tensor with no gradient and copies in only a
     ``.grad`` set by hand.  The update uses the vector as scratch, so a step
     consumes a gradient held in a sink: that ``.grad`` reads None after it.
+    Freeing the optimiser resets each sink that is still its own to None.
 
     The gradients are checked for non-finite values on the calling thread,
     so a bad gradient raises before any value changes.  The update then
-    runs over the two halves of the vectors side by side
-    (``autograd.side_by_side``), the upper half on the worker thread unless
-    the caller finds it late and takes it too.  Each element sees the same
-    ufuncs in the same order, so the result is the whole-vector update's,
-    bit for bit.
+    runs side by side (``autograd.side_by_side``) on the worker thread and
+    the caller, which take blocks of ``BLOCK`` values from one counter, each
+    with one block of scratch.  Each element sees the same ufuncs in the
+    same order, so the result is the whole-vector update's, bit for bit.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 1e-3,
@@ -112,9 +125,9 @@ class Adam:
         for (_, t), end, size in zip(named_params, self._ends, sizes):
             self.flat[end - size:end] = t.data.ravel()
             t.data = self.flat[end - size:end].reshape(t.data.shape)
-        # each tensor's own array is freed above, before the other four vectors exist
+        # each tensor's own array is freed above, before the other three vectors exist
         self._m, self._v = np.zeros(n), np.zeros(n)
-        self._grad, self._scratch = np.empty(n), np.empty(n)
+        self._grad = np.empty(n)
         self.m, self.v, self._grads = {}, {}, []
         for (name, t), end, size in zip(named_params, self._ends, sizes):
             part, shape = slice(end - size, end), t.data.shape
@@ -122,6 +135,8 @@ class Adam:
             self.v[name] = self._v[part].reshape(shape)
             self._grads.append(self._grad[part].reshape(shape))
             t._node.sink = self._grads[-1]
+        weakref.finalize(self, _release_sinks,
+                         [(t._node, g) for (_, t), g in zip(named_params, self._grads)])
 
     def zero_grads(self) -> None:
         for _, t in self.params:
@@ -156,25 +171,29 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        half = self.flat.size // 2
-        side_by_side(functools.partial(self._update, slice(half, None), bc1, bc2),
-                     functools.partial(self._update, slice(0, half), bc1, bc2))
+        lane = functools.partial(self._update, count(), bc1, bc2)
+        side_by_side(lane, lane)
 
-    def _update(self, part: slice, bc1: float, bc2: float) -> None:
-        """The update of ``step`` over one contiguous part of the flat vectors."""
-        g, tmp, m, v, flat = (a[part] for a in (self._grad, self._scratch, self._m,
-                                                self._v, self.flat))
-        # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, self.beta1, out=m)
-        np.add(m, np.multiply(g, 1 - self.beta1, out=tmp), out=m)
-        # v = beta2 * v + (1 - beta2) * (g * g)
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(g, g, out=tmp)
-        np.add(v, np.multiply(tmp, 1 - self.beta2, out=tmp), out=v)
-        # data = data - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.multiply(np.divide(m, bc1, out=g), self.lr, out=g)
-        np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.eps, out=tmp)
-        np.subtract(flat, np.divide(g, tmp, out=g), out=flat)
+    def _update(self, blocks, bc1: float, bc2: float) -> None:
+        """The update of ``step`` over the blocks this lane takes from ``blocks``."""
+        scratch = np.empty(min(BLOCK, self.flat.size))
+        for b in blocks:
+            if b * BLOCK >= self.flat.size:
+                return
+            part = slice(b * BLOCK, (b + 1) * BLOCK)
+            g, m, v, flat = (a[part] for a in (self._grad, self._m, self._v, self.flat))
+            tmp = scratch[:g.size]
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(m, self.beta1, out=m)
+            np.add(m, np.multiply(g, 1 - self.beta1, out=tmp), out=m)
+            # v = beta2 * v + (1 - beta2) * (g * g)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, g, out=tmp)
+            np.add(v, np.multiply(tmp, 1 - self.beta2, out=tmp), out=v)
+            # data = data - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=g), self.lr, out=g)
+            np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), self.eps, out=tmp)
+            np.subtract(flat, np.divide(g, tmp, out=g), out=flat)
 
     def decay_lr(self, factor: float) -> None:
         self.lr *= factor
@@ -292,6 +311,4 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitRe
     assert best is not None
     if best[1] < cfg.epochs:
         np.copyto(optim.flat, best_flat)
-    for _, t in optim.params:  # the returned tensors keep no view of its gradients
-        t._node.sink = None
     return FitResult(params, log, best[1], best[0])
