@@ -29,9 +29,9 @@ nothing reads them.  Inference runs there (``train.predict``).
 Training uses a second thread through ``side_by_side``: ``matmul``'s backward
 computes its two gradients side by side when BLAS runs one thread, and
 ``train.Adam.step`` updates the parameters in blocks that both threads take
-from one counter.  Each value is the same numpy calls on the same operands as
-on one thread, so results are bit-identical.  The worker is handed arrays only: it makes no Tensor and never
-reads the recording switch.
+from one counter.  Each value comes from the same numpy calls on the same
+operands as on one thread, so results are bit-identical.  The worker is
+handed arrays only: it makes no Tensor and never reads the recording switch.
 """
 
 from __future__ import annotations
