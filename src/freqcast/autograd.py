@@ -15,8 +15,10 @@ releases the node: it drops its closure and parents, and an interior node
 its gradient, so the graph is freed while the caller still holds the loss.
 The root keeps its seed gradient, and a later backward that reaches a
 released node raises ``ContractError``.  Complex values never appear on the
-tape: ``CTensor`` is just a (real, imag) pair of Tensors, so complex and
-hyper-complex layers differentiate through their real planes.
+tape: a complex array is a real one with a length-2 plane axis (0 real, 1
+imaginary), so complex and hyper-complex layers differentiate through their
+real planes.  ``CTensor``, a (real, imag) pair of Tensors, is only the type
+of the per-window ``.windows`` views of the spectra.
 
 The elementwise ops take a non-Tensor operand as a constant, which receives
 no gradient; ``matmul``, ``factored_matmul`` and ``lift_add_by_channel``
@@ -503,16 +505,14 @@ def stack(parts: list[Tensor], axis: int) -> Tensor:
     return Tensor(np.stack([t.data for t in parts], axis=axis), tuple(parts), backward)
 
 
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors along an existing axis."""
-    bounds = np.cumsum([t.data.shape[axis] for t in parts])[:-1]
-    nodes = [t._node for t in parts]
+def reshape(a: Tensor, shape) -> Tensor:
+    """a's values as ``shape``; the gradient goes back in a's own shape."""
+    na, own = a._node, a.data.shape
 
     def backward(g):
-        for node, piece in zip(nodes, np.split(g, bounds, axis=axis)):
-            _accum(node, piece)
+        _accum(na, g.reshape(own))
 
-    return Tensor(np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward)
+    return Tensor(a.data.reshape(shape), (a,), backward)
 
 
 @dataclass(frozen=True)
@@ -555,35 +555,40 @@ class BlockLayout:
                    coefs.astype(np.float64).reshape(-1, 1, 1)[order])
 
 
-def block_matrix(parts: list[Tensor], layout: BlockLayout) -> Tensor:
-    """Square matrix of grid x grid equal-sized square blocks from ``parts``,
-    placed as ``layout`` says; blocks no entry names are zero.
+def block_matrix(parts: Tensor, layout: BlockLayout) -> Tensor:
+    """Square matrix of grid x grid equal-sized square blocks from ``parts``
+    (..., size, size), whose leading axes, flattened, number the parts the
+    layout places; blocks no entry names are zero.
 
     The forward is one gather and one scatter.  The backward is one gather of
     every entry's block times its coef, then adds each later round into the
     first: a part's gradient is that of adding its blocks one by one, in
-    table order.
+    table order.  A part the layout leaves unused gets a zero gradient.
     """
-    size, grid = parts[0].data.shape[0], layout.grid
+    own, grid = parts.data.shape, layout.grid
+    size = own[-1]
     rows, cols, planes, coefs = layout.rows, layout.cols, layout.planes, layout.coefs
-    pieces = np.take(np.stack([t.data for t in parts]), planes, axis=0)
+    flat = parts.data.reshape(-1, size, size)
+    pieces = np.take(flat, planes, axis=0)
     pieces *= coefs
     out = np.zeros((grid, size, grid, size))
     out[rows, :, cols, :] = pieces
-    used = [parts[i] for i in planes[:len(planes) // layout.uses]]
-    nodes = [t._node for t in used]
+    used, count, node = planes[:len(planes) // layout.uses], len(flat), parts._node
 
     def backward(g):
         rounds = g.reshape(grid, size, grid, size)[rows, :, cols, :]
         rounds *= coefs
-        rounds = rounds.reshape(layout.uses, len(nodes), size, size)
-        # the parts' gradients are views of one array: it holds the first round
+        rounds = rounds.reshape(layout.uses, len(used), size, size)
+        # the parts' gradients are one array: it holds the first round
         for later in rounds[1:]:
             rounds[0] += later
-        for node, piece in zip(nodes, rounds[0]):
-            _accum(node, piece)
+        grad = rounds[0]
+        if len(used) < count:
+            grad = np.zeros((count, size, size))
+            grad[used] = rounds[0]
+        _accum(node, grad.reshape(own))
 
-    return Tensor(out.reshape(grid * size, grid * size), tuple(used), backward)
+    return Tensor(out.reshape(grid * size, grid * size), (parts,), backward)
 
 
 def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
@@ -659,7 +664,8 @@ def irfft_real(x: Tensor, n: int, axis: int = -1, index=None, out=None) -> Tenso
 
 
 class CTensor:
-    """Complex tensor as a (real, imag) pair of Tensors."""
+    """Complex tensor as a (real, imag) pair of Tensors: the type of the
+    spectra's per-window ``.windows`` views."""
 
     __slots__ = ("re", "im")
 
@@ -674,10 +680,6 @@ class CTensor:
     @property
     def shape(self):
         return self.re.data.shape
-
-    @classmethod
-    def zeros(cls, shape) -> "CTensor":
-        return cls(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
     def value(self) -> np.ndarray:
         return self.re.data + 1j * self.im.data

@@ -36,15 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autograd import (
-    BlockLayout,
-    CTensor,
-    Tensor,
-    block_matrix,
-    concat,
-    factored_matmul,
-    relu,
-)
+from .autograd import BlockLayout, Tensor, block_matrix, factored_matmul, relu, reshape
 from .compress import CompressedWindows
 from .errors import ConfigError, ContractError
 from .hypercomplex import component_product_table
@@ -60,19 +52,15 @@ _BIAS_NAMES = {"fd": "{}.b", "wm": "bias.{}", "hc": "b.{}", "basic": "bias.{}"}
 
 @dataclass
 class BackboneParams:
-    """Complex E x E weights, indexed as the block table indexes them, and
-    one complex length-E bias per window."""
+    """The complex E x E weights in block-table order, ``weights`` (2, n, E, E),
+    and one complex length-E bias per window, ``biases`` (2, p, E); axis 0 is
+    the plane (0 real, 1 imaginary).  So the weights viewed as (2n, E, E) are
+    ``_layout``'s parts, and the flattened biases are in the operand's order.
+    The checkpoint names each plane of each (``backbone_named_arrays``)."""
 
-    weights: list[CTensor]
-    biases: list[CTensor]
+    weights: Tensor
+    biases: Tensor
     radius: int = 1
-
-
-def _uniform_ct(rng: np.random.Generator, shape, scale: float) -> CTensor:
-    return CTensor(
-        Tensor(rng.uniform(-scale, scale, size=shape)),
-        Tensor(rng.uniform(-scale, scale, size=shape)),
-    )
 
 
 def check_backbone(kind: str, window_count: int, radius: int) -> None:
@@ -157,25 +145,25 @@ def count_weight_matrices(kind: str, window_count: int, radius: int = 1) -> int:
 
 def init_backbone(kind: str, rng, window_count: int, embed: int,
                   radius: int = 1) -> BackboneParams:
-    """Weights uniform in +-1/sqrt(E), real plane drawn first; zero biases."""
+    """Weights uniform in +-1/sqrt(E), real plane drawn first, in the order
+    the blocks first use them; zero biases."""
     names, blocks = block_table(kind, window_count, radius)
     scale = 1.0 / np.sqrt(embed)
-    weights: list[CTensor | None] = [None] * len(names)
-    for _, _, w, _, _, _ in blocks:
-        if weights[w] is None:
-            weights[w] = _uniform_ct(rng, (embed, embed), scale)
-    biases = [CTensor.zeros((embed,)) for _ in range(window_count)]
-    return BackboneParams(weights, biases, radius)
+    weights = np.empty((2, len(names), embed, embed))
+    for w in dict.fromkeys(block[2] for block in blocks):
+        weights[:, w] = rng.uniform(-scale, scale, size=(2, embed, embed))
+    return BackboneParams(Tensor(weights), Tensor(np.zeros((2, window_count, embed))), radius)
 
 
 @lru_cache(maxsize=None)
 def _layout(kind: str, p: int, radius: int, conjugate_neighbors: bool,
             weight_mask: str | None) -> BlockLayout:
     """Where a block table puts the weights in the real (2pE x 2pE) matrix,
-    as parts [w.re for w in weights] + [w.im for w in weights].
+    as parts [w.re for w in weights] + [w.im for w in weights]: the weights
+    Tensor viewed as (2n, E, E).
 
-    A masked plane places no entries, so it contributes nothing and gets no
-    gradient.
+    A masked plane places no entries, so it contributes nothing and gets a
+    zero gradient.
     """
     names, blocks = block_table(kind, p, radius, conjugate_neighbors)
     im = len(names)
@@ -202,35 +190,29 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
         raise ConfigError(f"unknown weight mask {weight_mask!r}")
     if kind == "wm" and radius != params.radius:
         raise ContractError(f"radius {radius} != parameter radius {params.radius}")
-    p = c.window_count
+    p, e = c.window_count, c.embed
     names, _ = block_table(kind, p, radius, conjugate_neighbors)
-    if len(params.biases) != p or len(params.weights) != len(names):
-        raise ContractError(
-            f"parameters sized for {len(params.biases)} windows, got {p}"
-        )
-    e = params.weights[0].shape[0]
-    if c.embed != e:
-        raise ContractError(f"embedding axis {c.embed} != weight size {e}")
-    bias = concat([b.re for b in params.biases] + [b.im for b in params.biases])
-    mix = block_matrix([w.re for w in params.weights] + [w.im for w in params.weights],
-                       _layout(kind, p, radius, conjugate_neighbors, weight_mask))
+    want, got = ((2, len(names), e, e), (2, p, e)), (params.weights.shape, params.biases.shape)
+    if got != want:
+        raise ContractError(f"{kind} over {p} windows of embedding {e} needs weights and "
+                            f"biases shaped {want[0]} and {want[1]}, got {got[0]} and {got[1]}")
+    mix = block_matrix(params.weights, _layout(kind, p, radius, conjugate_neighbors, weight_mask))
     f = c.factors
     coef, basis = (f.coef, f.basis.data) if f is not None else (c.stacked.data, np.eye(e))
-    y = factored_matmul(c.stacked, coef, basis, mix) + bias
+    y = factored_matmul(c.stacked, coef, basis, mix) + reshape(params.biases, (-1,))
     if act == "relu":
         y = relu(y)
     return replace(c, stacked=y, factors=None)
 
 
-def backbone_named_tensors(kind: str, params: BackboneParams) -> list[tuple[str, Tensor]]:
-    """Stable (name, tensor) listing for optimisers and checkpoints."""
-    names, _ = block_table(kind, len(params.biases), params.radius)
-    weights = list(zip(names, params.weights))
-    biases = [(_BIAS_NAMES[kind].format(i), b) for i, b in enumerate(params.biases)]
-    # fd lists each window's weight and bias together
+def backbone_named_arrays(kind: str, params: BackboneParams) -> list[tuple[str, np.ndarray]]:
+    """The checkpoint's listing: each plane of each weight and bias as a view,
+    named ``backbone.<kind>.<name>.re``/``.im``; fd lists each window's weight
+    and bias together."""
+    names, _ = block_table(kind, params.biases.shape[1], params.radius)
+    weights = list(zip(names, params.weights.data.swapaxes(0, 1)))
+    biases = [(_BIAS_NAMES[kind].format(i), b)
+              for i, b in enumerate(params.biases.data.swapaxes(0, 1))]
     order = [t for pair in zip(weights, biases) for t in pair] if kind == "fd" else weights + biases
-    named: list[tuple[str, Tensor]] = []
-    for name, ct in order:
-        named.append((f"backbone.{kind}.{name}.re", ct.re))
-        named.append((f"backbone.{kind}.{name}.im", ct.im))
-    return named
+    return [(f"backbone.{kind}.{name}.{plane}", planes[c])
+            for name, planes in order for c, plane in enumerate(("re", "im"))]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, as_data, concat, lift, split
+from .autograd import CTensor, Tensor, as_data, lift, reshape, split, stack
 from .errors import ConfigError, ContractError
 from .spectral import LiftFactors, SpectralWindows, StftPlan
 
@@ -55,8 +55,8 @@ class CompressedWindows:
 
     def __post_init__(self):
         if isinstance(self.stacked, list):
-            windows = self.stacked
-            self.stacked = concat([w.re for w in windows] + [w.im for w in windows])
+            planes = [w.re for w in self.stacked] + [w.im for w in self.stacked]
+            self.stacked = reshape(stack(planes, axis=-2), planes[0].shape[:-1] + (-1,))
         if isinstance(self.index, list):
             self.index = np.stack(self.index, axis=1)
         if self.stacked.shape[-1] % (2 * self.window_count):

@@ -34,11 +34,7 @@ import numpy as np
 
 from . import __version__
 from .autograd import Tensor, as_data, lift_add_by_channel, matmul, relu, stack, transpose
-from .backbones import (
-    backbone_forward,
-    backbone_named_tensors,
-    init_backbone,
-)
+from .backbones import backbone_forward, backbone_named_arrays, init_backbone
 from .compress import position_aware_pad, top_m_select
 from .config import RunConfig, mask_planes
 from .data import MAX_VALUES
@@ -60,18 +56,19 @@ class ForecastParams:
     head_b2: Tensor
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = [
-            ("embed.scale", self.embed_scale),
-            ("embed.bias", self.embed_bias),
-        ]
-        named += backbone_named_tensors(self.backbone_kind, self.backbone)
-        named += [
-            ("head.w1", self.head_w1),
-            ("head.b1", self.head_b1),
-            ("head.w2", self.head_w2),
-            ("head.b2", self.head_b2),
-        ]
-        return named
+        """Every parameter Tensor by name, as the optimiser takes them."""
+        kind = self.backbone_kind
+        return [("embed.scale", self.embed_scale), ("embed.bias", self.embed_bias),
+                (f"backbone.{kind}.weights", self.backbone.weights),
+                (f"backbone.{kind}.biases", self.backbone.biases),
+                ("head.w1", self.head_w1), ("head.b1", self.head_b1),
+                ("head.w2", self.head_w2), ("head.b2", self.head_b2)]
+
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The checkpoint's listing: the values of ``named_tensors``, the
+        backbone's two as the per-plane views of ``backbone_named_arrays``."""
+        named = [(name, t.data) for name, t in self.named_tensors()]
+        return named[:2] + backbone_named_arrays(self.backbone_kind, self.backbone) + named[4:]
 
 
 def init_params(cfg: RunConfig, rng: np.random.Generator | None = None) -> ForecastParams:
@@ -104,10 +101,8 @@ class _NoDraws:
 def apply_weight_mask_to_data(params: ForecastParams, mode: str) -> None:
     """Zero the masked weight plane in place so it starts (and stays) zero."""
     _, plane = mask_planes(mode)
-    if plane is None:
-        return
-    for w in params.backbone.weights:
-        (w.re if plane == "real" else w.im).data[...] = 0.0
+    if plane is not None:
+        params.backbone.weights.data[("real", "imag").index(plane)] = 0.0
 
 
 def _mask_spectra(s: SpectralWindows, plane: str | None) -> SpectralWindows:
@@ -207,7 +202,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
 
 def save_checkpoint(path: str, params: ForecastParams, cfg: RunConfig,
                     norm_stats: dict | None = None) -> None:
-    named = params.named_tensors()
+    named = params.named_arrays()
     header = {
         "format": "freqcast-checkpoint",
         "version": 1,
@@ -215,8 +210,8 @@ def save_checkpoint(path: str, params: ForecastParams, cfg: RunConfig,
         "config": cfg.as_dict(),
         "norm_stats": norm_stats,
         "tensors": [
-            {"name": name, "role": name.split(".", 1)[0], "shape": list(t.data.shape)}
-            for name, t in named
+            {"name": name, "role": name.split(".", 1)[0], "shape": list(values.shape)}
+            for name, values in named
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -224,8 +219,8 @@ def save_checkpoint(path: str, params: ForecastParams, cfg: RunConfig,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, t in named:
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        for _, values in named:
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
@@ -252,7 +247,7 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
         except ConfigError as e:  # init_params would fail on it with a bare numpy error
             raise ContractError(f"checkpoint {path} field 'config': {e}") from e
         params = init_params(cfg, _NoDraws())  # the shapes and names; the file has the values
-        named = dict(params.named_tensors())
+        named = dict(params.named_arrays())
         if not isinstance(header["tensors"], list):
             raise ContractError(f"checkpoint {path} field 'tensors' must be a list, "
                                 f"got {header['tensors']!r}")
@@ -279,19 +274,19 @@ def load_checkpoint(path: str) -> tuple[ForecastParams, RunConfig, dict | None]:
             raise ContractError("checkpoint lists a model tensor more than once")
         for entry in header["tensors"]:
             name, shape = entry["name"], tuple(entry["shape"])
-            if named[name].data.shape != shape:
+            if named[name].shape != shape:
                 raise ContractError(
                     f"checkpoint tensor {name!r} has shape {shape}, "
-                    f"model expects {named[name].data.shape}"
+                    f"model expects {named[name].shape}"
                 )
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
                 raise ContractError(f"checkpoint truncated while reading {name!r}")
-            values = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+            values = np.frombuffer(buf, dtype="<f8").reshape(shape)
             if not np.isfinite(values).all():
                 raise ContractError(f"checkpoint {path} tensor {name!r} holds non-finite values")
-            named[name].data = values
+            named[name][...] = values
         if fh.read(1):
             raise ContractError(f"checkpoint has trailing bytes after {listed[-1]!r}")
     return params, cfg, header.get("norm_stats")

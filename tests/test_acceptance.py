@@ -231,8 +231,8 @@ def test_c08_masking_robustness():
             values = [record.train_loss, record.val_mae, record.val_rmse]
             assert np.isfinite(values).all(), f"{mode}: non-finite metric {values}"
         if plane is not None:
-            for w in result.params.backbone.weights:
-                masked = w.re.data if plane == "real" else w.im.data
+            for w in result.params.backbone.weights.data.swapaxes(0, 1):
+                masked = w[0] if plane == "real" else w[1]
                 assert np.abs(masked).max() == 0.0, f"{mode}: weight plane drifted"
         debug = {}
         forward(probe, result.params, cfg, debug=debug)

@@ -15,7 +15,7 @@ from freqcast.backbones import (
     WEIGHT_MASKS,
     BackboneParams,
     backbone_forward,
-    backbone_named_tensors,
+    backbone_named_arrays,
     block_table,
     count_weight_matrices,
     init_backbone,
@@ -51,16 +51,37 @@ def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
     return top_m_select(rstft(Tensor(x), plan), m)
 
 
+def params_from(weights, biases):
+    """Backbone parameters holding the given complex weights and biases."""
+    def planes(values):
+        values = np.asarray(values, dtype=complex)
+        return Tensor(np.stack([values.real, values.imag]))
+
+    return BackboneParams(planes(weights), planes(biases))
+
+
 def one_layer(weight):
     """A single-window fd layer with the given complex weight and zero bias."""
-    return BackboneParams([ct_from(weight)], [CTensor.zeros(weight.shape[0])])
+    return params_from([weight], np.zeros((1, weight.shape[0])))
 
 
 def weight(kind, params, name):
     """A weight by its checkpoint name, without going through the table."""
-    named = dict(backbone_named_tensors(kind, params))
+    named = dict(backbone_named_arrays(kind, params))
     prefix = f"backbone.{kind}.{name}"
-    return named[prefix + ".re"].data + 1j * named[prefix + ".im"].data
+    return named[prefix + ".re"] + 1j * named[prefix + ".im"]
+
+
+def bias(params, i):
+    """Window i's complex bias."""
+    return params.biases.data[0, i] + 1j * params.biases.data[1, i]
+
+
+def draw_biases(params, rng):
+    """Random biases, each window's real plane drawn before its imaginary one."""
+    for b in params.biases.data.swapaxes(0, 1):
+        b[0] = rng.normal(size=b.shape[1])
+        b[1] = rng.normal(size=b.shape[1])
 
 
 def values(c):
@@ -81,11 +102,11 @@ class TestFdMlp:
 
     def test_matches_complex_arithmetic(self, rng):
         cs = [ct(rng, (2, 3, 2, 4)) for _ in range(2)]
-        ws = [ct(rng, (4, 4)) for _ in range(2)]
-        bs = [ct(rng, (4,)) for _ in range(2)]
-        out = backbone_forward("fd", wrap(*cs), BackboneParams(ws, bs), act="identity")
+        ws = [ct(rng, (4, 4)).value() for _ in range(2)]
+        bs = [ct(rng, (4,)).value() for _ in range(2)]
+        out = backbone_forward("fd", wrap(*cs), params_from(ws, bs), act="identity")
         for c, w, b, got in zip(cs, ws, bs, out.windows):
-            want = c.value() @ w.value() + b.value()
+            want = c.value() @ w + b
             np.testing.assert_allclose(got.value(), want, atol=1e-12)
 
     def test_relu_acts_per_plane(self, rng):
@@ -95,7 +116,7 @@ class TestFdMlp:
         np.testing.assert_allclose(out.windows[0].im.data, np.maximum(c.im.data, 0))
 
     def test_embedding_axis_mismatch(self, rng):
-        with pytest.raises(ContractError, match="embedding axis"):
+        with pytest.raises(ContractError, match="of embedding 3 needs"):
             backbone_forward("fd", wrap(ct(rng, (1, 2, 1, 3))), one_layer(np.eye(4)))
 
 
@@ -103,23 +124,22 @@ class TestWmMlp:
     def test_single_window_reduces_to_fd(self, rng):
         c = compressed(rng, p=1, m=3, nfft=8, lookback=8)
         params = init_backbone("wm", rng, 1, 3, radius=1)
-        assert len(params.weights) == 1  # no neighbours
+        assert params.weights.shape[1] == 1  # no neighbours
         out = backbone_forward("wm", c, params, act="identity", radius=1)
-        want = values(c)[0] @ weight("wm", params, "self.0") + params.biases[0].value()
+        want = values(c)[0] @ weight("wm", params, "self.0") + bias(params, 0)
         np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
 
     def test_zero_neighbors_decouple_windows(self, rng):
         c = compressed(rng, p=3, m=2)
         params = init_backbone("wm", rng, 3, 3, radius=1)
         names, _ = block_table("wm", 3, 1)
-        for name, w in zip(names, params.weights):
+        for i, name in enumerate(names):
             if name.startswith("nbr."):
-                w.re.data[...] = 0.0
-                w.im.data[...] = 0.0
+                params.weights.data[:, i] = 0.0
         out = backbone_forward("wm", c, params, act="identity", radius=1)
         cv = values(c)
         for i in range(3):
-            want = cv[i] @ weight("wm", params, f"self.{i}") + params.biases[i].value()
+            want = cv[i] @ weight("wm", params, f"self.{i}") + bias(params, i)
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
 
     def test_literal_three_window_expansion(self, rng):
@@ -127,9 +147,7 @@ class TestWmMlp:
         + C_{i-1} conj(W) + C_{i+1} conj(W) + B_i), missing windows zero."""
         c = compressed(rng, p=3, m=2)
         params = init_backbone("wm", rng, 3, 3, radius=1)
-        for b in params.biases:
-            b.re.data[:] = rng.normal(size=3)
-            b.im.data[:] = rng.normal(size=3)
+        draw_biases(params, rng)
         out = backbone_forward("wm", c, params, act="identity", radius=1)
         cv = values(c)
         for i in range(3):
@@ -138,7 +156,7 @@ class TestWmMlp:
                 want = want + cv[i - 1] @ np.conj(weight("wm", params, f"nbr.{i - 1}->{i}"))
             if i + 1 < 3:
                 want = want + cv[i + 1] @ np.conj(weight("wm", params, f"nbr.{i + 1}->{i}"))
-            want = want + params.biases[i].value()
+            want = want + bias(params, i)
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
 
     def test_conjugation_flag_off_uses_plain_weights(self, rng):
@@ -149,7 +167,7 @@ class TestWmMlp:
         cv = values(c)
         want0 = (cv[0] @ weight("wm", params, "self.0")
                  + cv[1] @ weight("wm", params, "nbr.1->0")
-                 + params.biases[0].value())
+                 + bias(params, 0))
         np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
 
     def test_radius_two_uses_second_neighbors(self, rng):
@@ -167,7 +185,7 @@ class TestWmMlp:
         want0 = (cv[0] @ weight("wm", params, "self.0")
                  + cv[1] @ np.conj(weight("wm", params, "nbr.1->0"))
                  + cv[2] @ np.conj(weight("wm", params, "nbr.2->0"))
-                 + params.biases[0].value())
+                 + bias(params, 0))
         np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
 
     def test_radius_must_fit_window_count(self, rng):
@@ -189,9 +207,9 @@ class TestHcMlp:
     def test_identity_weight(self, rng):
         c = compressed(rng, p=4, m=2)
         params = init_backbone("hc", rng, 4, 3)
-        for i, w in enumerate(params.weights):
-            w.re.data[...] = np.eye(3) if i == 0 else 0.0
-            w.im.data[...] = 0.0
+        for i in range(4):
+            params.weights.data[0, i] = np.eye(3) if i == 0 else 0.0
+            params.weights.data[1, i] = 0.0
         out = backbone_forward("hc", c, params, act="identity")
         for got, orig in zip(out.windows, c.windows):
             np.testing.assert_allclose(got.value(), orig.value(), atol=1e-13)
@@ -207,10 +225,9 @@ class TestHcMlp:
         comp = CompressedWindows([comp.windows[0], zero], comp.indices,
                                  comp.bins_total, comp.plan)
         params = init_backbone("hc", rng, 2, 3)
-        params.weights[1].re.data[...] = 0.0
-        params.weights[1].im.data[...] = 0.0
+        params.weights.data[:, 1] = 0.0
         out = backbone_forward("hc", comp, params, act="identity")
-        want = comp.windows[0].value() @ weight("hc", params, "w.0") + params.biases[0].value()
+        want = comp.windows[0].value() @ weight("hc", params, "w.0") + bias(params, 0)
         np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
 
     @pytest.mark.parametrize("p", [2, 4, 8])
@@ -236,15 +253,14 @@ class TestBasicMlp:
         c = compressed(rng, p=3, m=2)
         params = init_backbone("basic", rng, 3, 3)
         names, _ = block_table("basic", 3)
-        for name, w in zip(names, params.weights):
+        for i, name in enumerate(names):
             src, dst = name.split("->")
             if src != dst:
-                w.re.data[...] = 0.0
-                w.im.data[...] = 0.0
+                params.weights.data[:, i] = 0.0
         out = backbone_forward("basic", c, params, act="identity")
         cv = values(c)
         for i in range(3):
-            want = cv[i] @ weight("basic", params, f"{i}->{i}") + params.biases[i].value()
+            want = cv[i] @ weight("basic", params, f"{i}->{i}") + bias(params, i)
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
 
     def test_two_window_hand_expansion(self, rng):
@@ -255,21 +271,17 @@ class TestBasicMlp:
         for i in range(2):
             want = (cv[0] @ weight("basic", params, f"0->{i}")
                     + cv[1] @ weight("basic", params, f"1->{i}")
-                    + params.biases[i].value())
+                    + bias(params, i))
             np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
 
     def test_zero_grid_bias_only(self, rng):
         c = compressed(rng, p=2, m=2)
         params = init_backbone("basic", rng, 2, 3)
-        for w in params.weights:
-            w.re.data[...] = 0.0
-            w.im.data[...] = 0.0
-        for b in params.biases:
-            b.re.data[:] = rng.normal(size=3)
-            b.im.data[:] = rng.normal(size=3)
+        params.weights.data[...] = 0.0
+        draw_biases(params, rng)
         out = backbone_forward("basic", c, params, act="relu")
         for i in range(2):
-            want = np.maximum(params.biases[i].re.data, 0)[None, None, None, :]
+            want = np.maximum(params.biases.data[0, i], 0)[None, None, None, :]
             np.testing.assert_allclose(
                 out.windows[i].re.data, np.broadcast_to(want, out.windows[i].shape)
             )
@@ -277,7 +289,7 @@ class TestBasicMlp:
     def test_grid_shape_checked(self, rng):
         c = compressed(rng, p=3, m=2)
         params = init_backbone("basic", rng, 2, 3)
-        with pytest.raises(ContractError, match="sized for 2 windows, got 3"):
+        with pytest.raises(ContractError, match=r"over 3 windows .* got \(2, 4, 3, 3\)"):
             backbone_forward("basic", c, params, act="identity")
 
 
@@ -312,9 +324,9 @@ class TestParameterCounts:
         p, e = 4, 2
         for kind in ("fd", "wm", "hc", "basic"):
             params = init_backbone(kind, rng, p, e, radius=1)
-            assert len(params.weights) == count_weight_matrices(kind, p, 1)
-            named = backbone_named_tensors(kind, params)
-            assert len(named) == 2 * (len(params.weights) + p)
+            assert params.weights.shape[1] == count_weight_matrices(kind, p, 1)
+            named = backbone_named_arrays(kind, params)
+            assert len(named) == 2 * (params.weights.shape[1] + p)
 
     def test_unknown_kind(self, rng):
         with pytest.raises(ConfigError, match="unknown backbone kind"):
@@ -324,6 +336,23 @@ class TestParameterCounts:
         params = init_backbone("fd", rng, 2, 3)
         with pytest.raises(ConfigError, match="unknown backbone kind"):
             backbone_forward("attention", compressed(rng, p=2), params)
+
+
+class TestParameterShapes:
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_refuses_parameters_shaped_for_another_p_or_e(self, rng, kind):
+        """Parameters drawn for another window count or embedding size are
+        refused, naming the shapes the layer needs and the shapes it got."""
+        c = compressed(rng, p=2, m=2, embed=3)
+        n = count_weight_matrices(kind, 2)
+        for p, e in ((4, 3), (2, 5)):
+            params = init_backbone(kind, rng, p, e)
+            got = (2, count_weight_matrices(kind, p), e, e), (2, p, e)
+            with pytest.raises(ContractError) as err:
+                backbone_forward(kind, c, params)
+            assert str(err.value) == (
+                f"{kind} over 2 windows of embedding 3 needs weights and biases shaped "
+                f"(2, {n}, 3, 3) and (2, 2, 3), got {got[0]} and {got[1]}")
 
 
 class TestLinearity:
@@ -361,16 +390,16 @@ class TestStackedOperand:
         and parameter gradients, bit for bit."""
         p = 2 if kind == "hc" else 3
         params = init_backbone(kind, rng, p, 3, radius=1)
-        for b in params.biases:
-            b.re.data[:], b.im.data[:] = rng.normal(size=(2, 3))
+        for i in range(p):
+            params.biases.data[:, i] = rng.normal(size=(2, 3))
         stacked = compressed(rng, p=p, m=2)
         listed = CompressedWindows(
             [CTensor(Tensor(c.re.data), Tensor(c.im.data)) for c in stacked.windows],
             stacked.indices, stacked.bins_total, stacked.plan)
-        named = backbone_named_tensors(kind, params)
+        named = [params.weights, params.biases]
 
         def run(c):
-            for _, t in named:
+            for t in named:
                 t.grad = None
             out = backbone_forward(kind, c, params)
             loss = None
@@ -378,7 +407,7 @@ class TestStackedOperand:
                 term = mean_all(mul(w.re, w.re)) + mean_all(mul(w.im, w.im))
                 loss = term if loss is None else loss + term
             loss.backward()
-            return out.stacked.data, [t.grad for _, t in named]
+            return out.stacked.data, [t.grad for t in named]
 
         (want, want_grads), (got, got_grads) = run(stacked), run(listed)
         assert np.array_equal(np.stack(listed.indices, axis=1), stacked.index)
@@ -399,8 +428,8 @@ def masked(w, mask):
 def assert_hc_brute_force(cv, params, got, mask=None):
     """Every output entry against the scalar Cayley-Dickson product."""
     p = len(cv)
-    wv = [masked(w.value(), mask) for w in params.weights]
-    bv = [b.value() for b in params.biases]
+    wv = [masked(re + 1j * im, mask) for re, im in params.weights.data.swapaxes(0, 1)]
+    bv = [bias(params, k) for k in range(p)]
     e = wv[0].shape[0]
     for idx in np.ndindex(cv[0].shape[:-1]):
         for eo in range(e):
@@ -419,7 +448,7 @@ def pair_sum_oracle(kind, cv, params, radius, conjugate_neighbors, mask):
     p = len(cv)
     out = []
     for dst in range(p):
-        acc = params.biases[dst].value() + np.zeros_like(cv[0])
+        acc = bias(params, dst) + np.zeros_like(cv[0])
         for src in range(p):
             if kind == "fd" and src == dst:
                 w = weight("fd", params, f"{dst}.w")
@@ -446,9 +475,7 @@ class TestBlockAssemblyProperties:
         cv = [rng.normal(size=(2, 1, 1, e)) + 1j * rng.normal(size=(2, 1, 1, e))
               for _ in range(p)]
         params = init_backbone("hc", rng, p, e)
-        for b in params.biases:
-            b.re.data[:] = rng.normal(size=e)
-            b.im.data[:] = rng.normal(size=e)
+        draw_biases(params, rng)
         out = backbone_forward("hc", wrap(*map(ct_from, cv)), params,
                                act="identity", weight_mask=mask)
         assert_hc_brute_force(cv, params, values(out), mask)
@@ -463,9 +490,7 @@ class TestBlockAssemblyProperties:
         cv = [rng.normal(size=(2, 3, 1, e)) + 1j * rng.normal(size=(2, 3, 1, e))
               for _ in range(p)]
         params = init_backbone(kind, rng, p, e, radius)
-        for b in params.biases:
-            b.re.data[:] = rng.normal(size=e)
-            b.im.data[:] = rng.normal(size=e)
+        draw_biases(params, rng)
         out = backbone_forward(kind, wrap(*map(ct_from, cv)), params, act="identity",
                                radius=radius, conjugate_neighbors=conj, weight_mask=mask)
         want = pair_sum_oracle(kind, cv, params, radius, conj, mask)
@@ -510,25 +535,26 @@ class TestBlockLayout:
     def test_matches_the_per_entry_loop_bit_for_bit(self, kind, p, radius, conj, mask):
         rng = np.random.default_rng(7)
         params = init_backbone(kind, rng, p, 3, radius)
-        parts = [w.re for w in params.weights] + [w.im for w in params.weights]
+        n = params.weights.shape[1]
+        parts = [Tensor(plane) for plane in params.weights.data.reshape(2 * n, 3, 3)]
         g = rng.normal(size=(6 * p, 6 * p))
 
-        def run(build):
-            for t in parts:
+        def run(build, leaves):
+            for t in leaves:
                 t.grad = None
             mix = build()
             mean_all(mul(mix, g)).backward()
-            return mix.data, [t.grad for t in parts]
+            return mix.data, [t.grad for t in leaves]
 
         want, want_grads = run(lambda: entry_loop_matrix(
-            params.weights, block_table(kind, p, radius, conj)[1], p, mask))
-        got, got_grads = run(lambda: block_matrix(
-            parts, backbones._layout(kind, p, radius, conj, mask)))
+            [CTensor(parts[w], parts[n + w]) for w in range(n)],
+            block_table(kind, p, radius, conj)[1], p, mask), parts)
+        got, [got_grad] = run(lambda: block_matrix(
+            params.weights, backbones._layout(kind, p, radius, conj, mask)), [params.weights])
         np.testing.assert_array_equal(got, want)
-        for a, b in zip(got_grads, want_grads):
-            assert (a is None) == (b is None)
-            if b is not None:
-                np.testing.assert_array_equal(a, b)
+        # a plane the mask leaves unused gets zeros where the loop gives no gradient
+        for a, b in zip(got_grad.reshape(2 * n, 3, 3), want_grads):
+            np.testing.assert_array_equal(a, np.zeros_like(a) if b is None else b)
 
     def test_every_layout_fills_each_weight_plane_equally_often(self):
         """Each block takes one weight plane, and each used plane fills 2 blocks

@@ -20,7 +20,6 @@ from freqcast.autograd import (
     Tensor,
     add,
     block_matrix,
-    concat,
     factored_matmul,
     irfft_real,
     lift,
@@ -31,6 +30,7 @@ from freqcast.autograd import (
     mul,
     overlap_add,
     relu,
+    reshape,
     split,
     stack,
     sub,
@@ -550,22 +550,20 @@ class TestAutogradPrimitives:
         check_grads(build, [x])
 
     @pytest.mark.parametrize("axis", [0, -1])
-    def test_concat_and_overlapping_slices_grads(self, rng, axis):
-        widths = (3, 1, 4)
-        parts = [Tensor(rng.normal(size=(w, 3) if axis == 0 else (3, w))) for w in widths]
+    def test_reshape_and_overlapping_slices_grads(self, rng, axis):
+        a = Tensor(rng.normal(size=(2, 4, 3)))
+        shape = (8, 3) if axis == 0 else (3, 8)
 
         def cut(y, lo, hi):
             [part] = split(y, [(slice(lo, hi),) if axis == 0 else (Ellipsis, slice(lo, hi))])
             return part
 
         def build():
-            y = concat(parts, axis=axis)
+            y = reshape(a, shape)
             return mean_all(mul(cut(y, 0, 5), cut(y, 2, 7))) + mean_all(mul(y, y))
 
-        np.testing.assert_array_equal(
-            concat(parts, axis=axis).data, np.concatenate([t.data for t in parts], axis=axis)
-        )
-        check_grads(build, parts)
+        np.testing.assert_array_equal(reshape(a, shape).data, a.data.reshape(shape))
+        check_grads(build, [a])
 
     @pytest.mark.parametrize("geometry", [(6, 1, 6), (10, 3, 6), (12, 3, 4)])
     def test_frames_and_overlap_add_grads(self, rng, geometry):
@@ -645,24 +643,33 @@ class TestAutogradPrimitives:
             windowed_frames(x, [0, 4, 8], 4)
 
     def test_block_matrix_layout_and_grads(self, rng):
-        a = Tensor(rng.normal(size=(2, 2)))
-        b = Tensor(rng.normal(size=(2, 2)))
-        # a tensor in several blocks, and a block no entry names
+        parts = Tensor(rng.normal(size=(2, 2, 2)))
+        a, b = parts.data
+        # a part in several blocks, and a block no entry names
         layout = BlockLayout.of([(0, 0, 0, 1.0), (1, 0, 2, -1.0), (0, 2, 1, 2.0),
                                  (1, 1, 1, 0.5)], 3)
         want = np.zeros((6, 6))
-        want[0:2, 0:2] = a.data
-        want[0:2, 4:6] = -b.data
-        want[4:6, 2:4] = 2.0 * a.data
-        want[2:4, 2:4] = 0.5 * b.data
-        np.testing.assert_array_equal(block_matrix([a, b], layout).data, want)
+        want[0:2, 0:2] = a
+        want[0:2, 4:6] = -b
+        want[4:6, 2:4] = 2.0 * a
+        want[2:4, 2:4] = 0.5 * b
+        np.testing.assert_array_equal(block_matrix(parts, layout).data, want)
         x = Tensor(rng.normal(size=(4, 6)))
 
         def build():
-            y = matmul(x, block_matrix([a, b], layout))
+            y = matmul(x, block_matrix(parts, layout))
             return mean_all(mul(y, y))
 
-        check_grads(build, [a, b, x])
+        check_grads(build, [parts, x])
+
+    def test_block_matrix_gives_an_unused_part_a_zero_gradient(self, rng):
+        """A part the layout places nowhere, as a masked weight plane, gets zeros."""
+        parts = Tensor(rng.normal(size=(3, 2, 2)))
+        layout = BlockLayout.of([(0, 0, 0, 1.0), (2, 1, 1, -1.0)], 2)
+        mean_all(mul(block_matrix(parts, layout), rng.normal(size=(4, 4)))).backward()
+        assert parts.grad.shape == (3, 2, 2)
+        assert np.abs(parts.grad[[0, 2]]).max(axis=(1, 2)).min() > 0.0
+        np.testing.assert_array_equal(parts.grad[1], np.zeros((2, 2)))
 
     def test_block_layout_refuses_unequal_use(self):
         """Every backbone layout fills each used part's blocks equally often, so
@@ -736,7 +743,7 @@ TAPE_READS = {
               lambda a: split(a, [(slice(None), slice(0, 3)), (slice(None), slice(3, 6))]),
               []),
     "stack": ([(3, 4), (3, 4)], lambda a, b: stack([a, b], axis=1), []),
-    "concat": ([(3, 2), (3, 4)], lambda a, b: concat([a, b]), []),
+    "reshape": ([(3, 4)], lambda a: reshape(a, (2, 6)), []),
     "split into transposed views": ([(2, 12)], lambda a: split(
         a, [(Ellipsis, 0, slice(None)), (Ellipsis, 1, slice(None))], (2, 2, 6), axes=(1, 0)),
         []),
@@ -744,8 +751,8 @@ TAPE_READS = {
     "relu": ([(3, 4)], relu, []),
     "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, [0, 2, 4], 8), []),
     "irfft_real": ([(3, 2, 5)], lambda x: irfft_real(x, 8), []),
-    "block_matrix": ([(2, 2), (2, 2)], lambda a, b: block_matrix(
-        [a, b], BlockLayout.of([(0, 0, 0, 1.0), (1, 1, 1, -1.0)], 2)), []),
+    "block_matrix": ([(2, 2, 2)], lambda parts: block_matrix(
+        parts, BlockLayout.of([(0, 0, 0, 1.0), (1, 1, 1, -1.0)], 2)), []),
     "mean_all": ([(3, 4)], mean_all, []),
     "matmul": ([(2, 3, 4), (4, 5)], matmul, [0, 1]),
     "mul by a Tensor": ([(3, 4), (3, 4)], mul, [0, 1]),

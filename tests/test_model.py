@@ -44,11 +44,12 @@ def tiny_cfg(**overrides):
 
 def make_identity_backbone(params, kind, embed_dim):
     """Identity on weights whose blocks all lie on the diagonal, zero elsewhere."""
-    _, blocks = block_table(kind, len(params.backbone.biases), params.backbone.radius)
+    _, blocks = block_table(kind, params.backbone.biases.shape[1], params.backbone.radius)
     off_diagonal = {w for src, dst, w, *_ in blocks if src != dst}
-    for i, w in enumerate(params.backbone.weights):
-        w.re.data[...] = 0.0 if i in off_diagonal else np.eye(embed_dim)
-        w.im.data[...] = 0.0
+    weights = params.backbone.weights.data
+    for i in range(weights.shape[1]):
+        weights[0, i] = 0.0 if i in off_diagonal else np.eye(embed_dim)
+        weights[1, i] = 0.0
 
 
 def embedded(x, params) -> np.ndarray:
@@ -383,8 +384,8 @@ def gradient_cases(draw):
     signs = rng.choice([-1.0, 1.0], size=(2, cfg.embed))
     params.embed_scale.data[:] = signs[0] * rng.uniform(0.2, 1.0, size=cfg.embed)
     params.embed_bias.data[:] = signs[1] * rng.uniform(0.2, 1.0, size=cfg.embed)
-    for b in params.backbone.biases:
-        b.re.data[:], b.im.data[:] = rng.normal(scale=0.3, size=(2, cfg.embed))
+    for i in range(p):
+        params.backbone.biases.data[:, i] = rng.normal(scale=0.3, size=(2, cfg.embed))
     shape = (draw(st.integers(2, 3), label="B"), cfg.lookback, draw(st.integers(2, 3), label="D"))
     x, y = rng.normal(size=shape), rng.normal(size=(shape[0], cfg.horizon, shape[2]))
     return cfg, params, x, y, rng
@@ -497,14 +498,13 @@ class TestMasking:
     def test_real_masked_real_weights_leave_bias_only(self, rng):
         cfg = dataclasses.replace(tiny_cfg(backbone="basic"), mask_mode="w_real")
         params = init_params(cfg)
-        for w in params.backbone.weights:
-            w.im.data[...] = 0.0  # purely real weights
-        for b in params.backbone.biases:
-            b.re.data[:] = rng.normal(size=cfg.embed)
+        params.backbone.weights.data[1] = 0.0  # purely real weights
+        for i in range(cfg.windows):
+            params.backbone.biases.data[0, i] = rng.normal(size=cfg.embed)
         debug = {}
         forward(rng.normal(size=(1, 8, 1)), params, cfg, debug=debug)
         for i, c in enumerate(debug["mixed"].windows):
-            want = np.maximum(params.backbone.biases[i].re.data, 0.0)
+            want = np.maximum(params.backbone.biases.data[0, i], 0.0)
             np.testing.assert_allclose(
                 c.re.data, np.broadcast_to(want, c.shape), atol=1e-14
             )
@@ -514,8 +514,8 @@ class TestMasking:
         cfg = dataclasses.replace(tiny_cfg(), mask_mode=mode)
         params = init_params(cfg)
         _, plane = mask_planes(mode)
-        for w in params.backbone.weights:
-            masked = w.re.data if plane == "real" else w.im.data
+        for w in params.backbone.weights.data.swapaxes(0, 1):
+            masked = w[0] if plane == "real" else w[1]
             assert np.abs(masked).max() == 0.0
 
     def test_apply_weight_mask_validates_mode(self):
@@ -740,3 +740,73 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ContractError, match="trailing"):
             load_checkpoint(str(path))
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "data")
+# checkpoint name of window i's bias after "backbone.<kind>.", as the format fixes it
+BIAS_NAMES = {"fd": "{}.b", "wm": "bias.{}", "hc": "b.{}", "basic": "bias.{}"}
+
+
+def read_checkpoint(path: str) -> tuple[list, np.ndarray]:
+    """A checkpoint's tensor manifest and its whole payload, read by the format alone."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen])["tensors"], np.frombuffer(blob[16 + hlen:], "<f8")
+
+
+class TestCheckpointLayout:
+    """One tiny checkpoint per backbone kind, written by ``save_checkpoint`` when
+    every weight and bias plane was a Tensor of its own; slot k of its payload
+    (from 1) holds k / 8.  Loading must put each named plane where the backbone
+    reads it, and saving must write the same manifest and bytes back.  A round
+    trip through one tree cannot catch a layout that save and load both change."""
+
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_named_planes_land_where_the_backbone_reads_them(self, kind, tmp_path):
+        path = os.path.join(FIXTURES, f"{kind}.ckpt")
+        manifest, payload = read_checkpoint(path)
+        np.testing.assert_array_equal(payload, np.arange(1, payload.size + 1) / 8)
+        params, cfg, stats = load_checkpoint(path)
+        names, _ = block_table(kind, cfg.windows, cfg.radius)
+        bias_of = {BIAS_NAMES[kind].format(i): i for i in range(cfg.windows)}
+        weights, biases = params.backbone.weights.data, params.backbone.biases.data
+        at = 0
+        for entry in manifest:
+            name, size = entry["name"], int(np.prod(entry["shape"]))
+            want = payload[at:at + size].reshape(entry["shape"])
+            at += size
+            if name.startswith("backbone."):
+                stem, plane = name[len(f"backbone.{kind}."):].rsplit(".", 1)
+                c = ("re", "im").index(plane)
+                got = biases[c, bias_of[stem]] if stem in bias_of else weights[c, names.index(stem)]
+            else:
+                got = getattr(params, name.replace(".", "_")).data
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert at == payload.size
+
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(str(again), params, cfg, stats)
+        assert read_checkpoint(str(again))[0] == manifest
+        assert read_checkpoint(str(again))[1].tobytes() == payload.tobytes()
+
+    def test_spot_checks(self):
+        """Slots counted by hand: embed scale and bias take slots 1-4, then each
+        backbone plane of E x E = 4 (weights) or E = 2 (biases) values follows."""
+        hc, _, _ = load_checkpoint(os.path.join(FIXTURES, "hc.ckpt"))
+        # w.0.re, w.0.im, w.1.re, w.1.im, w.2.re take slots 5-24
+        np.testing.assert_array_equal(hc.backbone.weights.data[1, 2],
+                                      np.arange(25, 29).reshape(2, 2) / 8)  # w.2.im
+        manifest, _ = read_checkpoint(os.path.join(FIXTURES, "fd.ckpt"))
+        assert [e["name"] for e in manifest] == [
+            "embed.scale", "embed.bias",
+            "backbone.fd.0.w.re", "backbone.fd.0.w.im", "backbone.fd.0.b.re", "backbone.fd.0.b.im",
+            "backbone.fd.1.w.re", "backbone.fd.1.w.im", "backbone.fd.1.b.re", "backbone.fd.1.b.im",
+            "head.w1", "head.b1", "head.w2", "head.b2"]
+        fd, _, _ = load_checkpoint(os.path.join(FIXTURES, "fd.ckpt"))
+        # fd interleaves: window 0's weight (slots 5-12), its bias (13-16), window 1's ...
+        biases = fd.backbone.biases.data
+        np.testing.assert_array_equal(biases[:, 0], np.array([[13, 14], [15, 16]]) / 8)
+        np.testing.assert_array_equal(fd.backbone.weights.data[0, 1],
+                                      np.arange(17, 21).reshape(2, 2) / 8)
+        np.testing.assert_array_equal(biases[:, 1], np.array([[25, 26], [27, 28]]) / 8)
