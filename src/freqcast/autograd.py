@@ -17,8 +17,8 @@ The root keeps its seed gradient, and a later backward that reaches a
 released node raises ``ContractError``.  Complex values never appear on the
 tape: a complex array is a real one with a length-2 plane axis (0 real, 1
 imaginary), so complex and hyper-complex layers differentiate through their
-real planes.  ``CTensor``, a (real, imag) pair of Tensors, is only the type
-of the per-window ``.windows`` views of the spectra.
+real planes.  ``CTensor``, a bare (real, imag) pair of Tensors, is only the
+type of the per-window ``.windows`` views of the spectra.
 
 The elementwise ops take a non-Tensor operand as a constant, which receives
 no gradient; ``matmul``, ``factored_matmul`` and ``lift_add_by_channel``
@@ -216,12 +216,9 @@ class Tensor:
             if node is not root:
                 node.grad = None
 
-    # operator sugar; the constant side of a mixed op gets no gradient
+    # operator sugar; the constant side of a mixed add gets no gradient
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 def _node(x) -> _Node | None:
@@ -671,15 +668,5 @@ class CTensor:
 
     def __init__(self, re: Tensor, im: Tensor):
         if re.data.shape != im.data.shape:
-            raise ContractError(
-                f"complex planes disagree: {re.data.shape} vs {im.data.shape}"
-            )
-        self.re = re
-        self.im = im
-
-    @property
-    def shape(self):
-        return self.re.data.shape
-
-    def value(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
+            raise ContractError(f"complex planes disagree: {re.data.shape} vs {im.data.shape}")
+        self.re, self.im = re, im

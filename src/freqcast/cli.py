@@ -102,24 +102,25 @@ def _resolve_dataset(cfg: RunConfig) -> data_io.Dataset:
     return data_io.load_csv(cfg.data)
 
 
-def _prepare_splits(cfg: RunConfig):
+def prepare_splits(cfg: RunConfig):
+    """Dataset, norm stats, normalised train and validation splits, and test
+    windows: a dataset or split that cannot be used fails before any output."""
     ds = _resolve_dataset(cfg)
-    train_raw, val_raw, test_raw = data_io.split_chronological(ds)
-    stats = data_io.fit_norm_stats(train_raw)
-    return ds, stats, (
-        data_io.normalize(train_raw, stats),
-        data_io.normalize(val_raw, stats),
-        data_io.normalize(test_raw, stats),
-    )
+    raw = data_io.split_chronological(ds)
+    stats = data_io.fit_norm_stats(raw[0])
+    splits = [data_io.normalize(split, stats) for split in raw]
+    windows = [data_io.make_windows(split, cfg.lookback, cfg.horizon, cfg.stride,
+                                    f"{name} split")
+               for name, split in zip(("train", "validation", "test"), splits)]
+    return ds, stats, splits[:2], windows[2]
 
 
-def run_training(cfg: RunConfig, run_dir: str) -> dict:
-    """Train per config and write checkpoint, metrics log and manifest."""
+def run_training(cfg: RunConfig, run_dir: str, prepared) -> dict:
+    """Train on ``prepare_splits(cfg)``; write checkpoint, metrics log and manifest."""
     t0 = time.perf_counter()
-    ds, stats, (train_n, val_n, test_n) = _prepare_splits(cfg)
+    ds, stats, (train_n, val_n), (x_test, y_test) = prepared
     result = fit(train_n, val_n, cfg)
 
-    x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride)
     test_metrics = data_io.metrics(predict(result.params, cfg, x_test), y_test)
 
     ckpt_path = os.path.join(run_dir, "model.ckpt")
@@ -154,8 +155,9 @@ def run_training(cfg: RunConfig, run_dir: str) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
+    prepared = prepare_splits(cfg)
     run_dir = _make_run_dir(_out_root(args), "train", cfg)
-    summary = run_training(cfg, run_dir)
+    summary = run_training(cfg, run_dir, prepared)
     print(f"run directory: {run_dir}")
     print(
         f"best epoch {summary['best_epoch']}: "
@@ -249,9 +251,10 @@ def cmd_ablate(args) -> int:
         try:
             # the value is validated before it becomes part of a path
             cfg = dataclasses.replace(base, **{field: value}).validate()
+            prepared = prepare_splits(cfg)
             sub_dir = os.path.join(sweep_dir, f"{args.sweep}={value}")
             create_output(os.makedirs, sub_dir, "sweep run directory")
-            summary = run_training(cfg, sub_dir)
+            summary = run_training(cfg, sub_dir, prepared)
             return {
                 "sweep": args.sweep, "value": value, "status": "ok",
                 "mae": summary["test_mae"], "rmse": summary["test_rmse"],

@@ -14,12 +14,10 @@ plus a batch of randomly generated valid plans.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .autograd import Tensor
 from .errors import ConfigError
 from .hypercomplex import (
     PRINTED_LAYER_ROWS,
@@ -44,15 +42,6 @@ BENCHMARK_PLANS = {
 }
 
 
-@dataclass
-class RowStatus:
-    base: int
-    display: str  # "product" or "layer"
-    row: int
-    max_abs_deviation: float
-    matches: bool
-
-
 def _random_components(rng: np.random.Generator, p: int, samples: int):
     return tuple(
         rng.uniform(-1, 1, size=samples) + 1j * rng.uniform(-1, 1, size=samples)
@@ -60,11 +49,11 @@ def _random_components(rng: np.random.Generator, p: int, samples: int):
     )
 
 
-@lru_cache(maxsize=None)
-def algebra_rows(seed: int = 0, samples: int = 500) -> tuple[RowStatus, ...]:
-    """Row-by-row deviation of every printed display from the recursion."""
+def algebra_rows(seed: int = 0, samples: int = 500) -> list[dict]:
+    """Row-by-row deviation of every printed display ("product" or "layer")
+    from the recursion, as the report's rows."""
     rng = np.random.default_rng(seed)
-    rows: list[RowStatus] = []
+    rows = []
     displays = [("product", base, partial(printed_product, base)) for base in VALID_BASES]
     displays += [("layer", base, partial(evaluate_rows, table))
                  for base, table in sorted(PRINTED_LAYER_ROWS.items())]
@@ -76,42 +65,24 @@ def algebra_rows(seed: int = 0, samples: int = 500) -> tuple[RowStatus, ...]:
         printed = printed_fn(a, b)
         for k in range(p):
             dev = float(np.abs(ref[k] - printed[k]).max())
-            rows.append(RowStatus(base, display, k, dev, dev < ALGEBRA_TOL))
-    return tuple(rows)
-
-
-@dataclass
-class PlanStatus:
-    name: str
-    lookback: int
-    windows: int
-    nfft: int
-    window_fn: str
-    valid: bool
-    reason: str
-    max_rel_error: float | None
-    passes: bool | None
+            rows.append({"base": base, "display": display, "row": k,
+                         "max_abs_deviation": dev, "matches": dev < ALGEBRA_TOL})
+    return rows
 
 
 def _roundtrip_error(plan: StftPlan, rng: np.random.Generator) -> float:
     x = rng.normal(size=(2, plan.lookback, 2, 2))
-    recon = istft(rstft(Tensor(x), plan)).data
+    recon = istft(rstft(x, plan)).data
     return float(np.abs(recon - x).max() / np.abs(x).max())
 
 
-def benchmark_plan_statuses(rng: np.random.Generator) -> list[PlanStatus]:
-    out = []
-    for name, (lookback, windows, nfft) in BENCHMARK_PLANS.items():
-        try:
-            plan = plan_stft(lookback, windows, nfft)
-        except ConfigError as e:
-            out.append(PlanStatus(name, lookback, windows, nfft, "rectangular",
-                                  False, str(e), None, None))
-            continue
-        err = _roundtrip_error(plan, rng)
-        out.append(PlanStatus(name, lookback, windows, nfft, "rectangular",
-                              True, "", err, err < ROUNDTRIP_TOL))
-    return out
+def _plan_row(name: str, lookback: int, windows: int, nfft: int, window_fn: str,
+              err: float | None, reason: str = "") -> dict:
+    """One round-trip row of the report; ``err`` None marks an invalid plan."""
+    valid = err is not None
+    return {"name": name, "lookback": lookback, "windows": windows, "nfft": nfft,
+            "window_fn": window_fn, "valid": valid, "reason": reason,
+            "max_rel_error": err, "passes": err < ROUNDTRIP_TOL if valid else None}
 
 
 def random_valid_plans(rng: np.random.Generator, count: int = 20) -> list[StftPlan]:
@@ -126,26 +97,31 @@ def random_valid_plans(rng: np.random.Generator, count: int = 20) -> list[StftPl
     return plans
 
 
-def random_plan_statuses(rng: np.random.Generator, count: int = 20) -> list[PlanStatus]:
-    out = []
-    for i, plan in enumerate(random_valid_plans(rng, count)):
-        err = _roundtrip_error(plan, rng)
-        out.append(PlanStatus(f"random-{i}", plan.lookback, plan.window_count,
-                              plan.nfft, plan.window_fn, True, "", err,
-                              err < ROUNDTRIP_TOL))
-    return out
+def plan_statuses(rng: np.random.Generator, random_plans: int = 20) -> list[dict]:
+    """Round-trip rows of the benchmark presets, each valid one drawing its
+    input from ``rng`` in turn, then of ``random_plans`` random valid plans,
+    all drawn before their inputs."""
+    rows = []
+    for name, (lookback, windows, nfft) in BENCHMARK_PLANS.items():
+        try:
+            plan = plan_stft(lookback, windows, nfft)
+        except ConfigError as e:
+            rows.append(_plan_row(name, lookback, windows, nfft, "rectangular", None, str(e)))
+        else:
+            rows.append(_plan_row(name, lookback, windows, nfft, "rectangular",
+                                  _roundtrip_error(plan, rng)))
+    for i, plan in enumerate(random_valid_plans(rng, random_plans)):
+        rows.append(_plan_row(f"random-{i}", plan.lookback, plan.window_count, plan.nfft,
+                              plan.window_fn, _roundtrip_error(plan, rng)))
+    return rows
 
 
 def full_report(seed: int = 0, samples: int = 500, random_plans: int = 20) -> dict:
-    rng = np.random.default_rng(seed)
     return {
         "algebra_tolerance": ALGEBRA_TOL,
         "roundtrip_tolerance": ROUNDTRIP_TOL,
-        "algebra": [asdict(r) for r in algebra_rows(seed, samples)],
-        "roundtrip": [
-            asdict(p)
-            for p in benchmark_plan_statuses(rng) + random_plan_statuses(rng, random_plans)
-        ],
+        "algebra": algebra_rows(seed, samples),
+        "roundtrip": plan_statuses(np.random.default_rng(seed), random_plans),
     }
 
 

@@ -155,20 +155,21 @@ def denormalize(split: np.ndarray, stats: NormStats) -> np.ndarray:
     return split * stats.spans + stats.minima
 
 
-def make_windows(split: np.ndarray, lookback: int, horizon: int,
-                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(split: np.ndarray, lookback: int, horizon: int, stride: int = 1,
+                 name: str = "split") -> tuple[np.ndarray, np.ndarray]:
     """Sliding (lookback, horizon) sample pairs, adjacent, every ``stride`` steps.
 
     Both are read-only views of ``split``, shaped (count, lookback, ...) and
-    (count, horizon, ...): windowing copies nothing.
+    (count, horizon, ...): windowing copies nothing.  ``name`` names the
+    split in the error for one too short to window.
     """
-    for name, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
+    for size, value in (("lookback", lookback), ("horizon", horizon), ("stride", stride)):
         if value < 1:
-            raise ConfigError(f"make_windows needs {name} >= 1, got {value}")
+            raise ConfigError(f"make_windows needs {size} >= 1, got {value}")
     n = split.shape[0]
     if n < lookback + horizon:
         raise ConfigError(
-            f"split of {n} timesteps is shorter than lookback + horizon = "
+            f"{name} of {n} timesteps is shorter than lookback + horizon = "
             f"{lookback + horizon}"
         )
     # (count, ..., lookback + horizon), the window along the last axis

@@ -25,7 +25,6 @@ from .autograd import (
     Tensor,
     as_data,
     irfft_real,
-    lift,
     lift_columns,
     mul,
     overlap_add,
@@ -163,14 +162,14 @@ class SpectralWindows:
     entries the spectra (B, p, 2, M, D, E) hold per window and channel;
     every other bin is zero.  ``None`` means every bin, in order.
     ``factors``, when given, writes the spectra as (B, p, 2, bins, D, K)
-    coefficients times a (K, E) basis.  Planes given as None are then lifted
-    on the tape the first time ``planes`` is read, so a reader of the factors
-    alone never builds them.
+    coefficients times a (K, E) basis.  Lifted spectra leave ``planes`` None:
+    their readers (top-M, the backbone) read the factors, and nothing builds
+    the full planes.
     """
 
     def __init__(self, planes: Tensor | None, plan: StftPlan,
                  index: np.ndarray | None = None, factors: LiftFactors | None = None):
-        self._planes, self.plan, self.index, self.factors = planes, plan, index, factors
+        self.planes, self.plan, self.index, self.factors = planes, plan, index, factors
         f = factors
         if planes is None and f is None:
             raise ContractError("spectral planes may be left out only when factors give them")
@@ -190,17 +189,8 @@ class SpectralWindows:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._planes is not None:
-            return self._planes.shape
         f = self.factors
-        return f.coef.shape[:-1] + f.basis.shape[1:]
-
-    @property
-    def planes(self) -> Tensor:
-        """The spectra, lifted from the factors on the tape when first read."""
-        if self._planes is None:
-            self._planes = lift(self.factors.coef, self.factors.basis)
-        return self._planes
+        return f.coef.shape[:-1] + f.basis.shape[1:] if self.planes is None else self.planes.shape
 
     @property
     def bins(self) -> int:
@@ -208,14 +198,12 @@ class SpectralWindows:
 
     @property
     def windows(self) -> list[CTensor]:
-        """Per-window (B, bins, D, E) read-only planes, off the tape: the built
-        planes' values, or the product ``lift`` would compute for them.  A
-        kept-form spectrum is scattered into zero planes first."""
-        if self._planes is not None:
-            values = self._planes.data.view()
-        else:
-            f = self.factors
-            values = (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape)
+        """Per-window (B, bins, D, E) read-only planes, off the tape: the
+        planes' values, or the product ``lift`` would compute from the factors.
+        A kept-form spectrum is scattered into zero planes first."""
+        f = self.factors
+        values = (self.planes.data.view() if self.planes is not None else
+                  (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape))
         if self.index is not None:
             kept, values = values, np.zeros(values.shape[:3] + (self.bins,) + values.shape[4:])
             np.put_along_axis(values, self.index[:, :, None, ..., None], kept, axis=3)
@@ -234,8 +222,8 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
     (B, L, D, 1) input and the result analyses x * scale + bias, formed by
     linearity as X * scale + U * bias (U analyses a constant-one lookback):
     gradients reach scale and bias only.  The result is then its ``factors``,
-    the columns [X, U] and the basis [scale; bias] stacked on the tape; its
-    planes are lifted only if something reads them.
+    the columns [X, U] and the basis [scale; bias] stacked on the tape, and
+    its planes are None.
     """
     lifted = scale is not None or bias is not None
     x = as_data(x, "rstft")
@@ -276,6 +264,9 @@ def istft(s: SpectralWindows) -> Tensor:
     reshape of the frames.  The (B, L, D, E) result is a view of (B, D, L, E)
     memory, the order of the head's per-channel input.
     """
+    if s.planes is None:
+        raise ContractError("istft needs built planes, as top-M's padding gives; got "
+                            "lifted spectra that carry only their factors")
     plan = s.plan
     (b, p, _, bins, d, e), n = s.shape, plan.nfft
     if (p, bins) != (plan.window_count, plan.bins if s.index is None else bins):

@@ -88,12 +88,12 @@ def _release_sinks(sinks) -> None:
 class Adam:
     """Bias-corrected Adam over named tensors, with per-epoch lr decay.
 
-    The parameters (``flat``) and the moments ``m`` and ``v`` each live in
-    one contiguous float64 vector.  Every tensor's ``data`` and every entry
-    of the ``m`` and ``v`` dicts is a view into them, and ``step`` updates
-    all three in place with ufuncs.  While the optimiser holds a tensor,
-    write its ``data`` in place: assigning a new array detaches the tensor
-    from the optimiser.
+    The parameters (``flat``) and the moments ``_m`` and ``_v`` each live in
+    one contiguous float64 vector, in the order of ``named_params``.  Every
+    tensor's ``data`` is a view into ``flat``, and ``step`` updates all three
+    vectors in place with ufuncs.  While the optimiser holds a tensor, write
+    its ``data`` in place: assigning a new array detaches the tensor from
+    the optimiser.
 
     The gradients live in one vector too: each tensor's graph node gets its
     part as a ``sink``, where a backward writes its gradient.  ``step``
@@ -128,13 +128,10 @@ class Adam:
         # each tensor's own array is freed above, before the other three vectors exist
         self._m, self._v = np.zeros(n), np.zeros(n)
         self._grad = np.empty(n)
-        self.m, self.v, self._grads = {}, {}, []
-        for (name, t), end, size in zip(named_params, self._ends, sizes):
-            part, shape = slice(end - size, end), t.data.shape
-            self.m[name] = self._m[part].reshape(shape)
-            self.v[name] = self._v[part].reshape(shape)
-            self._grads.append(self._grad[part].reshape(shape))
-            t._node.sink = self._grads[-1]
+        self._grads = [self._grad[end - size:end].reshape(t.data.shape)
+                       for (_, t), end, size in zip(named_params, self._ends, sizes)]
+        for (_, t), part in zip(named_params, self._grads):
+            t._node.sink = part
         weakref.finalize(self, _release_sinks,
                          [(t._node, g) for (_, t), g in zip(named_params, self._grads)])
 

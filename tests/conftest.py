@@ -55,6 +55,17 @@ def rand_hc(rng, base):
     return tuple(complex(a, b) for a, b in parts)
 
 
+def cvalue(c) -> np.ndarray:
+    """The complex values of a per-window ``CTensor`` view: re + 1j * im."""
+    return c.re.data + 1j * c.im.data
+
+
+def lifted_planes(s) -> np.ndarray:
+    """The full (B, p, 2, bins, D, E) planes of lifted spectra, which carry
+    only their factors: the factors' product as ``autograd.lift`` forms it."""
+    return autograd.lift(s.factors.coef, s.factors.basis).data
+
+
 def naive_dft(x, axis=-1):
     """Independent O(n^2) DFT oracle: the textbook sum, nothing shared with
     the production kernels."""

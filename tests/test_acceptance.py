@@ -14,20 +14,16 @@ import pytest
 from freqcast import data as data_io
 from freqcast.autograd import Tensor
 from freqcast.backbones import count_weight_matrices
-from freqcast.cli import run_training
+from freqcast.cli import prepare_splits, run_training
 from freqcast.compress import position_aware_pad, top_m_select
-from freqcast.conformance import (
-    algebra_rows,
-    benchmark_plan_statuses,
-    random_valid_plans,
-)
+from freqcast.conformance import algebra_rows, plan_statuses, random_valid_plans
 from freqcast.config import MASK_PLANES, RunConfig
 from freqcast.hypercomplex import cd_multiply_components, printed_product
 from freqcast.model import forward, init_params
 from freqcast.spectral import istft, rstft
 from freqcast.train import backward, fit, mse_loss
 
-from conftest import max_rel_err, numeric_gradient, rand_hc
+from conftest import cvalue, max_rel_err, numeric_gradient, rand_hc
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -39,8 +35,8 @@ def test_c01_algebra_oracle_equivalence():
     t0 = time.perf_counter()
     checked = 0
     for base in (2, 4, 8, 16):
-        flagged = {r.row for r in algebra_rows()
-                   if (r.base, r.display) == (base, "product") and not r.matches}
+        flagged = {r["row"] for r in algebra_rows()
+                   if (r["base"], r["display"]) == (base, "product") and not r["matches"]}
         for _ in range(1000):
             a, b = rand_hc(rng, base), rand_hc(rng, base)
             rec = cd_multiply_components(a, b)
@@ -85,10 +81,10 @@ def test_c03_synthesis_round_trips():
     t0 = time.perf_counter()
     worst = 0.0
     tested = 0
-    for status in benchmark_plan_statuses(rng):
-        if status.valid:
-            assert status.passes, f"{status.name}: rel err {status.max_rel_error:.2e}"
-            worst = max(worst, status.max_rel_error)
+    for status in plan_statuses(rng, 0):
+        if status["valid"]:
+            assert status["passes"], f"{status['name']}: rel err {status['max_rel_error']:.2e}"
+            worst = max(worst, status["max_rel_error"])
             tested += 1
     for plan in random_valid_plans(rng, 20):
         x = rng.normal(size=(2, plan.lookback, 2, 2))
@@ -120,7 +116,7 @@ def test_c04_top_m_identity_and_ordering():
     for m in (1, 2, 4):
         comp = top_m_select(spectra, m)
         for c, idx in zip(spectra.windows, comp.indices):
-            score = (np.abs(c.value()) ** 2).sum(axis=3)
+            score = (np.abs(cvalue(c)) ** 2).sum(axis=3)
             for b in range(score.shape[0]):
                 for d in range(score.shape[2]):
                     order = sorted(range(score.shape[1]),
@@ -248,8 +244,8 @@ def test_c09_determinism(tmp_path):
     cfg = RunConfig(**MASK_CFG).validate()
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     dir_a.mkdir(), dir_b.mkdir()
-    run_training(cfg, str(dir_a))
-    run_training(cfg, str(dir_b))
+    run_training(cfg, str(dir_a), prepare_splits(cfg))
+    run_training(cfg, str(dir_b), prepare_splits(cfg))
     bytes_a = (dir_a / "metrics.csv").read_bytes()
     bytes_b = (dir_b / "metrics.csv").read_bytes()
     ok = bytes_a == bytes_b

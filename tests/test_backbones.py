@@ -26,6 +26,8 @@ from freqcast.errors import ConfigError, ContractError
 from freqcast.hypercomplex import cd_multiply_components
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
+from conftest import cvalue
+
 
 def ct(rng, shape):
     return CTensor(Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape)))
@@ -39,8 +41,8 @@ def ct_from(arr):
 def wrap(*windows):
     """Bare windows as a layer input; of the indices the layer reads only how
     many windows they name, and it never reads the plan."""
-    return CompressedWindows(list(windows), [np.zeros(w.shape[:-1], dtype=int) for w in windows],
-                             0, None)
+    return CompressedWindows(list(windows),
+                             [np.zeros(w.re.shape[:-1], dtype=int) for w in windows], 0, None)
 
 
 def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
@@ -85,29 +87,29 @@ def draw_biases(params, rng):
 
 
 def values(c):
-    return [w.value() for w in c.windows]
+    return [cvalue(w) for w in c.windows]
 
 
 class TestFdMlp:
     def test_identity_layer_identity_activation(self, rng):
         c = ct(rng, (2, 4, 2, 3))
         out = backbone_forward("fd", wrap(c), one_layer(np.eye(3)), act="identity")
-        np.testing.assert_allclose(out.windows[0].value(), c.value(), atol=1e-14)
+        np.testing.assert_allclose(cvalue(out.windows[0]), cvalue(c), atol=1e-14)
 
     def test_pure_imaginary_weight_rotates(self, rng):
         x = rng.normal(size=(2, 5, 1, 3))
         c = CTensor(Tensor(x), Tensor(np.zeros_like(x)))
         out = backbone_forward("fd", wrap(c), one_layer(1j * np.eye(3)), act="identity")
-        np.testing.assert_allclose(out.windows[0].value(), 1j * x, atol=1e-14)
+        np.testing.assert_allclose(cvalue(out.windows[0]), 1j * x, atol=1e-14)
 
     def test_matches_complex_arithmetic(self, rng):
         cs = [ct(rng, (2, 3, 2, 4)) for _ in range(2)]
-        ws = [ct(rng, (4, 4)).value() for _ in range(2)]
-        bs = [ct(rng, (4,)).value() for _ in range(2)]
+        ws = [cvalue(ct(rng, (4, 4))) for _ in range(2)]
+        bs = [cvalue(ct(rng, (4,))) for _ in range(2)]
         out = backbone_forward("fd", wrap(*cs), params_from(ws, bs), act="identity")
         for c, w, b, got in zip(cs, ws, bs, out.windows):
-            want = c.value() @ w + b
-            np.testing.assert_allclose(got.value(), want, atol=1e-12)
+            want = cvalue(c) @ w + b
+            np.testing.assert_allclose(cvalue(got), want, atol=1e-12)
 
     def test_relu_acts_per_plane(self, rng):
         c = ct(rng, (1, 2, 1, 2))
@@ -127,7 +129,7 @@ class TestWmMlp:
         assert params.weights.shape[1] == 1  # no neighbours
         out = backbone_forward("wm", c, params, act="identity", radius=1)
         want = values(c)[0] @ weight("wm", params, "self.0") + bias(params, 0)
-        np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
+        np.testing.assert_allclose(cvalue(out.windows[0]), want, atol=1e-13)
 
     def test_zero_neighbors_decouple_windows(self, rng):
         c = compressed(rng, p=3, m=2)
@@ -140,7 +142,7 @@ class TestWmMlp:
         cv = values(c)
         for i in range(3):
             want = cv[i] @ weight("wm", params, f"self.{i}") + bias(params, i)
-            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
+            np.testing.assert_allclose(cvalue(out.windows[i]), want, atol=1e-13)
 
     def test_literal_three_window_expansion(self, rng):
         """Independent per-window transcription: out_i = act(C_i W_{i->i}
@@ -157,7 +159,7 @@ class TestWmMlp:
             if i + 1 < 3:
                 want = want + cv[i + 1] @ np.conj(weight("wm", params, f"nbr.{i + 1}->{i}"))
             want = want + bias(params, i)
-            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
+            np.testing.assert_allclose(cvalue(out.windows[i]), want, atol=1e-12)
 
     def test_conjugation_flag_off_uses_plain_weights(self, rng):
         c = compressed(rng, p=2, m=2)
@@ -168,7 +170,7 @@ class TestWmMlp:
         want0 = (cv[0] @ weight("wm", params, "self.0")
                  + cv[1] @ weight("wm", params, "nbr.1->0")
                  + bias(params, 0))
-        np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
+        np.testing.assert_allclose(cvalue(out.windows[0]), want0, atol=1e-12)
 
     def test_radius_two_uses_second_neighbors(self, rng):
         c = compressed(rng, p=4, m=2)
@@ -186,7 +188,7 @@ class TestWmMlp:
                  + cv[1] @ np.conj(weight("wm", params, "nbr.1->0"))
                  + cv[2] @ np.conj(weight("wm", params, "nbr.2->0"))
                  + bias(params, 0))
-        np.testing.assert_allclose(out.windows[0].value(), want0, atol=1e-12)
+        np.testing.assert_allclose(cvalue(out.windows[0]), want0, atol=1e-12)
 
     def test_radius_must_fit_window_count(self, rng):
         with pytest.raises(ConfigError, match="radius"):
@@ -212,7 +214,7 @@ class TestHcMlp:
             params.weights.data[1, i] = 0.0
         out = backbone_forward("hc", c, params, act="identity")
         for got, orig in zip(out.windows, c.windows):
-            np.testing.assert_allclose(got.value(), orig.value(), atol=1e-13)
+            np.testing.assert_allclose(cvalue(got), cvalue(orig), atol=1e-13)
 
     def test_two_windows_embed_complex_case(self, rng):
         """Second window and second weight zero: first output window is the
@@ -227,8 +229,8 @@ class TestHcMlp:
         params = init_backbone("hc", rng, 2, 3)
         params.weights.data[:, 1] = 0.0
         out = backbone_forward("hc", comp, params, act="identity")
-        want = comp.windows[0].value() @ weight("hc", params, "w.0") + bias(params, 0)
-        np.testing.assert_allclose(out.windows[0].value(), want, atol=1e-13)
+        want = cvalue(comp.windows[0]) @ weight("hc", params, "w.0") + bias(params, 0)
+        np.testing.assert_allclose(cvalue(out.windows[0]), want, atol=1e-13)
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_matches_scalar_brute_force(self, rng, p):
@@ -261,7 +263,7 @@ class TestBasicMlp:
         cv = values(c)
         for i in range(3):
             want = cv[i] @ weight("basic", params, f"{i}->{i}") + bias(params, i)
-            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-13)
+            np.testing.assert_allclose(cvalue(out.windows[i]), want, atol=1e-13)
 
     def test_two_window_hand_expansion(self, rng):
         c = compressed(rng, p=2, m=2)
@@ -272,7 +274,7 @@ class TestBasicMlp:
             want = (cv[0] @ weight("basic", params, f"0->{i}")
                     + cv[1] @ weight("basic", params, f"1->{i}")
                     + bias(params, i))
-            np.testing.assert_allclose(out.windows[i].value(), want, atol=1e-12)
+            np.testing.assert_allclose(cvalue(out.windows[i]), want, atol=1e-12)
 
     def test_zero_grid_bias_only(self, rng):
         c = compressed(rng, p=2, m=2)
@@ -283,7 +285,7 @@ class TestBasicMlp:
         for i in range(2):
             want = np.maximum(params.biases.data[0, i], 0)[None, None, None, :]
             np.testing.assert_allclose(
-                out.windows[i].re.data, np.broadcast_to(want, out.windows[i].shape)
+                out.windows[i].re.data, np.broadcast_to(want, out.windows[i].re.shape)
             )
 
     def test_grid_shape_checked(self, rng):
@@ -378,7 +380,7 @@ class TestLinearity:
         wa, wb = run(ca), run(cb)
         for g, x, y in zip(got.windows, wa.windows, wb.windows):
             np.testing.assert_allclose(
-                g.value(), a * x.value() + b * y.value(), atol=1e-10
+                cvalue(g), a * cvalue(x) + b * cvalue(y), atol=1e-10
             )
 
 
@@ -511,7 +513,7 @@ def entry_loop_matrix(weights, blocks, p, weight_mask):
         if weight_mask != "imag":
             entries += [(weights[w].im, src, p + dst, sign * sw),
                         (weights[w].im, p + src, dst, -sign * sx * sw)]
-    grid, size = 2 * p, weights[0].shape[0]
+    grid, size = 2 * p, weights[0].re.shape[0]
     blocks_out = np.zeros((grid, grid, size, size))
     for t, row, col, coef in entries:
         blocks_out[row, col] += coef * t.data

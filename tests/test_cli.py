@@ -386,6 +386,19 @@ class TestTrainCommand:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("data={missing}", "cannot open CSV"),
+        # 300 steps split 210/45/45; lookback + horizon is 96 + 96 at the defaults
+        ("synth_length=300", "validation split of 45 timesteps is shorter than "
+                             "lookback + horizon = 192")], ids=["missing-csv", "short-split"])
+    def test_unusable_data_exits_2_before_any_run_directory(self, tmp_path, capsys,
+                                                             override, message):
+        root = tmp_path / "runs"
+        override = override.format(missing=tmp_path / "missing.csv")
+        assert main(["train", "--set", override, "--out", str(root)]) == 2
+        assert message in capsys.readouterr().err
+        assert not root.exists()
+
     def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out.txt"
         out.write_text("")
@@ -614,6 +627,15 @@ class TestAblateCommand:
         assert by_value["17"]["status"] == "failed"
         assert by_value["17"]["error"]
 
+    def test_value_with_a_split_too_short_fails_before_its_directory_is_made(self, tmp_path):
+        root = tmp_path / "sweep"
+        assert main(["ablate", "--sweep", "backbone", "--values", "fd", "--set",
+                     "synth_length=300", "--out", str(root)]) == 1
+        (row,) = self.read_report(root)
+        assert row["status"] == "failed"
+        assert "validation split of 45 timesteps is shorter" in row["error"]
+        (sweep_dir,) = run_dirs(root)
+        assert [p for p in sweep_dir.iterdir() if p.is_dir()] == []
 
     @pytest.mark.parametrize("value", ["q/../../../escaped", "q" * 300],
                              ids=["escaping", "too-long"])
@@ -639,6 +661,16 @@ class TestConformanceCommand:
         assert "DEVIATES" in out and "pass" in out
         report = json.loads(json_path.read_text())
         assert report["algebra"] and report["roundtrip"]
+
+    def test_json_rows_keep_the_report_key_order(self, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["conformance", "--json", str(json_path)]) == 0
+        report = json.loads(json_path.read_text())
+        assert {tuple(row) for row in report["algebra"]} == {
+            ("base", "display", "row", "max_abs_deviation", "matches")}
+        assert {tuple(row) for row in report["roundtrip"]} == {
+            ("name", "lookback", "windows", "nfft", "window_fn", "valid", "reason",
+             "max_rel_error", "passes")}
 
     def test_json_into_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
         json_path = tmp_path / "missing" / "r.json"

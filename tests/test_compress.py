@@ -12,7 +12,7 @@ from freqcast.errors import ConfigError, ContractError
 from freqcast.model import _mask_spectra
 from freqcast.spectral import WINDOW_FNS, SpectralWindows, plan_stft, rstft
 
-from conftest import plan_geometry
+from conftest import cvalue, lifted_planes, plan_geometry
 
 
 def make_spectra(rng, lookback=32, p=3, nfft=16, channels=2, embed=2, batch=2):
@@ -41,10 +41,10 @@ def test_single_support_signal(rng):
     comp = top_m_select(s, 1)
     assert comp.indices[0].ravel().tolist() == [k]
     np.testing.assert_allclose(
-        comp.windows[0].value()[0, 0, 0, 0], s.windows[0].value()[0, k, 0, 0]
+        cvalue(comp.windows[0])[0, 0, 0, 0], cvalue(s.windows[0])[0, k, 0, 0]
     )
     padded = position_aware_pad(comp)
-    full = padded.windows[0].value()[0, :, 0, 0]
+    full = cvalue(padded.windows[0])[0, :, 0, 0]
     assert np.abs(np.delete(full, k)).max() == 0.0
 
 
@@ -53,7 +53,7 @@ def test_kept_sets_match_full_sort_oracle(rng):
     for m in (1, 2, 4):
         comp = top_m_select(s, m)
         for c, idx in zip(s.windows, comp.indices):
-            score = (np.abs(c.value()) ** 2).sum(axis=3)  # (B, bins, D)
+            score = (np.abs(cvalue(c)) ** 2).sum(axis=3)  # (B, bins, D)
             for b in range(score.shape[0]):
                 for d in range(score.shape[2]):
                     order = sorted(
@@ -67,21 +67,21 @@ def test_selected_coefficients_copied_unchanged(rng):
     s = make_spectra(rng)
     comp = top_m_select(s, 3)
     for c, kept, idx in zip(s.windows, comp.windows, comp.indices):
-        full = c.value()
+        full = cvalue(c)
         for b in range(full.shape[0]):
             for d in range(full.shape[2]):
                 np.testing.assert_array_equal(
-                    kept.value()[b, :, d, :], full[b, idx[b, :, d], d, :]
+                    cvalue(kept)[b, :, d, :], full[b, idx[b, :, d], d, :]
                 )
 
 
 def test_energy_monotone_in_m(rng):
     s = make_spectra(rng, nfft=16)
-    total = sum((np.abs(c.value()) ** 2).sum() for c in s.windows)
+    total = sum((np.abs(cvalue(c)) ** 2).sum() for c in s.windows)
     previous = 0.0
     for m in range(1, s.bins + 1):
         kept = sum(
-            (np.abs(c.value()) ** 2).sum() for c in top_m_select(s, m).windows
+            (np.abs(cvalue(c)) ** 2).sum() for c in top_m_select(s, m).windows
         )
         assert kept >= previous - 1e-12
         previous = kept
@@ -102,7 +102,7 @@ def test_select_pad_select_idempotent(rng):
     for a, b in zip(first.indices, second.indices):
         assert np.array_equal(a, b)
     for a, b in zip(first.windows, second.windows):
-        np.testing.assert_allclose(a.value(), b.value(), atol=1e-14)
+        np.testing.assert_allclose(cvalue(a), cvalue(b), atol=1e-14)
 
 
 def test_m_out_of_range(rng):
@@ -300,7 +300,7 @@ def test_factored_score_keeps_the_exhaustive_sorts_bins(case):
     all-zero lifted input every score ties and bins 0..M-1 are kept."""
     s, m, zero = case
     assert s.factors is not None
-    re, im = np.moveaxis(s.planes.data, 2, 0)
+    re, im = np.moveaxis(lifted_planes(s), 2, 0)
     score = (re ** 2 + im ** 2).sum(axis=4)
     kept = np.stack(top_m_select(s, m).indices, axis=1)
     b, p, bins, d = score.shape
@@ -327,7 +327,7 @@ def test_top_m_lifts_the_kept_rows_of_the_lifted_planes(case):
     s, m, _ = case
     comp = top_m_select(s, m)
     kept = [np.take_along_axis(plane, comp.index[..., None], axis=2)
-            for plane in np.moveaxis(s.planes.data, 2, 0)]  # (B, p, M, D, E) each
+            for plane in np.moveaxis(lifted_planes(s), 2, 0)]  # (B, p, M, D, E) each
     want = np.stack(kept).transpose(1, 3, 4, 0, 2, 5).reshape(comp.stacked.shape)
     np.testing.assert_array_max_ulp(comp.stacked.data, want, maxulp=2)
     for w, (re, im) in zip(comp.windows, zip(*(np.moveaxis(k, 1, 0) for k in kept))):

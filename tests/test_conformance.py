@@ -4,16 +4,16 @@ import numpy as np
 
 from freqcast.conformance import (
     algebra_rows,
-    benchmark_plan_statuses,
     format_report,
     full_report,
+    plan_statuses,
     random_valid_plans,
 )
 
 
 def flagged(seed=0):
     """(base, display, row) of every printed-display row the report flags."""
-    return {(r.base, r.display, r.row) for r in algebra_rows(seed) if not r.matches}
+    return {(r["base"], r["display"], r["row"]) for r in algebra_rows(seed) if not r["matches"]}
 
 
 def test_recursion_agrees_with_itself_where_expected():
@@ -34,19 +34,19 @@ def test_flagged_rows_stable_across_seeds():
 
 def test_deviations_are_order_one_not_roundoff():
     for row in algebra_rows():
-        if not row.matches:
-            assert row.max_abs_deviation > 1e-3
+        if not row["matches"]:
+            assert row["max_abs_deviation"] > 1e-3
         else:
-            assert row.max_abs_deviation < 1e-12
+            assert row["max_abs_deviation"] < 1e-12
 
 
 def test_benchmark_presets_split_into_valid_and_invalid():
     rng = np.random.default_rng(0)
-    statuses = {s.name: s for s in benchmark_plan_statuses(rng)}
-    assert statuses["ettm1"].valid and statuses["ettm1"].passes
+    statuses = {s["name"]: s for s in plan_statuses(rng, 0)}
+    assert statuses["ettm1"]["valid"] and statuses["ettm1"]["passes"]
     for name in ("weather", "traffic", "electricity", "etth1", "exchange"):
-        assert not statuses[name].valid
-        assert "window count" in statuses[name].reason
+        assert not statuses[name]["valid"]
+        assert "window count" in statuses[name]["reason"]
 
 
 def test_random_plans_are_valid_by_construction():

@@ -109,8 +109,8 @@ class TestExplicitOracles:
     def test_deviations_confined_to_flagged_rows(self, rng, base):
         """Where the published expansion disagrees with the recursion, the
         disagreement must be exactly on the rows the conformance report flags."""
-        flagged = {r.row for r in algebra_rows()
-                   if (r.base, r.display) == (base, "product") and not r.matches}
+        flagged = {r["row"] for r in algebra_rows()
+                   if (r["base"], r["display"]) == (base, "product") and not r["matches"]}
         for _ in range(200):
             a, b = rand_hc(rng, base), rand_hc(rng, base)
             rec = cd_multiply_components(a, b)
@@ -122,8 +122,8 @@ class TestExplicitOracles:
                     )
 
     def test_some_rows_match_recursion(self):
-        flagged = {(r.base, r.row) for r in algebra_rows()
-                   if r.display == "product" and not r.matches}
+        flagged = {(r["base"], r["row"]) for r in algebra_rows()
+                   if r["display"] == "product" and not r["matches"]}
         assert not any(base == 2 for base, _ in flagged)
         assert (4, 1) not in flagged
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from freqcast import autograd, backbones, compress, fftkit, model, spectral
+from freqcast import autograd, backbones, compress, fftkit, model
 from freqcast.autograd import Tensor, mean_all, mul
 from freqcast.backbones import BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
@@ -314,8 +314,9 @@ class TestSpectralLift:
         weight = rng.normal(size=(2, p, plan.bins, 3, e))
 
         lifted = rstft(x[..., None], plan, scale, bias)
-        mean_all(mul(lifted.planes, 2.0 * weight[:, :, None])).backward()
-        got = [lifted.planes.data[:, :, 0], lifted.planes.data[:, :, 1], scale.grad, bias.grad]
+        planes = autograd.lift(lifted.factors.coef, lifted.factors.basis)
+        mean_all(mul(planes, 2.0 * weight[:, :, None])).backward()
+        got = [planes.data[:, :, 0], planes.data[:, :, 1], scale.grad, bias.grad]
 
         window = plan.window_values()
         frames = np.stack([x[:, s:s + nfft] for s in plan.starts], axis=1)  # (2, p, n, 3)
@@ -342,19 +343,16 @@ class TestSpectralLift:
         with pytest.raises(ContractError, match=r"\(1, 8, 2, 3\)"):
             rstft(rng.normal(size=(1, 8, 2, 3)), plan, scale, bias)
 
-    def test_forward_leaves_the_lifted_planes_unbuilt(self, monkeypatch, rng):
-        """forward lifts only the kept rows: the full (B, p, 2, bins, D, E)
-        spectra are lifted once something reads them, and no earlier."""
+    def test_forward_leaves_the_lifted_planes_unbuilt(self, rng):
+        """forward lifts only the kept rows: the analysis's spectra are their
+        (B, p, 2, bins, D, 2) factors, and the full planes are never built."""
         cfg = tiny_cfg(lookback=16, windows=2, nfft=8, top_m=2)
         params, x = init_params(cfg), rng.normal(size=(3, 16, 2))
-        built = []
-        monkeypatch.setattr(spectral, "lift", lambda coef, basis: built.append(
-            coef.shape) or autograd.lift(coef, basis))
         debug = {}
         forward(x, params, cfg, debug=debug)
-        assert built == []
-        full = debug["spectra"].planes.data
-        assert built == [(3, 2, 2, 5, 2, 2)] and full.shape == (3, 2, 2, 5, 2, cfg.embed)
+        spectra = debug["spectra"]
+        assert spectra.planes is None and spectra.factors.coef.shape == (3, 2, 2, 5, 2, 2)
+        assert spectra.shape == (3, 2, 2, 5, 2, cfg.embed)
 
 
 # one parameter group per named-tensor role, the backbone's tensors together
@@ -506,7 +504,7 @@ class TestMasking:
         for i, c in enumerate(debug["mixed"].windows):
             want = np.maximum(params.backbone.biases.data[0, i], 0.0)
             np.testing.assert_allclose(
-                c.re.data, np.broadcast_to(want, c.shape), atol=1e-14
+                c.re.data, np.broadcast_to(want, c.re.shape), atol=1e-14
             )
 
     @pytest.mark.parametrize("mode", ["w_real", "w_imag", "w_imag+x_imag", "w_real+x_real"])

@@ -21,11 +21,11 @@ from freqcast.spectral import (
     valid_window_counts,
 )
 
-from conftest import naive_dft, plan_geometry
+from conftest import cvalue, lifted_planes, naive_dft, plan_geometry
 
 
 def spectra_values(x, plan):
-    return [c.value() for c in rstft(Tensor(x), plan).windows]
+    return [cvalue(c) for c in rstft(Tensor(x), plan).windows]
 
 
 class TestPlanning:
@@ -255,7 +255,7 @@ def test_window_views_are_read_only_and_off_the_tape(rng):
 def test_reading_windows_records_no_tape_node(monkeypatch, rng):
     """``.windows`` of lifted spectra and of a kept form are values: no Tensor
     made while reading them gets a backward, and the lifted planes stay
-    unbuilt; the values are those of the planes built later."""
+    unbuilt; the values are those of the planes the factors lift to."""
     plan = plan_stft(16, 3, 8, "hann")
     s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, Tensor(rng.normal(size=4)),
               Tensor(rng.normal(size=4)))
@@ -264,11 +264,10 @@ def test_reading_windows_records_no_tape_node(monkeypatch, rng):
     with monkeypatch.context() as mp:
         mp.setattr(Tensor, "__init__", lambda self, data, parents=(), backward=None: (
             made.append(backward), init(self, data, parents, backward))[1])
-        mp.setattr(spectral, "lift", None)  # building the planes would fail
         lifted, kept = s.windows, padded.windows
-    assert len(made) == 12 and not any(made)
+    assert len(made) == 12 and not any(made) and s.planes is None
     for i, (c, k) in enumerate(zip(lifted, kept)):
-        for view, plane in zip((c.re, c.im), np.moveaxis(s.planes.data, 2, 0)):
+        for view, plane in zip((c.re, c.im), np.moveaxis(lifted_planes(s), 2, 0)):
             assert np.array_equal(view.data, plane[:, i])
         for view, part in zip((k.re, k.im), np.moveaxis(padded.planes.data, 2, 0)):
             full = np.zeros(view.shape)
@@ -333,6 +332,13 @@ def test_top_m_refuses_a_kept_form_spectrum(rng):
         top_m_select(padded, 3)
 
 
+def test_istft_refuses_lifted_spectra_that_carry_only_factors(rng):
+    plan = plan_stft(16, 3, 8)
+    s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ContractError, match="lifted spectra that carry only their factors"):
+        istft(s)
+
+
 @pytest.mark.parametrize("bins", [[1, 1], [2, 1]])
 def test_kept_form_refuses_repeated_or_unordered_bins(bins):
     """Synthesis would sum a repeated bin where ``.windows`` keeps one copy."""
@@ -343,21 +349,25 @@ def test_kept_form_refuses_repeated_or_unordered_bins(bins):
 
 
 def test_lifted_spectra_carry_their_factors(rng):
-    """rstft's factors multiply out to its planes, and mismatched ones are
-    refused by shape."""
+    """rstft's factors multiply out to the spectra of the lifted input, no
+    planes are built, and factors that do not make the planes they come
+    with are refused by shape."""
     plan = plan_stft(16, 3, 8)
     scale, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, scale, bias)
+    x = rng.normal(size=(2, 16, 3, 1))
+    s = rstft(x, plan, scale, bias)
+    direct = rstft(x * scale.data + bias.data, plan)
     f = s.factors
+    assert s.planes is None and s.shape == direct.shape
     np.testing.assert_array_equal(f.basis.data, np.stack([scale.data, bias.data]))
     assert f.basis._parents == (scale._node, bias._node)
-    np.testing.assert_allclose(f.coef @ f.basis.data, s.planes.data, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(f.coef @ f.basis.data, direct.planes.data, rtol=0, atol=1e-14)
     for bad in (LiftFactors(f.coef, Tensor(f.basis.data[:, :3])),
                 LiftFactors(f.coef[..., :1], f.basis),
                 LiftFactors(f.coef[:1], f.basis)):
         with pytest.raises(ContractError, match=re.escape(
                 f"factors {bad.coef.shape} over basis {bad.basis.shape} do not make "
                 "spectra of shape (2, 3, 2, 5, 3, 4)")):
-            SpectralWindows(s.planes, plan, factors=bad)
+            SpectralWindows(direct.planes, plan, factors=bad)
     with pytest.raises(ContractError, match=r"spectra of shape \(2, 3, 1, 5, 3, 4\)"):
         SpectralWindows(None, plan, factors=LiftFactors(f.coef[:, :, :1], f.basis))
