@@ -22,7 +22,8 @@ type of the per-window ``.windows`` views of the spectra.
 
 The elementwise ops take a non-Tensor operand as a constant, which receives
 no gradient; ``matmul``, ``factored_matmul`` and ``lift_add_by_channel``
-take Tensors only.
+take Tensors only.  A difference is ``add(a, -b)``: IEEE 754 defines a - b
+as a + (-b), so there is no separate subtraction op.
 
 Inside ``no_tape()`` nothing is recorded: every new Tensor drops the parents
 and closure its op hands it, so each op's intermediates are freed as soon as
@@ -285,19 +286,6 @@ def _tensors(rule: str, *operands) -> None:
     """Refuse operands that are not all Tensors, naming ``rule`` and their types."""
     if not all(isinstance(t, Tensor) for t in operands):
         raise ContractError(f"{rule}, got " + " and ".join(type(t).__name__ for t in operands))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    bd = _raw(b)
-    parents = (a, b) if isinstance(b, Tensor) else (a,)
-    na, nb, sa, sb = a._node, _node(b), a.data.shape, bd.shape
-
-    def backward(g):
-        _accum(na, _unbroadcast(g, sa))
-        if nb is not None:
-            _accum(nb, _unbroadcast(-g, sb))
-
-    return Tensor(a.data - bd, parents, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:

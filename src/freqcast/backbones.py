@@ -191,8 +191,8 @@ def backbone_forward(kind: str, c: CompressedWindows, params: BackboneParams,
     if kind == "wm" and radius != params.radius:
         raise ContractError(f"radius {radius} != parameter radius {params.radius}")
     p, e = c.window_count, c.embed
-    names, _ = block_table(kind, p, radius, conjugate_neighbors)
-    want, got = ((2, len(names), e, e), (2, p, e)), (params.weights.shape, params.biases.shape)
+    n = count_weight_matrices(kind, p, radius)
+    want, got = ((2, n, e, e), (2, p, e)), (params.weights.shape, params.biases.shape)
     if got != want:
         raise ContractError(f"{kind} over {p} windows of embedding {e} needs weights and "
                             f"biases shaped {want[0]} and {want[1]}, got {got[0]} and {got[1]}")

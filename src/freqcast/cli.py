@@ -177,7 +177,8 @@ def cmd_eval(args) -> int:
              data_io.NormStats.from_dict(stats_dict, ds.channels,
                                          f"checkpoint {args.checkpoint}"))
     test_n = data_io.normalize(test_raw, stats)
-    x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride)
+    x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride,
+                                          "test split")
 
     horizons = ([_flag_int("--horizons", h) for h in args.horizons.split(",")]
                 if args.horizons else [cfg.horizon])

@@ -10,10 +10,10 @@ forward() maps a real (B, L, D) batch to (B, T, D):
 The lift x * scale + bias is affine and the analysis linear, so the spectra
 are computed from the raw input, analysed once per channel rather than once
 per embedding dimension, and lifted in the spectral domain, where top-M
-lifts only the rows it keeps.  The embedded input itself is built only by
-the skip connection (``embed``), lifted straight into the head's
-channel-major (B, D, L*E) input, to which the reconstruction is added in
-place.
+lifts only the rows it keeps.  Both lifts read the one basis [scale; bias]
+that ``rstft`` stacks.  The embedded input itself is built only by the skip
+connection (``embed``), lifted straight into the head's channel-major
+(B, D, L*E) input, to which the reconstruction is added in place.
 
 Masking modes (``config.MASK_PLANES``) zero the real or imaginary plane of the
 spectra and/or of all backbone weight matrices, in training and inference
@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .autograd import Tensor, as_data, lift_add_by_channel, matmul, relu, stack, transpose
+from .autograd import Tensor, as_data, lift_add_by_channel, matmul, relu, transpose
 from .backbones import backbone_forward, backbone_named_arrays, init_backbone
 from .compress import position_aware_pad, top_m_select
 from .config import RunConfig, mask_planes
@@ -124,29 +124,31 @@ def _batch(x, who: str) -> np.ndarray:
     return x
 
 
-def embed(x, params: ForecastParams, rec: Tensor) -> Tensor:
+def embed(x, basis: Tensor, rec: Tensor) -> Tensor:
     """The skip connection: the scalar-to-vector lift x[b,t,d] * scale[e] +
     bias[e] plus the (B, L, D, E) reconstruction ``rec``, as the head's
     per-channel input out[b, d, t*E + e] (``autograd.lift_add_by_channel``).
 
-    x is data: gradients reach scale and bias only, and a Tensor computed by
-    earlier ops is refused rather than silently cut from its history.
+    ``basis`` is the (2, E) Tensor [scale; bias] that ``rstft`` stacked for
+    the analysis (``LiftFactors.basis``), so both lifts send their gradients
+    to scale and bias through one node.  x is data: gradients reach the basis
+    only, and a Tensor computed by earlier ops is refused rather than
+    silently cut from its history.
     """
-    x = _batch(x, "embed")
-    basis = stack([params.embed_scale, params.embed_bias], axis=0)
-    return lift_add_by_channel(x, basis, rec)
+    return lift_add_by_channel(_batch(x, "embed"), basis, rec)
 
 
 def forward(x, params: ForecastParams, cfg: RunConfig,
             debug: dict | None = None) -> Tensor:
     """Run the whole pipeline on a (B, L, D) batch; returns (B, T, D).
 
-    The batch is data, as in ``embed``: no gradient flows back to it.  Each
-    stage's output is let go once the next stage has read it, so past its
-    stage only what a backward closure reads stays alive.  A ``debug`` dict,
-    when given, keeps every stage output under its name.  A batch whose
-    largest array would hold more than ``data.MAX_VALUES`` values is refused
-    before anything is allocated.
+    The batch is data, as in ``embed``: no gradient flows back to it.  The
+    basis [scale; bias] is stacked once, by ``rstft``; the skip connection
+    lifts by the same Tensor.  Each stage's output is let go once the next
+    stage has read it, so past its stage only what a backward closure reads
+    stays alive.  A ``debug`` dict, when given, keeps every stage output
+    under its name.  A batch whose largest array would hold more than
+    ``data.MAX_VALUES`` values is refused before anything is allocated.
     """
     x = _batch(x, "forward")
     if x.shape[1] != cfg.lookback:
@@ -176,6 +178,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
     h = stage("spectra", _mask_spectra(
         rstft(x[..., None], plan, params.embed_scale, params.embed_bias),
         spectral_plane))
+    basis = h.factors.basis  # [scale; bias], for the skip connection's lift too
     h = stage("compressed", top_m_select(h, cfg.top_m))
     h = stage("mixed", backbone_forward(
         cfg.backbone,
@@ -190,7 +193,7 @@ def forward(x, params: ForecastParams, cfg: RunConfig,
     h = stage("reconstructed", istft(h))
     # the skip connection, (B, D, L*E); the embedded input is built here, so
     # that it is not alive through the spectral stages
-    h = stage("skip", embed(x, params, h))
+    h = stage("skip", embed(x, basis, h))
     h = matmul(h, params.head_w1) + params.head_b1
     if cfg.activation == "relu":
         h = relu(h)

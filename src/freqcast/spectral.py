@@ -147,7 +147,8 @@ class LiftFactors:
 
     The lifted analysis has K = 2, the columns [X, U] of ``rstft`` and the
     basis [scale; bias], a Tensor that ``rstft`` stacks from the two: every
-    lift of these coefficients sends its gradient to scale and bias through it.
+    lift of these coefficients, and the skip connection's lift of the input
+    (``model.embed``), sends its gradient to scale and bias through it.
     """
 
     coef: np.ndarray

@@ -19,7 +19,7 @@ from itertools import count
 
 import numpy as np
 
-from .autograd import Tensor, as_data, mean_all, mul, no_tape, side_by_side, sub
+from .autograd import Tensor, add, as_data, mean_all, mul, no_tape, side_by_side
 from .config import RunConfig
 from .data import make_windows, metrics
 from .errors import ConfigError, ContractError, TrainingError
@@ -32,7 +32,7 @@ def mse_loss(pred: Tensor, target) -> Tensor:
         raise ContractError(
             f"loss shape mismatch: pred {pred.shape} vs target {target.shape}"
         )
-    diff = sub(pred, target)
+    diff = add(pred, -target)  # a - b is a + (-b) in IEEE 754, bit for bit
     return mean_all(mul(diff, diff))
 
 

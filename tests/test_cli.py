@@ -543,6 +543,19 @@ class TestEvalCommand:
         assert (f"checkpoint {checkpoint}: norm_stats has 2 minima and 2 maxima "
                 "for data of 3 channels") in capsys.readouterr().err
 
+    def test_data_too_short_to_window_names_the_test_split(self, tmp_path, checkpoint,
+                                                           capsys):
+        """60 rows split 42/9/9, and a lookback-16, horizon-4 checkpoint needs 20."""
+        csv_path = tmp_path / "short.csv"
+        csv_path.write_text("a,b\n" + "\n".join(f"{i % 7}.0,{i % 5}.0"
+                                                for i in range(60)) + "\n")
+        out = tmp_path / "e2"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(csv_path),
+                     "--out", str(out)]) == 2
+        assert ("test split of 9 timesteps is shorter than lookback + horizon = 20"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_trivially_learnable_target_scores_near_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "const.csv"
         csv_path.write_text("a,b\n" + "\n".join("3.0,5.0" for _ in range(300)) + "\n")

@@ -14,8 +14,8 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from freqcast import autograd, backbones, compress, fftkit, model
-from freqcast.autograd import Tensor, mean_all, mul
-from freqcast.backbones import BACKBONE_KINDS, block_table
+from freqcast.autograd import Tensor, mean_all, mul, stack
+from freqcast.backbones import ACTIVATIONS, BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
 from freqcast.config import MASK_PLANES, RunConfig, mask_planes
 from freqcast.errors import ConfigError, ContractError
@@ -52,12 +52,18 @@ def make_identity_backbone(params, kind, embed_dim):
         weights[1, i] = 0.0
 
 
+def basis(params) -> Tensor:
+    """The (2, E) basis [scale; bias] that ``embed`` lifts by, as ``rstft``
+    stacks it."""
+    return stack([params.embed_scale, params.embed_bias], axis=0)
+
+
 def embedded(x, params) -> np.ndarray:
     """``embed`` of a (B, L, D) x onto a zero reconstruction, read back as the
     (B, L, D, E) embedded input."""
     b, length, d = np.shape(x)
     e = params.embed_scale.shape[0]
-    out = embed(x, params, Tensor(np.zeros((b, length, d, e)))).data
+    out = embed(x, basis(params), Tensor(np.zeros((b, length, d, e)))).data
     return out.reshape(b, d, length, e).transpose(0, 2, 1, 3)
 
 
@@ -88,8 +94,8 @@ class TestEmbed:
 
     def test_rank_checked(self):
         cfg = tiny_cfg()
-        with pytest.raises(ContractError):
-            embed(Tensor(np.zeros((8, 2))), init_params(cfg), Tensor(np.zeros((8, 2, 4))))
+        with pytest.raises(ContractError, match=re.escape("got shape (8, 2)")):
+            embed(Tensor(np.zeros((8, 2))), basis(init_params(cfg)), Tensor(np.zeros((8, 2, 4))))
 
     def test_input_is_data(self, rng):
         """A leaf input gets no gradient; one computed by earlier ops is refused."""
@@ -97,10 +103,10 @@ class TestEmbed:
         params = init_params(cfg)
         x = Tensor(rng.normal(size=(2, 8, 3)))
         zero = Tensor(np.zeros((2, 8, 3, 4)))
-        mean_all(embed(x, params, zero)).backward()
+        mean_all(embed(x, basis(params), zero)).backward()
         assert x.grad is None and params.embed_scale.grad is not None
         with pytest.raises(ContractError, match="computed by earlier ops"):
-            embed(mul(x, 2.0), params, zero)
+            embed(mul(x, 2.0), basis(params), zero)
         with pytest.raises(ContractError, match="computed by earlier ops"):
             forward(mul(x, 2.0), params, cfg)
         with pytest.raises(ContractError, match="computed by earlier ops"):
@@ -138,6 +144,27 @@ class TestForward:
         x_e = x[..., None] * params.embed_scale.data + params.embed_bias.data
         x_rec = debug["reconstructed"].data
         assert np.abs(x_rec - x_e).max() < 1e-6 * np.abs(x_e).max()
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_the_head_is_two_affine_maps_around_the_activation(self, activation):
+        """The output is the head on the skip sum, bit for bit:
+        act(skip @ w1 + b1) @ w2 + b2, with the horizon before the channel.
+        The seed gives pre-activations of both signs, so a ReLU left out (or
+        added to the identity head) fails here."""
+        cfg = tiny_cfg(activation=activation)
+        params = init_params(cfg)
+        rng = np.random.default_rng(7)
+        params.head_b1.data[:] = rng.normal(size=cfg.hidden)
+        params.head_b2.data[:] = rng.normal(size=cfg.horizon)
+        x, debug = rng.normal(size=(3, cfg.lookback, 2)), {}
+        out = forward(x, params, cfg, debug=debug).data
+        skip = debug["skip"].data
+        pre = skip.reshape(-1, skip.shape[-1]) @ params.head_w1.data + params.head_b1.data
+        assert (pre < 0).any() and (pre > 0).any()
+        hidden = np.maximum(pre, 0.0) if activation == "relu" else pre
+        head = hidden @ params.head_w2.data + params.head_b2.data
+        want = head.reshape(skip.shape[:2] + (cfg.horizon,)).transpose(0, 2, 1)
+        np.testing.assert_array_equal(out, want)
 
     @pytest.mark.parametrize("fields", [
         dict(lookback=16, windows=2, nfft=8),  # tiling
@@ -177,7 +204,7 @@ class TestForward:
         assert buffer.shape == (32, 2, cfg.lookback, cfg.embed) and buffer.flags.c_contiguous
         assert head_inputs[0] is skip and np.shares_memory(skip, buffer)
         # the buffer and the [x, 1] columns, an eighth of it at E = 16
-        [peak] = traced_peaks(lambda: embed(x, params, debug["reconstructed"]))
+        [peak] = traced_peaks(lambda: embed(x, basis(params), debug["reconstructed"]))
         assert peak * 2**20 < 1.5 * buffer.nbytes, (peak, buffer.nbytes)
 
     def test_wrong_lookback_rejected(self, rng):
@@ -192,7 +219,7 @@ class TestForward:
         cfg = tiny_cfg()
         params = init_params(cfg)
         for run in (lambda x: forward(x, params, cfg),
-                    lambda x: embed(x, params, Tensor(np.zeros(shape + (cfg.embed,))))):
+                    lambda x: embed(x, basis(params), Tensor(np.zeros(shape + (cfg.embed,))))):
             with pytest.raises(ContractError,
                                match=re.escape(f"B >= 1 and D >= 1, got shape {shape}")):
                 run(np.zeros(shape))

@@ -16,7 +16,7 @@ import freqcast
 from freqcast import data as data_io
 from freqcast import train as train_mod
 from freqcast import autograd
-from freqcast.autograd import Tensor, mean_all, mul, no_tape
+from freqcast.autograd import Tensor, mean_all, mul, no_tape, stack
 from freqcast.config import RunConfig
 from freqcast.errors import ContractError, TrainingError
 from freqcast.model import embed, forward, init_params
@@ -144,7 +144,8 @@ class TestReleasedTape:
         doubled = mul(Tensor(self.x[..., None]), 2.0)
         backward(mean_all(mul(doubled, doubled)))
         with pytest.raises(ContractError, match="computed by earlier ops"):
-            embed(doubled, self.params, Tensor(np.zeros(self.x.shape + (self.cfg.embed,))))
+            embed(doubled, stack([self.params.embed_scale, self.params.embed_bias], axis=0),
+                  Tensor(np.zeros(self.x.shape + (self.cfg.embed,))))
         with pytest.raises(ContractError, match="computed by earlier ops"):
             rstft(doubled, self.cfg.plan(), self.params.embed_scale, self.params.embed_bias)
 
@@ -788,11 +789,11 @@ def test_a_predict_chunk_at_predict_long_shapes_peaks_below_10_mib():
 # each bench workload's config (bench/workloads.py), its channel count, and
 # the tape nodes that one training step's forward and loss record there
 TAPE_NODES = {
-    "train-hc-default": ({}, 2, 22),
+    "train-hc-default": ({}, 2, 21),
     "train-basic-p8": (dict(backbone="basic", windows=8, lookback=96, horizon=24, nfft=26,
-                            embed=32, top_m=8, hidden=64), 2, 23),
+                            embed=32, top_m=8, hidden=64), 2, 22),
     "predict-long": (dict(backbone="wm", lookback=512, horizon=96, windows=4, nfft=128,
-                          embed=8, top_m=8, hidden=64), 4, 22),
+                          embed=8, top_m=8, hidden=64), 4, 21),
 }
 
 
@@ -802,7 +803,9 @@ def test_a_training_step_records_no_more_tape_nodes_than_its_bound(config, chann
     records at a batch of 2, counted from the loss.  A change that lowers a
     count may lower its bound; one that raises it fails here.  Padding's one
     view of the operand takes 2 nodes; its two planes took 3.  The skip
-    connection's lift and add are one node; as two they took one more."""
+    connection's lift and add are one node; as two they took one more.  The
+    basis [scale; bias] is stacked once, by the analysis, and the skip
+    connection lifts by it; stacked again for the skip it took one more."""
     cfg = RunConfig(**config).validate()
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, cfg.lookback, channels))

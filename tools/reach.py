@@ -6,9 +6,11 @@ Under ``sys.settrace`` and ``threading.settrace`` (training runs Adam's
 update and matmul's backward on a worker thread), this runs
 ``bench/run.run_workload`` on each of the three workloads at ``--tiny``,
 untraced and traced, and then every CLI verb on a small synthetic corpus:
-``synth``, ``train`` on that CSV and again from its manifest, ``eval``,
-``ablate`` and ``conformance --json``.  The bench set-ups run in this
-process only, so no fresh interpreter goes untraced.
+``synth``, ``train`` on that CSV, from a config file and again from its
+manifest, ``eval`` on the checkpoint's data and on other data (``--data``),
+``ablate`` over top-M, every mask and every mixing backbone, and
+``conformance --json``.  The bench set-ups run in this process only, so no
+fresh interpreter goes untraced.
 
 For each file it prints every statement no run reached, as
 ``path:line: source``, leaving out ``raise`` statements (an error path is a
@@ -63,11 +65,19 @@ def run_cli(out: Path) -> None:
     call("synth", "--length", 320, "--seed", 1, "--out", corpus)
     call("train", *sets, "--set", f"data={corpus}", "--seed", 2, "--out", out / "train")
     (run_dir,) = (out / "train").iterdir()
+    config = out / "train.cfg"
+    lines = CLI_CONFIG + [f"data={corpus}", "backbone=wm", "conjugate_neighbors=yes"]
+    config.write_text("# the CLI config as a file\n\n" + "\n".join(lines) + "\n")
+    call("train", "--config", config, "--out", out / "config")
     call("train", "--manifest", run_dir / "manifest.json", "--out", out / "again")
     call("eval", "--checkpoint", run_dir / "model.ckpt", "--horizons", "1,4",
          "--out", out / "eval")
-    call("ablate", "--sweep", "top_m", "--values", "1,max", *sets,
-         "--set", "data=synth:sinusoid_mix", "--set", "synth_length=320", "--out", out / "abl")
+    call("eval", "--checkpoint", run_dir / "model.ckpt", "--data", "synth:sinusoid_mix",
+         "--out", out / "eval-data")
+    synth = [*sets, "--set", "data=synth:sinusoid_mix", "--set", "synth_length=320"]
+    call("ablate", "--sweep", "top_m", "--values", "1,max", *synth, "--out", out / "abl")
+    for sweep in ("mask", "backbone"):  # each over its default values
+        call("ablate", "--sweep", sweep, *synth, "--out", out / f"abl-{sweep}")
     call("conformance", "--seed", 3, "--json", out / "report.json")
 
 
