@@ -15,12 +15,12 @@ forward values and frozen; gradients flow only through kept coefficients.
 The kept spectra are stacked as the backbone reads them, one
 (B, M, D, 2p*E) operand, from top-M to synthesis.  The gather moves whole
 rows: a (B, p, 2, bins, D, K) spectrum is viewed as (B*p*2*bins*D, K)
-rows, and kept entry (b, i, m, d) of each plane is one row.  Lifted spectra
-are gathered as their (..., K) coefficients and lifted by the basis in one
-GEMM, so of the lifted planes only the kept rows are built.  The
-coefficients also give the score without touching the E axis: with c the
-coefficients and G the K x K Gram matrix of the basis,
-sum_e plane_e^2 == sum_jk G_jk c_j c_k.
+rows, and kept entry (b, i, m, d) of each plane is one row.  Top-M reads
+lifted spectra only, as ``rstft`` gives them: they are gathered as their
+(..., K) coefficients and lifted by the basis in one GEMM, so of the lifted
+planes only the kept rows are built.  The coefficients also give the score
+without touching the E axis: with c the coefficients and G the K x K Gram
+matrix of the basis, sum_e plane_e^2 == sum_jk G_jk c_j c_k.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import CTensor, Tensor, as_data, lift, reshape, split, stack
+from .autograd import CTensor, Tensor, lift, reshape, split, stack
 from .errors import ConfigError, ContractError
 from .spectral import LiftFactors, SpectralWindows, StftPlan
 
@@ -109,15 +109,11 @@ def _gather(spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return kept.reshape(rows.shape[:3] + (-1,))
 
 
-def _score(s: SpectralWindows) -> np.ndarray:
-    """Magnitude squared summed over E, (B, p, bins, D); from the factors when
-    the spectra carry them, one elementwise term per pair of coefficient
-    columns (a stacked (..., K) @ (K, K) product runs one GEMM per row), read
-    contiguous from one (K, 2, B, p, D, bins) copy; a view of bins-last scores."""
-    f = s.factors
-    if f is None:
-        planes = s.planes.data
-        return (planes[:, :, 0] ** 2 + planes[:, :, 1] ** 2).sum(axis=4)
+def _score(f: LiftFactors) -> np.ndarray:
+    """Magnitude squared summed over E, (B, p, bins, D), of the spectra the
+    factors give: one elementwise term per pair of coefficient columns (a
+    stacked (..., K) @ (K, K) product runs one GEMM per row), read contiguous
+    from one (K, 2, B, p, D, bins) copy; a view of bins-last scores."""
     gram = f.basis.data @ f.basis.data.T
     re, im = np.ascontiguousarray(f.coef.transpose(5, 2, 0, 1, 4, 3)).swapaxes(0, 1)
     score = np.zeros(re.shape[1:])
@@ -157,22 +153,19 @@ def check_top_m(m: int, plan: StftPlan) -> None:
 def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
     """Keep the m highest-energy bins per (sample, window, channel).
 
-    Lifted spectra give the kept rows of their factors, lifted by the basis
-    on the tape, and the planes stay unbuilt.  Spectra without factors are
-    data, as the analysis's input is: their kept rows are copied, and
-    spectra computed by earlier ops are refused.
+    The spectra are lifted, as ``rstft`` gives them: the kept rows of their
+    factors are lifted by the basis on the tape, and the planes stay unbuilt.
     """
+    f = s.factors
+    if f is None:
+        raise ContractError("top_m_select reads the factors of lifted spectra, as rstft "
+                            "lifts them by scale and bias; got spectra of planes alone")
     if s.index is not None:
         raise ContractError("top_m_select needs every bin of the spectra; got a kept-form "
                             f"spectrum of {s.shape[3]} bins per window")
     check_top_m(m, s.plan)
-    idx = _kept_bins(_score(s), m)
-    rows = _rows(idx, s.bins)
-    f = s.factors
-    if f is None:
-        planes = as_data(s.planes, "top_m_select")
-        return CompressedWindows(Tensor(_gather(planes, rows)), idx, s.bins, s.plan)
-    coef = _gather(f.coef, rows)
+    idx = _kept_bins(_score(f), m)
+    coef = _gather(f.coef, _rows(idx, s.bins))
     return CompressedWindows(lift(coef, f.basis), idx, s.bins, s.plan,
                              LiftFactors(coef, f.basis))
 

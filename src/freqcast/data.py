@@ -98,8 +98,20 @@ def split_chronological(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 @dataclass
 class NormStats:
+    """Per-channel minima and maxima.  Normalising divides by each channel's
+    span, max - min, so a span beyond float64's range is refused here."""
+
     minima: np.ndarray  # (channels,)
     maxima: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):
+            spans = self.maxima - self.minima
+        bad = np.flatnonzero(~np.isfinite(spans))
+        if bad.size:
+            raise DataError(f"channel {bad[0]} spans {float(self.minima[bad[0]])!r} to "
+                            f"{float(self.maxima[bad[0]])!r}: max - min overflows float64, "
+                            "so it cannot be normalised")
 
     @property
     def spans(self) -> np.ndarray:
@@ -131,7 +143,10 @@ class NormStats:
         if lo.size != channels or hi.size != channels:
             raise ContractError(f"{source}: norm_stats has {lo.size} minima and {hi.size} "
                                 f"maxima for data of {channels} channels")
-        return cls(lo, hi)
+        try:
+            return cls(lo, hi)
+        except DataError as e:
+            raise ContractError(f"{source}: norm_stats {e}") from e
 
 
 def fit_norm_stats(train_split: np.ndarray) -> NormStats:
@@ -269,7 +284,11 @@ def synth_corpus(kind: str, seed: int, length: int, channels: int,
                 values[lo:hi, d] = amp * np.sin(2 * np.pi * seg / period + phase)
 
     if noise > 0:
-        values += noise * rng.normal(size=values.shape)
+        with np.errstate(over="ignore"):  # an overflow is refused below, naming the noise
+            values += noise * rng.normal(size=values.shape)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"synthetic corpus noise {noise} overflows float64: the "
+                              "corpus would hold non-finite values")
     return Dataset(
         name=f"{kind}-seed{seed}",
         values=values,

@@ -183,7 +183,7 @@ class SpectralWindows:
                                 "axis 2 holds the real and the imaginary plane")
         if self.index is not None:
             fftkit.check_kept_index(self.index, self.shape, self.plan.nfft, axis=2)
-            # a repeated bin would be summed by synthesis but overwritten by .windows
+            # the one order top-M keeps: the bins' order sets synthesis's round-off
             if (np.diff(self.index, axis=2) <= 0).any():
                 raise ContractError("kept bin indices must be strictly ascending per "
                                     "(sample, window, channel)")
@@ -199,15 +199,15 @@ class SpectralWindows:
 
     @property
     def windows(self) -> list[CTensor]:
-        """Per-window (B, bins, D, E) read-only planes, off the tape: the
-        planes' values, or the product ``lift`` would compute from the factors.
-        A kept-form spectrum is scattered into zero planes first."""
+        """Per-window (B, bins, D, E) read-only planes of a spectrum with every
+        bin, off the tape: the planes' values, or the product ``lift`` would
+        compute from the factors.  A kept-form spectrum is refused."""
+        if self.index is not None:
+            raise ContractError("windows reads spectra with every bin; got a kept-form "
+                                f"spectrum of {self.shape[3]} bins per window")
         f = self.factors
         values = (self.planes.data.view() if self.planes is not None else
                   (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape))
-        if self.index is not None:
-            kept, values = values, np.zeros(values.shape[:3] + (self.bins,) + values.shape[4:])
-            np.put_along_axis(values, self.index[:, :, None, ..., None], kept, axis=3)
         values.flags.writeable = False
         return [CTensor(Tensor(values[:, i, 0]), Tensor(values[:, i, 1]))
                 for i in range(values.shape[1])]

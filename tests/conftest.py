@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from freqcast import autograd
 from freqcast.autograd import Tensor
+from freqcast.spectral import LiftFactors, SpectralWindows
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +59,15 @@ def rand_hc(rng, base):
 def cvalue(c) -> np.ndarray:
     """The complex values of a per-window ``CTensor`` view: re + 1j * im."""
     return c.re.data + 1j * c.im.data
+
+
+def identity_lifted(s) -> SpectralWindows:
+    """Spectra given by their planes alone as the lifted spectra top-M reads:
+    the planes are the factors' coefficients over an identity (E, E) basis,
+    so a lift of finite planes gives them back bit for bit, up to the sign
+    of a zero.  An infinite entry makes NaN of its neighbours (inf * 0)."""
+    basis = Tensor(np.eye(s.shape[-1]))
+    return SpectralWindows(None, s.plan, s.index, LiftFactors(s.planes.data, basis))
 
 
 def lifted_planes(s) -> np.ndarray:

@@ -26,7 +26,8 @@ from freqcast.errors import ConfigError, ContractError
 from freqcast.hypercomplex import cd_multiply_components
 from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 
-from conftest import cvalue
+from conftest import cvalue, identity_lifted
+from reference import masked, pair_sum_oracle
 
 
 def ct(rng, shape):
@@ -50,7 +51,7 @@ def compressed(rng, p=3, m=2, batch=2, channels=2, embed=3,
     lookback = lookback if lookback is not None else nfft * p
     plan = plan_stft(lookback, p, nfft)
     x = rng.normal(size=(batch, lookback, channels, embed))
-    return top_m_select(rstft(Tensor(x), plan), m)
+    return top_m_select(identity_lifted(rstft(Tensor(x), plan)), m)
 
 
 def params_from(weights, biases):
@@ -221,7 +222,7 @@ class TestHcMlp:
         plain complex layer applied to the first input window."""
         plan = plan_stft(16, 2, 8)
         x = rng.normal(size=(2, 16, 1, 3))
-        comp = top_m_select(rstft(Tensor(x), plan), 3)
+        comp = top_m_select(identity_lifted(rstft(Tensor(x), plan)), 3)
         zero = CTensor(Tensor(np.zeros_like(comp.windows[1].re.data)),
                        Tensor(np.zeros_like(comp.windows[1].im.data)))
         comp = CompressedWindows([comp.windows[0], zero], comp.indices,
@@ -418,15 +419,6 @@ class TestStackedOperand:
             assert a.tobytes() == b.tobytes()
 
 
-def masked(w, mask):
-    """A complex weight with the masked plane removed."""
-    if mask == "real":
-        return 1j * w.imag
-    if mask == "imag":
-        return w.real + 0j
-    return w
-
-
 def assert_hc_brute_force(cv, params, got, mask=None):
     """Every output entry against the scalar Cayley-Dickson product."""
     p = len(cv)
@@ -443,29 +435,6 @@ def assert_hc_brute_force(cv, params, got, mask=None):
             np.testing.assert_allclose(
                 np.array([got[k][idx + (eo,)] for k in range(p)]), want, atol=1e-12
             )
-
-
-def pair_sum_oracle(kind, cv, params, radius, conjugate_neighbors, mask):
-    """out_d = sum over the kind's (src, dst) pairs of x_src @ W, in complex128."""
-    p = len(cv)
-    out = []
-    for dst in range(p):
-        acc = bias(params, dst) + np.zeros_like(cv[0])
-        for src in range(p):
-            if kind == "fd" and src == dst:
-                w = weight("fd", params, f"{dst}.w")
-            elif kind == "basic":
-                w = weight("basic", params, f"{src}->{dst}")
-            elif kind == "wm" and src == dst:
-                w = weight("wm", params, f"self.{dst}")
-            elif kind == "wm" and abs(src - dst) <= radius:
-                w = weight("wm", params, f"nbr.{src}->{dst}")
-                w = np.conj(w) if conjugate_neighbors else w
-            else:
-                continue
-            acc = acc + cv[src] @ masked(w, mask)
-        out.append(acc)
-    return out
 
 
 class TestBlockAssemblyProperties:

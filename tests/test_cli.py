@@ -399,6 +399,29 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not root.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("synth_noise=1e308", "synthetic corpus noise 1e+308 overflows float64"),
+        ("data={csv}", "channel 1 spans -1.5e+308 to 1.5e+308: max - min overflows float64"),
+    ], ids=["noise", "csv-span"])
+    def test_finite_input_that_overflows_exits_2_naming_its_cause(self, tmp_path, capsys,
+                                                                   override, message):
+        """Noise that overflows, or a CSV channel of finite values whose span
+        overflows, fails before training and leaves no run directory."""
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("a,b\n" + "\n".join(
+            f"{i % 7}.0,{(-1) ** i * 1.5e308 if i < 4 else i % 5}" for i in range(200)) + "\n")
+        root = tmp_path / "runs"
+        assert main(["train"] + fast_args(override.format(csv=csv_path), out=root)) == 2
+        assert message in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_a_failed_fit_leaves_no_run_directory(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        with np.errstate(over="ignore", invalid="ignore"):  # the diverging forward overflows
+            assert main(["train"] + fast_args("lr=1e300", out=root)) == 2
+        assert "non-finite training loss at epoch 1" in capsys.readouterr().err
+        assert not root.exists()
+
     def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "out.txt"
         out.write_text("")
@@ -510,7 +533,9 @@ class TestEvalCommand:
         ({"min": [0, float("nan")], "max": [1, 1]}, "norm_stats 'min' holds a non-finite value"),
         ({"min": [0, "1"], "max": [1, 1]}, "norm_stats 'min' must be a list of numbers"),
         ([[0, 0], [1, 1]], "norm_stats must be a mapping, got list"),
-    ], ids=["no-min", "one-channel", "nan", "string", "not-a-mapping"])
+        ({"min": [0, -1.5e308], "max": [1, 1.5e308]},
+         "norm_stats channel 1 spans -1.5e+308 to 1.5e+308: max - min overflows float64"),
+    ], ids=["no-min", "one-channel", "nan", "string", "not-a-mapping", "span-overflows"])
     def test_malformed_norm_stats_named(self, tmp_path, checkpoint, capsys, stats, message):
         bad = self.with_stats(checkpoint, tmp_path / "bad.ckpt", stats)
         assert main(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "e2")]) == 2
@@ -640,6 +665,19 @@ class TestAblateCommand:
         assert by_value["17"]["status"] == "failed"
         assert by_value["17"]["error"]
 
+    def test_value_whose_fit_fails_leaves_no_directory(self, tmp_path):
+        """At lr=1e300 every fit fails; each value gets its failed row, with
+        the error, and no directory."""
+        root = tmp_path / "sweep"
+        with np.errstate(over="ignore", invalid="ignore"):  # the diverging forward overflows
+            assert main(["ablate", "--sweep", "top_m", "--values", "2,4"]
+                        + fast_args("lr=1e300", out=root)) == 1
+        rows = self.read_report(root)
+        assert [(r["value"], r["status"]) for r in rows] == [("2", "failed"), ("4", "failed")]
+        assert all("non-finite training loss at epoch 1" in r["error"] for r in rows)
+        (sweep_dir,) = run_dirs(root)
+        assert [p for p in sweep_dir.iterdir() if p.is_dir()] == []
+
     def test_value_with_a_split_too_short_fails_before_its_directory_is_made(self, tmp_path):
         root = tmp_path / "sweep"
         assert main(["ablate", "--sweep", "backbone", "--values", "fd", "--set",
@@ -714,7 +752,8 @@ class TestSynthCommand:
         np.testing.assert_allclose(ds.values, want.values, atol=1e-15)
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--noise", "-1", "noise"), ("--channels", "0", "channels >= 1, got 0"),
+        ("--noise", "-1", "noise"), ("--noise", "1e308", "noise 1e+308 overflows float64"),
+        ("--channels", "0", "channels >= 1, got 0"),
         ("--channels", "-1", "channels >= 1, got -1"),
         ("--seed", "-1", "--seed must be >= 0, got -1"),
         ("--length", "1000000000000", "length * channels = 1,000,000,000,000 * 2")])

@@ -116,6 +116,19 @@ class TestNormalize:
         normed = data_io.normalize(x, stats)
         assert np.abs(normed[:, 0]).max() == 0.0
 
+    def test_a_span_that_overflows_is_refused_naming_the_channel(self):
+        """Finite values +-1.5e308 span beyond float64: fitting the stats
+        refuses channel 1 instead of normalising by an infinite span."""
+        x = np.column_stack([np.arange(4.0), [1.5e308, 0.0, -1.5e308, 1.0]])
+        with pytest.raises(DataError, match="channel 1 spans -1.5e\\+308 to 1.5e\\+308: "
+                                            "max - min overflows float64"):
+            data_io.fit_norm_stats(x)
+
+    def test_stats_read_back_refuse_a_span_that_overflows(self):
+        with pytest.raises(ContractError, match="checkpoint c: norm_stats channel 0 spans"):
+            data_io.NormStats.from_dict({"min": [-1.5e308, 0.0], "max": [1.5e308, 1.0]}, 2,
+                                        "checkpoint c")
+
     def test_channel_constant_in_training_maps_to_zero_where_it_later_varies(self):
         train = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
         later = np.column_stack([np.linspace(-5.0, 9.0, 8), np.arange(8.0)])
@@ -238,6 +251,12 @@ class TestSynthCorpus:
     def test_noise_must_be_finite_and_non_negative(self, noise):
         with pytest.raises(ConfigError, match="noise"):
             data_io.synth_corpus("sinusoid_mix", 0, 400, 1, noise=noise)
+
+    def test_finite_noise_that_overflows_is_refused_naming_it(self):
+        """Noise 1e308 times a normal draw overflows; no overflow warning
+        escapes, and the corpus is refused rather than holding inf."""
+        with pytest.raises(ConfigError, match=r"noise 1e\+308 overflows float64"):
+            data_io.synth_corpus("sinusoid_mix", 0, 400, 1, noise=1e308)
 
     def test_noiseless_mix_has_dominant_periodicity(self):
         ds = data_io.synth_corpus("sinusoid_mix", 11, 2048, 1, noise=0.0)

@@ -31,7 +31,7 @@ from freqcast.spectral import WINDOW_FNS, plan_stft, rstft
 from freqcast.train import backward as train_backward
 from freqcast.train import mse_loss
 
-from conftest import max_rel_err, traced_peaks
+from conftest import identity_lifted, max_rel_err, traced_peaks
 
 TINY = dict(lookback=8, horizon=4, embed=4, windows=2, nfft=4, top_m=3, hidden=8,
             batch=2, epochs=2)
@@ -360,7 +360,8 @@ class TestSpectralLift:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         direct = rstft(x[..., None] * scale.data + bias.data, plan)
         m = data.draw(st.integers(1, plan.bins), label="top_m")
-        assert np.array_equal(top_m_select(lifted, m).indices, top_m_select(direct, m).indices)
+        assert np.array_equal(top_m_select(lifted, m).indices,
+                              top_m_select(identity_lifted(direct), m).indices)
 
     def test_lift_needs_both_parameters_and_a_unit_axis(self, rng):
         plan = plan_stft(8, 2, 4)
@@ -432,7 +433,7 @@ def test_tape_directional_derivatives_match_central_differences(case):
     named = params.named_tensors()
     debug = {}
     loss = mse_loss(forward(x, params, cfg, debug=debug), y)
-    score = -np.sort(-compress._score(debug["spectra"]), axis=2)
+    score = -np.sort(-compress._score(debug["spectra"].factors), axis=2)
     last, out = score[:, :, cfg.top_m - 1], score[:, :, cfg.top_m]
     if not (last - out > 1e-9 * np.abs(last)).all():
         event("M-th and (M+1)-th scores too close to call")

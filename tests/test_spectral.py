@@ -21,7 +21,7 @@ from freqcast.spectral import (
     valid_window_counts,
 )
 
-from conftest import cvalue, lifted_planes, naive_dft, plan_geometry
+from conftest import cvalue, identity_lifted, lifted_planes, naive_dft, plan_geometry
 
 
 def spectra_values(x, plan):
@@ -253,9 +253,9 @@ def test_window_views_are_read_only_and_off_the_tape(rng):
 
 
 def test_reading_windows_records_no_tape_node(monkeypatch, rng):
-    """``.windows`` of lifted spectra and of a kept form are values: no Tensor
-    made while reading them gets a backward, and the lifted planes stay
-    unbuilt; the values are those of the planes the factors lift to."""
+    """``.windows`` of lifted spectra are values: no Tensor made while reading
+    them gets a backward, and the lifted planes stay unbuilt; the values are
+    those of the planes the factors lift to.  A kept form is refused."""
     plan = plan_stft(16, 3, 8, "hann")
     s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, Tensor(rng.normal(size=4)),
               Tensor(rng.normal(size=4)))
@@ -264,15 +264,13 @@ def test_reading_windows_records_no_tape_node(monkeypatch, rng):
     with monkeypatch.context() as mp:
         mp.setattr(Tensor, "__init__", lambda self, data, parents=(), backward=None: (
             made.append(backward), init(self, data, parents, backward))[1])
-        lifted, kept = s.windows, padded.windows
-    assert len(made) == 12 and not any(made) and s.planes is None
-    for i, (c, k) in enumerate(zip(lifted, kept)):
+        lifted = s.windows
+    assert len(made) == 6 and not any(made) and s.planes is None
+    for i, c in enumerate(lifted):
         for view, plane in zip((c.re, c.im), np.moveaxis(lifted_planes(s), 2, 0)):
             assert np.array_equal(view.data, plane[:, i])
-        for view, part in zip((k.re, k.im), np.moveaxis(padded.planes.data, 2, 0)):
-            full = np.zeros(view.shape)
-            np.put_along_axis(full, padded.index[:, i, ..., None], part[:, i], axis=1)
-            assert np.array_equal(view.data, full)
+    with pytest.raises(ContractError, match="got a kept-form spectrum of 2 bins per window"):
+        padded.windows
 
 
 @pytest.mark.parametrize("geometry", [(24, 1, 24), (24, 4, 12), (96, 8, 26)])  # p = 1, 4, 8
@@ -320,16 +318,24 @@ def test_synthesis_round_trips_on_random_valid_plans(geometry, window_fn, data):
         size=shape)
     s = rstft(Tensor(x), plan)
     assert np.abs(istft(s).data - x).max() < 1e-10
-    padded = position_aware_pad(top_m_select(s, plan.bins))
+    padded = position_aware_pad(top_m_select(identity_lifted(s), plan.bins))
     assert padded.index is not None
     assert np.abs(istft(padded).data - x).max() < 1e-10
 
 
 def test_top_m_refuses_a_kept_form_spectrum(rng):
-    s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan_stft(32, 3, 16))
+    s = identity_lifted(rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan_stft(32, 3, 16)))
     padded = position_aware_pad(top_m_select(s, 3))
     with pytest.raises(ContractError, match="kept-form spectrum of 3 bins"):
-        top_m_select(padded, 3)
+        top_m_select(identity_lifted(padded), 3)
+
+
+def test_top_m_refuses_spectra_of_planes_alone(rng):
+    """Top-M reads the factors of lifted spectra; plain planes are refused,
+    with the reason, before any score is formed."""
+    s = rstft(Tensor(rng.normal(size=(1, 32, 1, 2))), plan_stft(32, 3, 16))
+    with pytest.raises(ContractError, match="lifted spectra.*got spectra of planes alone"):
+        top_m_select(s, 3)
 
 
 def test_istft_refuses_lifted_spectra_that_carry_only_factors(rng):
@@ -341,7 +347,8 @@ def test_istft_refuses_lifted_spectra_that_carry_only_factors(rng):
 
 @pytest.mark.parametrize("bins", [[1, 1], [2, 1]])
 def test_kept_form_refuses_repeated_or_unordered_bins(bins):
-    """Synthesis would sum a repeated bin where ``.windows`` keeps one copy."""
+    """Top-M keeps each bin once, ascending: synthesis would sum a repeated
+    bin, and the bins' order sets its round-off."""
     plan = plan_stft(8, 1, 8)
     planes = Tensor(np.ones((1, 1, 2, 2, 1, 1)))
     with pytest.raises(ContractError, match="strictly ascending"):

@@ -1,12 +1,16 @@
-"""Print one sha256 per config over the values a refactor must keep bit for bit.
+"""Print sha256 digests of the values a refactor must keep bit for bit.
 
-Each digest covers, for one run configuration: the initial parameters, a
-save/load round trip, three training steps (the forward output, every
-parameter gradient and the parameters after each Adam step), ``predict`` on
-the held-out windows, and a two-epoch ``fit`` (its parameters and epoch
-log).  Parameters and gradients are hashed as checkpoint bytes, so the
-digest reads only the public API and the checkpoint writer, and one script
-compares any two trees whose checkpoint format agrees:
+For each run configuration it prints one digest per part (``PARTS``): the
+initial parameters (``init``), a save/load round trip (``round-trip``),
+three training steps (``steps``: the forward output, every parameter
+gradient and the parameters after each Adam step), ``predict`` on the
+held-out windows (``predict``), and a two-epoch ``fit`` from the config's
+own initial parameters (``fit``: its parameters and epoch log).  So a change
+meant to move one part shows that the others held.  Last it prints one
+digest over the text and the JSON report of ``freqcast conformance --seed
+0``.  Parameters and gradients are hashed as checkpoint bytes, so the digests
+read only the public API and the checkpoint writer, and one script compares
+any two trees whose checkpoint format agrees:
 
     PYTHONPATH=src python tools/digest.py
 
@@ -22,17 +26,21 @@ if __name__ == "__main__":  # BLAS reads its thread count when numpy loads it
 
 import dataclasses
 import hashlib
+import io
 import tempfile
+from contextlib import redirect_stdout
 
 import numpy as np
 
 from freqcast import data
+from freqcast.cli import main as cli_main
 from freqcast.config import RunConfig
 from freqcast.model import forward, init_params, load_checkpoint, save_checkpoint
 from freqcast.train import Adam, backward, fit, mse_loss, predict
 
 STEPS = 3
 FIT_EPOCHS = 2
+PARTS = ("init", "round-trip", "steps", "predict", "fit")
 
 # the bench's three workloads on shorter corpora, then every backbone kind
 # through the masks, window functions and flags a layout change could break
@@ -71,10 +79,10 @@ def _update(h, values) -> None:
     h.update(values.tobytes())
 
 
-def digest(cfg: RunConfig, params=None) -> str:
-    """sha256 over ``cfg``'s run from ``params`` (``init_params(cfg)`` when
-    None), which is left unchanged: training starts from a loaded copy."""
-    h = hashlib.sha256()
+def digest(cfg: RunConfig, params=None) -> dict[str, str]:
+    """One sha256 per part of ``cfg``'s run from ``params`` (``init_params(cfg)``
+    when None), which is left unchanged: training starts from a loaded copy."""
+    h = {part: hashlib.sha256() for part in PARTS}
     kind = cfg.data.split(":", 1)[1]
     ds = data.synth_corpus(kind, cfg.seed, cfg.synth_length, cfg.synth_channels,
                            cfg.synth_noise)
@@ -93,9 +101,9 @@ def digest(cfg: RunConfig, params=None) -> str:
             with open(path, "rb") as fh:
                 return fh.read()
 
-        h.update(checkpoint(params))
+        h["init"].update(checkpoint(params))
         params, _, _ = load_checkpoint(path)
-        h.update(checkpoint(params))
+        h["round-trip"].update(checkpoint(params))
 
         optim = Adam(params.named_tensors(), lr=cfg.lr)
         grads = init_params(cfg)  # a holder whose values are the gradients
@@ -103,24 +111,40 @@ def digest(cfg: RunConfig, params=None) -> str:
             lo = step * cfg.batch % (x.shape[0] - cfg.batch + 1)
             optim.zero_grads()
             out = forward(x[lo:lo + cfg.batch], params, cfg)
-            _update(h, out.data)
+            _update(h["steps"], out.data)
             backward(mse_loss(out, y[lo:lo + cfg.batch]))
             for (_, g), (_, t) in zip(grads.named_tensors(), params.named_tensors()):
                 g.data = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-            h.update(checkpoint(grads))
+            h["steps"].update(checkpoint(grads))
             optim.step()
-            h.update(checkpoint(params))
+            h["steps"].update(checkpoint(params))
 
-        _update(h, predict(params, cfg, x_test))
+        _update(h["predict"], predict(params, cfg, x_test))
         result = fit(train, val, dataclasses.replace(cfg, epochs=FIT_EPOCHS))
-        h.update(checkpoint(result.params))
-        h.update(repr(result.log).encode())
+        h["fit"].update(checkpoint(result.params))
+        h["fit"].update(repr(result.log).encode())
+    return {part: hashed.hexdigest() for part, hashed in h.items()}
+
+
+def conformance_digest(seed: int = 0) -> str:
+    """sha256 over what ``freqcast conformance --seed <seed> --json`` prints and
+    writes; the report's path in the printed text is left out."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()) as out:
+        path = os.path.join(tmp, "report.json")
+        if cli_main(["conformance", "--seed", str(seed), "--json", path]) != 0:
+            raise SystemExit("digest: freqcast conformance failed")
+        with open(path, "rb") as fh:
+            report = fh.read()
+    h = hashlib.sha256(out.getvalue().replace(path, "report.json").encode())
+    h.update(report)
     return h.hexdigest()
 
 
 def main() -> int:
     for name in CONFIGS:
-        print(f"{digest(config(name))}  {name}", flush=True)
+        for part, hexdigest in digest(config(name)).items():
+            print(f"{hexdigest}  {name} {part}", flush=True)
+    print(f"{conformance_digest()}  conformance", flush=True)
     return 0
 
 
