@@ -82,16 +82,14 @@ def _out_root(args) -> str:
     return args.out or os.environ.get(OUT_ROOT_ENV) or "runs"
 
 
-def _make_run_dir(root: str, tag: str, cfg: RunConfig, make: bool = True) -> str:
-    """A new run directory's path under ``root``, made unless ``make`` is False."""
+def _make_run_dir(root: str, tag: str, cfg: RunConfig) -> str:
     stamp = _dt.datetime.now().strftime("%Y%m%d-%H%M%S")
     base = os.path.join(root, f"{tag}-{stamp}-{config_hash(cfg)}")
     path, k = base, 1
     while os.path.exists(path):
         k += 1
         path = f"{base}-{k}"
-    if make:
-        create_output(os.makedirs, path, "run directory")
+    create_output(os.makedirs, path, "run directory")
     return path
 
 
@@ -118,16 +116,17 @@ def prepare_splits(cfg: RunConfig):
 
 
 def run_training(cfg: RunConfig, run_dir: str, prepared) -> dict:
-    """Train on ``prepare_splits(cfg)`` and score the test windows; then make
-    ``run_dir`` and write checkpoint, metrics log and manifest into it.  A fit
-    or a test that fails leaves no directory."""
+    """Train on ``prepare_splits(cfg)``; write checkpoint, metrics log and
+    manifest into the empty ``run_dir``, which a failed fit or test removes."""
     t0 = time.perf_counter()
     ds, stats, (train_n, val_n), (x_test, y_test) = prepared
-    result = fit(train_n, val_n, cfg)
+    try:
+        result = fit(train_n, val_n, cfg)
+        test_metrics = data_io.metrics(predict(result.params, cfg, x_test), y_test)
+    except FreqcastError:
+        os.rmdir(run_dir)
+        raise
 
-    test_metrics = data_io.metrics(predict(result.params, cfg, x_test), y_test)
-
-    create_output(os.makedirs, run_dir, "run directory")
     ckpt_path = os.path.join(run_dir, "model.ckpt")
     metrics_path = os.path.join(run_dir, "metrics.csv")
     save_checkpoint(ckpt_path, result.params, cfg, stats.as_dict())
@@ -161,7 +160,7 @@ def run_training(cfg: RunConfig, run_dir: str, prepared) -> dict:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     prepared = prepare_splits(cfg)
-    run_dir = _make_run_dir(_out_root(args), "train", cfg, make=False)
+    run_dir = _make_run_dir(_out_root(args), "train", cfg)
     summary = run_training(cfg, run_dir, prepared)
     print(f"run directory: {run_dir}")
     print(
@@ -258,8 +257,9 @@ def cmd_ablate(args) -> int:
             # the value is validated before it becomes part of a path
             cfg = dataclasses.replace(base, **{field: value}).validate()
             prepared = prepare_splits(cfg)
-            summary = run_training(cfg, os.path.join(sweep_dir, f"{args.sweep}={value}"),
-                                   prepared)
+            sub_dir = os.path.join(sweep_dir, f"{args.sweep}={value}")
+            create_output(os.makedirs, sub_dir, "sweep run directory")
+            summary = run_training(cfg, sub_dir, prepared)
             return {
                 "sweep": args.sweep, "value": value, "status": "ok",
                 "mae": summary["test_mae"], "rmse": summary["test_rmse"],

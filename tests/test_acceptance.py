@@ -244,7 +244,8 @@ def test_c08_masking_robustness():
 
 def test_c09_determinism(tmp_path):
     cfg = RunConfig(**MASK_CFG).validate()
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"  # run_training makes them
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    dir_a.mkdir(), dir_b.mkdir()
     run_training(cfg, str(dir_a), prepare_splits(cfg))
     run_training(cfg, str(dir_b), prepare_splits(cfg))
     bytes_a = (dir_a / "metrics.csv").read_bytes()

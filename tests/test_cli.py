@@ -420,11 +420,17 @@ class TestTrainCommand:
         with np.errstate(over="ignore", invalid="ignore"):  # the diverging forward overflows
             assert main(["train"] + fast_args("lr=1e300", out=root)) == 2
         assert "non-finite training loss at epoch 1" in capsys.readouterr().err
-        assert not root.exists()
+        assert run_dirs(root) == []
 
-    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        """The run directory is made before the fit runs."""
         out = tmp_path / "out.txt"
         out.write_text("")
+
+        def fit(*args, **kwargs):
+            raise AssertionError("fit ran before the run directory was made")
+
+        monkeypatch.setattr(cli, "fit", fit)
         assert main(["train"] + fast_args(out=out)) == 2
         err = capsys.readouterr().err
         assert f"cannot create run directory {out}" in err and "Not a directory" in err

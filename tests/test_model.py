@@ -353,14 +353,11 @@ class TestSpectralLift:
         spec = np.fft.rfft((frames[..., None] * scale.data + bias.data)
                            * window[:, None, None], axis=2)
         n = weight.size
-        terms = [weight * (s.real + s.imag) for s in (spec_x, spec_u)]
-        want = [spec.real, spec.imag] + [t.sum(axis=(0, 1, 2, 3)) / n for t in terms]
-        # a gradient is a sum whose terms may cancel far below their size, and
-        # its round-off scales with the terms, not with what is left of them
-        size = [np.abs(spec.real).max(), np.abs(spec.imag).max()] + [
-            (np.abs(t).sum(axis=(0, 1, 2, 3)) / n).max() for t in terms]
-        for a, b, s in zip(got, want, size):
-            assert np.abs(a - b).max() <= 1e-12 * s
+        want = [spec.real, spec.imag,
+                (weight * (spec_x.real + spec_x.imag)).sum(axis=(0, 1, 2, 3)) / n,
+                (weight * (spec_u.real + spec_u.imag)).sum(axis=(0, 1, 2, 3)) / n]
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         direct = rstft(x[..., None] * scale.data + bias.data, plan)
         m = data.draw(st.integers(1, plan.bins), label="top_m")
         assert np.array_equal(top_m_select(lifted, m).indices,
