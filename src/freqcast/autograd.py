@@ -576,45 +576,42 @@ def block_matrix(parts: Tensor, layout: BlockLayout) -> Tensor:
     return Tensor(out.reshape(grid * size, grid * size), (parts,), backward)
 
 
-def _overlap_add(f: np.ndarray, starts, length: int) -> np.ndarray:
-    """Sum window i of f (B, p, n, ...) in at starts[i] of a (B, length, ...) array
-    laid out in memory as f's frames are; a reshape of f, and no copy, when the
-    windows tile the length and each window's n axis follows the previous one's."""
-    n = f.shape[2]
-    if len(starts) * n == length and all(s == i * n for i, s in enumerate(starts)):
+def _overlap_add(f: np.ndarray, hop: int, length: int) -> np.ndarray:
+    """Sum window i of f (B, p, n, ...) in at i * hop of a (B, length, ...) array
+    laid out in memory as f's frames are; a reshape of f, with no copy and no
+    -0.0 turned +0.0, when the windows tile the length (one window included)."""
+    p, n = f.shape[1:3]
+    if p * n == length and (hop == n or p == 1):
         return f.reshape((f.shape[0], length) + f.shape[3:])
     out = np.zeros_like(f[:, 0], shape=(f.shape[0], length) + f.shape[3:])
-    for i, s in enumerate(starts):
-        out[:, s:s + n] += f[:, i]
+    for i in range(p):
+        out[:, i * hop:i * hop + n] += f[:, i]
     return out
 
 
-def windowed_frames(xd: np.ndarray, starts, n: int, window=None) -> np.ndarray:
-    """The windows xd[:, s:s+n] for evenly spaced s in starts, stacked, (B, L, ...)
-    -> (B, p, n, ...), each multiplied along its n axis by ``window`` (n,) when
-    one is given.  Unwindowed frames are a read-only strided view of xd, as
-    overlapping windows share samples; xd's own strides are kept."""
-    hop = starts[1] - starts[0] if len(starts) > 1 else 0
-    if (any(s != starts[0] + i * hop for i, s in enumerate(starts))
-            or min(starts) < 0 or max(starts) + n > xd.shape[1]):
-        raise ContractError(f"windows of {n} at {list(starts)} are not evenly spaced "
-                            f"inside a length of {xd.shape[1]}")
+def windowed_frames(xd: np.ndarray, hop: int, p: int, n: int, window=None) -> np.ndarray:
+    """The p windows xd[:, i*hop : i*hop + n], stacked, (B, L, ...) -> (B, p, n, ...),
+    each multiplied along its n axis by ``window`` (n,) when one is given.
+    Unwindowed frames are a read-only strided view of xd, as overlapping
+    windows share samples; xd's own strides are kept."""
+    if hop < 0 or (p - 1) * hop + n > xd.shape[1]:
+        raise ContractError(f"{p} windows of {n} at hop {hop} do not fit in length {xd.shape[1]}")
     step = xd.strides[1]
     seg = np.lib.stride_tricks.as_strided(
-        xd[:, starts[0]:], (xd.shape[0], len(starts), n) + xd.shape[2:],
+        xd, (xd.shape[0], p, n) + xd.shape[2:],
         (xd.strides[0], hop * step, step) + xd.strides[2:], writeable=False)
     return seg if window is None else seg * np.reshape(window, (n,) + (1,) * (xd.ndim - 2))
 
 
-def overlap_add(f: Tensor, starts, length: int) -> Tensor:
-    """Adjoint of ``windowed_frames``: sum window i back in at starts[i],
+def overlap_add(f: Tensor, hop: int, length: int) -> Tensor:
+    """Adjoint of ``windowed_frames``: sum window i back in at i * hop,
     (B, p, n, ...) -> (B, L, ...)."""
-    nf, n = f._node, f.data.shape[2]
+    nf, (p, n) = f._node, f.data.shape[1:3]
 
     def backward(g):
-        _accum(nf, windowed_frames(g, starts, n))
+        _accum(nf, windowed_frames(g, hop, p, n))
 
-    return Tensor(_overlap_add(f.data, starts, length), (f,), backward)
+    return Tensor(_overlap_add(f.data, hop, length), (f,), backward)
 
 
 def relu(a: Tensor) -> Tensor:

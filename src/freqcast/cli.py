@@ -108,10 +108,10 @@ def prepare_splits(cfg: RunConfig):
     ds = _resolve_dataset(cfg)
     raw = data_io.split_chronological(ds)
     stats = data_io.fit_norm_stats(raw[0])
-    splits = [data_io.normalize(split, stats) for split in raw]
-    windows = [data_io.make_windows(split, cfg.lookback, cfg.horizon, cfg.stride,
-                                    f"{name} split")
-               for name, split in zip(("train", "validation", "test"), splits)]
+    names = [f"{name} split" for name in ("train", "validation", "test")]
+    splits = [data_io.normalize(split, stats, name) for name, split in zip(names, raw)]
+    windows = [data_io.make_windows(split, cfg.lookback, cfg.horizon, cfg.stride, name)
+               for name, split in zip(names, splits)]
     return ds, stats, splits[:2], windows[2]
 
 
@@ -180,7 +180,7 @@ def cmd_eval(args) -> int:
     stats = (data_io.fit_norm_stats(train_raw) if stats_dict is None else
              data_io.NormStats.from_dict(stats_dict, ds.channels,
                                          f"checkpoint {args.checkpoint}"))
-    test_n = data_io.normalize(test_raw, stats)
+    test_n = data_io.normalize(test_raw, stats, "test split")
     x_test, y_test = data_io.make_windows(test_n, cfg.lookback, cfg.horizon, cfg.stride,
                                           "test split")
 

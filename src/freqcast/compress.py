@@ -68,10 +68,6 @@ class CompressedWindows:
         return self.index.shape[1]
 
     @property
-    def kept(self) -> int:
-        return self.stacked.shape[1]
-
-    @property
     def embed(self) -> int:
         return self.stacked.shape[-1] // (2 * self.window_count)
 
@@ -172,9 +168,7 @@ def top_m_select(s: SpectralWindows, m: int) -> CompressedWindows:
 
 def position_aware_pad(c: CompressedWindows) -> SpectralWindows:
     """Restore kept coefficients to their original bins: the operand as one
-    (B, p, 2, M, D, E) view, carrying its (B, p, M, D) bin indices for
-    synthesis to read it by."""
-    if c.index.shape[2] != c.kept:
-        raise ContractError(f"index set size {c.index.shape[2]} != kept coefficients {c.kept}")
+    (B, p, 2, M, D, E) view, carrying its (B, p, M, D) bin indices (which
+    ``SpectralWindows`` checks against it) for synthesis to read it by."""
     [planes] = split(c.stacked, [(Ellipsis,)], c._blocks(), axes=(0, 4, 3, 1, 2, 5))
     return SpectralWindows(planes, c.plan, c.index)

@@ -160,10 +160,20 @@ def fit_norm_stats(train_split: np.ndarray) -> NormStats:
     return stats
 
 
-def normalize(split: np.ndarray, stats: NormStats) -> np.ndarray:
+def normalize(split: np.ndarray, stats: NormStats, name: str = "split") -> np.ndarray:
+    """``split`` (T, D) scaled by each channel's min and span; a constant channel
+    gives 0.  A finite value so far outside the stats' range that its scaled
+    value overflows is refused, naming the split (``name``) and the channel."""
     spans = np.where(stats.spans == 0, 1.0, stats.spans)
-    out = (split - stats.minima) / spans
-    return np.where(stats.spans == 0, 0.0, out)
+    with np.errstate(over="ignore"):
+        out = np.where(stats.spans == 0, 0.0, (split - stats.minima) / spans)
+    bad = np.argwhere(~np.isfinite(out))  # (row, channel) pairs
+    if bad.size:
+        raise DataError(f"{name}: channel {bad[0, 1]} holds {float(split[tuple(bad[0])])!r} "
+                        f"at row {bad[0, 0]}, which overflows float64 when normalised by the "
+                        f"fitted min {float(stats.minima[bad[0, 1]])!r} and max "
+                        f"{float(stats.maxima[bad[0, 1]])!r}")
+    return out
 
 
 def denormalize(split: np.ndarray, stats: NormStats) -> np.ndarray:

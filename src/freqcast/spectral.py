@@ -23,6 +23,7 @@ from . import fftkit
 from .autograd import (
     CTensor,
     Tensor,
+    _overlap_add,
     as_data,
     irfft_real,
     lift_columns,
@@ -39,6 +40,8 @@ WINDOW_FNS = ("rectangular", "hann")
 
 @dataclass(frozen=True)
 class StftPlan:
+    """p = window_count windows; window i covers samples [i * hop, i * hop + nfft)."""
+
     lookback: int
     window_count: int
     nfft: int
@@ -49,20 +52,13 @@ class StftPlan:
     def bins(self) -> int:
         return fftkit.onesided_bins(self.nfft)
 
-    @property
-    def starts(self) -> list[int]:
-        return [i * self.hop for i in range(self.window_count)]
-
     def window_values(self) -> np.ndarray:
         return _window_values(self.window_fn, self.nfft)
 
     def coverage(self) -> np.ndarray:
-        """Per-sample sum of squared window values over the lookback."""
-        w2 = self.window_values() ** 2
-        cov = np.zeros(self.lookback)
-        for s in self.starts:
-            cov[s:s + self.nfft] += w2
-        return cov
+        """Per-sample sum of squared window values: their overlap-add, as istft's."""
+        w2 = np.broadcast_to(self.window_values() ** 2, (1, self.window_count, self.nfft))
+        return _overlap_add(w2, self.hop, self.lookback)[0]
 
 
 @lru_cache(maxsize=None)
@@ -199,15 +195,13 @@ class SpectralWindows:
 
     @property
     def windows(self) -> list[CTensor]:
-        """Per-window (B, bins, D, E) read-only planes of a spectrum with every
-        bin, off the tape: the planes' values, or the product ``lift`` would
-        compute from the factors.  A kept-form spectrum is refused."""
-        if self.index is not None:
-            raise ContractError("windows reads spectra with every bin; got a kept-form "
-                                f"spectrum of {self.shape[3]} bins per window")
+        """Per-window (B, bins, D, E) read-only planes of lifted spectra, off the
+        tape: the product ``lift`` would compute from the factors.  Spectra
+        with no factors are refused."""
         f = self.factors
-        values = (self.planes.data.view() if self.planes is not None else
-                  (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape))
+        if f is None:
+            raise ContractError("windows reads lifted spectra; got spectra of planes alone")
+        values = (f.coef.reshape(-1, f.coef.shape[-1]) @ f.basis.data).reshape(self.shape)
         values.flags.writeable = False
         return [CTensor(Tensor(values[:, i, 0]), Tensor(values[:, i, 1]))
                 for i in range(values.shape[1])]
@@ -238,7 +232,7 @@ def rstft(x, plan: StftPlan, scale: Tensor | None = None,
         raise ContractError("rstft lifts a (B, L, D, 1) input by both scale and bias, "
                             f"got shape {x.shape}")
     window = None if plan.window_fn == "rectangular" else plan.window_values()
-    seg = windowed_frames(x, plan.starts, plan.nfft, window)
+    seg = windowed_frames(x, plan.hop, plan.window_count, plan.nfft, window)
     spectra = fftkit.rfft_onesided(seg, axis=2)
     if not lifted:
         return SpectralWindows(Tensor(spectra), plan)
@@ -277,7 +271,7 @@ def istft(s: SpectralWindows) -> Tensor:
     seg = irfft_real(s.planes, n, axis=2, index=s.index, out=frames)
     if plan.window_fn != "rectangular":
         seg = mul(seg, plan.window_values()[:, None, None])
-    acc = overlap_add(seg, plan.starts, plan.lookback)
+    acc = overlap_add(seg, plan.hop, plan.lookback)
     inverse = _inverse_coverage(plan)
     return acc if inverse is None else mul(acc, inverse)
 

@@ -258,7 +258,11 @@ def evaluate(params: ForecastParams, cfg: RunConfig, x: np.ndarray,
 
 
 def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitResult:
-    """Mini-batch Adam over sliding windows; returns best-validation params."""
+    """Mini-batch Adam over sliding windows; returns best-validation params.
+
+    A diverging fit raises TrainingError at the first non-finite training
+    loss, gradient, parameter or validation metric, with no numpy warning.
+    """
     _keep_freed_buffers()
     if train_split.size == 0 or val_split.size == 0:
         raise TrainingError("empty training or validation split")
@@ -275,35 +279,40 @@ def fit(train_split: np.ndarray, val_split: np.ndarray, cfg: RunConfig) -> FitRe
     best: tuple[float, int] | None = None
     best_flat = None  # a snapshot only while a later epoch may move past the best
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(batch_bounds))
-        total, seen = 0.0, 0
-        for bi in order:
-            lo, hi = batch_bounds[bi]
-            optim.zero_grads()
-            loss = mse_loss(forward(x_train[lo:hi], params, cfg), y_train[lo:hi])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite training loss at epoch {epoch}, batch {bi}"
-                )
-            backward(loss)
-            optim.step()
-            total += value * (hi - lo)
-            seen += hi - lo
-        bad = optim.nonfinite(optim.flat)
-        if bad is not None:
-            raise TrainingError(f"parameter {bad!r} became non-finite at epoch {epoch}")
+    # the checks below name a divergence; overflow warnings would print before them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(batch_bounds))
+            total, seen = 0.0, 0
+            for bi in order:
+                lo, hi = batch_bounds[bi]
+                optim.zero_grads()
+                loss = mse_loss(forward(x_train[lo:hi], params, cfg), y_train[lo:hi])
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        f"non-finite training loss at epoch {epoch}, batch {bi}"
+                    )
+                backward(loss)
+                optim.step()
+                total += value * (hi - lo)
+                seen += hi - lo
+            bad = optim.nonfinite(optim.flat)
+            if bad is not None:
+                raise TrainingError(f"parameter {bad!r} became non-finite at epoch {epoch}")
 
-        val = evaluate(params, cfg, x_val, y_val)
-        log.append(EpochRecord(epoch, optim.lr, total / seen, val["mae"], val["rmse"]))
-        if best is None or val["mae"] < best[0]:
-            best = (val["mae"], epoch)
-            if epoch < cfg.epochs:
-                if best_flat is None:
-                    best_flat = np.empty_like(optim.flat)
-                np.copyto(best_flat, optim.flat)
-        optim.decay_lr(cfg.lr_decay)
+            val = evaluate(params, cfg, x_val, y_val)
+            if not (np.isfinite(val["mae"]) and np.isfinite(val["rmse"])):
+                raise TrainingError(f"non-finite validation metrics at epoch {epoch}: "
+                                    f"MAE {val['mae']!r}, RMSE {val['rmse']!r}")
+            log.append(EpochRecord(epoch, optim.lr, total / seen, val["mae"], val["rmse"]))
+            if best is None or val["mae"] < best[0]:
+                best = (val["mae"], epoch)
+                if epoch < cfg.epochs:
+                    if best_flat is None:
+                        best_flat = np.empty_like(optim.flat)
+                    np.copyto(best_flat, optim.flat)
+            optim.decay_lr(cfg.lr_decay)
 
     assert best is not None
     if best[1] < cfg.epochs:

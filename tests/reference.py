@@ -83,10 +83,12 @@ def hc_oracle(cv, params, mask):
 
 
 def reference_forward(x, params, cfg):
-    """(B, T, D) forecasts of a (B, L, D) batch, and the smallest relative gap
+    """(B, T, D) forecasts of a (B, L, D) batch; the smallest relative gap
     between the M-th and the (M+1)-th highest score over all (sample, window,
     channel), inf when M keeps every bin: a gap near zero is a draw whose
-    kept bins round-off may decide."""
+    kept bins round-off may decide; and the routing the forecasts ran with,
+    the kept bins (B, p, M, D) followed by the sign pattern of each ReLU's
+    input (none under the identity activation)."""
     b_count, lookback, d_count = x.shape
     p, nfft, e, m = cfg.windows, cfg.nfft, cfg.embed, cfg.top_m
     hop = (lookback - nfft) // (p - 1) if p > 1 else 0
@@ -120,10 +122,13 @@ def reference_forward(x, params, cfg):
     else:
         mixed = pair_sum_oracle(cfg.backbone, cv, params.backbone, cfg.radius,
                                 cfg.conjugate_neighbors, masks.get("w"))
+    routing = [index]
     if cfg.activation == "relu":
+        routing += [np.stack([c.real > 0 for c in mixed]), np.stack([c.imag > 0 for c in mixed])]
         mixed = [np.maximum(c.real, 0.0) + 1j * np.maximum(c.imag, 0.0) for c in mixed]
 
     y = np.empty((b_count, cfg.horizon, d_count))
+    signs = np.empty((b_count, d_count, params.head_b1.data.size), dtype=bool)
     for b in range(b_count):
         for d in range(d_count):
             acc, coverage = np.zeros((lookback, e)), np.zeros(lookback)
@@ -135,6 +140,7 @@ def reference_forward(x, params, cfg):
             skip = lifted[b, :, d] + acc / coverage[:, None]  # (L, E)
             hidden = skip.reshape(-1) @ params.head_w1.data + params.head_b1.data
             if cfg.activation == "relu":
+                signs[b, d] = hidden > 0
                 hidden = np.maximum(hidden, 0.0)
             y[b, :, d] = hidden @ params.head_w2.data + params.head_b2.data
-    return y, gap
+    return y, gap, routing + ([signs] if cfg.activation == "relu" else [])

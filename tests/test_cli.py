@@ -415,10 +415,22 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not root.exists()
 
+    def test_a_split_that_overflows_when_normalised_exits_2_naming_it(self, tmp_path, capsys):
+        """200 rows split 140/30/30: the training split fits channel 1 to
+        [-1e308, 0], and the test split's 1e308 would normalise past float64."""
+        csv_path = tmp_path / "far.csv"
+        csv_path.write_text("a,b\n" + "\n".join(
+            f"{i % 7}.0,{-1e308 if i == 0 else 1e308 if i == 180 else -(i % 5)}"
+            for i in range(200)) + "\n")
+        root = tmp_path / "runs"
+        assert main(["train"] + fast_args(f"data={csv_path}", out=root)) == 2
+        assert ("test split: channel 1 holds 1e+308 at row 10, which overflows float64"
+                in capsys.readouterr().err)
+        assert not root.exists()
+
     def test_a_failed_fit_leaves_no_run_directory(self, tmp_path, capsys):
         root = tmp_path / "runs"
-        with np.errstate(over="ignore", invalid="ignore"):  # the diverging forward overflows
-            assert main(["train"] + fast_args("lr=1e300", out=root)) == 2
+        assert main(["train"] + fast_args("lr=1e300", out=root)) == 2
         assert "non-finite training loss at epoch 1" in capsys.readouterr().err
         assert run_dirs(root) == []
 
@@ -587,6 +599,22 @@ class TestEvalCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_data_that_overflows_when_normalised_names_the_test_split(self, tmp_path,
+                                                                      checkpoint, capsys):
+        """Stats that fit channel 1 to [-1e308, 0] scale the test split's 1e308
+        past float64 (300 rows split 210/45/45)."""
+        far = self.with_stats(checkpoint, tmp_path / "far.ckpt",
+                              {"min": [0.0, -1e308], "max": [6.0, 0.0]})
+        csv_path = tmp_path / "far.csv"
+        csv_path.write_text("a,b\n" + "\n".join(f"{i % 7}.0,{1e308 if i == 290 else -(i % 5)}"
+                                                for i in range(300)) + "\n")
+        out = tmp_path / "e2"
+        assert main(["eval", "--checkpoint", str(far), "--data", str(csv_path),
+                     "--out", str(out)]) == 2
+        assert ("test split: channel 1 holds 1e+308 at row 35, which overflows float64"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_trivially_learnable_target_scores_near_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "const.csv"
         csv_path.write_text("a,b\n" + "\n".join("3.0,5.0" for _ in range(300)) + "\n")
@@ -675,9 +703,8 @@ class TestAblateCommand:
         """At lr=1e300 every fit fails; each value gets its failed row, with
         the error, and no directory."""
         root = tmp_path / "sweep"
-        with np.errstate(over="ignore", invalid="ignore"):  # the diverging forward overflows
-            assert main(["ablate", "--sweep", "top_m", "--values", "2,4"]
-                        + fast_args("lr=1e300", out=root)) == 1
+        assert main(["ablate", "--sweep", "top_m", "--values", "2,4"]
+                    + fast_args("lr=1e300", out=root)) == 1
         rows = self.read_report(root)
         assert [(r["value"], r["status"]) for r in rows] == [("2", "failed"), ("4", "failed")]
         assert all("non-finite training loss at epoch 1" in r["error"] for r in rows)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from freqcast import compress
 from freqcast.autograd import Tensor
-from freqcast.compress import position_aware_pad, top_m_select
+from freqcast.compress import CompressedWindows, position_aware_pad, top_m_select
 from freqcast.errors import ConfigError, ContractError
 from freqcast.model import _mask_spectra
 from freqcast.spectral import WINDOW_FNS, SpectralWindows, plan_stft, rstft
@@ -24,7 +24,7 @@ def make_spectra(rng, lookback=32, p=3, nfft=16, channels=2, embed=2, batch=2):
 def test_full_retention_is_bit_exact_identity(rng):
     s = make_spectra(rng)
     bins = s.bins
-    padded = dense(position_aware_pad(top_m_select(s, bins)))
+    padded = identity_lifted(dense(position_aware_pad(top_m_select(s, bins))))
     for orig, back in zip(s.windows, padded.windows):
         assert np.array_equal(back.re.data, orig.re.data)
         assert np.array_equal(back.im.data, orig.im.data)
@@ -43,7 +43,7 @@ def test_single_support_signal(rng):
     np.testing.assert_allclose(
         cvalue(comp.windows[0])[0, 0, 0, 0], cvalue(s.windows[0])[0, k, 0, 0]
     )
-    padded = dense(position_aware_pad(comp))
+    padded = identity_lifted(dense(position_aware_pad(comp)))
     full = cvalue(padded.windows[0])[0, :, 0, 0]
     assert np.abs(np.delete(full, k)).max() == 0.0
 
@@ -130,6 +130,18 @@ def test_pad_refuses_bin_index_outside_plane(rng, bad):
     comp.indices[1][0, 0, 0] = bad
     with pytest.raises(ContractError, match=r"kept bin index out of range \[0, 9\)"):
         position_aware_pad(comp)
+
+
+@pytest.mark.parametrize("kept", [2, 4])
+def test_pad_refuses_an_index_of_another_m(rng, kept):
+    """An operand of M = 3 kept rows with an index naming 2 or 4 bins per
+    window is refused where the padded spectrum is built."""
+    comp = top_m_select(make_spectra(rng), 3)
+    index = np.concatenate([comp.index, comp.index], axis=2)[:, :, :kept]
+    bad = CompressedWindows(comp.stacked, index, comp.bins_total, comp.plan)
+    with pytest.raises(ContractError, match=rf"kept bin index of shape \(2, 3, {kept}, 2\) "
+                                            r"does not name the axis-3 bins"):
+        position_aware_pad(bad)
 
 
 def test_ties_break_toward_lower_bin(rng):

@@ -129,6 +129,16 @@ class TestNormalize:
             data_io.NormStats.from_dict({"min": [-1.5e308, 0.0], "max": [1.5e308, 1.0]}, 2,
                                         "checkpoint c")
 
+    def test_a_later_split_that_overflows_when_normalised_is_refused(self):
+        """Stats fitted on a channel spanning [-1e308, 0] scale a later 1e308 to
+        2e308 / 1e308, past float64: refused, naming the split and the channel,
+        instead of warning and handing on inf."""
+        train = np.column_stack([np.arange(4.0), [-1e308, 0.0, -5.0, -1.0]])
+        later = np.column_stack([np.arange(3.0), [0.0, 1e308, -1.0]])
+        with pytest.raises(DataError, match=r"^test split: channel 1 holds 1e\+308 at row 1, "
+                                            r"which overflows float64"):
+            data_io.normalize(later, data_io.fit_norm_stats(train), "test split")
+
     def test_channel_constant_in_training_maps_to_zero_where_it_later_varies(self):
         train = np.column_stack([np.full(20, 3.0), np.arange(20.0)])
         later = np.column_stack([np.linspace(-5.0, 9.0, 8), np.arange(8.0)])

@@ -302,7 +302,7 @@ class TestKeptBinKernels:
         skip = rng.normal(size=(b, d, plan.lookback, e)).transpose(0, 2, 1, 3)
         if layout == "contiguous":
             skip = np.ascontiguousarray(skip)
-        g = windowed_frames(skip, plan.starts, n)
+        g = windowed_frames(skip, plan.hop, p, n)
         assert g.flags.c_contiguous == (layout == "contiguous")
         index = np.sort(np.argsort(rng.random((b, p, plan.bins, d)), axis=2)[:, :, :m], axis=2)
         want = fftkit.irfft_transpose(np.ascontiguousarray(g), n, axis=2, index=index)
@@ -569,13 +569,14 @@ class TestAutogradPrimitives:
         plan = plan_stft(*geometry)  # one window, overlapping, hop == nfft
         x = rng.normal(size=(2, plan.lookback, 2))
         f = Tensor(rng.normal(size=(2, plan.window_count, plan.nfft, 2)))
-        framed = windowed_frames(x, plan.starts, plan.nfft)
-        for i, s in enumerate(plan.starts):
-            np.testing.assert_array_equal(framed[:, i], x[:, s:s + plan.nfft])
-        window = rng.uniform(0.5, 1.5, size=plan.nfft)
-        np.testing.assert_array_equal(windowed_frames(x, plan.starts, plan.nfft, window),
+        p, n, hop = plan.window_count, plan.nfft, plan.hop
+        framed = windowed_frames(x, hop, p, n)
+        for i in range(p):
+            np.testing.assert_array_equal(framed[:, i], x[:, i * hop:i * hop + n])
+        window = rng.uniform(0.5, 1.5, size=n)
+        np.testing.assert_array_equal(windowed_frames(x, hop, p, n, window),
                                       framed * window[:, None])
-        check_grads(lambda: mean_all(mul(overlap_add(f, plan.starts, plan.lookback), x)), [f])
+        check_grads(lambda: mean_all(mul(overlap_add(f, hop, plan.lookback), x)), [f])
 
     @settings(max_examples=60, deadline=None)
     @given(geometry=plan_geometry(5, 12), data=st.data())
@@ -588,8 +589,8 @@ class TestAutogradPrimitives:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.normal(size=(2, plan.lookback, 3))
         y = rng.normal(size=(2, p, nfft, 3))
-        lhs = (windowed_frames(x, plan.starts, nfft) * y).sum()
-        rhs = (x * overlap_add(Tensor(y), plan.starts, plan.lookback).data).sum()
+        lhs = (windowed_frames(x, hop, p, nfft) * y).sum()
+        rhs = (x * overlap_add(Tensor(y), hop, plan.lookback).data).sum()
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
 
     @pytest.mark.parametrize("geometry", [(6, 1, 6), (12, 3, 4), (512, 4, 128)])
@@ -599,19 +600,19 @@ class TestAutogradPrimitives:
         the overlap-add loop, bit for bit, and so does overlap-add's backward
         (on data with no -0.0, which the loop's zero buffer would turn into +0.0)."""
         plan = plan_stft(*geometry)
-        b, p, n, length = 2, plan.window_count, plan.nfft, plan.lookback
-        idx = np.add.outer(plan.starts, np.arange(n))
+        b, p, n, length, hop = 2, plan.window_count, plan.nfft, plan.lookback, plan.hop
+        idx = np.add.outer(hop * np.arange(p), np.arange(n))
 
         def loop(f):
             out = np.zeros((b, length) + f.shape[3:])
-            for i, s in enumerate(plan.starts):
-                out[:, s:s + n] += f[:, i]
+            for i in range(p):
+                out[:, i * hop:i * hop + n] += f[:, i]
             return out
 
         f = Tensor(rng.normal(size=(b, p, n, 3, 2)))
         x = rng.normal(size=(b, length, 3, 2))
         gx = rng.normal(size=x.shape)
-        added, framed = overlap_add(f, plan.starts, length), windowed_frames(x, plan.starts, n)
+        added, framed = overlap_add(f, hop, length), windowed_frames(x, hop, p, n)
         assert added.data.tobytes() == loop(f.data).tobytes()
         assert framed.tobytes() == x[:, idx].tobytes()
         assert np.shares_memory(added.data, f.data) and np.shares_memory(framed, x)
@@ -627,19 +628,23 @@ class TestAutogradPrimitives:
         samples.  A strided input, as the channel-major skip gradient is,
         keeps its strides."""
         plan = plan_stft(*geometry)
-        idx = np.add.outer(plan.starts, np.arange(plan.nfft))
+        p, n, hop = plan.window_count, plan.nfft, plan.hop
+        idx = np.add.outer(hop * np.arange(p), np.arange(n))
         base = rng.normal(size=(2, 3, plan.lookback, 4))
         for x in (base[:, 0], base.transpose(0, 2, 1, 3)):
-            framed = windowed_frames(x, plan.starts, plan.nfft)
+            framed = windowed_frames(x, hop, p, n)
             assert np.shares_memory(framed, x) and not framed.flags.writeable
             assert framed.tobytes() == x[:, idx].tobytes()
 
-    def test_frames_refuse_unevenly_spaced_windows(self, rng):
+    def test_frames_refuse_windows_past_the_input(self, rng):
+        """The strided view must not read past its input: windows that end
+        beyond it, or step backwards, are refused."""
         x = rng.normal(size=(2, 10, 1))
-        with pytest.raises(ContractError, match="not evenly spaced"):
-            windowed_frames(x, [0, 1, 4], 4)
-        with pytest.raises(ContractError, match="not evenly spaced"):
-            windowed_frames(x, [0, 4, 8], 4)
+        with pytest.raises(ContractError, match="do not fit"):
+            windowed_frames(x, 4, 3, 4)
+        with pytest.raises(ContractError, match="do not fit"):
+            windowed_frames(x, -1, 3, 4)
+        assert windowed_frames(x, 3, 3, 4).shape == (2, 3, 4, 1)
 
     def test_block_matrix_layout_and_grads(self, rng):
         parts = Tensor(rng.normal(size=(2, 2, 2)))
@@ -747,7 +752,7 @@ TAPE_READS = {
         []),
     "lift": ([(2, 4)], lambda basis: lift(FACTORS[1].reshape(4, 2), basis), []),
     "relu": ([(3, 4)], relu, []),
-    "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, [0, 2, 4], 8), []),
+    "overlap_add": ([(2, 3, 4, 2)], lambda f: overlap_add(f, 2, 8), []),
     "irfft_real": ([(3, 2, 5)], lambda x: irfft_real(x, 8), []),
     "block_matrix": ([(2, 2, 2)], lambda parts: block_matrix(
         parts, BlockLayout.of([(0, 0, 0, 1.0), (1, 1, 1, -1.0)], 2)), []),

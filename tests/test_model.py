@@ -10,10 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from freqcast import autograd, backbones, compress, fftkit, model
+from freqcast import autograd, fftkit, model
 from freqcast.autograd import Tensor, mean_all, mul, stack
 from freqcast.backbones import ACTIVATIONS, BACKBONE_KINDS, block_table
 from freqcast.compress import top_m_select
@@ -32,6 +32,7 @@ from freqcast.train import backward as train_backward
 from freqcast.train import mse_loss
 
 from conftest import identity_lifted, max_rel_err, traced_peaks
+from reference import reference_forward
 
 TINY = dict(lookback=8, horizon=4, embed=4, windows=2, nfft=4, top_m=3, hidden=8,
             batch=2, epochs=2)
@@ -316,11 +317,27 @@ class TestForward:
                         for name in ("irfft_onesided", "irfft_transpose")]
 
 
+@st.composite
+def lift_cases(draw):
+    """(p, window_fn, nfft, hop, E, seed, M) of a lifted analysis: any p of 1,
+    2, 4 or 8, either window, a tiling or an overlapping hop, and an M up to
+    the bin count."""
+    p = draw(st.sampled_from([1, 2, 4, 8]), label="p")
+    window_fn = draw(st.sampled_from(WINDOW_FNS), label="window_fn")
+    nfft = draw(st.integers(1, 16), label="nfft")
+    hop = draw(st.integers(1, nfft), label="hop") if p > 1 else 0
+    e = draw(st.integers(1, 5), label="embed")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return p, window_fn, nfft, hop, e, seed, draw(st.integers(1, nfft // 2 + 1), label="top_m")
+
+
 class TestSpectralLift:
     @settings(max_examples=80, deadline=None)
-    @given(p=st.sampled_from([1, 2, 4, 8]), window_fn=st.sampled_from(WINDOW_FNS),
-           data=st.data())
-    def test_lift_of_spectra_is_spectra_of_lift(self, p, window_fn, data):
+    @given(case=lift_cases())
+    # scale's terms sum to about 1e-5 of their size: a bound on the gradient's
+    # own size flags its one-ulp error
+    @example(case=(4, "hann", 9, 3, 1, 1170102, 2))
+    def test_lift_of_spectra_is_spectra_of_lift(self, case):
         """rstft(x, plan, scale, bias) == rstft(x * scale + bias): values, top-M, gradients.
 
         The oracle is the closed form over ``np.fft.rfft``: the planes analyse
@@ -328,11 +345,11 @@ class TestSpectralLift:
         the window alone, the gradient of mean(planes * 2w), which is
         mean(re * w) + mean(im * w), is
         sum(w * (Xr + Xi)) / N for scale and sum(w * (Ur + Ui)) / N for bias.
+        Each gradient is held to 1e-12 of the summed size of its terms, since
+        the terms may cancel far below it.
         """
-        nfft = data.draw(st.integers(1, 16), label="nfft")
-        hop = data.draw(st.integers(1, nfft), label="hop") if p > 1 else 0
-        e = data.draw(st.integers(1, 5), label="embed")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p, window_fn, nfft, hop, e, seed, m = case
+        rng = np.random.default_rng(seed)
         plan = plan_stft(nfft + (p - 1) * hop, p, nfft, window_fn)
         x = rng.normal(size=(2, plan.lookback, 3))
         scale = Tensor(rng.normal(size=e))
@@ -346,20 +363,23 @@ class TestSpectralLift:
         got = [planes.data[:, :, 0], planes.data[:, :, 1], scale.grad, bias.grad]
 
         window = plan.window_values()
-        frames = np.stack([x[:, s:s + nfft] for s in plan.starts], axis=1)  # (2, p, n, 3)
+        frames = np.stack([x[:, i * hop:i * hop + nfft] for i in range(p)], axis=1)  # (2, p, n, 3)
         spec_x = np.fft.rfft(frames * window[:, None], axis=2)[..., None]
         spec_u = np.fft.rfft(window)[:, None, None]
         # the definition lifts in the time domain, by broadcasting, then windows
         spec = np.fft.rfft((frames[..., None] * scale.data + bias.data)
                            * window[:, None, None], axis=2)
-        n = weight.size
+        n, axes = weight.size, (0, 1, 2, 3)
         want = [spec.real, spec.imag,
-                (weight * (spec_x.real + spec_x.imag)).sum(axis=(0, 1, 2, 3)) / n,
-                (weight * (spec_u.real + spec_u.imag)).sum(axis=(0, 1, 2, 3)) / n]
-        for a, b in zip(got, want):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+                (weight * (spec_x.real + spec_x.imag)).sum(axis=axes) / n,
+                (weight * (spec_u.real + spec_u.imag)).sum(axis=axes) / n]
+        # a plane's largest value; for a gradient, the summed size of its terms
+        size = [np.abs(spec.real).max(), np.abs(spec.imag).max(),
+                (np.abs(weight * spec_x.real) + np.abs(weight * spec_x.imag)).sum(axis=axes) / n,
+                (np.abs(weight * spec_u.real) + np.abs(weight * spec_u.imag)).sum(axis=axes) / n]
+        for a, b, bound in zip(got, want, size):
+            assert (np.abs(a - b) <= 1e-12 * bound).all()
         direct = rstft(x[..., None] * scale.data + bias.data, plan)
-        m = data.draw(st.integers(1, plan.bins), label="top_m")
         assert np.array_equal(top_m_select(lifted, m).indices,
                               top_m_select(identity_lifted(direct), m).indices)
 
@@ -421,39 +441,32 @@ def gradient_cases(draw):
 @given(case=gradient_cases())
 def test_tape_directional_derivatives_match_central_differences(case):
     """For every parameter group, the tape's derivative of forward's loss along
-    a direction matches the central difference of that loss to 1e-6 relative
-    (``max_rel_err``: below 1e-6 in size, absolute).
+    a direction matches the central difference of the same loss of the
+    reference forward (tests/reference.py) to 1e-6 relative (``max_rel_err``:
+    below 1e-6 in size, absolute).
 
     With the kept bins and every ReLU's sign fixed, the loss is quadratic
     along one group's direction, so the difference is exact up to round-off.
     A draw whose M-th and (M+1)-th scores are within 1e-9 relative is
     skipped, and so is a group whose two steps differ in a kept bin or in a
-    ReLU's sign."""
+    ReLU's sign, as the reference reports them."""
     cfg, params, x, y, rng = case
     named = params.named_tensors()
-    debug = {}
-    loss = mse_loss(forward(x, params, cfg, debug=debug), y)
-    score = -np.sort(-compress._score(debug["spectra"].factors), axis=2)
-    last, out = score[:, :, cfg.top_m - 1], score[:, :, cfg.top_m]
-    if not (last - out > 1e-9 * np.abs(last)).all():
+    if not reference_forward(x, params, cfg)[1] > 1e-9:
         event("M-th and (M+1)-th scores too close to call")
         return
-    train_backward(loss)
+    train_backward(mse_loss(forward(x, params, cfg), y))
 
     def loss_at(members, dirs, step):
-        """forward's loss with every member moved by step * its direction,
-        and the kept bins and ReLU signs it ran with."""
+        """The reference's loss with every member moved by step * its
+        direction, and the kept bins and ReLU signs it ran with."""
         saved = [t.data.copy() for t in members]
         for t, d in zip(members, dirs):
             t.data += step * d
-        masks, debug = [], {}
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (model, backbones):
-                mp.setattr(module, "relu", lambda a: masks.append(a.data > 0) or autograd.relu(a))
-            value = float(mse_loss(forward(x, params, cfg, debug=debug), y).data)
+        pred, _, routing = reference_forward(x, params, cfg)
         for t, old in zip(members, saved):
             t.data[...] = old
-        return value, [np.stack(debug["compressed"].indices, axis=1)] + masks
+        return float(np.mean((pred - y) ** 2)), routing
 
     h = 1e-3
     for group in dict.fromkeys(_group(name) for name, _ in named):

@@ -21,11 +21,13 @@ from freqcast.spectral import (
     valid_window_counts,
 )
 
-from conftest import cvalue, identity_lifted, lifted_planes, naive_dft, plan_geometry
+from conftest import identity_lifted, lifted_planes, naive_dft, plan_geometry
 
 
 def spectra_values(x, plan):
-    return [cvalue(c) for c in rstft(Tensor(x), plan).windows]
+    """Per-window complex (B, bins, D, E) values of x's plain spectra."""
+    planes = rstft(Tensor(x), plan).planes.data
+    return [planes[:, i, 0] + 1j * planes[:, i, 1] for i in range(plan.window_count)]
 
 
 class TestPlanning:
@@ -33,12 +35,12 @@ class TestPlanning:
         plan = plan_stft(96, 6, 16)
         assert plan.hop == 16
         assert plan.nfft - plan.hop == 0  # zero overlap
-        assert plan.starts == [0, 16, 32, 48, 64, 80]
+        assert [i * plan.hop for i in range(plan.window_count)] == [0, 16, 32, 48, 64, 80]
         assert plan.bins == 9
 
     def test_single_window_is_plain_fft(self):
         plan = plan_stft(96, 1, 96)
-        assert plan.hop == 0 and plan.starts == [0]
+        assert plan.hop == 0 and plan.window_count == 1
         with pytest.raises(ConfigError):
             plan_stft(96, 1, 48)
 
@@ -144,7 +146,8 @@ class TestAnalysis:
         x = rng.normal(size=(2, 30, 2, 3))
         w = plan.window_values()
         got = spectra_values(x, plan)
-        for i, s in enumerate(plan.starts):
+        for i in range(plan.window_count):
+            s = i * plan.hop
             seg = x[:, s:s + plan.nfft] * w[None, :, None, None]
             want = naive_dft(seg, axis=1)[:, : plan.bins]
             scale = np.abs(want).max()
@@ -170,8 +173,8 @@ class TestAnalysis:
         plan = plan_stft(32, 3, 16)
         x = rng.normal(size=(1, 32, 1, 1))
         spectra = spectra_values(x, plan)
-        for s, c in zip(plan.starts, spectra):
-            seg = x[0, s:s + plan.nfft, 0, 0]
+        for i, c in enumerate(spectra):
+            seg = x[0, i * plan.hop:i * plan.hop + plan.nfft, 0, 0]
             mags2 = np.abs(c[0, :, 0, 0]) ** 2
             # interior bins represent two conjugate coefficients each
             spec_energy = (mags2[0] + mags2[-1] + 2 * mags2[1:-1].sum()) / plan.nfft
@@ -243,19 +246,25 @@ class TestRoundTrip:
 
 
 def test_window_views_are_read_only_and_off_the_tape(rng):
+    """``.windows`` reads lifted spectra only: spectra of planes alone are
+    refused."""
     plan = plan_stft(32, 3, 16)
-    s = rstft(Tensor(rng.normal(size=(1, 32, 1, 1))), plan)
+    x = rng.normal(size=(1, 32, 1, 1))
+    s = rstft(x, plan, Tensor(rng.normal(size=2)), Tensor(rng.normal(size=2)))
     for i, c in enumerate(s.windows):
-        for view, plane in zip((c.re, c.im), np.moveaxis(s.planes.data, 2, 0)):
+        for view, plane in zip((c.re, c.im), np.moveaxis(lifted_planes(s), 2, 0)):
             assert view._backward is None and not view._parents
             assert not view.data.flags.writeable
             np.testing.assert_array_equal(view.data, plane[:, i])
+    with pytest.raises(ContractError, match="got spectra of planes alone"):
+        rstft(Tensor(x), plan).windows
 
 
 def test_reading_windows_records_no_tape_node(monkeypatch, rng):
     """``.windows`` of lifted spectra are values: no Tensor made while reading
     them gets a backward, and the lifted planes stay unbuilt; the values are
-    those of the planes the factors lift to.  A kept form is refused."""
+    those of the planes the factors lift to.  Pad's kept form, planes
+    without factors, is refused."""
     plan = plan_stft(16, 3, 8, "hann")
     s = rstft(rng.normal(size=(2, 16, 3, 1)), plan, Tensor(rng.normal(size=4)),
               Tensor(rng.normal(size=4)))
@@ -269,7 +278,7 @@ def test_reading_windows_records_no_tape_node(monkeypatch, rng):
     for i, c in enumerate(lifted):
         for view, plane in zip((c.re, c.im), np.moveaxis(lifted_planes(s), 2, 0)):
             assert np.array_equal(view.data, plane[:, i])
-    with pytest.raises(ContractError, match="got a kept-form spectrum of 2 bins per window"):
+    with pytest.raises(ContractError, match="got spectra of planes alone"):
         padded.windows
 
 

@@ -609,6 +609,19 @@ class TestFit:
             assert np.array_equal(t.data, first), name
         assert any(not np.array_equal(a, b) for a, b in zip(seen[0], seen[1]))
 
+    @pytest.mark.parametrize("batch, message", [
+        (16, "non-finite training loss at epoch 1, batch"),
+        (256, "non-finite validation metrics at epoch 1: MAE nan"),
+    ], ids=["second-batch", "one-batch-epoch"])
+    def test_a_diverging_fit_raises_without_a_warning(self, batch, message):
+        """At lr=1e300 the first step leaves finite parameters near 1e300, and
+        the next forward overflows: the second batch's loss, or, when an epoch
+        is one batch, the validation forecasts.  The check raises, and no
+        numpy warning (an error under this suite's filter) comes before it."""
+        train, val = normalized_synth()
+        with pytest.raises(TrainingError, match=message):
+            fit(train, val, small_cfg(lr=1e300, batch=batch, epochs=1))
+
     def test_empty_split_rejected(self):
         cfg = small_cfg()
         with pytest.raises(TrainingError):
